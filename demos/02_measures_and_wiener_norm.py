@@ -1,57 +1,24 @@
-"""Walkthrough: measures, total variation, and estimating the measure norm
-of a multiplier from its values on the dual grid.
+"""Walkthrough: estimating the norm of the finite measure behind a multiplier
+from its values on the dual grid.
 
 Run:  python3 demos/02_measures_and_wiener_norm.py
 """
 
-import math
-
-import numpy as np
-
 from subord import (
     carlson_bound,
     constant,
-    convolve_with_measure,
-    dirac,
     exp_abs_ft,
-    gaussian,
     gw_symbol,
     make_grid,
-    materialize,
-    measure_ft,
-    total_variation,
     wiener_norm,
-    with_density,
 )
 
 grid = make_grid(40.0, 16384)
 
-# A measure is atoms plus an absolutely continuous density.  Its total
-# variation adds |weights|, the window L1 mass, and a tail majorant fitted
-# to the outer decade of the window.
-mu = dirac(0.0, 2.0) + dirac(1.5, -1.0)
-print(f"TV of 2*d_0 - d_1.5: {total_variation(mu, grid)}")
-
-cauchy = with_density(lambda x: (1.0 / math.pi) / (1.0 + x * x), label="cauchy")
-print(f"TV of the Cauchy kernel (mass 1, heavy tails): "
-      f"{total_variation(cauchy, grid):.6f}")
-
-# The transform of a measure: exact exponentials for atoms, grid transform
-# for the density.  sup of the transform never exceeds the total variation.
-m = measure_ft(cauchy, grid)
-sup = np.abs(m(grid.dual_nodes())).max()
-print(f"sup of its transform: {sup:.6f}  <=  TV")
-
-# Convolution against a measure: atoms act by (snapped) shifts.
-f = materialize(gaussian(1.0), grid)
-g = convolve_with_measure(f, dirac(2.0, 1.0) + dirac(-2.0, 1.0))
-print(f"\n(d_2 + d_-2) * gaussian: peak {np.abs(g.values).max():.6f} "
-      f"at |x| = {abs(grid.nodes()[np.abs(g.values).argmax()]):.4f}")
-
-# Going the other way: given only the multiplier values psi(y), estimate the
-# norm of the measure behind it.  The estimator separates the limit at
-# infinity (an atom at the origin of the space side), inverts the rest to a
-# density, and adds a tail bound beyond the window.
+# Given only the multiplier values psi(y), estimate the norm of the measure
+# behind it.  The estimator separates the limit at infinity (an atom at the
+# origin of the space side), inverts the rest to a density, and adds a tail
+# bound beyond the window.
 for label, sym, exact in [
     ("e^{-|y|}  (Cauchy kernel transform)", gw_symbol(1.0), 1.0),
     ("constant 1  (pure unit atom)", constant(1.0), 1.0),

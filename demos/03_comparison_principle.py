@@ -35,7 +35,7 @@ report = verify_comparison(setup)
 print(f"\nverification over the corpus: {len(report.cases)} cases, "
       f"worst ||Af||/(K||Bf||) = {report.worst_ratio:.4f}, passed={report.passed}")
 for case in report.cases[:6]:
-    print(f"  {case.label:28s} p={case.p:<4g} lhs={case.lhs:.4e} "
+    print(f"  {case.label:28s} {case.exponents:<6} lhs={case.lhs:.4e} "
           f"rhs={case.rhs:.4e} ratio={case.ratio:.3f}")
 print("  ...")
 

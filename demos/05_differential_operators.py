@@ -54,7 +54,7 @@ print(f"identity residual: {d.identity_residual:.2e}")
 print(f"sup|h2| = {d.cofactor2_sup:.6f}   h1 -> {d.cofactor1_at_infinity} at infinity")
 
 rep = verify_identity(d)
-print(f"identity on the corpus: max err {rep.max_error:.2e}, passed={rep.passed}")
+print(f"identity on the corpus: max err {rep.worst_ratio:.2e}, passed={rep.passed}")
 
 # The inequality, with constants from the measure norms of h1 and h2.
 for q in (1.0, 2.0, math.inf):

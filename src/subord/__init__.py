@@ -9,8 +9,8 @@ constants, three layers of domination between them:
 ``testkit``
     named test functions with known transforms and smoothness metadata.
 ``measures``
-    finite measures, measure-norm (Wiener-algebra) estimation, quadrature
-    bounds for it.
+    measure-norm (Wiener-algebra) estimation of a symbol, quadrature bounds
+    for it.
 ``comparison``
     multiplier registry and the ratio-based domination of one convolution
     operator by another.
@@ -26,7 +26,6 @@ constants, three layers of domination between them:
 
 from .errors import (
     AllCasesSkippedError,
-    AtomOffGridError,
     BandwidthExceededError,
     FillUndefinedError,
     GridMismatchError,
@@ -68,21 +67,12 @@ from .testkit import (
     means_suite,
     modulated_gaussian,
 )
-from .measures import (
-    Measure,
-    WienerEstimate,
-    carlson_bound,
-    convolve_with_measure,
-    dirac,
-    measure_ft,
-    total_variation,
-    wiener_norm,
-    with_density,
-)
+from .measures import WienerEstimate, carlson_bound, wiener_norm
 from .comparison import (
-    ComparisonReport,
+    Case,
     ComparisonSetup,
     Multiplier,
+    Report,
     apply_multiplier,
     constant,
     exp_abs_ft,
@@ -96,7 +86,6 @@ from .comparison import (
     verify_comparison,
 )
 from .summability import (
-    GWReport,
     gw_constant,
     gw_error,
     gw_kernel,
@@ -106,7 +95,6 @@ from .summability import (
 )
 from .diffops import (
     HypothesisCheck,
-    SubordinationReport,
     SymbolDecomposition,
     apply_diffop,
     construct_decomposition,

@@ -29,14 +29,12 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
 from . import comparison, diffops, measures, summability
 from .errors import (
     AllCasesSkippedError,
-    AtomOffGridError,
     BandwidthExceededError,
     FillUndefinedError,
     GridMismatchError,
@@ -78,7 +76,6 @@ _NUMERICAL_ERRORS = (
     AllCasesSkippedError,
     VerificationFailureError,
     GridTooSmallError,
-    AtomOffGridError,
     GridMismatchError,
     FillUndefinedError,
     NeighborhoodDegenerateError,
@@ -98,6 +95,24 @@ class _Parser(argparse.ArgumentParser):
 # parsing helpers
 # ---------------------------------------------------------------------------
 
+def _is_number(value) -> bool:
+    # JSON true/false are Python ints; they are never numbers here
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, what: str, integer: bool = False):
+    """``value`` as a float, or an int, refusing booleans and lossy conversions."""
+    lossy = isinstance(value, bool) or (
+        integer and isinstance(value, float) and not value.is_integer())
+    if not lossy:
+        try:
+            return int(value) if integer else float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{what} must be {'an integer' if integer else 'a number'}, "
+                      f"got {value!r}")
+
+
 def _parse_float_list(text, what: str) -> list[float]:
     if isinstance(text, (list, tuple)):
         items = list(text)
@@ -105,16 +120,7 @@ def _parse_float_list(text, what: str) -> list[float]:
         items = [part.strip() for part in str(text).split(",") if part.strip()]
     if not items:
         raise ConfigError(f"empty {what} list")
-    out = []
-    for item in items:
-        if isinstance(item, str) and item.lower() in ("inf", "infinity"):
-            out.append(math.inf)
-            continue
-        try:
-            out.append(float(item))
-        except (TypeError, ValueError):
-            raise ConfigError(f"cannot parse {what} entry {item!r} as a number") from None
-    return out
+    return [_number(item, f"{what} entry") for item in items]
 
 
 def _parse_poly(text, what: str) -> list[complex]:
@@ -129,10 +135,9 @@ def _parse_poly(text, what: str) -> list[complex]:
         raise ConfigError(f"{what} must be a nonempty JSON array of coefficients")
     coeffs = []
     for entry in data:
-        if isinstance(entry, (int, float)):
+        if _is_number(entry):
             coeffs.append(complex(entry))
-        elif (isinstance(entry, list) and len(entry) == 2
-              and all(isinstance(v, (int, float)) for v in entry)):
+        elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
             coeffs.append(complex(entry[0], entry[1]))
         else:
             raise ConfigError(
@@ -151,10 +156,13 @@ def _parse_multiplier_spec(text: str) -> tuple[str, dict]:
             if not piece:
                 continue
             key, sep, val = piece.partition("=")
+            key = key.strip()
             if not sep:
                 raise ConfigError(f"multiplier parameter {piece!r} is not key=value")
+            if key in params:
+                raise ConfigError(f"multiplier parameter {key!r} is given twice")
             try:
-                params[key.strip()] = float(val)
+                params[key] = float(val)
             except ValueError:
                 raise ConfigError(f"multiplier parameter {piece!r} has a non-numeric value") from None
         return name.strip(), params
@@ -167,10 +175,6 @@ def _jsonable(value):
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
-
-
-def _fmt_p(p: float) -> str:
-    return "inf" if math.isinf(p) else f"{p:g}"
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +207,25 @@ def _emit(report: dict, out_path: Optional[str], csv_path: Optional[str]) -> Non
                     else:
                         row[col] = v
                 writer.writerow(row)
+
+
+def _case_rows(report: comparison.Report) -> list[dict]:
+    """One CSV-shaped row per verified case, keyed by :data:`CSV_COLUMNS`."""
+    rows = []
+    for case in report.cases:
+        eps = [] if case.eps is None else [f"eps={case.eps:g}"]
+        rows.append({
+            "case_id": "|".join([case.label, *eps, case.exponents]),
+            "test_function": case.label,
+            "p_or_exponents": case.exponents,
+            "epsilon": case.eps,
+            "lhs_norm": case.lhs,
+            "rhs_norm": case.rhs,
+            "ratio": case.ratio,
+            "constant": report.constant,
+            "passed": case.passed,
+        })
+    return rows
 
 
 def _estimate_dict(est: measures.WienerEstimate) -> dict:
@@ -245,19 +268,6 @@ def _run_compare(args, grid: GridSpec):
     m2 = comparison.named_multiplier(name2, **params2)
     setup = comparison.setup_comparison(m1, m2, grid, oversample=args.oversample)
     report_obj = comparison.verify_comparison(setup, p_values=args.p_parsed)
-    cases = []
-    for case in report_obj.cases:
-        cases.append({
-            "case_id": f"{case.label}|p={_fmt_p(case.p)}",
-            "test_function": case.label,
-            "p_or_exponents": f"p={_fmt_p(case.p)}",
-            "epsilon": None,
-            "lhs_norm": case.lhs,
-            "rhs_norm": case.rhs,
-            "ratio": case.ratio,
-            "constant": report_obj.constant,
-            "passed": case.passed,
-        })
     passed = report_obj.passed and setup.estimate.converged
     report = {
         "command": "compare",
@@ -267,7 +277,7 @@ def _run_compare(args, grid: GridSpec):
         "estimate": _estimate_dict(setup.estimate),
         "constant": report_obj.constant,
         "worst_ratio": report_obj.worst_ratio,
-        "cases": cases,
+        "cases": _case_rows(report_obj),
         "passed": passed,
     }
     return report, passed
@@ -278,19 +288,6 @@ def _run_gw_compare(args, grid: GridSpec):
         args.alpha, args.beta, grid,
         eps_values=args.eps_parsed, p_values=args.p_parsed,
         oversample=args.oversample)
-    cases = []
-    for case in report_obj.cases:
-        cases.append({
-            "case_id": f"{case.label}|eps={case.eps:g}|p={_fmt_p(case.p)}",
-            "test_function": case.label,
-            "p_or_exponents": f"p={_fmt_p(case.p)}",
-            "epsilon": case.eps,
-            "lhs_norm": case.lhs,
-            "rhs_norm": case.rhs,
-            "ratio": case.ratio,
-            "constant": report_obj.constant,
-            "passed": case.passed,
-        })
     passed = report_obj.passed and report_obj.estimate.converged
     report = {
         "command": "gw-compare",
@@ -300,7 +297,7 @@ def _run_gw_compare(args, grid: GridSpec):
         "estimate": _estimate_dict(report_obj.estimate),
         "constant": report_obj.constant,
         "worst_ratio": report_obj.worst_ratio,
-        "cases": cases,
+        "cases": _case_rows(report_obj),
         "passed": passed,
     }
     return report, passed
@@ -332,35 +329,22 @@ def _run_diffop_verify(args, grid: GridSpec):
         args.Q_parsed, args.P1_parsed, args.P2_parsed, grid,
         q=args.q_parsed, p1=args.p1_parsed, p2=args.p2_parsed,
         oversample=args.oversample)
-    exponents = f"q={_fmt_p(report_obj.q)};p1={_fmt_p(report_obj.p1)};p2={_fmt_p(report_obj.p2)}"
-    cases = []
-    for case in report_obj.cases:
-        cases.append({
-            "case_id": f"{case.label}|{exponents}",
-            "test_function": case.label,
-            "p_or_exponents": exponents,
-            "epsilon": None,
-            "lhs_norm": case.lhs,
-            "rhs_norm": case.rhs,
-            "ratio": case.ratio,
-            "constant": report_obj.constant,
-            "passed": case.passed,
-        })
+    decomp = report_obj.decomposition
     report = {
         "command": "diffop-verify",
         "grid": {"half_length": grid.half_length, "size": grid.size},
-        "target": report_obj.target_label,
-        "op1": report_obj.op1_label,
-        "op2": report_obj.op2_label,
+        "target": diffops.poly_label(decomp.target),
+        "op1": diffops.poly_label(decomp.op1),
+        "op2": diffops.poly_label(decomp.op2),
         "q": _jsonable(report_obj.q),
         "p1": _jsonable(report_obj.p1),
         "p2": _jsonable(report_obj.p2),
         "factor1": report_obj.factor1,
         "factor2": report_obj.factor2,
         "constant": report_obj.constant,
-        "identity_residual": report_obj.decomposition.identity_residual,
+        "identity_residual": decomp.identity_residual,
         "worst_ratio": report_obj.worst_ratio,
-        "cases": cases,
+        "cases": _case_rows(report_obj),
         "passed": report_obj.passed,
     }
     return report, report_obj.passed
@@ -508,26 +492,22 @@ def _prepare(args) -> GridSpec:
     """Config-phase validation; every failure here is exit code 3."""
     _apply_json_config(args)
     try:
-        grid = GridSpec(float(args.grid_L), int(args.grid_N))
-    except (InvalidParameterError, TypeError, ValueError) as exc:
+        grid = GridSpec(_number(args.grid_L, "grid-L"), _number(args.grid_N, "grid-N", True))
+    except InvalidParameterError as exc:
         raise ConfigError(f"invalid grid: {exc}") from None
-    try:
-        args.oversample = int(args.oversample)
-    except (TypeError, ValueError):
-        raise ConfigError(f"oversample must be an integer, got {args.oversample!r}") from None
+    args.oversample = _number(args.oversample, "oversample", integer=True)
 
     if args.command == "wiener-norm":
         args.multiplier_parsed = _parse_multiplier_spec(str(args.multiplier))
+        if args.const_at_infinity is not None:
+            args.const_at_infinity = _number(args.const_at_infinity, "const-at-infinity")
     elif args.command == "compare":
         args.m1_parsed = _parse_multiplier_spec(str(args.m1))
         args.m2_parsed = _parse_multiplier_spec(str(args.m2))
         args.p_parsed = _parse_float_list(args.p, "p")
     elif args.command == "gw-compare":
-        try:
-            args.alpha = float(args.alpha)
-            args.beta = float(args.beta)
-        except (TypeError, ValueError):
-            raise ConfigError("alpha and beta must be numbers") from None
+        args.alpha = _number(args.alpha, "alpha")
+        args.beta = _number(args.beta, "beta")
         args.eps_parsed = _parse_float_list(args.eps, "eps")
         args.p_parsed = _parse_float_list(args.p, "p")
     elif args.command in ("lemma2", "diffop-verify"):
@@ -560,12 +540,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    if os.environ.get("SUBORD_SEED_FIXTURES") == "1":
-        summability.seed_pinned_constants()
-
     try:
         report, passed = _RUNNERS[args.command](args, grid)
-    except _HYPOTHESIS_ERRORS as exc:
+    except _HYPOTHESIS_ERRORS + _NUMERICAL_ERRORS as exc:
         report = {"command": args.command,
                   "error": {"type": type(exc).__name__, "message": str(exc)},
                   "cases": [], "passed": False}
@@ -574,13 +551,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report["violations"] = [{"code": v.code, "detail": v.detail}
                                     for v in check.violations]
         _emit(report, args.out, args.csv)
-        return 1
-    except _NUMERICAL_ERRORS as exc:
-        report = {"command": args.command,
-                  "error": {"type": type(exc).__name__, "message": str(exc)},
-                  "cases": [], "passed": False}
-        _emit(report, args.out, args.csv)
-        return 2
+        return 1 if isinstance(exc, _HYPOTHESIS_ERRORS) else 2
 
     _emit(report, args.out, args.csv)
     return 0 if passed else 2

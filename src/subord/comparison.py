@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .errors import (
 from .fourier_core import FREQUENCY, SPACE, GridSpec, SampledFunction, inverse_ft, forward_ft, lp_norm
 from .measures import WienerEstimate, wiener_norm
 from .testkit import TestFunction, materialize, means_suite
+
+if TYPE_CHECKING:
+    from .diffops import SymbolDecomposition
 
 __all__ = [
     "Multiplier",
@@ -44,8 +47,8 @@ __all__ = [
     "ratio_multiplier",
     "ComparisonSetup",
     "setup_comparison",
-    "ComparisonCase",
-    "ComparisonReport",
+    "Case",
+    "Report",
     "verify_comparison",
 ]
 
@@ -55,16 +58,9 @@ ZERO_LEVEL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Multiplier:
-    """A frequency symbol ``y -> m(y)``, callable on float arrays.
+    """A frequency symbol ``y -> m(y)``, callable on float arrays."""
 
-    ``kind`` records how the symbol was built: ``"registry"`` for closed
-    forms, ``"sampled"`` for interpolated data, ``"piecewise"`` for ratio
-    symbols with filled zeros, ``"composite"`` for sums and products.
-    """
-
-    kind: str
     label: str
-    params: dict
     _fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def __call__(self, y) -> np.ndarray:
@@ -86,7 +82,7 @@ class Multiplier:
             f = self._fn
             fn = lambda y: op(np.asarray(f(y), dtype=np.complex128), c)
             label = f"({self.label}{opname}{c})"
-        return Multiplier(kind="composite", label=label, params={}, _fn=fn)
+        return Multiplier(label=label, _fn=fn)
 
     def __add__(self, other):
         return self._combine(other, lambda a, b: a + b, "+")
@@ -107,8 +103,7 @@ def constant(value: complex = 1.0) -> Multiplier:
     """The constant symbol ``m(y) = value``."""
     c = complex(value)
     return Multiplier(
-        kind="registry", label=f"constant({c.real:g})" if c.imag == 0 else f"constant({c})",
-        params={"value": c},
+        label=f"constant({c.real:g})" if c.imag == 0 else f"constant({c})",
         _fn=lambda y: np.full(np.asarray(y, dtype=float).shape, c, dtype=np.complex128))
 
 
@@ -123,7 +118,7 @@ def gw_symbol(alpha: float) -> Multiplier:
     """``exp(-|y|^alpha)``: the symbol of the generalized smoothing kernel."""
     alpha = _check_exponent(alpha)
     return Multiplier(
-        kind="registry", label=f"gw_symbol(alpha={alpha:g})", params={"alpha": alpha},
+        label=f"gw_symbol(alpha={alpha:g})",
         _fn=lambda y: np.exp(-np.abs(y) ** alpha).astype(np.complex128))
 
 
@@ -131,8 +126,7 @@ def one_minus_gw_symbol(alpha: float) -> Multiplier:
     """``1 - exp(-|y|^alpha)``, computed as ``-expm1`` so small ``y`` stay accurate."""
     alpha = _check_exponent(alpha)
     return Multiplier(
-        kind="registry", label=f"one_minus_gw_symbol(alpha={alpha:g})",
-        params={"alpha": alpha},
+        label=f"one_minus_gw_symbol(alpha={alpha:g})",
         _fn=lambda y: (-np.expm1(-np.abs(y) ** alpha)).astype(np.complex128))
 
 
@@ -158,14 +152,13 @@ def gw_ratio(alpha: float, beta: float) -> Multiplier:
         out[nz] = num[nz] / den[nz]
         return out.astype(np.complex128)
 
-    return Multiplier(kind="registry", label=f"gw_ratio(alpha={alpha:g},beta={beta:g})",
-                      params={"alpha": alpha, "beta": beta}, _fn=fn)
+    return Multiplier(label=f"gw_ratio(alpha={alpha:g},beta={beta:g})", _fn=fn)
 
 
 def gaussian_ft() -> Multiplier:
     """``sqrt(pi) exp(-y^2/4)``: transform of the unit gaussian."""
     return Multiplier(
-        kind="registry", label="gaussian_ft", params={},
+        label="gaussian_ft",
         _fn=lambda y: (np.sqrt(np.pi) * np.exp(-(np.asarray(y, dtype=float) ** 2) / 4.0)
                        ).astype(np.complex128))
 
@@ -173,7 +166,7 @@ def gaussian_ft() -> Multiplier:
 def exp_abs_ft() -> Multiplier:
     """``2 / (1 + y^2)``: transform of ``exp(-|x|)``."""
     return Multiplier(
-        kind="registry", label="exp_abs_ft", params={},
+        label="exp_abs_ft",
         _fn=lambda y: (2.0 / (1.0 + np.asarray(y, dtype=float) ** 2)).astype(np.complex128))
 
 
@@ -305,8 +298,7 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier, grid: GridS
                     "grid and no fill value is on record")
         return out
 
-    return Multiplier(kind="piecewise", label=f"({num_label})/({den_label})",
-                      params={"ztol": ztol}, _fn=fn)
+    return Multiplier(label=f"({num_label})/({den_label})", _fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +332,17 @@ def setup_comparison(multiplier1: Multiplier, multiplier2: Multiplier, grid: Gri
 
 
 @dataclass(frozen=True)
-class ComparisonCase:
+class Case:
+    """One verified row: ``lhs <= constant * (1 + tolerance) * rhs``.
+
+    ``eps`` is the scale of a summability case (``None`` elsewhere) and
+    ``exponents`` the norm exponents as printed, e.g. ``p=2`` or
+    ``q=2;p1=2;p2=1``.
+    """
+
     label: str
-    p: float
+    eps: Optional[float]
+    exponents: str
     lhs: float
     rhs: float
     ratio: float
@@ -350,16 +350,63 @@ class ComparisonCase:
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
-    cases: tuple[ComparisonCase, ...]
+class Report:
+    """Result of every verification routine.
+
+    The fields after ``passed`` are filled only by the routines that produce
+    them: ``estimate`` by :func:`subord.summability.gw_verify`; the factors,
+    the resolved exponents ``q``, ``p1``, ``p2`` and the decomposition by
+    :func:`subord.diffops.diffop_subordination`.
+    """
+
+    cases: tuple[Case, ...]
     constant: float
     worst_ratio: float
     passed: bool
+    estimate: Optional[WienerEstimate] = None
+    factor1: Optional[float] = None
+    factor2: Optional[float] = None
+    q: Optional[float] = None
+    p1: Optional[float] = None
+    p2: Optional[float] = None
+    decomposition: Optional[SymbolDecomposition] = None
+
+
+#: a verifier's rows for one sampled function: ``(eps or None, exponents, lhs, rhs)``
+Rows = Callable[[SampledFunction], Iterable[tuple[Optional[float], str, float, float]]]
+
+
+def _fmt_p(p: float) -> str:
+    return "inf" if math.isinf(p) else f"{p:g}"
+
+
+def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant: float,
+            tolerance: float, what: str, **extra) -> Report:
+    """The loop shared by every verifier: sample each function and check its rows.
+
+    A row whose right side is below ``1e-12 * (1 + lhs)`` carries no
+    information and is skipped; the others pass when ``lhs / rhs <=
+    constant * (1 + tolerance)``.  :class:`AllCasesSkippedError` is raised
+    when every row was skipped.
+    """
+    cases = []
+    for fn in suite:
+        for eps, exponents, lhs, rhs in rows(materialize(fn, grid)):
+            if rhs <= 1e-12 * (1.0 + lhs):
+                continue
+            ratio = lhs / rhs
+            cases.append(Case(label=fn.label, eps=eps, exponents=exponents, lhs=lhs, rhs=rhs,
+                              ratio=ratio, passed=ratio <= constant * (1.0 + tolerance)))
+    if not cases:
+        raise AllCasesSkippedError(f"no {what} case had a usable right-hand side")
+    return Report(cases=tuple(cases), constant=constant,
+                  worst_ratio=max(case.ratio for case in cases),
+                  passed=all(case.passed for case in cases), **extra)
 
 
 def verify_comparison(setup: ComparisonSetup, suite: Optional[Sequence[TestFunction]] = None,
                       p_values: Sequence[float] = (1.0, 2.0, math.inf),
-                      tolerance: float = 1e-2) -> ComparisonReport:
+                      tolerance: float = 1e-2) -> Report:
     """Check the comparison inequality on a corpus of test functions.
 
     For each function and each exponent the two operator outputs are
@@ -368,25 +415,11 @@ def verify_comparison(setup: ComparisonSetup, suite: Optional[Sequence[TestFunct
     carry no information and are skipped; if every case is skipped,
     :class:`AllCasesSkippedError` is raised.
     """
-    if suite is None:
-        suite = means_suite()
-    grid = setup.grid
-    cases = []
-    for fn in suite:
-        f = materialize(fn, grid)
+    def rows(f):
         out1 = apply_multiplier(setup.multiplier1, f)
         out2 = apply_multiplier(setup.multiplier2, f)
         for p in p_values:
-            lhs = lp_norm(out1, p)
-            rhs = lp_norm(out2, p)
-            if rhs <= 1e-12 * (1.0 + lhs):
-                continue
-            ratio = lhs / rhs
-            passed = ratio <= setup.constant * (1.0 + tolerance)
-            cases.append(ComparisonCase(label=fn.label, p=float(p), lhs=lhs, rhs=rhs,
-                                        ratio=ratio, passed=passed))
-    if not cases:
-        raise AllCasesSkippedError("no comparison case had a usable right-hand side")
-    worst = max(case.ratio for case in cases)
-    return ComparisonReport(cases=tuple(cases), constant=setup.constant,
-                            worst_ratio=worst, passed=all(c.passed for c in cases))
+            yield None, f"p={_fmt_p(float(p))}", lp_norm(out1, p), lp_norm(out2, p)
+
+    return _verify(means_suite() if suite is None else suite, setup.grid, rows,
+                   setup.constant, tolerance, "comparison")

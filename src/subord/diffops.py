@@ -27,9 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .comparison import Multiplier, apply_multiplier
+from .comparison import Multiplier, Report, _fmt_p, _verify, apply_multiplier
 from .errors import (
-    AllCasesSkippedError,
     BandwidthExceededError,
     HypothesesViolatedError,
     InadmissibleExponentsError,
@@ -40,11 +39,10 @@ from .errors import (
 )
 from .fourier_core import FREQUENCY, SPACE, GridSpec, SampledFunction, forward_ft, inverse_ft, lp_norm
 from .measures import wiener_norm
-from .testkit import TestFunction, diffop_suite, materialize
+from .testkit import TestFunction, diffop_suite
 
 __all__ = [
     "poly_degree",
-    "poly_eval",
     "poly_label",
     "real_roots",
     "Violation",
@@ -53,12 +51,8 @@ __all__ = [
     "SymbolDecomposition",
     "construct_decomposition",
     "apply_diffop",
-    "IdentityCase",
-    "IdentityReport",
     "verify_identity",
     "partner_exponent",
-    "SubordinationCase",
-    "SubordinationReport",
     "diffop_subordination",
 ]
 
@@ -98,12 +92,6 @@ def poly_degree(coeffs) -> int:
     if c.size == 1 and c[0] == 0:
         return -1
     return c.size - 1
-
-
-def poly_eval(coeffs, y) -> np.ndarray:
-    """Evaluate an ascending coefficient sequence at real points."""
-    c = _as_poly(coeffs)
-    return np.asarray(npoly.polyval(np.asarray(y, dtype=float), c), dtype=np.complex128)
 
 
 def _coeff_str(value: complex) -> str:
@@ -375,8 +363,8 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
 
     label1 = f"cofactor1[{poly_label(q)}|{poly_label(p1)}]"
     label2 = f"cofactor2[{poly_label(q)}|{poly_label(p1)}|{poly_label(p2)}]"
-    cofactor1 = Multiplier(kind="piecewise", label=label1, params={}, _fn=h1_fn)
-    cofactor2 = Multiplier(kind="piecewise", label=label2, params={}, _fn=h2_fn)
+    cofactor1 = Multiplier(label=label1, _fn=h1_fn)
+    cofactor2 = Multiplier(label=label2, _fn=h2_fn)
 
     if poly_degree(q) == poly_degree(p1):
         at_infinity = complex(q[-1] / p1[-1])
@@ -464,43 +452,29 @@ def apply_diffop(coeffs, f: SampledFunction) -> SampledFunction:
 # identity verification on functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityCase:
-    label: str
-    error: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    cases: tuple[IdentityCase, ...]
-    max_error: float
-    passed: bool
+def _required_order(decomp: SymbolDecomposition) -> int:
+    return max(poly_degree(decomp.target), poly_degree(decomp.op1), poly_degree(decomp.op2))
 
 
 def verify_identity(decomp: SymbolDecomposition,
                     suite: Optional[Sequence[TestFunction]] = None,
-                    tolerance: float = 1e-6) -> IdentityReport:
+                    tolerance: float = 1e-6) -> Report:
     """Check ``target f = h1 (op1 f) + h2 (op2 f)`` on actual functions.
 
-    Errors are sup-norm defects relative to ``1 + sup |target f|``.
+    Each case is the sup-norm defect over ``1 + sup |target f|``, so the
+    report's ``constant`` is ``tolerance`` and ``worst_ratio`` the largest
+    relative error.
     """
-    required = max(poly_degree(decomp.target), poly_degree(decomp.op1),
-                   poly_degree(decomp.op2))
+    def rows(f):
+        direct = apply_diffop(decomp.target, f)
+        rebuilt = (apply_multiplier(decomp.cofactor1, apply_diffop(decomp.op1, f))
+                   + apply_multiplier(decomp.cofactor2, apply_diffop(decomp.op2, f)))
+        yield (None, "p=inf", float(np.abs(direct.values - rebuilt.values).max()),
+               1.0 + float(np.abs(direct.values).max()))
+
     if suite is None:
-        suite = diffop_suite(required)
-    cases = []
-    for fn in suite:
-        f = materialize(fn, decomp.grid)
-        lhs = apply_diffop(decomp.target, f)
-        rhs = (apply_multiplier(decomp.cofactor1, apply_diffop(decomp.op1, f))
-               + apply_multiplier(decomp.cofactor2, apply_diffop(decomp.op2, f)))
-        scale = 1.0 + float(np.abs(lhs.values).max())
-        err = float(np.abs(lhs.values - rhs.values).max()) / scale
-        cases.append(IdentityCase(label=fn.label, error=err, passed=err <= tolerance))
-    max_error = max((c.error for c in cases), default=0.0)
-    return IdentityReport(cases=tuple(cases), max_error=max_error,
-                          passed=all(c.passed for c in cases))
+        suite = diffop_suite(_required_order(decomp))
+    return _verify(suite, decomp.grid, rows, tolerance, 0.0, "identity")
 
 
 # ---------------------------------------------------------------------------
@@ -569,39 +543,13 @@ def _operator_factor(symbol: Multiplier, grid: GridSpec, q: float, p: float,
     return float((g.grid.dx * np.sum(absg**s)) ** (1.0 / s))
 
 
-@dataclass(frozen=True)
-class SubordinationCase:
-    label: str
-    lhs: float
-    rhs: float
-    ratio: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class SubordinationReport:
-    target_label: str
-    op1_label: str
-    op2_label: str
-    q: float
-    p1: float
-    p2: float
-    factor1: float
-    factor2: float
-    constant: float
-    decomposition: SymbolDecomposition
-    cases: tuple[SubordinationCase, ...]
-    worst_ratio: float
-    passed: bool
-
-
 def diffop_subordination(target, op1, op2, grid: GridSpec, q: float,
                          p1: Optional[float] = None, p2: Optional[float] = None,
                          oversample: int = 4,
                          suite: Optional[Sequence[TestFunction]] = None,
                          tolerance: float = 1e-2,
                          decomposition: Optional[SymbolDecomposition] = None,
-                         ) -> SubordinationReport:
+                         ) -> Report:
     """Verify ``||target f||_q <= C (||op1 f||_p1 + ||op2 f||_p2)`` on a corpus.
 
     Exponents default to ``p1 = p2 = q``.  Lower exponents are admissible
@@ -613,39 +561,21 @@ def diffop_subordination(target, op1, op2, grid: GridSpec, q: float,
     """
     if decomposition is None:
         decomposition = construct_decomposition(target, op1, op2, grid)
+    d = decomposition
     q_, p1_, p2_ = _validate_exponents(
         q, q if p1 is None else p1, q if p2 is None else p2,
-        poly_degree(decomposition.target), poly_degree(decomposition.op1))
+        poly_degree(d.target), poly_degree(d.op1))
 
-    factor1 = _operator_factor(decomposition.cofactor1, grid, q_, p1_, oversample,
-                               decomposition.cofactor1_at_infinity)
-    factor2 = _operator_factor(decomposition.cofactor2, grid, q_, p2_, oversample, 0.0)
-    constant = max(factor1, factor2)
+    factor1 = _operator_factor(d.cofactor1, grid, q_, p1_, oversample, d.cofactor1_at_infinity)
+    factor2 = _operator_factor(d.cofactor2, grid, q_, p2_, oversample, 0.0)
+    exponents = f"q={_fmt_p(q_)};p1={_fmt_p(p1_)};p2={_fmt_p(p2_)}"
 
-    required = max(poly_degree(decomposition.target), poly_degree(decomposition.op1),
-                   poly_degree(decomposition.op2))
+    def rows(f):
+        lhs = lp_norm(apply_diffop(d.target, f), q_)
+        rhs = lp_norm(apply_diffop(d.op1, f), p1_) + lp_norm(apply_diffop(d.op2, f), p2_)
+        yield None, exponents, lhs, rhs
+
     if suite is None:
-        suite = diffop_suite(required)
-    cases = []
-    for fn in suite:
-        f = materialize(fn, grid)
-        lhs = lp_norm(apply_diffop(decomposition.target, f), q_)
-        rhs = (lp_norm(apply_diffop(decomposition.op1, f), p1_)
-               + lp_norm(apply_diffop(decomposition.op2, f), p2_))
-        if rhs <= 1e-12 * (1.0 + lhs):
-            continue
-        ratio = lhs / rhs
-        cases.append(SubordinationCase(label=fn.label, lhs=lhs, rhs=rhs, ratio=ratio,
-                                       passed=ratio <= constant * (1.0 + tolerance)))
-    if not cases:
-        raise AllCasesSkippedError("no subordination case had a usable right-hand side")
-    worst = max(case.ratio for case in cases)
-    return SubordinationReport(
-        target_label=poly_label(decomposition.target),
-        op1_label=poly_label(decomposition.op1),
-        op2_label=poly_label(decomposition.op2),
-        q=q_, p1=p1_, p2=p2_,
-        factor1=factor1, factor2=factor2, constant=constant,
-        decomposition=decomposition,
-        cases=tuple(cases), worst_ratio=worst,
-        passed=all(c.passed for c in cases))
+        suite = diffop_suite(_required_order(d))
+    return _verify(suite, grid, rows, max(factor1, factor2), tolerance, "subordination",
+                   factor1=factor1, factor2=factor2, q=q_, p1=p1_, p2=p2_, decomposition=d)

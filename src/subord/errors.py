@@ -10,7 +10,6 @@ __all__ = [
     "InvalidParameterError",
     "GridMismatchError",
     "GridTooSmallError",
-    "AtomOffGridError",
     "InconsistentLimitError",
     "NonConvergentError",
     "NotApplicableError",
@@ -41,10 +40,6 @@ class GridMismatchError(SubordinationError):
 
 class GridTooSmallError(SubordinationError):
     """The requested function does not decay inside the grid window."""
-
-
-class AtomOffGridError(SubordinationError):
-    """An atom location is not a grid node and exact shifts were requested."""
 
 
 class InconsistentLimitError(SubordinationError):

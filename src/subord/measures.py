@@ -1,4 +1,4 @@
-"""Finite measures on the line and Wiener-algebra norm estimation.
+"""Wiener-algebra norm estimation for symbols of finite measures on the line.
 
 A symbol ``psi`` that is the transform of a finite measure splits as
 
@@ -27,26 +27,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    AtomOffGridError,
     InconsistentLimitError,
     InvalidParameterError,
     NotApplicableError,
 )
-from .fourier_core import (
-    FREQUENCY,
-    GridSpec,
-    SampledFunction,
-    convolve,
-    inverse_ft,
-)
+from .fourier_core import FREQUENCY, GridSpec, SampledFunction, inverse_ft
 
 __all__ = [
-    "Measure",
-    "dirac",
-    "with_density",
-    "total_variation",
-    "measure_ft",
-    "convolve_with_measure",
     "WienerEstimate",
     "wiener_norm",
     "carlson_bound",
@@ -67,142 +54,6 @@ def _check_oversample(oversample: int) -> int:
         raise InvalidParameterError(f"oversample must be a power of two >= 1, got {oversample}")
     return oversample
 
-
-# ---------------------------------------------------------------------------
-# measures
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Measure:
-    """Finite measure ``sum_k w_k delta_{x_k} + g(x) dx``.
-
-    ``atoms`` is a tuple of ``(location, weight)`` pairs; ``density`` is a
-    vectorized callable or ``None``.
-    """
-
-    atoms: tuple[tuple[float, complex], ...] = ()
-    density: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    label: str = "measure"
-
-    def __post_init__(self) -> None:
-        cleaned = []
-        for item in self.atoms:
-            loc, w = item
-            loc = float(loc)
-            if not math.isfinite(loc):
-                raise InvalidParameterError(f"atom location must be finite, got {loc!r}")
-            cleaned.append((loc, complex(w)))
-        object.__setattr__(self, "atoms", tuple(cleaned))
-
-    def __add__(self, other: "Measure") -> "Measure":
-        if self.density is not None and other.density is not None:
-            f, g = self.density, other.density
-            density = lambda x: f(x) + g(x)
-        else:
-            density = self.density or other.density
-        return Measure(self.atoms + other.atoms, density,
-                       label=f"{self.label}+{other.label}")
-
-
-def dirac(location: float, weight: complex = 1.0) -> Measure:
-    """Point mass ``weight * delta_location``."""
-    return Measure(atoms=((location, weight),), label=f"dirac({location})")
-
-
-def with_density(density: Callable[[np.ndarray], np.ndarray], label: str = "density") -> Measure:
-    """Purely absolutely continuous measure ``density(x) dx``."""
-    return Measure(density=density, label=label)
-
-
-def total_variation(mu: Measure, grid: GridSpec) -> float:
-    """Window estimate of the total variation ``sum |w_k| + ||g||_1``.
-
-    The density mass outside the window is bounded by fitting ``C / x^2``
-    to ``|g|`` on the outer 10% of each side and integrating it to infinity;
-    the two one-sided corrections ``C / L`` are added to the window mass.
-    """
-    atom_mass = sum(abs(w) for _, w in mu.atoms)
-    if mu.density is None:
-        return float(atom_mass)
-    x = grid.nodes()
-    g = np.abs(np.asarray(mu.density(x), dtype=np.complex128))
-    window_mass = grid.dx * float(np.sum(g))
-    L = grid.half_length
-    left = x <= -(1.0 - _TAIL_BAND) * L
-    right = x >= (1.0 - _TAIL_BAND) * L
-    c_left = float(np.max(g[left] * x[left] ** 2)) if left.any() else 0.0
-    c_right = float(np.max(g[right] * x[right] ** 2)) if right.any() else 0.0
-    return float(atom_mass + window_mass + (c_left + c_right) / L)
-
-
-def measure_ft(mu: Measure, grid: GridSpec, oversample: int = 8):
-    """Transform of the measure as a reusable frequency symbol.
-
-    The atomic part ``sum w_k exp(-i x_k y)`` is evaluated in closed form;
-    the density part is transformed once on an oversampled grid and then
-    linearly interpolated.  Returns a :class:`~subord.comparison.Multiplier`.
-    """
-    from .comparison import Multiplier  # local import: comparison builds on this module
-
-    _check_oversample(oversample)
-    atoms = mu.atoms
-    if mu.density is not None:
-        fine = grid.refined(oversample)
-        samples = SampledFunction(
-            fine, np.asarray(mu.density(fine.nodes()), dtype=np.complex128), "space")
-        from .fourier_core import forward_ft
-        spectrum = forward_ft(samples)
-        nodes = fine.dual_nodes()
-        re = np.interp  # alias to keep the closure tight
-        sp_re = spectrum.values.real.copy()
-        sp_im = spectrum.values.imag.copy()
-
-        def density_part(y: np.ndarray) -> np.ndarray:
-            y = np.asarray(y, dtype=float)
-            return re(y, nodes, sp_re) + 1j * re(y, nodes, sp_im)
-    else:
-        def density_part(y: np.ndarray) -> np.ndarray:
-            return np.zeros_like(np.asarray(y, dtype=float), dtype=np.complex128)
-
-    def fn(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        out = density_part(y).astype(np.complex128)
-        for loc, w in atoms:
-            out += w * np.exp(-1j * loc * y)
-        return out
-
-    return Multiplier(kind="sampled", label=f"ft[{mu.label}]", params={}, _fn=fn)
-
-
-def convolve_with_measure(f: SampledFunction, mu: Measure,
-                          exact_shifts: bool = False) -> SampledFunction:
-    """Convolution ``f * mu`` on the grid of ``f``.
-
-    Atoms translate ``f`` by whole nodes; each atom location is snapped to
-    the nearest node.  With ``exact_shifts=True`` a location farther than
-    ``1e-12 * (1 + |location|)`` from its node raises
-    :class:`AtomOffGridError` instead of being snapped.
-    """
-    grid = f.grid
-    out = np.zeros(grid.size, dtype=np.complex128)
-    for loc, w in mu.atoms:
-        steps = round(loc / grid.dx)
-        snapped = steps * grid.dx
-        if exact_shifts and abs(snapped - loc) > 1e-12 * (1.0 + abs(loc)):
-            raise AtomOffGridError(
-                f"atom at {loc} is {abs(snapped - loc):.2e} from the nearest node")
-        out += w * np.roll(f.values, steps)
-    result = SampledFunction(grid, out, f.side)
-    if mu.density is not None:
-        g = SampledFunction(grid, np.asarray(mu.density(grid.nodes()),
-                                             dtype=np.complex128), f.side)
-        result = result + convolve(f, g)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Wiener-algebra norm estimation
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WienerEstimate:

@@ -22,29 +22,25 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
-    AllCasesSkippedError,
     InvalidParameterError,
     KernelUnresolvableError,
     NonConvergentError,
 )
-from .comparison import gw_ratio, gw_symbol
+from .comparison import Report, _fmt_p, _verify, gw_ratio
 from .fourier_core import FREQUENCY, GridSpec, SampledFunction, forward_ft, inverse_ft, lp_norm
 from .measures import WienerEstimate, wiener_norm
-from .testkit import TestFunction, materialize, means_suite
+from .testkit import TestFunction, means_suite
 
 __all__ = [
     "gw_kernel",
     "gw_mean",
     "gw_error",
     "gw_constant",
-    "GWCase",
-    "GWReport",
     "gw_verify",
     "DEFAULT_PAIRS",
     "ORACLE_GRID",
@@ -127,35 +123,13 @@ def gw_constant(alpha: float, beta: float, grid: GridSpec,
     return wiener_norm(gw_ratio(alpha, beta), grid, oversample=oversample)
 
 
-@dataclass(frozen=True)
-class GWCase:
-    label: str
-    eps: float
-    p: float
-    lhs: float
-    rhs: float
-    ratio: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class GWReport:
-    alpha: float
-    beta: float
-    constant: float
-    estimate: WienerEstimate
-    cases: tuple[GWCase, ...]
-    worst_ratio: float
-    passed: bool
-
-
 def gw_verify(alpha: float, beta: float, grid: GridSpec,
               suite: Optional[Sequence[TestFunction]] = None,
               eps_values: Sequence[float] = (1.0, 0.5, 0.1),
               p_values: Sequence[float] = (1.0, 2.0, math.inf),
               oversample: int = 8,
               tolerance: float = 1e-2,
-              estimate: Optional[WienerEstimate] = None) -> GWReport:
+              estimate: Optional[WienerEstimate] = None) -> Report:
     """Verify the error subordination inequality on a corpus.
 
     For every test function, scale, and exponent the two approximation
@@ -169,28 +143,18 @@ def gw_verify(alpha: float, beta: float, grid: GridSpec,
     beta = _check_alpha(beta)
     if estimate is None:
         estimate = gw_constant(alpha, beta, grid, oversample=oversample)
-    constant = estimate.total
-    if suite is None:
-        suite = means_suite()
-    cases = []
-    for fn in suite:
-        f = materialize(fn, grid)
+
+    def rows(f):
         for eps in eps_values:
+            # each error once per scale; every exponent reads the same samples
+            error_beta = f - gw_mean(f, beta, eps)
+            error_alpha = f - gw_mean(f, alpha, eps)
             for p in p_values:
-                lhs = gw_error(f, beta, eps, p)
-                rhs = gw_error(f, alpha, eps, p)
-                if rhs <= 1e-12 * (1.0 + lhs):
-                    continue
-                ratio = lhs / rhs
-                passed = ratio <= constant * (1.0 + tolerance)
-                cases.append(GWCase(label=fn.label, eps=float(eps), p=float(p),
-                                    lhs=lhs, rhs=rhs, ratio=ratio, passed=passed))
-    if not cases:
-        raise AllCasesSkippedError("no verification case had a usable right-hand side")
-    worst = max(case.ratio for case in cases)
-    return GWReport(alpha=alpha, beta=beta, constant=constant, estimate=estimate,
-                    cases=tuple(cases), worst_ratio=worst,
-                    passed=all(c.passed for c in cases))
+                yield (float(eps), f"p={_fmt_p(float(p))}",
+                       lp_norm(error_beta, p), lp_norm(error_alpha, p))
+
+    return _verify(means_suite() if suite is None else suite, grid, rows, estimate.total,
+                   tolerance, "verification", estimate=estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +194,9 @@ def seed_pinned_constants(path: Optional[str] = None,
                           pairs: Sequence[tuple[float, float]] = DEFAULT_PAIRS) -> dict:
     """Recompute the reference constants on the oracle grid and write them out.
 
-    Regeneration is deliberately manual (set ``SUBORD_SEED_FIXTURES=1`` when
-    running the test suite, or call this directly): the shipped values are
-    the baseline that future runs are compared against.
+    This is the only way the shipped values change: no test or command
+    calls it, because they are the baseline that future runs are compared
+    against.
     """
     constants = {}
     for alpha, beta in pairs:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import GridTooSmallError, InvalidParameterError
 from .fourier_core import FREQUENCY, SPACE, GridSpec, SampledFunction
@@ -115,6 +114,33 @@ def bump(R: float = 1.0) -> TestFunction:
     )
 
 
+def _bspline_basis(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # Cox-de Boor recursion for the one B-spline on ``knots``, in the order of
+    # operations of the standard de Boor evaluator: the knot vector is padded
+    # by ``k`` knots one unit beyond each end and, on the knot interval ``l``
+    # holding ``x``, the ``k + 1`` nonzero basis values ``h`` are built up;
+    # the element's value is ``h[2k - l]``.  Zero outside the support.
+    k = knots.size - 2
+    t = np.concatenate([np.full(k, knots[0] - 1.0), knots, np.full(k, knots[-1] + 1.0)])
+    out = np.zeros(x.shape)
+    inside = (x >= knots[0]) & (x <= knots[-1])
+    xs = x[inside]
+    ell = np.minimum(np.searchsorted(t, xs, side="right") - 1, k + knots.size - 2)
+    h = np.zeros((k + 1, xs.size))
+    h[0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:j].copy()
+        h[0] = 0.0
+        for n in range(1, j + 1):
+            xb = t[ell + n]
+            xa = t[ell + n - j]
+            w = hh[n - 1] / (xb - xa)
+            h[n - 1] += w * (xb - xs)
+            h[n] = w * (xs - xa)
+    out[inside] = h[2 * k - ell, np.arange(xs.size)]
+    return out
+
+
 def bspline(m: int = 4) -> TestFunction:
     """Centered cardinal B-spline: ``m``-fold convolution of the unit box.
 
@@ -125,15 +151,10 @@ def bspline(m: int = 4) -> TestFunction:
     if not (isinstance(m, int) and m >= 2):
         raise InvalidParameterError(f"bspline order must be an integer >= 2, got {m!r}")
     knots = np.arange(m + 1, dtype=float) - m / 2.0
-    element = BSpline.basis_element(knots, extrapolate=False)
-
-    def profile(x: np.ndarray) -> np.ndarray:
-        out = element(np.asarray(x, dtype=float))
-        return np.nan_to_num(out, nan=0.0)
 
     return TestFunction(
         label=f"bspline_m{m}",
-        profile=profile,
+        profile=lambda x: _bspline_basis(knots, np.asarray(x, dtype=float)),
         transform=lambda y: np.sinc(y / (2.0 * np.pi)) ** m,
         smoothness_order=m - 2,
     )

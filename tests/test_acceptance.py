@@ -162,7 +162,7 @@ def test_criterion_06_decomposition_identity():
         rep = verify_identity(d, suite=diffop_suite(deg_p1), tolerance=1e-6)
         ok = ok and check.ok and resid_ok and rep.passed
         details.append(f"deg({len(target)-1},{deg_p1},{len(op2)-1}): "
-                       f"resid={d.identity_residual:.1e} err={rep.max_error:.1e}")
+                       f"resid={d.identity_residual:.1e} err={rep.worst_ratio:.1e}")
     _report(6, ok, "; ".join(details))
 
 

@@ -1,9 +1,17 @@
 """Command-line interface: exit codes, report files, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from subord import summability
 from subord.cli import CSV_COLUMNS, main
 
 
@@ -145,6 +153,7 @@ def test_diffop_verify_underresolved_grid(tmp_path, capsys):
     ["no-such-command"],
     ["gw-compare", "--alpha", "1", "--beta", "2", "--eps", "1,spam"],
     ["wiener-norm", "--multiplier", "gw_symbol:alpha"],
+    ["wiener-norm", "--multiplier", "gw_symbol:alpha=1,alpha=2"],
 ])
 def test_config_errors(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -164,6 +173,61 @@ def test_json_config_overrides_flags(tmp_path, capsys):
     assert report["grid"]["size"] == 32768
 
 
+@pytest.mark.parametrize("config", [
+    {"grid-N": 16384.9},
+    {"oversample": 8.7},
+    {"grid-L": True, "grid-N": 64},
+    {"oversample": True},
+    {"const-at-infinity": False},
+    {"p": [1, True]},
+])
+def test_json_config_refuses_coercion(config, tmp_path, capsys):
+    """Booleans are not numbers and an integer key takes no fraction: exit 3."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    argv = (["compare", "--m1", "exp_abs_ft", "--m2", "exp_abs_ft"] if "p" in config
+            else ["wiener-norm", "--multiplier", "gw_symbol:alpha=1"])
+    assert run(argv + ["--json-config", str(cfg), "--out", str(out)], capsys) == 3
+    assert not out.exists()
+
+
+def test_json_config_accepts_whole_float_for_integer_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"grid-N": 16384.0, "oversample": 8.0}')
+    out = tmp_path / "report.json"
+    assert run(["wiener-norm", "--multiplier", "gw_symbol:alpha=1",
+                "--json-config", str(cfg), "--out", str(out)], capsys) == 0
+    assert json.loads(out.read_text())["grid"]["size"] == 16384
+
+
+def _config_values(bound, valid):
+    # JSON values of every kind, numbers and digit strings within bound, and
+    # values the key accepts so that runs get past the configuration too
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(-bound, bound),
+                        st.floats(-bound, bound), st.sampled_from([math.nan, math.inf, -math.inf]),
+                        st.text(max_size=len(str(bound)) - 1))
+    anything = (scalars | st.lists(scalars, max_size=2)
+                | st.dictionaries(st.text(max_size=2), scalars, max_size=2))
+    return st.booleans().flatmap(lambda accepted: valid if accepted else anything)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=st.fixed_dictionaries({}, optional={
+    "grid-N": _config_values(2**14, st.sampled_from([16, 1024, 16384, 16384.0])),
+    "oversample": _config_values(8, st.sampled_from([1, 2, 8, 8.0])),
+    "grid-L": _config_values(2**14, st.floats(0.5, 100.0)),
+}))
+def test_any_json_grid_config_ends_in_an_exit_code(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["wiener-norm", "--multiplier", "gw_symbol:alpha=1",
+                         "--json-config", str(cfg)])
+    assert code in (0, 1, 2, 3)
+
+
 def test_json_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"grid-M": 1}')
@@ -174,6 +238,16 @@ def test_json_config_rejects_unknown_key(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
+
+def test_seed_variable_leaves_shipped_constants_alone(tmp_path, capsys, monkeypatch):
+    """Only an explicit seed_pinned_constants() call rewrites the baseline."""
+    fixture = Path(summability.__file__).parent / "_fixtures" / "gw_constants.json"
+    before = fixture.read_bytes()
+    monkeypatch.setenv("SUBORD_SEED_FIXTURES", "1")
+    assert run(["lemma2", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]",
+                "--out", str(tmp_path / "report.json")], capsys) == 0
+    assert fixture.read_bytes() == before
+
 
 def test_selftest_passes_and_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"

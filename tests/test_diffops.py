@@ -178,7 +178,7 @@ def test_verify_identity_on_functions():
     d = construct_decomposition([0, 1], [0, 0, 1], [1], FINE)
     report = verify_identity(d)
     assert report.passed
-    assert report.max_error <= 1e-6
+    assert report.worst_ratio <= 1e-6
     assert len(report.cases) == 5  # diffop_suite(2)
 
 

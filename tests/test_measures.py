@@ -1,4 +1,4 @@
-"""Measures, total variation, and the Wiener-norm estimator."""
+"""The Wiener-norm estimator and the Carlson-type sufficient bound."""
 
 import math
 
@@ -13,89 +13,14 @@ from subord.comparison import (
     gw_symbol,
 )
 from subord.errors import (
-    AtomOffGridError,
     InconsistentLimitError,
     InvalidParameterError,
     NotApplicableError,
 )
-from subord.fourier_core import convolve, make_grid
-from subord.measures import (
-    carlson_bound,
-    convolve_with_measure,
-    dirac,
-    measure_ft,
-    total_variation,
-    wiener_norm,
-    with_density,
-)
-from subord.testkit import gaussian, materialize
+from subord.fourier_core import make_grid
+from subord.measures import carlson_bound, wiener_norm
 
 GRID = make_grid(40.0, 16384)
-
-
-# ---------------------------------------------------------------------------
-# measures and total variation
-# ---------------------------------------------------------------------------
-
-def test_atomic_total_variation_is_sum_of_weights():
-    mu = dirac(0.0, 2.0) + dirac(1.5, -1.0)
-    assert total_variation(mu, GRID) == pytest.approx(3.0, abs=1e-15)
-
-
-def test_cauchy_density_total_variation():
-    """The Cauchy kernel integrates to 1; the window misses only O(1/L)
-    which the tail correction recovers."""
-    mu = with_density(lambda x: (1.0 / math.pi) / (1.0 + x * x), label="cauchy")
-    assert total_variation(mu, GRID) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_mixed_measure_total_variation_adds():
-    mu = dirac(0.0, 1.0) + with_density(lambda x: np.exp(-x * x))
-    tv = total_variation(mu, GRID)
-    assert tv == pytest.approx(1.0 + math.sqrt(math.pi), rel=1e-6)
-
-
-def test_atom_transform_is_exact_exponential():
-    m = measure_ft(dirac(2.0, 1.0), GRID)
-    y = GRID.dual_nodes()[::64]
-    assert np.abs(m(y) - np.exp(-2j * y)).max() == 0.0
-
-
-def test_density_transform_matches_closed_form():
-    m = measure_ft(with_density(lambda x: np.exp(-np.abs(x))), GRID)
-    y = GRID.dual_nodes()[::64]
-    assert np.abs(m(y) - 2.0 / (1.0 + y * y)).max() <= 1e-5
-
-
-def test_transform_sup_bounded_by_total_variation():
-    mu = with_density(lambda x: np.exp(-np.abs(x)))
-    m = measure_ft(mu, GRID)
-    sup = np.abs(m(GRID.dual_nodes())).max()
-    assert sup <= total_variation(mu, GRID) + 1e-12
-
-
-def test_convolution_with_shifted_atom():
-    f = materialize(gaussian(1.0), GRID)
-    shift = GRID.dx * 100
-    out = convolve_with_measure(f, dirac(shift, 1.0))
-    x = GRID.nodes()
-    assert np.abs(out.values - np.exp(-((x - shift) ** 2))).max() == 0.0
-
-
-def test_exact_shift_mode_rejects_off_grid_atom():
-    f = materialize(gaussian(1.0), GRID)
-    with pytest.raises(AtomOffGridError):
-        convolve_with_measure(f, dirac(GRID.dx * 0.5, 1.0), exact_shifts=True)
-    # the same atom is silently snapped when exactness is not requested
-    convolve_with_measure(f, dirac(GRID.dx * 0.5, 1.0))
-
-
-def test_density_convolution_matches_function_convolution():
-    f = materialize(gaussian(1.0), GRID)
-    mu = with_density(lambda x: np.exp(-x * x))
-    out = convolve_with_measure(f, mu)
-    ref = convolve(f, materialize(gaussian(1.0), GRID))
-    assert np.abs(out.values - ref.values).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +56,7 @@ def test_wiener_norm_pins_requested_limit():
 
 
 def test_wiener_norm_rejects_inconsistent_limits():
-    odd = Multiplier(kind="sampled", label="tanh", params={},
-                     _fn=lambda y: np.tanh(y) + 0j)
+    odd = Multiplier(label="tanh", _fn=lambda y: np.tanh(y) + 0j)
     with pytest.raises(InconsistentLimitError):
         wiener_norm(odd, GRID)
     # pinning a limit bypasses the two-sided consistency requirement
@@ -167,7 +91,7 @@ def test_carlson_bound_frozen_value():
 
 
 def test_carlson_bound_rejects_unresolved_oscillation():
-    rough = Multiplier(kind="sampled", label="rough", params={},
+    rough = Multiplier(label="rough",
                        _fn=lambda y: np.cos(20.0 * y) / (1.0 + 0.01 * y * y) + 0j)
     with pytest.raises(NotApplicableError):
         carlson_bound(rough, GRID)

@@ -1,7 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import subord
 
 from subord.errors import GridTooSmallError, InvalidParameterError
 from subord.fourier_core import forward_ft, make_grid
@@ -47,6 +55,46 @@ def test_bspline_values():
     # cubic cardinal B-spline: value 2/3 at the origin, support [-2, 2]
     assert f.values[GRID.size // 2].real == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert np.abs(f.values[np.abs(x) > 2.0]).max() == 0.0
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_bspline_matches_scipy_bitwise(m):
+    """The numpy recursion reproduces scipy's basis element bit for bit;
+    scipy is a reference here only, the package does not depend on it."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    knots = np.arange(m + 1, dtype=float) - m / 2.0
+    element = interpolate.BSpline.basis_element(knots, extrapolate=False)
+    for L, N in ((40.0, 2**14), (40.0, 2**18), (64.0, 2**14)):
+        x = make_grid(L, N).nodes()
+        expected = np.nan_to_num(element(x), nan=0.0)
+        assert bspline(m).profile(x).tobytes() == expected.tobytes()
+
+
+def _truncated_power(m, x):
+    # sum_j (-1)^j C(m, j) (x + m/2 - j)_+^(m-1) / (m-1)!
+    total = sum((-1) ** j * math.comb(m, j) * np.maximum(x + m / 2.0 - j, 0.0) ** (m - 1)
+                for j in range(m + 1))
+    return total / math.factorial(m - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(2, 8), x=st.floats(-6.0, 6.0))
+def test_bspline_partition_of_unity_and_truncated_powers(m, x):
+    profile = bspline(m).profile
+    shifts = np.arange(math.floor(x) - m, math.ceil(x) + m + 1, dtype=float)
+    assert abs(float(np.sum(profile(x - shifts))) - 1.0) <= 1e-12
+    # the spline is even; at -|x| the formula's terms stay small, so its own
+    # cancellation error (up to 3e-12 at m=8 for x beyond m/2) stays below 1e-15
+    assert abs(profile(np.array([x]))[0] - _truncated_power(m, -abs(x))) <= 1e-12
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(subord.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, subord, subord.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_bspline_rejects_low_order():
