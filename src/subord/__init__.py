@@ -5,7 +5,8 @@ discrete transform pair and verifies, numerically and with explicit
 constants, three layers of domination between them:
 
 ``fourier_core``
-    symmetric grids, the transform pair, norms, convolution.
+    symmetric grids, the transform pair, symbol application, norms,
+    convolution.
 ``testkit``
     named test functions with known transforms and smoothness metadata.
 ``measures``
@@ -31,6 +32,7 @@ from .errors import (
     GridMismatchError,
     GridTooSmallError,
     HypothesesViolatedError,
+    HypothesisError,
     InadmissibleExponentsError,
     InconsistentLimitError,
     InvalidParameterError,
@@ -40,6 +42,7 @@ from .errors import (
     NestedZerosViolatedError,
     NonConvergentError,
     NotApplicableError,
+    NumericalError,
     SubordinationError,
     VerificationFailureError,
 )
@@ -49,6 +52,7 @@ from .fourier_core import (
     GridSpec,
     SampledFunction,
     WraparoundWarning,
+    apply_symbol,
     convolve,
     forward_ft,
     inverse_ft,

@@ -13,8 +13,9 @@ Exit codes: 0 all checks passed; 1 the requested comparison is structurally
 impossible (violated hypotheses, nested zeros, inadmissible exponents, bad
 mathematical parameters); 2 a numerical verification failed or could not be
 completed on this grid; 3 the invocation itself was invalid (unparseable
-flags, malformed JSON, bad grid).  Reports are still written for exits 1 and
-2; nothing is written for exit 3.
+flags, malformed JSON, bad grid, an output path outside an existing
+directory).  Codes 1 and 2 are the ``exit_code`` of the error class.
+Reports are still written for exits 1 and 2; nothing is written for exit 3.
 
 Reports are JSON (sorted keys, two-space indent) and optional CSV with the
 fixed column set ``case_id, test_function, p_or_exponents, epsilon,
@@ -29,28 +30,12 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
 from . import comparison, diffops, measures, summability
-from .errors import (
-    AllCasesSkippedError,
-    BandwidthExceededError,
-    FillUndefinedError,
-    GridMismatchError,
-    GridTooSmallError,
-    HypothesesViolatedError,
-    InadmissibleExponentsError,
-    InconsistentLimitError,
-    InvalidParameterError,
-    KernelUnresolvableError,
-    MultiplicityObstructionError,
-    NeighborhoodDegenerateError,
-    NestedZerosViolatedError,
-    NonConvergentError,
-    NotApplicableError,
-    VerificationFailureError,
-)
+from .errors import InvalidParameterError, SubordinationError
 from .fourier_core import GridSpec
 from .testkit import bump, gaussian, modulated_gaussian
 
@@ -58,28 +43,6 @@ __all__ = ["main"]
 
 CSV_COLUMNS = ["case_id", "test_function", "p_or_exponents", "epsilon",
                "lhs_norm", "rhs_norm", "ratio", "constant", "passed"]
-
-_HYPOTHESIS_ERRORS = (
-    HypothesesViolatedError,
-    NestedZerosViolatedError,
-    InadmissibleExponentsError,
-    InvalidParameterError,
-)
-
-_NUMERICAL_ERRORS = (
-    NonConvergentError,
-    BandwidthExceededError,
-    MultiplicityObstructionError,
-    KernelUnresolvableError,
-    InconsistentLimitError,
-    NotApplicableError,
-    AllCasesSkippedError,
-    VerificationFailureError,
-    GridTooSmallError,
-    GridMismatchError,
-    FillUndefinedError,
-    NeighborhoodDegenerateError,
-)
 
 
 class ConfigError(Exception):
@@ -241,7 +204,7 @@ def _estimate_dict(est: measures.WienerEstimate) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (report dict, passed)
+# subcommand runners: each returns its report without "command" and "grid"
 # ---------------------------------------------------------------------------
 
 def _run_wiener_norm(args, grid: GridSpec):
@@ -250,15 +213,12 @@ def _run_wiener_norm(args, grid: GridSpec):
     const = None if args.const_at_infinity is None else complex(args.const_at_infinity)
     est = measures.wiener_norm(mult, grid, oversample=args.oversample,
                                const_at_infinity=const)
-    report = {
-        "command": "wiener-norm",
-        "grid": {"half_length": grid.half_length, "size": grid.size},
+    return {
         "multiplier": mult.label,
         "estimate": _estimate_dict(est),
         "cases": [],
         "passed": est.converged,
     }
-    return report, est.converged
 
 
 def _run_compare(args, grid: GridSpec):
@@ -268,19 +228,15 @@ def _run_compare(args, grid: GridSpec):
     m2 = comparison.named_multiplier(name2, **params2)
     setup = comparison.setup_comparison(m1, m2, grid, oversample=args.oversample)
     report_obj = comparison.verify_comparison(setup, p_values=args.p_parsed)
-    passed = report_obj.passed and setup.estimate.converged
-    report = {
-        "command": "compare",
-        "grid": {"half_length": grid.half_length, "size": grid.size},
+    return {
         "multiplier1": m1.label,
         "multiplier2": m2.label,
         "estimate": _estimate_dict(setup.estimate),
         "constant": report_obj.constant,
         "worst_ratio": report_obj.worst_ratio,
         "cases": _case_rows(report_obj),
-        "passed": passed,
+        "passed": report_obj.passed and setup.estimate.converged,
     }
-    return report, passed
 
 
 def _run_gw_compare(args, grid: GridSpec):
@@ -288,27 +244,21 @@ def _run_gw_compare(args, grid: GridSpec):
         args.alpha, args.beta, grid,
         eps_values=args.eps_parsed, p_values=args.p_parsed,
         oversample=args.oversample)
-    passed = report_obj.passed and report_obj.estimate.converged
-    report = {
-        "command": "gw-compare",
-        "grid": {"half_length": grid.half_length, "size": grid.size},
+    return {
         "alpha": args.alpha,
         "beta": args.beta,
         "estimate": _estimate_dict(report_obj.estimate),
         "constant": report_obj.constant,
         "worst_ratio": report_obj.worst_ratio,
         "cases": _case_rows(report_obj),
-        "passed": passed,
+        "passed": report_obj.passed and report_obj.estimate.converged,
     }
-    return report, passed
 
 
 def _run_lemma2(args, grid: GridSpec):
     decomp = diffops.construct_decomposition(args.Q_parsed, args.P1_parsed,
                                              args.P2_parsed, grid)
-    report = {
-        "command": "lemma2",
-        "grid": {"half_length": grid.half_length, "size": grid.size},
+    return {
         "target": diffops.poly_label(decomp.target),
         "op1": diffops.poly_label(decomp.op1),
         "op2": diffops.poly_label(decomp.op2),
@@ -321,7 +271,6 @@ def _run_lemma2(args, grid: GridSpec):
         "cases": [],
         "passed": True,
     }
-    return report, True
 
 
 def _run_diffop_verify(args, grid: GridSpec):
@@ -330,9 +279,7 @@ def _run_diffop_verify(args, grid: GridSpec):
         q=args.q_parsed, p1=args.p1_parsed, p2=args.p2_parsed,
         oversample=args.oversample)
     decomp = report_obj.decomposition
-    report = {
-        "command": "diffop-verify",
-        "grid": {"half_length": grid.half_length, "size": grid.size},
+    return {
         "target": diffops.poly_label(decomp.target),
         "op1": diffops.poly_label(decomp.op1),
         "op2": diffops.poly_label(decomp.op2),
@@ -347,7 +294,6 @@ def _run_diffop_verify(args, grid: GridSpec):
         "cases": _case_rows(report_obj),
         "passed": report_obj.passed,
     }
-    return report, report_obj.passed
 
 
 def _run_selftest(args, grid: GridSpec):
@@ -394,15 +340,7 @@ def _run_selftest(args, grid: GridSpec):
         "detail": {"constant": sub.constant, "worst_ratio": sub.worst_ratio},
     })
 
-    passed = all(c["passed"] for c in checks)
-    report = {
-        "command": "selftest",
-        "grid": {"half_length": grid.half_length, "size": grid.size},
-        "checks": checks,
-        "cases": [],
-        "passed": passed,
-    }
-    return report, passed
+    return {"checks": checks, "cases": [], "passed": all(c["passed"] for c in checks)}
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +426,21 @@ def _apply_json_config(args) -> None:
         setattr(args, dest, value)
 
 
+def _check_output_path(path, what: str) -> None:
+    # refuse before computing what could not be written afterwards
+    if path is None:
+        return
+    if not isinstance(path, str):
+        raise ConfigError(f"{what} must be a file path, got {path!r}")
+    if not os.path.isdir(os.path.dirname(path) or ".") or os.path.isdir(path):
+        raise ConfigError(f"{what} {path!r} is not a file in an existing directory")
+
+
 def _prepare(args) -> GridSpec:
     """Config-phase validation; every failure here is exit code 3."""
     _apply_json_config(args)
+    _check_output_path(args.out, "out")
+    _check_output_path(args.csv, "csv")
     try:
         grid = GridSpec(_number(args.grid_L, "grid-L"), _number(args.grid_N, "grid-N", True))
     except InvalidParameterError as exc:
@@ -541,8 +491,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
     try:
-        report, passed = _RUNNERS[args.command](args, grid)
-    except _HYPOTHESIS_ERRORS + _NUMERICAL_ERRORS as exc:
+        report = {"command": args.command,
+                  "grid": {"half_length": grid.half_length, "size": grid.size},
+                  **_RUNNERS[args.command](args, grid)}
+    except SubordinationError as exc:
         report = {"command": args.command,
                   "error": {"type": type(exc).__name__, "message": str(exc)},
                   "cases": [], "passed": False}
@@ -551,10 +503,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report["violations"] = [{"code": v.code, "detail": v.detail}
                                     for v in check.violations]
         _emit(report, args.out, args.csv)
-        return 1 if isinstance(exc, _HYPOTHESIS_ERRORS) else 2
+        return exc.exit_code
 
     _emit(report, args.out, args.csv)
-    return 0 if passed else 2
+    return 0 if report["passed"] else 2
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .errors import (
     InvalidParameterError,
     NestedZerosViolatedError,
 )
-from .fourier_core import FREQUENCY, SPACE, GridSpec, SampledFunction, inverse_ft, forward_ft, lp_norm
+from .fourier_core import GridSpec, SampledFunction, apply_symbol, forward_ft, lp_norm
 from .measures import WienerEstimate, wiener_norm
 from .testkit import TestFunction, materialize, means_suite
 
@@ -66,33 +66,6 @@ class Multiplier:
     def __call__(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         return np.asarray(self._fn(y), dtype=np.complex128)
-
-    def on_grid(self, grid: GridSpec) -> SampledFunction:
-        """Samples of the symbol on the dual grid."""
-        return SampledFunction(grid, self(grid.dual_nodes()), FREQUENCY)
-
-    def _combine(self, other, op, opname: str) -> "Multiplier":
-        if isinstance(other, Multiplier):
-            f, g = self._fn, other._fn
-            fn = lambda y: op(np.asarray(f(y), dtype=np.complex128),
-                              np.asarray(g(y), dtype=np.complex128))
-            label = f"({self.label}{opname}{other.label})"
-        else:
-            c = complex(other)
-            f = self._fn
-            fn = lambda y: op(np.asarray(f(y), dtype=np.complex128), c)
-            label = f"({self.label}{opname}{c})"
-        return Multiplier(label=label, _fn=fn)
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b, "+")
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b, "*")
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +171,7 @@ def named_multiplier(name: str, **params) -> Multiplier:
 
 def apply_multiplier(m: Multiplier, f: SampledFunction) -> SampledFunction:
     """The convolution operator with symbol ``m``: multiply the transform."""
-    if f.side != SPACE:
-        raise InvalidParameterError("apply_multiplier expects a space-side function")
-    spectrum = forward_ft(f)
-    product = SampledFunction(f.grid, m(f.grid.dual_nodes()) * spectrum.values, FREQUENCY)
-    return inverse_ft(product)
+    return apply_symbol(m(f.grid.dual_nodes()), forward_ft(f))
 
 
 def _masked_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -222,10 +191,10 @@ def _masked_runs(mask: np.ndarray) -> list[tuple[int, int]]:
 
 
 def ratio_multiplier(numerator: Multiplier, denominator: Multiplier, grid: GridSpec,
-                     fill: Optional[complex] = None, ztol: float = ZERO_LEVEL) -> Multiplier:
+                     fill: Optional[complex] = None) -> Multiplier:
     """The ratio symbol ``numerator / denominator`` with zeros filled.
 
-    Denominator samples below ``ztol`` times its sup over the dual grid
+    Denominator samples below :data:`ZERO_LEVEL` times its sup over the dual grid
     count as zeros.  Every zero node must also be a zero of the numerator
     (:class:`NestedZerosViolatedError` otherwise), each contiguous zero run
     must have unmasked neighbors on both sides (:class:`FillUndefinedError`
@@ -243,38 +212,28 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier, grid: GridS
     sup2 = float(np.abs(v2).max())
     if sup2 == 0.0:
         raise InvalidParameterError("denominator symbol vanishes identically on the dual grid")
-    mask = np.abs(v2) <= ztol * sup2
+    threshold = ZERO_LEVEL * sup2
+    mask = np.abs(v2) <= threshold
+    bad = mask & (np.abs(v1) > ZERO_LEVEL * max(sup1, 1e-300))
+    if bad.any():
+        raise NestedZerosViolatedError(
+            f"denominator {denominator.label} vanishes at y={y0[bad][:5]} where "
+            f"numerator {numerator.label} does not; no finite ratio exists there")
 
-    fill_centers = np.empty(0)
-    fill_values = np.empty(0, dtype=np.complex128)
-    if mask.any():
-        bad = mask & (np.abs(v1) > ztol * max(sup1, 1e-300))
-        if bad.any():
-            where = y0[bad]
-            raise NestedZerosViolatedError(
-                f"denominator {denominator.label} vanishes at y={where[:5]} where "
-                f"numerator {numerator.label} does not; no finite ratio exists there")
-        runs = _masked_runs(mask)
-        centers, values = [], []
-        for start, stop in runs:
+    centers, values = [], []
+    if fill is None:
+        # an explicit fill covers every zero run; otherwise each run needs two neighbors
+        for start, stop in _masked_runs(mask):
             if start == 0 or stop == grid.size:
-                if fill is None:
-                    raise FillUndefinedError(
-                        f"zero run of {denominator.label} touches the dual window edge; "
-                        "no neighboring ratio values to fill from")
-                neighbor_mean = complex(fill)
-            elif fill is not None:
-                neighbor_mean = complex(fill)
-            else:
-                left = v1[start - 1] / v2[start - 1]
-                right = v1[stop] / v2[stop]
-                neighbor_mean = 0.5 * (left + right)
+                raise FillUndefinedError(
+                    f"zero run of {denominator.label} touches the dual window edge; "
+                    "no neighboring ratio values to fill from")
+            left = v1[start - 1] / v2[start - 1]
+            right = v1[stop] / v2[stop]
             centers.append(0.5 * (y0[start] + y0[stop - 1]))
-            values.append(neighbor_mean)
-        fill_centers = np.asarray(centers, dtype=float)
-        fill_values = np.asarray(values, dtype=np.complex128)
-
-    threshold = ztol * sup2
+            values.append(0.5 * (left + right))
+    fill_centers = np.asarray(centers, dtype=float)
+    fill_values = np.asarray(values, dtype=np.complex128)
     scalar_fill = None if fill is None else complex(fill)
     num_label, den_label = numerator.label, denominator.label
 
@@ -372,8 +331,10 @@ class Report:
     decomposition: Optional[SymbolDecomposition] = None
 
 
-#: a verifier's rows for one sampled function: ``(eps or None, exponents, lhs, rhs)``
-Rows = Callable[[SampledFunction], Iterable[tuple[Optional[float], str, float, float]]]
+#: a verifier's rows for one sampled function ``f`` and its transform ``F``:
+#: ``(eps or None, exponents, lhs, rhs)``
+Rows = Callable[[SampledFunction, SampledFunction],
+                Iterable[tuple[Optional[float], str, float, float]]]
 
 
 def _fmt_p(p: float) -> str:
@@ -382,7 +343,8 @@ def _fmt_p(p: float) -> str:
 
 def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant: float,
             tolerance: float, what: str, **extra) -> Report:
-    """The loop shared by every verifier: sample each function and check its rows.
+    """The loop shared by every verifier: sample and transform each function
+    once, then check its rows.
 
     A row whose right side is below ``1e-12 * (1 + lhs)`` carries no
     information and is skipped; the others pass when ``lhs / rhs <=
@@ -391,7 +353,8 @@ def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant:
     """
     cases = []
     for fn in suite:
-        for eps, exponents, lhs, rhs in rows(materialize(fn, grid)):
+        f = materialize(fn, grid)
+        for eps, exponents, lhs, rhs in rows(f, forward_ft(f)):
             if rhs <= 1e-12 * (1.0 + lhs):
                 continue
             ratio = lhs / rhs
@@ -415,9 +378,12 @@ def verify_comparison(setup: ComparisonSetup, suite: Optional[Sequence[TestFunct
     carry no information and are skipped; if every case is skipped,
     :class:`AllCasesSkippedError` is raised.
     """
-    def rows(f):
-        out1 = apply_multiplier(setup.multiplier1, f)
-        out2 = apply_multiplier(setup.multiplier2, f)
+    y = setup.grid.dual_nodes()
+    symbol1, symbol2 = setup.multiplier1(y), setup.multiplier2(y)
+
+    def rows(f, F):
+        out1 = apply_symbol(symbol1, F)
+        out2 = apply_symbol(symbol2, F)
         for p in p_values:
             yield None, f"p={_fmt_p(float(p))}", lp_norm(out1, p), lp_norm(out2, p)
 

@@ -37,7 +37,7 @@ from .errors import (
     NeighborhoodDegenerateError,
     VerificationFailureError,
 )
-from .fourier_core import FREQUENCY, SPACE, GridSpec, SampledFunction, forward_ft, inverse_ft, lp_norm
+from .fourier_core import GridSpec, SampledFunction, apply_symbol, forward_ft, lp_norm
 from .measures import wiener_norm
 from .testkit import TestFunction, diffop_suite
 
@@ -426,12 +426,13 @@ def apply_diffop(coeffs, f: SampledFunction) -> SampledFunction:
     :class:`BandwidthExceededError` is raised (enlarge ``size`` to widen
     the dual window).
     """
-    if f.side != SPACE:
-        raise InvalidParameterError("apply_diffop expects a space-side function")
-    p = _as_poly(coeffs)
-    spectrum = forward_ft(f)
-    pvals = npoly.polyval(f.grid.dual_nodes(), p)
-    product = pvals * spectrum.values
+    return _apply_poly(_as_poly(coeffs), forward_ft(f))
+
+
+def _apply_poly(p: np.ndarray, F: SampledFunction) -> SampledFunction:
+    """:func:`apply_diffop` for trimmed coefficients ``p`` and the transform ``F`` of ``f``."""
+    pvals = npoly.polyval(F.grid.dual_nodes(), p)
+    product = pvals * F.values
     peak = float(np.abs(product).max())
     edge = max(abs(product[0]), abs(product[-1]))
     # The transform of the input carries rounding residue of order eps at the
@@ -440,12 +441,12 @@ def apply_diffop(coeffs, f: SampledFunction) -> SampledFunction:
     # indistinguishable from rounding, so only genuine spectrum above it
     # counts against the decay requirement.
     noise_floor = (32.0 * np.finfo(float).eps * float(np.abs(pvals).max())
-                   * float(np.abs(spectrum.values).max()))
+                   * float(np.abs(F.values).max()))
     if peak > 0.0 and edge > max(_BANDWIDTH_LEVEL * peak, noise_floor):
         raise BandwidthExceededError(
             f"spectrum of {poly_label(p)} applied to this function is {edge / peak:.2e} "
             "of its peak at the dual window edge; increase the grid size")
-    return inverse_ft(SampledFunction(f.grid, product, FREQUENCY))
+    return apply_symbol(pvals, F)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +466,10 @@ def verify_identity(decomp: SymbolDecomposition,
     report's ``constant`` is ``tolerance`` and ``worst_ratio`` the largest
     relative error.
     """
-    def rows(f):
-        direct = apply_diffop(decomp.target, f)
-        rebuilt = (apply_multiplier(decomp.cofactor1, apply_diffop(decomp.op1, f))
-                   + apply_multiplier(decomp.cofactor2, apply_diffop(decomp.op2, f)))
+    def rows(f, F):
+        direct = _apply_poly(decomp.target, F)
+        rebuilt = (apply_multiplier(decomp.cofactor1, _apply_poly(decomp.op1, F))
+                   + apply_multiplier(decomp.cofactor2, _apply_poly(decomp.op2, F)))
         yield (None, "p=inf", float(np.abs(direct.values - rebuilt.values).max()),
                1.0 + float(np.abs(direct.values).max()))
 
@@ -570,9 +571,9 @@ def diffop_subordination(target, op1, op2, grid: GridSpec, q: float,
     factor2 = _operator_factor(d.cofactor2, grid, q_, p2_, oversample, 0.0)
     exponents = f"q={_fmt_p(q_)};p1={_fmt_p(p1_)};p2={_fmt_p(p2_)}"
 
-    def rows(f):
-        lhs = lp_norm(apply_diffop(d.target, f), q_)
-        rhs = lp_norm(apply_diffop(d.op1, f), p1_) + lp_norm(apply_diffop(d.op2, f), p2_)
+    def rows(f, F):
+        lhs = lp_norm(_apply_poly(d.target, F), q_)
+        rhs = lp_norm(_apply_poly(d.op1, F), p1_) + lp_norm(_apply_poly(d.op2, F), p2_)
         yield None, exponents, lhs, rhs
 
     if suite is None:

@@ -1,12 +1,15 @@
 """Exception hierarchy shared by all modules.
 
-Every failure mode that a caller may want to branch on gets its own class;
-the CLI maps these onto exit codes (hypothesis violations vs. numerical
-failures vs. bad configuration).
+Every failure mode that a caller may want to branch on gets its own class.
+Each class derives from exactly one of :class:`HypothesisError` and
+:class:`NumericalError`, whose ``exit_code`` the CLI returns (bad
+configuration is the CLI's own exit code 3).
 """
 
 __all__ = [
     "SubordinationError",
+    "HypothesisError",
+    "NumericalError",
     "InvalidParameterError",
     "GridMismatchError",
     "GridTooSmallError",
@@ -30,43 +33,56 @@ class SubordinationError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidParameterError(SubordinationError):
+class HypothesisError(SubordinationError):
+    """The requested comparison is structurally impossible; CLI exit code 1."""
+
+    exit_code = 1
+
+
+class NumericalError(SubordinationError):
+    """A numerical verification failed or cannot be completed on this grid; CLI exit code 2."""
+
+    exit_code = 2
+
+
+class InvalidParameterError(HypothesisError):
     """A parameter is outside its documented domain."""
 
 
-class GridMismatchError(SubordinationError):
+class GridMismatchError(NumericalError):
     """Two sampled functions live on different grids (or different sides)."""
 
 
-class GridTooSmallError(SubordinationError):
-    """The requested function does not decay inside the grid window."""
+class GridTooSmallError(NumericalError):
+    """The grid is too small: a function does not decay inside its window, or a
+    band of the dual window that an estimate reads holds no node."""
 
 
-class InconsistentLimitError(SubordinationError):
+class InconsistentLimitError(NumericalError):
     """The two one-sided limits of a multiplier at the grid edge disagree."""
 
 
-class NonConvergentError(SubordinationError):
+class NonConvergentError(NumericalError):
     """A refinement stability check failed (estimate not trustworthy)."""
 
 
-class NotApplicableError(SubordinationError):
+class NotApplicableError(NumericalError):
     """A sufficient criterion cannot be evaluated for this input."""
 
 
-class NestedZerosViolatedError(SubordinationError):
+class NestedZerosViolatedError(HypothesisError):
     """The numerator multiplier does not vanish on the denominator's zero set."""
 
 
-class FillUndefinedError(SubordinationError):
+class FillUndefinedError(NumericalError):
     """A zero region touches the grid boundary, so no limit fill exists."""
 
 
-class AllCasesSkippedError(SubordinationError):
+class AllCasesSkippedError(NumericalError):
     """Every verification case was skipped (all denominators negligible)."""
 
 
-class HypothesesViolatedError(SubordinationError):
+class HypothesesViolatedError(HypothesisError):
     """Structural hypotheses of a decomposition fail; carries the check result."""
 
     def __init__(self, check):
@@ -75,25 +91,25 @@ class HypothesesViolatedError(SubordinationError):
         super().__init__(f"decomposition hypotheses violated: {details}")
 
 
-class MultiplicityObstructionError(SubordinationError):
+class MultiplicityObstructionError(NumericalError):
     """The bounded-cofactor certificate failed: sup grows under refinement."""
 
 
-class NeighborhoodDegenerateError(SubordinationError):
+class NeighborhoodDegenerateError(NumericalError):
     """Two root neighborhoods collapse onto each other."""
 
 
-class BandwidthExceededError(SubordinationError):
+class BandwidthExceededError(NumericalError):
     """A symbol-times-transform product has not decayed at the dual-grid edge."""
 
 
-class InadmissibleExponentsError(SubordinationError):
+class InadmissibleExponentsError(HypothesisError):
     """The requested Lebesgue exponents are outside the admissible ranges."""
 
 
-class KernelUnresolvableError(SubordinationError):
+class KernelUnresolvableError(NumericalError):
     """The dilated kernel is narrower than the grid can resolve."""
 
 
-class VerificationFailureError(SubordinationError):
+class VerificationFailureError(NumericalError):
     """An internal residual certificate failed (root or identity residual)."""

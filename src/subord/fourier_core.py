@@ -36,6 +36,7 @@ __all__ = [
     "make_grid",
     "forward_ft",
     "inverse_ft",
+    "apply_symbol",
     "lp_norm",
     "convolve",
 ]
@@ -185,6 +186,18 @@ def inverse_ft(F: SampledFunction) -> SampledFunction:
     return SampledFunction(F.grid, vals, SPACE)
 
 
+def apply_symbol(symbol: np.ndarray, F: SampledFunction) -> SampledFunction:
+    """The multiplier operator ``T_m f``, the inverse transform of ``m(y) F(y)``.
+
+    ``F`` is the transform of ``f`` and ``symbol`` holds ``m`` on the dual
+    nodes of its grid, so one forward transform serves every operator
+    applied to the same function.
+    """
+    if F.side != FREQUENCY:
+        raise InvalidParameterError("apply_symbol expects a frequency-side function")
+    return inverse_ft(SampledFunction(F.grid, symbol * F.values, FREQUENCY))
+
+
 def lp_norm(f: SampledFunction, p: float) -> float:
     """Rectangle-rule Lebesgue norm on the function's own grid.
 
@@ -229,5 +242,4 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
         raise InvalidParameterError("convolve expects space-side functions")
     _warn_if_not_decayed(f, "f")
     _warn_if_not_decayed(g, "g")
-    product = forward_ft(f).values * forward_ft(g).values
-    return inverse_ft(SampledFunction(f.grid, product, FREQUENCY))
+    return apply_symbol(forward_ft(f).values, forward_ft(g))

@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
+    GridTooSmallError,
     InconsistentLimitError,
     InvalidParameterError,
     NotApplicableError,
@@ -75,10 +76,18 @@ class WienerEstimate:
     converged: bool
 
 
-def _limit_at_infinity(values: np.ndarray, y: np.ndarray, half_length: float) -> complex:
+def _limit_at_infinity(values: np.ndarray, y: np.ndarray, half_length: float,
+                       const_at_infinity: Optional[complex]) -> complex:
+    # the pinned value when one is given, else the mean over the outer bands
+    if const_at_infinity is not None:
+        return complex(const_at_infinity)
     band = _LIMIT_BAND * half_length
     upper = values[y >= half_length - band]
     lower = values[y <= -(half_length - band)]
+    if upper.size == 0 or lower.size == 0:
+        raise GridTooSmallError(
+            f"the outer {_LIMIT_BAND:.0%} of one side of the dual window holds no node; "
+            "enlarge the grid size to read off the constant term")
     m_plus = complex(np.mean(upper))
     m_minus = complex(np.mean(lower))
     c = 0.5 * (m_plus + m_minus)
@@ -95,10 +104,7 @@ def _wiener_components(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     vals = np.asarray(psi(y), dtype=np.complex128)
     if not np.isfinite(vals).all():
         raise InvalidParameterError("symbol evaluated to non-finite values on the dual grid")
-    if const_at_infinity is None:
-        c = _limit_at_infinity(vals, y, fine.dual_half_length)
-    else:
-        c = complex(const_at_infinity)
+    c = _limit_at_infinity(vals, y, fine.dual_half_length, const_at_infinity)
     density = inverse_ft(SampledFunction(fine, vals - c, FREQUENCY))
     x = fine.nodes()
     absg = np.abs(density.values)
@@ -121,7 +127,8 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
 
     The constant term is read off as the mean of ``psi`` over the outer 5%
     of each side of the dual window; disagreeing one-sided reads raise
-    :class:`InconsistentLimitError` (pass ``const_at_infinity`` to pin the
+    :class:`InconsistentLimitError`, a side band without nodes
+    :class:`GridTooSmallError` (pass ``const_at_infinity`` to pin the
     value and skip the read, e.g. for odd symbols that decay in magnitude
     but not pointwise).  The density is recovered on a window ``oversample``
     times larger to keep aliasing images out of the reported mass, its
@@ -154,10 +161,7 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
 def _carlson_value(psi, grid: GridSpec, const_at_infinity) -> float:
     y = grid.dual_nodes()
     vals = np.asarray(psi(y), dtype=np.complex128)
-    if const_at_infinity is None:
-        c = _limit_at_infinity(vals, y, grid.dual_half_length)
-    else:
-        c = complex(const_at_infinity)
+    c = _limit_at_infinity(vals, y, grid.dual_half_length, const_at_infinity)
     centered = vals - c
     deriv = np.gradient(centered, grid.dy)
     n2 = grid.dy * float(np.sum(np.abs(centered) ** 2))

@@ -32,7 +32,7 @@ from .errors import (
     NonConvergentError,
 )
 from .comparison import Report, _fmt_p, _verify, gw_ratio
-from .fourier_core import FREQUENCY, GridSpec, SampledFunction, forward_ft, inverse_ft, lp_norm
+from .fourier_core import FREQUENCY, GridSpec, SampledFunction, apply_symbol, forward_ft, inverse_ft, lp_norm
 from .measures import WienerEstimate, wiener_norm
 from .testkit import TestFunction, means_suite
 
@@ -79,6 +79,13 @@ def _check_eps(eps: float, grid: GridSpec) -> float:
     return eps
 
 
+def _mean_symbol(alpha: float, eps: float, grid: GridSpec) -> np.ndarray:
+    """``exp(-|eps y|^alpha)`` on the dual nodes, once order and scale are validated."""
+    alpha = _check_alpha(alpha)
+    eps = _check_eps(eps, grid)
+    return np.exp(-np.abs(eps * grid.dual_nodes()) ** alpha)
+
+
 def gw_kernel(alpha: float, eps: float, grid: GridSpec) -> SampledFunction:
     """The smoothing kernel: inverse transform of ``exp(-|eps y|^alpha)``.
 
@@ -87,10 +94,7 @@ def gw_kernel(alpha: float, eps: float, grid: GridSpec) -> SampledFunction:
     by more than ``1e-3`` means the transform itself misfired and raises
     :class:`NonConvergentError`.
     """
-    alpha = _check_alpha(alpha)
-    eps = _check_eps(eps, grid)
-    symbol = np.exp(-np.abs(eps * grid.dual_nodes()) ** alpha).astype(np.complex128)
-    kernel = inverse_ft(SampledFunction(grid, symbol, FREQUENCY))
+    kernel = inverse_ft(SampledFunction(grid, _mean_symbol(alpha, eps, grid), FREQUENCY))
     mass = grid.dx * complex(np.sum(kernel.values))
     if abs(mass - 1.0) > 1e-3:
         raise NonConvergentError(f"kernel mass {mass:.6g} differs from 1 beyond 1e-3")
@@ -99,11 +103,7 @@ def gw_kernel(alpha: float, eps: float, grid: GridSpec) -> SampledFunction:
 
 def gw_mean(f: SampledFunction, alpha: float, eps: float) -> SampledFunction:
     """Apply the mean ``U[alpha, eps]`` to a space-side function."""
-    alpha = _check_alpha(alpha)
-    eps = _check_eps(eps, f.grid)
-    symbol = np.exp(-np.abs(eps * f.grid.dual_nodes()) ** alpha)
-    damped = SampledFunction(f.grid, symbol * forward_ft(f).values, FREQUENCY)
-    return inverse_ft(damped)
+    return apply_symbol(_mean_symbol(alpha, eps, f.grid), forward_ft(f))
 
 
 def gw_error(f: SampledFunction, alpha: float, eps: float, p: float) -> float:
@@ -144,11 +144,11 @@ def gw_verify(alpha: float, beta: float, grid: GridSpec,
     if estimate is None:
         estimate = gw_constant(alpha, beta, grid, oversample=oversample)
 
-    def rows(f):
+    def rows(f, F):
         for eps in eps_values:
             # each error once per scale; every exponent reads the same samples
-            error_beta = f - gw_mean(f, beta, eps)
-            error_alpha = f - gw_mean(f, alpha, eps)
+            error_beta = f - apply_symbol(_mean_symbol(beta, eps, grid), F)
+            error_alpha = f - apply_symbol(_mean_symbol(alpha, eps, grid), F)
             for p in p_values:
                 yield (float(eps), f"p={_fmt_p(float(p))}",
                        lp_norm(error_beta, p), lp_norm(error_alpha, p))

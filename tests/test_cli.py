@@ -139,6 +139,16 @@ def test_diffop_verify_underresolved_grid(tmp_path, capsys):
     assert json.loads(out.read_text())["error"]["type"] == "BandwidthExceededError"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wiener_norm_on_too_few_dual_nodes(tmp_path, capsys):
+    # 16 dual nodes leave the outer 5% of the upper side empty
+    out = tmp_path / "report.json"
+    code = run(["wiener-norm", "--multiplier", "gw_symbol:alpha=1", "--grid-N", "16",
+                "--oversample", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert json.loads(out.read_text())["error"]["type"] == "GridTooSmallError"
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: config errors (no report file)
 # ---------------------------------------------------------------------------
@@ -180,9 +190,13 @@ def test_json_config_overrides_flags(tmp_path, capsys):
     {"oversample": True},
     {"const-at-infinity": False},
     {"p": [1, True]},
+    {"out": 7},
+    {"csv": 7},
+    {"csv": "no-such-directory/cases.csv"},
 ])
 def test_json_config_refuses_coercion(config, tmp_path, capsys):
-    """Booleans are not numbers and an integer key takes no fraction: exit 3."""
+    """Booleans are not numbers, an integer key takes no fraction and an output
+    path is a string in an existing directory: exit 3, before any computation."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "report.json"
@@ -212,6 +226,7 @@ def _config_values(bound, valid):
     return st.booleans().flatmap(lambda accepted: valid if accepted else anything)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(config=st.fixed_dictionaries({}, optional={
     "grid-N": _config_values(2**14, st.sampled_from([16, 1024, 16384, 16384.0])),

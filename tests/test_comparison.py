@@ -18,7 +18,6 @@ from subord.comparison import (
     exp_abs_ft,
     gaussian_ft,
     gw_ratio,
-    gw_symbol,
     named_multiplier,
     one_minus_gw_symbol,
     ratio_multiplier,
@@ -44,13 +43,6 @@ def test_registry_lookup():
         named_multiplier("no_such_symbol")
     with pytest.raises(InvalidParameterError):
         named_multiplier("gw_symbol", alpha=1.0, bogus=2.0)
-
-
-def test_multiplier_arithmetic():
-    m = gw_symbol(1.0) * constant(2.0) + exp_abs_ft()
-    y = GRID.dual_nodes()[::128]
-    expected = 2.0 * np.exp(-np.abs(y)) + 2.0 / (1.0 + y * y)
-    assert np.allclose(m(y), expected)
 
 
 def test_apply_multiplier_requires_space_side():

@@ -1,6 +1,7 @@
 """Polynomial symbols: decomposition, spectral application, mixed-norm bounds."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from subord.errors import (
     MultiplicityObstructionError,
     NeighborhoodDegenerateError,
 )
-from subord.fourier_core import make_grid
+from subord.fourier_core import forward_ft, make_grid
 from subord.testkit import bspline, bump, gaussian, materialize, modulated_gaussian
 
 GRID = make_grid(40.0, 16384)
@@ -230,3 +231,21 @@ def test_subordination_reuses_decomposition():
                                suite=small, decomposition=d)
     assert sub.passed
     assert sub.decomposition is d
+
+
+def test_subordination_transforms_each_function_once(monkeypatch):
+    """The three operators share one forward transform per suite member."""
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return forward_ft(f)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("subord"):
+            if getattr(module, "forward_ft", None) is forward_ft:
+                monkeypatch.setattr(module, "forward_ft", counted)
+    small = [gaussian(1.0), bump(2.0), modulated_gaussian(1.0, 3.0)]
+    sub = diffop_subordination([0, 1], [0, 0, 1], [1], GRID, q=2.0, suite=small)
+    assert sub.passed
+    assert len(calls) == len(small)

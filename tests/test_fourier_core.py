@@ -12,6 +12,7 @@ from subord.fourier_core import (
     GridSpec,
     SampledFunction,
     WraparoundWarning,
+    apply_symbol,
     convolve,
     forward_ft,
     inverse_ft,
@@ -81,6 +82,20 @@ def test_transform_side_bookkeeping():
         forward_ft(F)
     with pytest.raises(InvalidParameterError):
         inverse_ft(f)
+
+
+def test_apply_symbol_multiplies_the_transform():
+    """The symbol i y acts as d/dx; the unit symbol is the identity."""
+    g = make_grid(40.0, 16384)
+    x = g.nodes()
+    f = SampledFunction(g, np.exp(-x * x), SPACE)
+    F = forward_ft(f)
+    derivative = apply_symbol(1j * g.dual_nodes(), F)
+    assert derivative.side == SPACE
+    assert np.abs(derivative.values - (-2.0 * x * np.exp(-x * x))).max() <= 1e-12
+    assert np.abs(apply_symbol(np.ones(g.size), F).values - f.values).max() <= 1e-12
+    with pytest.raises(InvalidParameterError):
+        apply_symbol(np.ones(g.size), f)
 
 
 def test_transform_linearity():

@@ -13,6 +13,7 @@ from subord.comparison import (
     gw_symbol,
 )
 from subord.errors import (
+    GridTooSmallError,
     InconsistentLimitError,
     InvalidParameterError,
     NotApplicableError,
@@ -62,6 +63,20 @@ def test_wiener_norm_rejects_inconsistent_limits():
     # pinning a limit bypasses the two-sided consistency requirement
     est = wiener_norm(odd, GRID, const_at_infinity=0.0)
     assert est.density is not None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("oversample", [1, 2])
+def test_constant_term_needs_a_node_in_each_outer_band(oversample):
+    """At 16 or 32 dual nodes the outer 5% of the upper side holds no node."""
+    tiny = make_grid(40.0, 16)
+    with pytest.raises(GridTooSmallError):
+        wiener_norm(gw_symbol(1.0), tiny, oversample=oversample)
+    with pytest.raises(GridTooSmallError):
+        carlson_bound(gw_symbol(1.0), tiny)
+    # a pinned constant term reads no band
+    assert wiener_norm(gw_symbol(1.0), tiny, oversample=oversample,
+                       const_at_infinity=0.0).total > 0.0
 
 
 def test_wiener_norm_rejects_bad_oversample():
