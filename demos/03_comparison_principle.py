@@ -5,7 +5,7 @@ vanishes too, and the ratio A/B is the transform of a finite measure, then
 
     || A f ||_p  <=  K || B f ||_p      for every p and every f,
 
-with K the measure norm of the ratio.  This demo builds such a setup,
+with K the measure norm of the ratio.  This demo builds such a pair,
 estimates K, and stress-tests the inequality over the function corpus.
 
 Run:  python3 demos/03_comparison_principle.py
@@ -14,7 +14,7 @@ Run:  python3 demos/03_comparison_principle.py
 from subord import (
     make_grid,
     one_minus_gw_symbol,
-    setup_comparison,
+    ratio_multiplier,
     verify_comparison,
 )
 from subord.errors import NestedZerosViolatedError
@@ -26,12 +26,11 @@ grid = make_grid(40.0, 16384)
 m1 = one_minus_gw_symbol(2.0)
 m2 = one_minus_gw_symbol(1.0)
 
-setup = setup_comparison(m1, m2, grid)
-print(f"ratio symbol: {setup.ratio.label}")
-print(f"estimated constant K = {setup.constant:.6f} "
-      f"(converged={setup.estimate.converged})")
+print(f"ratio symbol: {ratio_multiplier(m1, m2, grid).label}")
+report = verify_comparison(m1, m2, grid)
+print(f"estimated constant K = {report.constant:.6f} "
+      f"(converged={report.estimate.converged})")
 
-report = verify_comparison(setup)
 print(f"\nverification over the corpus: {len(report.cases)} cases, "
       f"worst ||Af||/(K||Bf||) = {report.worst_ratio:.4f}, passed={report.passed}")
 for case in report.cases[:6]:
@@ -40,7 +39,7 @@ for case in report.cases[:6]:
 print("  ...")
 
 # Reflexivity sanity: comparing an operator with itself gives K = 1.
-reflexive = setup_comparison(m2, m2, grid)
+reflexive = verify_comparison(m2, m2, grid)
 print(f"\nself-comparison constant: {reflexive.constant:.12f} (exactly 1 up to fp)")
 
 # And the hypothesis actually bites: swapping the pair so the denominator
@@ -48,6 +47,6 @@ print(f"\nself-comparison constant: {reflexive.constant:.12f} (exactly 1 up to f
 from subord import exp_abs_ft
 
 try:
-    setup_comparison(exp_abs_ft(), m2, grid)
+    verify_comparison(exp_abs_ft(), m2, grid)
 except NestedZerosViolatedError as err:
-    print(f"\nswapped setup rejected: {err}")
+    print(f"\nswapped comparison rejected: {err}")

@@ -74,7 +74,6 @@ from .testkit import (
 from .measures import WienerEstimate, carlson_bound, wiener_norm
 from .comparison import (
     Case,
-    ComparisonSetup,
     Multiplier,
     Report,
     apply_multiplier,
@@ -86,7 +85,6 @@ from .comparison import (
     named_multiplier,
     one_minus_gw_symbol,
     ratio_multiplier,
-    setup_comparison,
     verify_comparison,
 )
 from .summability import (

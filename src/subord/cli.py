@@ -221,22 +221,25 @@ def _run_wiener_norm(args, grid: GridSpec):
     }
 
 
+def _comparison_fields(report: comparison.Report) -> dict:
+    """The report fields shared by ``compare`` and ``gw-compare``."""
+    return {
+        "estimate": _estimate_dict(report.estimate),
+        "constant": report.constant,
+        "worst_ratio": report.worst_ratio,
+        "cases": _case_rows(report),
+        "passed": report.passed and report.estimate.converged,
+    }
+
+
 def _run_compare(args, grid: GridSpec):
     name1, params1 = args.m1_parsed
     name2, params2 = args.m2_parsed
     m1 = comparison.named_multiplier(name1, **params1)
     m2 = comparison.named_multiplier(name2, **params2)
-    setup = comparison.setup_comparison(m1, m2, grid, oversample=args.oversample)
-    report_obj = comparison.verify_comparison(setup, p_values=args.p_parsed)
-    return {
-        "multiplier1": m1.label,
-        "multiplier2": m2.label,
-        "estimate": _estimate_dict(setup.estimate),
-        "constant": report_obj.constant,
-        "worst_ratio": report_obj.worst_ratio,
-        "cases": _case_rows(report_obj),
-        "passed": report_obj.passed and setup.estimate.converged,
-    }
+    report_obj = comparison.verify_comparison(m1, m2, grid, p_values=args.p_parsed,
+                                              oversample=args.oversample)
+    return {"multiplier1": m1.label, "multiplier2": m2.label, **_comparison_fields(report_obj)}
 
 
 def _run_gw_compare(args, grid: GridSpec):
@@ -244,15 +247,7 @@ def _run_gw_compare(args, grid: GridSpec):
         args.alpha, args.beta, grid,
         eps_values=args.eps_parsed, p_values=args.p_parsed,
         oversample=args.oversample)
-    return {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "estimate": _estimate_dict(report_obj.estimate),
-        "constant": report_obj.constant,
-        "worst_ratio": report_obj.worst_ratio,
-        "cases": _case_rows(report_obj),
-        "passed": report_obj.passed and report_obj.estimate.converged,
-    }
+    return {"alpha": args.alpha, "beta": args.beta, **_comparison_fields(report_obj)}
 
 
 def _run_lemma2(args, grid: GridSpec):
@@ -306,13 +301,13 @@ def _run_selftest(args, grid: GridSpec):
         "detail": {"total": est.total, "converged": est.converged},
     })
 
-    setup = comparison.setup_comparison(comparison.exp_abs_ft(), comparison.exp_abs_ft(), grid)
-    reflexive = comparison.verify_comparison(setup)
+    reflexive = comparison.verify_comparison(comparison.exp_abs_ft(), comparison.exp_abs_ft(),
+                                             grid)
     checks.append({
         "name": "reflexive_comparison_constant_one",
-        "passed": bool(abs(setup.constant - 1.0) <= 1e-6
+        "passed": bool(abs(reflexive.constant - 1.0) <= 1e-6
                        and reflexive.worst_ratio <= 1.0 + 1e-6),
-        "detail": {"constant": setup.constant, "worst_ratio": reflexive.worst_ratio},
+        "detail": {"constant": reflexive.constant, "worst_ratio": reflexive.worst_ratio},
     })
 
     gw = summability.gw_verify(1.0, 2.0, grid)

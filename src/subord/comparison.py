@@ -45,8 +45,6 @@ __all__ = [
     "named_multiplier",
     "apply_multiplier",
     "ratio_multiplier",
-    "ComparisonSetup",
-    "setup_comparison",
     "Case",
     "Report",
     "verify_comparison",
@@ -54,6 +52,8 @@ __all__ = [
 
 #: relative level below which a denominator sample counts as a zero
 ZERO_LEVEL = 1e-9
+#: relative slack of every pass rule ``ratio <= constant * (1 + TOLERANCE)``
+TOLERANCE = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,24 +174,14 @@ def apply_multiplier(m: Multiplier, f: SampledFunction) -> SampledFunction:
     return apply_symbol(m(f.grid.dual_nodes()), forward_ft(f))
 
 
-def _masked_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    # contiguous [start, stop) runs of True
-    runs = []
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return runs
-    start = prev = idx[0]
-    for i in idx[1:]:
-        if i != prev + 1:
-            runs.append((start, prev + 1))
-            start = i
-        prev = i
-    runs.append((start, prev + 1))
-    return runs
+def _masked_runs(mask: np.ndarray) -> np.ndarray:
+    # contiguous [start, stop) runs of True, one row each
+    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
+    return edges.reshape(-1, 2)
 
 
-def ratio_multiplier(numerator: Multiplier, denominator: Multiplier, grid: GridSpec,
-                     fill: Optional[complex] = None) -> Multiplier:
+def ratio_multiplier(numerator: Multiplier, denominator: Multiplier,
+                     grid: GridSpec) -> Multiplier:
     """The ratio symbol ``numerator / denominator`` with zeros filled.
 
     Denominator samples below :data:`ZERO_LEVEL` times its sup over the dual grid
@@ -199,7 +189,7 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier, grid: GridS
     (:class:`NestedZerosViolatedError` otherwise), each contiguous zero run
     must have unmasked neighbors on both sides (:class:`FillUndefinedError`
     otherwise), and the run is filled with the mean of the two neighboring
-    ratio values — or with the explicit ``fill`` value when one is given.
+    ratio values.
 
     The returned symbol applies the same threshold pointwise wherever it is
     evaluated, so refined grids see the filled value near the zero instead
@@ -221,20 +211,17 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier, grid: GridS
             f"numerator {numerator.label} does not; no finite ratio exists there")
 
     centers, values = [], []
-    if fill is None:
-        # an explicit fill covers every zero run; otherwise each run needs two neighbors
-        for start, stop in _masked_runs(mask):
-            if start == 0 or stop == grid.size:
-                raise FillUndefinedError(
-                    f"zero run of {denominator.label} touches the dual window edge; "
-                    "no neighboring ratio values to fill from")
-            left = v1[start - 1] / v2[start - 1]
-            right = v1[stop] / v2[stop]
-            centers.append(0.5 * (y0[start] + y0[stop - 1]))
-            values.append(0.5 * (left + right))
+    for start, stop in _masked_runs(mask):
+        if start == 0 or stop == grid.size:
+            raise FillUndefinedError(
+                f"zero run of {denominator.label} touches the dual window edge; "
+                "no neighboring ratio values to fill from")
+        left = v1[start - 1] / v2[start - 1]
+        right = v1[stop] / v2[stop]
+        centers.append(0.5 * (y0[start] + y0[stop - 1]))
+        values.append(0.5 * (left + right))
     fill_centers = np.asarray(centers, dtype=float)
     fill_values = np.asarray(values, dtype=np.complex128)
-    scalar_fill = None if fill is None else complex(fill)
     num_label, den_label = numerator.label, denominator.label
 
     def fn(y: np.ndarray) -> np.ndarray:
@@ -246,53 +233,24 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier, grid: GridS
         ok = ~masked
         out[ok] = a[ok] / b[ok]
         if masked.any():
-            if scalar_fill is not None:
-                out[masked] = scalar_fill
-            elif fill_centers.size:
-                pick = np.abs(y[masked, None] - fill_centers[None, :]).argmin(axis=1)
-                out[masked] = fill_values[pick]
-            else:
+            if not fill_centers.size:
                 raise FillUndefinedError(
                     f"{den_label} fell below its zero threshold off the construction "
                     "grid and no fill value is on record")
+            pick = np.abs(y[masked, None] - fill_centers[None, :]).argmin(axis=1)
+            out[masked] = fill_values[pick]
         return out
 
     return Multiplier(label=f"({num_label})/({den_label})", _fn=fn)
 
 
 # ---------------------------------------------------------------------------
-# comparison setups and verification
+# verification
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ComparisonSetup:
-    """A validated comparison ``||T1 f||_p <= constant * ||T2 f||_p``."""
-
-    multiplier1: Multiplier
-    multiplier2: Multiplier
-    ratio: Multiplier
-    estimate: WienerEstimate
-    grid: GridSpec
-
-    @property
-    def constant(self) -> float:
-        return self.estimate.total
-
-
-def setup_comparison(multiplier1: Multiplier, multiplier2: Multiplier, grid: GridSpec,
-                     oversample: int = 8, fill: Optional[complex] = None,
-                     const_at_infinity: Optional[complex] = None) -> ComparisonSetup:
-    """Build the ratio symbol and estimate the comparison constant."""
-    ratio = ratio_multiplier(multiplier1, multiplier2, grid, fill=fill)
-    estimate = wiener_norm(ratio, grid, oversample=oversample,
-                           const_at_infinity=const_at_infinity)
-    return ComparisonSetup(multiplier1=multiplier1, multiplier2=multiplier2,
-                           ratio=ratio, estimate=estimate, grid=grid)
-
-
-@dataclass(frozen=True)
 class Case:
-    """One verified row: ``lhs <= constant * (1 + tolerance) * rhs``.
+    """One verified row: ``lhs <= constant * (1 + TOLERANCE) * rhs``.
 
     ``eps`` is the scale of a summability case (``None`` elsewhere) and
     ``exponents`` the norm exponents as printed, e.g. ``p=2`` or
@@ -313,7 +271,8 @@ class Report:
     """Result of every verification routine.
 
     The fields after ``passed`` are filled only by the routines that produce
-    them: ``estimate`` by :func:`subord.summability.gw_verify`; the factors,
+    them: ``estimate`` by :func:`verify_comparison` and
+    :func:`subord.summability.gw_verify`; the factors,
     the resolved exponents ``q``, ``p1``, ``p2`` and the decomposition by
     :func:`subord.diffops.diffop_subordination`.
     """
@@ -342,13 +301,13 @@ def _fmt_p(p: float) -> str:
 
 
 def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant: float,
-            tolerance: float, what: str, **extra) -> Report:
+            what: str, slack: float = TOLERANCE, **extra) -> Report:
     """The loop shared by every verifier: sample and transform each function
     once, then check its rows.
 
     A row whose right side is below ``1e-12 * (1 + lhs)`` carries no
     information and is skipped; the others pass when ``lhs / rhs <=
-    constant * (1 + tolerance)``.  :class:`AllCasesSkippedError` is raised
+    constant * (1 + slack)``.  :class:`AllCasesSkippedError` is raised
     when every row was skipped.
     """
     cases = []
@@ -359,7 +318,7 @@ def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant:
                 continue
             ratio = lhs / rhs
             cases.append(Case(label=fn.label, eps=eps, exponents=exponents, lhs=lhs, rhs=rhs,
-                              ratio=ratio, passed=ratio <= constant * (1.0 + tolerance)))
+                              ratio=ratio, passed=ratio <= constant * (1.0 + slack)))
     if not cases:
         raise AllCasesSkippedError(f"no {what} case had a usable right-hand side")
     return Report(cases=tuple(cases), constant=constant,
@@ -367,19 +326,24 @@ def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant:
                   passed=all(case.passed for case in cases), **extra)
 
 
-def verify_comparison(setup: ComparisonSetup, suite: Optional[Sequence[TestFunction]] = None,
+def verify_comparison(multiplier1: Multiplier, multiplier2: Multiplier, grid: GridSpec,
+                      suite: Optional[Sequence[TestFunction]] = None,
                       p_values: Sequence[float] = (1.0, 2.0, math.inf),
-                      tolerance: float = 1e-2) -> Report:
-    """Check the comparison inequality on a corpus of test functions.
+                      oversample: int = 8) -> Report:
+    """Estimate the comparison constant and check the inequality on a corpus.
 
-    For each function and each exponent the two operator outputs are
-    compared in norm; a case passes when ``lhs <= constant * rhs * (1 +
-    tolerance)``.  Cases whose right side is below ``1e-12 * (1 + lhs)``
-    carry no information and are skipped; if every case is skipped,
-    :class:`AllCasesSkippedError` is raised.
+    The constant is the measure norm of :func:`ratio_multiplier`
+    ``(multiplier1, multiplier2)`` as estimated by :func:`wiener_norm`; the
+    report carries that estimate.  For each function and each exponent the
+    two operator outputs are compared in norm; a case passes when ``lhs <=
+    constant * rhs * (1 + TOLERANCE)``.  Cases whose right side is below
+    ``1e-12 * (1 + lhs)`` carry no information and are skipped; if every
+    case is skipped, :class:`AllCasesSkippedError` is raised.
     """
-    y = setup.grid.dual_nodes()
-    symbol1, symbol2 = setup.multiplier1(y), setup.multiplier2(y)
+    ratio = ratio_multiplier(multiplier1, multiplier2, grid)
+    estimate = wiener_norm(ratio, grid, oversample=oversample)
+    y = grid.dual_nodes()
+    symbol1, symbol2 = multiplier1(y), multiplier2(y)
 
     def rows(f, F):
         out1 = apply_symbol(symbol1, F)
@@ -387,5 +351,5 @@ def verify_comparison(setup: ComparisonSetup, suite: Optional[Sequence[TestFunct
         for p in p_values:
             yield None, f"p={_fmt_p(float(p))}", lp_norm(out1, p), lp_norm(out2, p)
 
-    return _verify(means_suite() if suite is None else suite, setup.grid, rows,
-                   setup.constant, tolerance, "comparison")
+    return _verify(means_suite() if suite is None else suite, grid, rows,
+                   estimate.total, "comparison", estimate=estimate)

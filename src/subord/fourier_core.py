@@ -214,13 +214,23 @@ def lp_norm(f: SampledFunction, p: float) -> float:
     return float((weight * np.sum(absv**p)) ** (1.0 / p))
 
 
+def _outer_band(values: np.ndarray) -> tuple[float, float]:
+    """``(band, peak)``: the largest magnitude in the outer 10% of the window and overall.
+
+    The band is the first ``k + 1`` and the last ``k`` nodes, ``k =
+    floor(N / 20)``: exactly the nodes with ``|x| >= 0.9 L`` (``|y| >= 0.9
+    pi / dx`` on the dual side), since the window holds ``-L`` but not
+    ``L``.  Every decay gate of the package reads this pair at its own level.
+    """
+    absv = np.abs(values)
+    k = int(_OUTER_BAND / 2 * absv.size)
+    band = max(absv[:k + 1].max(), absv[absv.size - k:].max(initial=0.0))
+    return float(band), float(absv.max())
+
+
 def _warn_if_not_decayed(f: SampledFunction, name: str) -> None:
-    absv = np.abs(f.values)
-    peak = absv.max()
-    if peak == 0.0:
-        return
-    outer = np.abs(f.grid.nodes()) >= (1.0 - _OUTER_BAND) * f.grid.half_length
-    if absv[outer].max() > _DECAY_LEVEL * peak:
+    band, peak = _outer_band(f.values)
+    if band > _DECAY_LEVEL * peak:
         warnings.warn(
             f"convolution input {name} exceeds {_DECAY_LEVEL:g} of its peak in the outer "
             f"{int(100 * _OUTER_BAND)}% of the window; circular wraparound may pollute the result",

@@ -65,7 +65,6 @@ class WienerEstimate:
     the total within ``max(1e-3, 1e-2 * total)``.
     """
 
-    grid: GridSpec
     oversample: int
     const_at_infinity: complex
     density: SampledFunction
@@ -97,13 +96,19 @@ def _limit_at_infinity(values: np.ndarray, y: np.ndarray, half_length: float,
     return c
 
 
-def _wiener_components(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
-                       oversample: int, const_at_infinity):
-    fine = grid.refined(oversample)
-    y = fine.dual_nodes()
+def _sample(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec):
+    # the dual nodes and the symbol on them, which must be finite
+    y = grid.dual_nodes()
     vals = np.asarray(psi(y), dtype=np.complex128)
     if not np.isfinite(vals).all():
         raise InvalidParameterError("symbol evaluated to non-finite values on the dual grid")
+    return y, vals
+
+
+def _wiener_components(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
+                       oversample: int, const_at_infinity):
+    fine = grid.refined(oversample)
+    y, vals = _sample(psi, fine)
     c = _limit_at_infinity(vals, y, fine.dual_half_length, const_at_infinity)
     density = inverse_ft(SampledFunction(fine, vals - c, FREQUENCY))
     x = fine.nodes()
@@ -146,7 +151,6 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
         psi, grid.refined(2), oversample, const_at_infinity)
     converged = abs(total - refined_total) <= max(1e-3, 1e-2 * total)
     return WienerEstimate(
-        grid=grid,
         oversample=oversample,
         const_at_infinity=c,
         density=density,
@@ -159,8 +163,7 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
 
 
 def _carlson_value(psi, grid: GridSpec, const_at_infinity) -> float:
-    y = grid.dual_nodes()
-    vals = np.asarray(psi(y), dtype=np.complex128)
+    y, vals = _sample(psi, grid)
     c = _limit_at_infinity(vals, y, grid.dual_half_length, const_at_infinity)
     centered = vals - c
     deriv = np.gradient(centered, grid.dy)
@@ -178,7 +181,8 @@ def carlson_bound(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     derivative is a central difference on the dual grid.  If doubling the
     window moves the value by more than 1% the symbol is not decaying fast
     enough for the bound to mean anything and :class:`NotApplicableError`
-    is raised.
+    is raised; a symbol that is not finite on the dual grid raises
+    :class:`InvalidParameterError`, as in :func:`wiener_norm`.
     """
     b = _carlson_value(psi, grid, const_at_infinity)
     b2 = _carlson_value(psi, grid.refined(2), const_at_infinity)

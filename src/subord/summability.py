@@ -127,22 +127,19 @@ def gw_verify(alpha: float, beta: float, grid: GridSpec,
               suite: Optional[Sequence[TestFunction]] = None,
               eps_values: Sequence[float] = (1.0, 0.5, 0.1),
               p_values: Sequence[float] = (1.0, 2.0, math.inf),
-              oversample: int = 8,
-              tolerance: float = 1e-2,
-              estimate: Optional[WienerEstimate] = None) -> Report:
+              oversample: int = 8) -> Report:
     """Verify the error subordination inequality on a corpus.
 
     For every test function, scale, and exponent the two approximation
     errors are measured; a case passes when the error of the ``beta`` mean
-    is at most ``constant * (1 + tolerance)`` times the error of the
-    ``alpha`` mean.  Cases with right-hand side below ``1e-12 * (1 + lhs)``
-    are skipped; if nothing remains, :class:`AllCasesSkippedError` is
-    raised.  Pass a precomputed ``estimate`` to reuse a constant.
+    is at most ``constant * (1 + TOLERANCE)`` times the error of the
+    ``alpha`` mean, with the constant from :func:`gw_constant`.  Cases with
+    right-hand side below ``1e-12 * (1 + lhs)`` are skipped; if nothing
+    remains, :class:`AllCasesSkippedError` is raised.
     """
     alpha = _check_alpha(alpha)
     beta = _check_alpha(beta)
-    if estimate is None:
-        estimate = gw_constant(alpha, beta, grid, oversample=oversample)
+    estimate = gw_constant(alpha, beta, grid, oversample=oversample)
 
     def rows(f, F):
         for eps in eps_values:
@@ -154,7 +151,7 @@ def gw_verify(alpha: float, beta: float, grid: GridSpec,
                        lp_norm(error_beta, p), lp_norm(error_alpha, p))
 
     return _verify(means_suite() if suite is None else suite, grid, rows, estimate.total,
-                   tolerance, "verification", estimate=estimate)
+                   "verification", estimate=estimate)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GridTooSmallError, InvalidParameterError
-from .fourier_core import FREQUENCY, SPACE, GridSpec, SampledFunction
+from .fourier_core import FREQUENCY, SPACE, GridSpec, SampledFunction, _outer_band
 
 __all__ = [
     "TestFunction",
@@ -34,7 +34,7 @@ __all__ = [
 #: smoothness order assigned to functions with superpolynomial frequency decay
 RAPID_DECAY = 99
 
-#: relative boundary level above which a window is considered too small
+#: relative outer-band level above which a window is considered too small
 _BOUNDARY_LEVEL = 1e-10
 
 
@@ -176,17 +176,16 @@ def modulated_gaussian(a: float = 1.0, omega: float = 3.0) -> TestFunction:
 def materialize(fn: TestFunction, grid: GridSpec) -> SampledFunction:
     """Sample ``fn`` on the grid, refusing windows the function does not fit.
 
-    Raises :class:`GridTooSmallError` when either boundary sample exceeds
-    ``1e-10`` of the peak, since such a window would leak tail mass around
-    the circular boundary of every downstream transform.
+    Raises :class:`GridTooSmallError` when a sample in the outer 10% of the
+    window exceeds ``1e-10`` of the peak, since such a window would leak
+    tail mass around the circular boundary of every downstream transform.
     """
     values = np.asarray(fn.profile(grid.nodes()), dtype=np.complex128)
-    peak = float(np.abs(values).max())
-    edge = max(abs(values[0]), abs(values[-1]))
-    if peak > 0.0 and edge > _BOUNDARY_LEVEL * peak:
+    band, peak = _outer_band(values)
+    if band > _BOUNDARY_LEVEL * peak:
         raise GridTooSmallError(
-            f"{fn.label} has boundary level {edge / peak:.2e} on [-{grid.half_length}, "
-            f"{grid.half_length}); enlarge the window")
+            f"{fn.label} reaches {band / peak:.2e} of its peak in the outer 10% of "
+            f"[-{grid.half_length}, {grid.half_length}); enlarge the window")
     return SampledFunction(grid, values, SPACE)
 
 

@@ -15,7 +15,6 @@ from subord.comparison import (
     exp_abs_ft,
     gw_symbol,
     one_minus_gw_symbol,
-    setup_comparison,
     verify_comparison,
 )
 from subord.diffops import (
@@ -101,13 +100,12 @@ def test_criterion_03_reflexivity_and_nested_zero_rejection():
     worst_const = 0.0
     worst_ratio = 0.0
     for m in (constant(1.0), exp_abs_ft(), one_minus_gw_symbol(1.0)):
-        setup = setup_comparison(m, m, DESK)
-        rep = verify_comparison(setup)
-        worst_const = max(worst_const, abs(setup.constant - 1.0))
+        rep = verify_comparison(m, m, DESK)
+        worst_const = max(worst_const, abs(rep.constant - 1.0))
         worst_ratio = max(worst_ratio, rep.worst_ratio)
     rejected = False
     try:
-        setup_comparison(exp_abs_ft(), one_minus_gw_symbol(1.0), DESK)
+        verify_comparison(exp_abs_ft(), one_minus_gw_symbol(1.0), DESK)
     except NestedZerosViolatedError:
         rejected = True
     _report(3, worst_const <= 1e-6 and worst_ratio <= 1.0 + 1e-6 and rejected,
@@ -159,7 +157,7 @@ def test_criterion_06_decomposition_identity():
                                         FINE.dual_nodes())).max())
         resid_ok = d.identity_residual <= 1e-10 * (1.0 + sup_q)
         deg_p1 = len(op1) - 1
-        rep = verify_identity(d, suite=diffop_suite(deg_p1), tolerance=1e-6)
+        rep = verify_identity(d, suite=diffop_suite(deg_p1))
         ok = ok and check.ok and resid_ok and rep.passed
         details.append(f"deg({len(target)-1},{deg_p1},{len(op2)-1}): "
                        f"resid={d.identity_residual:.1e} err={rep.worst_ratio:.1e}")

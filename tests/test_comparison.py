@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subord.comparison import (
     Multiplier,
+    _masked_runs,
     apply_multiplier,
     constant,
     exp_abs_ft,
@@ -21,7 +24,6 @@ from subord.comparison import (
     named_multiplier,
     one_minus_gw_symbol,
     ratio_multiplier,
-    setup_comparison,
     verify_comparison,
 )
 from subord.errors import (
@@ -63,6 +65,19 @@ def test_gw_ratio_endpoint_values():
         gw_ratio(2.0, 1.0)
 
 
+@given(st.lists(st.booleans(), min_size=1, max_size=50))
+def test_masked_runs_are_the_maximal_true_runs(bits):
+    runs = [(int(a), int(b)) for a, b in _masked_runs(np.array(bits))]
+    expected, start = [], None
+    for i, bit in enumerate(bits + [False]):
+        if bit and start is None:
+            start = i
+        elif not bit and start is not None:
+            expected.append((start, i))
+            start = None
+    assert runs == expected
+
+
 def test_ratio_multiplier_fills_interior_zero():
     r = ratio_multiplier(one_minus_gw_symbol(2.0), one_minus_gw_symbol(1.0), GRID)
     y = GRID.dual_nodes()
@@ -85,34 +100,32 @@ def test_ratio_multiplier_boundary_run_needs_explicit_fill():
     # so the masked region touches the boundary and has no neighbors
     with pytest.raises(FillUndefinedError):
         ratio_multiplier(gaussian_ft(), gaussian_ft(), GRID)
-    r = ratio_multiplier(gaussian_ft(), gaussian_ft(), GRID, fill=1.0)
-    assert np.allclose(r(GRID.dual_nodes()), 1.0)
 
 
 @pytest.mark.parametrize("m", [constant(1.0), exp_abs_ft(), one_minus_gw_symbol(1.0)])
 def test_reflexive_comparison_constant_is_one(m):
-    setup = setup_comparison(m, m, GRID)
-    assert setup.constant == pytest.approx(1.0, abs=1e-6)
-    report = verify_comparison(setup)
+    report = verify_comparison(m, m, GRID)
+    assert report.constant == pytest.approx(1.0, abs=1e-6)
     assert report.passed
     assert report.worst_ratio <= 1.0 + 1e-6
 
 
 def test_comparison_of_mean_symbols():
     """1 - e^{-y^2} against 1 - e^{-|y|}: the bounded-ratio pair."""
-    setup = setup_comparison(one_minus_gw_symbol(2.0), one_minus_gw_symbol(1.0), GRID)
-    assert setup.estimate.converged
-    assert setup.constant == pytest.approx(1.9819737910923465, rel=1e-9)
-    report = verify_comparison(setup)
+    report = verify_comparison(one_minus_gw_symbol(2.0), one_minus_gw_symbol(1.0), GRID)
+    assert report.estimate.converged
+    assert report.constant == report.estimate.total
+    assert report.constant == pytest.approx(1.9819737910923465, rel=1e-9)
     assert report.passed
     assert report.worst_ratio == pytest.approx(1.0689040626101167, rel=1e-6)
     assert len(report.cases) == 18  # 6 functions x p in {1, 2, inf}
 
 
 def test_comparison_cases_actually_bound_norms():
-    setup = setup_comparison(one_minus_gw_symbol(2.0), one_minus_gw_symbol(1.0), GRID)
+    m1, m2 = one_minus_gw_symbol(2.0), one_minus_gw_symbol(1.0)
+    report = verify_comparison(m1, m2, GRID)
     f = materialize(gaussian(1.0), GRID)
-    lhs = apply_multiplier(setup.multiplier1, f)
-    rhs = apply_multiplier(setup.multiplier2, f)
+    lhs = apply_multiplier(m1, f)
+    rhs = apply_multiplier(m2, f)
     for p in (1.0, 2.0, math.inf):
-        assert lp_norm(lhs, p) <= setup.constant * lp_norm(rhs, p) * (1.0 + 1e-2)
+        assert lp_norm(lhs, p) <= report.constant * lp_norm(rhs, p) * (1.0 + 1e-2)

@@ -110,3 +110,14 @@ def test_carlson_bound_rejects_unresolved_oscillation():
                        _fn=lambda y: np.cos(20.0 * y) / (1.0 + 0.01 * y * y) + 0j)
     with pytest.raises(NotApplicableError):
         carlson_bound(rough, GRID)
+
+
+@pytest.mark.parametrize("at_origin", [math.nan, math.inf])
+def test_both_estimators_reject_a_non_finite_symbol(at_origin):
+    # the symbol is non-finite at the dual node y = 0 only
+    bad = Multiplier(label="bad",
+                     _fn=lambda y: np.where(y == 0.0, at_origin, np.exp(-np.abs(y))) + 0j)
+    with pytest.raises(InvalidParameterError):
+        wiener_norm(bad, GRID)
+    with pytest.raises(InvalidParameterError):
+        carlson_bound(bad, GRID)

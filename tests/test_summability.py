@@ -146,12 +146,6 @@ def test_verify_full_default_run():
         assert case.lhs <= report.constant * case.rhs * (1.0 + 1e-2)
 
 
-def test_verify_reuses_precomputed_estimate():
-    est = gw_constant(1.0, 2.0, GRID)
-    report = gw_verify(1.0, 2.0, GRID, estimate=est)
-    assert report.constant == est.total
-
-
 # ---------------------------------------------------------------------------
 # pinned fixtures
 # ---------------------------------------------------------------------------

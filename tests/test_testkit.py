@@ -144,6 +144,12 @@ def test_materialize_rejects_undersized_window():
         materialize(gaussian(1.0), make_grid(4.0, 64))
     with pytest.raises(GridTooSmallError):
         materialize(exp_abs(1.0), make_grid(10.0, 1024))
+    # zero at both end nodes, -L and L - dx, but large in the rest of the outer band
+    grid = make_grid(8.0, 256)
+    L, dx = grid.half_length, grid.dx
+    parabola = subord.TestFunction("parabola", lambda x: (x + L) * (L - dx - x), None, 0)
+    with pytest.raises(GridTooSmallError):
+        materialize(parabola, grid)
 
 
 def test_modulated_gaussian_is_shifted_gaussian_transform():
