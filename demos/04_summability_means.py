@@ -16,7 +16,6 @@ import numpy as np
 from subord import (
     gaussian,
     gw_error,
-    gw_kernel,
     gw_mean,
     gw_verify,
     make_grid,
@@ -26,11 +25,6 @@ from subord import (
 
 grid = make_grid(40.0, 16384)
 f = materialize(gaussian(1.0), grid)
-
-# Kernels: unit mass by construction; the Gauss kernel has a closed form.
-k = gw_kernel(2.0, 1.0, grid)
-mass = grid.dx * k.values.sum().real
-print(f"Gauss kernel mass: {mass:.15f}")
 
 # Means smooth: larger eps smooths more, and the mean of a Gaussian is again
 # a Gaussian with inflated variance.

@@ -16,8 +16,8 @@ constants, three layers of domination between them:
     multiplier registry and the ratio-based domination of one convolution
     operator by another.
 ``summability``
-    smoothing means ``exp(-|eps y|^alpha)``, their kernels, and error
-    subordination between different orders.
+    smoothing means ``exp(-|eps y|^alpha)`` and error subordination between
+    different orders.
 ``diffops``
     polynomial differential operators, two-cofactor decompositions, and
     mixed-exponent norm domination.
@@ -40,7 +40,6 @@ from .errors import (
     MultiplicityObstructionError,
     NeighborhoodDegenerateError,
     NestedZerosViolatedError,
-    NonConvergentError,
     NotApplicableError,
     NumericalError,
     SubordinationError,
@@ -67,7 +66,6 @@ from .testkit import (
     exp_abs,
     gaussian,
     materialize,
-    materialize_transform,
     means_suite,
     modulated_gaussian,
 )
@@ -90,13 +88,11 @@ from .comparison import (
 from .summability import (
     gw_constant,
     gw_error,
-    gw_kernel,
     gw_mean,
     gw_verify,
     pinned_constant,
 )
 from .diffops import (
-    HypothesisCheck,
     SymbolDecomposition,
     apply_diffop,
     construct_decomposition,

@@ -17,6 +17,10 @@ flags, malformed JSON, bad grid, an output path outside an existing
 directory).  Codes 1 and 2 are the ``exit_code`` of the error class.
 Reports are still written for exits 1 and 2; nothing is written for exit 3.
 
+Every option is parsed by argparse through its flag's ``type=``.  A
+``--json-config`` object is appended as ``--key=value`` arguments and the
+command line parsed again, so a config value passes the flag's check and wins.
+
 Reports are JSON (sorted keys, two-space indent) and optional CSV with the
 fixed column set ``case_id, test_function, p_or_exponents, epsilon,
 lhs_norm, rhs_norm, ratio, constant, passed``.  No timestamps or machine
@@ -45,8 +49,11 @@ CSV_COLUMNS = ["case_id", "test_function", "p_or_exponents", "epsilon",
                "lhs_norm", "rhs_norm", "ratio", "constant", "passed"]
 
 
-class ConfigError(Exception):
-    """Invalid invocation; maps to exit code 3."""
+class ConfigError(argparse.ArgumentTypeError):
+    """Invalid invocation; maps to exit code 3.
+
+    The ``type=`` functions below raise it, and argparse then names the flag.
+    """
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
+# flag types: every value, from the command line or --json-config, passes one
 # ---------------------------------------------------------------------------
 
 def _is_number(value) -> bool:
@@ -63,39 +70,42 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _number(value, what: str, integer: bool = False):
-    """``value`` as a float, or an int, refusing booleans and lossy conversions."""
-    lossy = isinstance(value, bool) or (
-        integer and isinstance(value, float) and not value.is_integer())
-    if not lossy:
-        try:
-            return int(value) if integer else float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ConfigError(f"{what} must be {'an integer' if integer else 'a number'}, "
-                      f"got {value!r}")
+def _integer(text: str) -> int:
+    """An integer, also when written as a whole float such as ``16384.0``."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        if float(text).is_integer():
+            return int(float(text))
+    except ValueError:
+        pass
+    raise ConfigError(f"expected an integer, got {text!r}")
 
 
-def _parse_float_list(text, what: str) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        items = list(text)
-    else:
-        items = [part.strip() for part in str(text).split(",") if part.strip()]
+def _float_list(text: str) -> list[float]:
+    """Comma-separated numbers such as ``1,2,inf``, bare or as a JSON array."""
+    text = text.strip()
+    if text[:1] == "[" and text[-1:] == "]":
+        text = text[1:-1]
+    items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
-        raise ConfigError(f"empty {what} list")
-    return [_number(item, f"{what} entry") for item in items]
+        raise ConfigError("empty list")
+    try:
+        return [float(item) for item in items]
+    except ValueError:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _parse_poly(text, what: str) -> list[complex]:
-    if isinstance(text, str):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{what} is not valid JSON: {exc}") from None
-    else:
-        data = text
+def _poly(text: str) -> list[complex]:
+    """Ascending coefficients as a JSON array of numbers or ``[re, im]`` pairs."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"not valid JSON: {exc}") from None
     if not isinstance(data, list) or not data:
-        raise ConfigError(f"{what} must be a nonempty JSON array of coefficients")
+        raise ConfigError("must be a nonempty JSON array of coefficients")
     coeffs = []
     for entry in data:
         if _is_number(entry):
@@ -103,33 +113,36 @@ def _parse_poly(text, what: str) -> list[complex]:
         elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
             coeffs.append(complex(entry[0], entry[1]))
         else:
-            raise ConfigError(
-                f"{what} entries must be numbers or [re, im] pairs, got {entry!r}")
+            raise ConfigError(f"entries must be numbers or [re, im] pairs, got {entry!r}")
     return coeffs
 
 
-def _parse_multiplier_spec(text: str) -> tuple[str, dict]:
+def _multiplier_spec(text: str) -> tuple[str, dict]:
     """``name`` or ``name:key=val,key=val`` with numeric values."""
-    text = text.strip()
-    if ":" in text:
-        name, _, tail = text.partition(":")
-        params = {}
-        for piece in tail.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            key, sep, val = piece.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ConfigError(f"multiplier parameter {piece!r} is not key=value")
-            if key in params:
-                raise ConfigError(f"multiplier parameter {key!r} is given twice")
-            try:
-                params[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"multiplier parameter {piece!r} has a non-numeric value") from None
-        return name.strip(), params
-    return text, {}
+    name, _, tail = text.partition(":")
+    params = {}
+    for piece in tail.split(","):
+        piece = piece.strip()
+        if not piece:
+            continue
+        key, sep, val = piece.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ConfigError(f"multiplier parameter {piece!r} is not key=value")
+        if key in params:
+            raise ConfigError(f"multiplier parameter {key!r} is given twice")
+        try:
+            params[key] = float(val)
+        except ValueError:
+            raise ConfigError(f"multiplier parameter {piece!r} has a non-numeric value") from None
+    return name.strip(), params
+
+
+def _output_path(text: str) -> str:
+    # refuse before computing what could not be written afterwards
+    if not os.path.isdir(os.path.dirname(text) or ".") or os.path.isdir(text):
+        raise ConfigError(f"{text!r} is not a file in an existing directory")
+    return text
 
 
 def _jsonable(value):
@@ -208,7 +221,7 @@ def _estimate_dict(est: measures.WienerEstimate) -> dict:
 # ---------------------------------------------------------------------------
 
 def _run_wiener_norm(args, grid: GridSpec):
-    name, params = args.multiplier_parsed
+    name, params = args.multiplier
     mult = comparison.named_multiplier(name, **params)
     const = None if args.const_at_infinity is None else complex(args.const_at_infinity)
     est = measures.wiener_norm(mult, grid, oversample=args.oversample,
@@ -233,11 +246,11 @@ def _comparison_fields(report: comparison.Report) -> dict:
 
 
 def _run_compare(args, grid: GridSpec):
-    name1, params1 = args.m1_parsed
-    name2, params2 = args.m2_parsed
+    name1, params1 = args.m1
+    name2, params2 = args.m2
     m1 = comparison.named_multiplier(name1, **params1)
     m2 = comparison.named_multiplier(name2, **params2)
-    report_obj = comparison.verify_comparison(m1, m2, grid, p_values=args.p_parsed,
+    report_obj = comparison.verify_comparison(m1, m2, grid, p_values=args.p,
                                               oversample=args.oversample)
     return {"multiplier1": m1.label, "multiplier2": m2.label, **_comparison_fields(report_obj)}
 
@@ -245,14 +258,13 @@ def _run_compare(args, grid: GridSpec):
 def _run_gw_compare(args, grid: GridSpec):
     report_obj = summability.gw_verify(
         args.alpha, args.beta, grid,
-        eps_values=args.eps_parsed, p_values=args.p_parsed,
+        eps_values=args.eps, p_values=args.p,
         oversample=args.oversample)
     return {"alpha": args.alpha, "beta": args.beta, **_comparison_fields(report_obj)}
 
 
 def _run_lemma2(args, grid: GridSpec):
-    decomp = diffops.construct_decomposition(args.Q_parsed, args.P1_parsed,
-                                             args.P2_parsed, grid)
+    decomp = diffops.construct_decomposition(args.Q, args.P1, args.P2, grid)
     return {
         "target": diffops.poly_label(decomp.target),
         "op1": diffops.poly_label(decomp.op1),
@@ -270,8 +282,7 @@ def _run_lemma2(args, grid: GridSpec):
 
 def _run_diffop_verify(args, grid: GridSpec):
     report_obj = diffops.diffop_subordination(
-        args.Q_parsed, args.P1_parsed, args.P2_parsed, grid,
-        q=args.q_parsed, p1=args.p1_parsed, p2=args.p2_parsed,
+        args.Q, args.P1, args.P2, grid, q=args.q, p1=args.p1, p2=args.p2,
         oversample=args.oversample)
     decomp = report_obj.decomposition
     return {
@@ -347,66 +358,81 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, oversample_default):
+    def common(p, oversample_default, run):
+        p.set_defaults(run=run)
         p.add_argument("--grid-L", type=float, default=40.0, dest="grid_L",
                        help="window half-length (default 40)")
-        p.add_argument("--grid-N", type=int, default=16384, dest="grid_N",
+        p.add_argument("--grid-N", type=_integer, default=16384, dest="grid_N",
                        help="grid size, a power of two (default 16384)")
-        p.add_argument("--oversample", type=int, default=oversample_default,
+        p.add_argument("--oversample", type=_integer, default=oversample_default,
                        help="window oversampling for density recovery "
                             f"(default {oversample_default})")
-        p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--csv", default=None, help="write the case table here as CSV")
+        p.add_argument("--out", type=_output_path, default=None,
+                       help="write the JSON report here")
+        p.add_argument("--csv", type=_output_path, default=None,
+                       help="write the case table here as CSV")
         p.add_argument("--json-config", default=None, dest="json_config",
                        help="JSON file whose keys override the flags")
 
+    def polynomials(p):
+        p.add_argument("--Q", type=_poly, required=True,
+                       help="target polynomial, ascending JSON coefficients")
+        p.add_argument("--P1", type=_poly, required=True, help="first operator polynomial")
+        p.add_argument("--P2", type=_poly, required=True, help="second operator polynomial")
+
     p = sub.add_parser("wiener-norm", help="measure-norm estimate of a named symbol")
-    common(p, 8)
-    p.add_argument("--multiplier", required=True,
+    common(p, 8, _run_wiener_norm)
+    p.add_argument("--multiplier", type=_multiplier_spec, required=True,
                    help="registry symbol, e.g. 'gw_ratio:alpha=1,beta=2'")
     p.add_argument("--const-at-infinity", type=float, default=None,
                    dest="const_at_infinity",
                    help="pin the constant term instead of reading it off the tails")
 
     p = sub.add_parser("compare", help="two-multiplier domination on a corpus")
-    common(p, 8)
-    p.add_argument("--m1", required=True, help="dominated symbol (registry spec)")
-    p.add_argument("--m2", required=True, help="dominating symbol (registry spec)")
-    p.add_argument("--p", default="1,2,inf", help="exponents, e.g. '1,2,inf'")
+    common(p, 8, _run_compare)
+    p.add_argument("--m1", type=_multiplier_spec, required=True,
+                   help="dominated symbol (registry spec)")
+    p.add_argument("--m2", type=_multiplier_spec, required=True,
+                   help="dominating symbol (registry spec)")
+    p.add_argument("--p", type=_float_list, default="1,2,inf", help="exponents, e.g. '1,2,inf'")
 
     p = sub.add_parser("gw-compare", help="smoothing-mean error subordination")
-    common(p, 8)
+    common(p, 8, _run_gw_compare)
     p.add_argument("--alpha", type=float, required=True, help="dominating mean order")
     p.add_argument("--beta", type=float, required=True, help="dominated mean order")
-    p.add_argument("--eps", default="1,0.5,0.1", help="scales, e.g. '1,0.5,0.1'")
-    p.add_argument("--p", default="1,2,inf", help="exponents, e.g. '1,2,inf'")
+    p.add_argument("--eps", type=_float_list, default="1,0.5,0.1",
+                   help="scales, e.g. '1,0.5,0.1'")
+    p.add_argument("--p", type=_float_list, default="1,2,inf", help="exponents, e.g. '1,2,inf'")
 
     p = sub.add_parser("lemma2", help="two-cofactor decomposition of a polynomial symbol")
-    common(p, 8)
-    p.add_argument("--Q", required=True, help="target polynomial, ascending JSON coefficients")
-    p.add_argument("--P1", required=True, help="first operator polynomial")
-    p.add_argument("--P2", required=True, help="second operator polynomial")
+    common(p, 8, _run_lemma2)
+    polynomials(p)
 
     p = sub.add_parser("diffop-verify", help="mixed-exponent domination for a triple")
-    common(p, 4)
-    p.add_argument("--Q", required=True, help="target polynomial, ascending JSON coefficients")
-    p.add_argument("--P1", required=True, help="first operator polynomial")
-    p.add_argument("--P2", required=True, help="second operator polynomial")
-    p.add_argument("--q", default="2", help="output exponent (default 2)")
-    p.add_argument("--p1", default=None, help="first input exponent (default q)")
-    p.add_argument("--p2", default=None, help="second input exponent (default q)")
+    common(p, 4, _run_diffop_verify)
+    polynomials(p)
+    p.add_argument("--q", type=float, default=2.0, help="output exponent (default 2)")
+    p.add_argument("--p1", type=float, default=None, help="first input exponent (default q)")
+    p.add_argument("--p2", type=float, default=None, help="second input exponent (default q)")
 
     p = sub.add_parser("selftest", help="fast deterministic battery")
-    common(p, 8)
+    common(p, 8, _run_selftest)
 
     return parser
 
 
-def _apply_json_config(args) -> None:
-    if not args.json_config:
-        return
+#: options whose value is text: a --json-config value for them must be a JSON string
+_TEXT_KEYS = ("multiplier", "m1", "m2", "out", "csv")
+
+
+def _config_tokens(path: str, args) -> list[str]:
+    """The ``--json-config`` object as ``--key=value`` tokens for a second parse.
+
+    A string value is passed as written and any other value as its JSON
+    text, so a config value meets the same ``type=`` check as the flag.
+    """
     try:
-        with open(args.json_config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
@@ -414,89 +440,41 @@ def _apply_json_config(args) -> None:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(overrides, dict):
         raise ConfigError("config file must contain a JSON object")
+    tokens = []
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest in ("command", "json_config"):
+        if not hasattr(args, dest) or dest in ("command", "run", "json_config"):
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(args, dest, value)
-
-
-def _check_output_path(path, what: str) -> None:
-    # refuse before computing what could not be written afterwards
-    if path is None:
-        return
-    if not isinstance(path, str):
-        raise ConfigError(f"{what} must be a file path, got {path!r}")
-    if not os.path.isdir(os.path.dirname(path) or ".") or os.path.isdir(path):
-        raise ConfigError(f"{what} {path!r} is not a file in an existing directory")
-
-
-def _prepare(args) -> GridSpec:
-    """Config-phase validation; every failure here is exit code 3."""
-    _apply_json_config(args)
-    _check_output_path(args.out, "out")
-    _check_output_path(args.csv, "csv")
-    try:
-        grid = GridSpec(_number(args.grid_L, "grid-L"), _number(args.grid_N, "grid-N", True))
-    except InvalidParameterError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from None
-    args.oversample = _number(args.oversample, "oversample", integer=True)
-
-    if args.command == "wiener-norm":
-        args.multiplier_parsed = _parse_multiplier_spec(str(args.multiplier))
-        if args.const_at_infinity is not None:
-            args.const_at_infinity = _number(args.const_at_infinity, "const-at-infinity")
-    elif args.command == "compare":
-        args.m1_parsed = _parse_multiplier_spec(str(args.m1))
-        args.m2_parsed = _parse_multiplier_spec(str(args.m2))
-        args.p_parsed = _parse_float_list(args.p, "p")
-    elif args.command == "gw-compare":
-        args.alpha = _number(args.alpha, "alpha")
-        args.beta = _number(args.beta, "beta")
-        args.eps_parsed = _parse_float_list(args.eps, "eps")
-        args.p_parsed = _parse_float_list(args.p, "p")
-    elif args.command in ("lemma2", "diffop-verify"):
-        args.Q_parsed = _parse_poly(args.Q, "--Q")
-        args.P1_parsed = _parse_poly(args.P1, "--P1")
-        args.P2_parsed = _parse_poly(args.P2, "--P2")
-        if args.command == "diffop-verify":
-            args.q_parsed = _parse_float_list(args.q, "q")[0]
-            args.p1_parsed = None if args.p1 is None else _parse_float_list(args.p1, "p1")[0]
-            args.p2_parsed = None if args.p2 is None else _parse_float_list(args.p2, "p2")[0]
-    return grid
-
-
-_RUNNERS = {
-    "wiener-norm": _run_wiener_norm,
-    "compare": _run_compare,
-    "gw-compare": _run_gw_compare,
-    "lemma2": _run_lemma2,
-    "diffop-verify": _run_diffop_verify,
-    "selftest": _run_selftest,
-}
+        if dest in _TEXT_KEYS and not isinstance(value, str):
+            raise ConfigError(f"config key {key!r} takes a string, got {value!r}")
+        text = value if isinstance(value, str) else json.dumps(value)
+        tokens.append(f"--{dest.replace('_', '-')}={text}")
+    return tokens
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        grid = _prepare(args)
-    except ConfigError as exc:
+        if args.json_config:
+            args = parser.parse_args(argv + _config_tokens(args.json_config, args))
+        grid = GridSpec(args.grid_L, args.grid_N)
+    except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
     try:
         report = {"command": args.command,
                   "grid": {"half_length": grid.half_length, "size": grid.size},
-                  **_RUNNERS[args.command](args, grid)}
+                  **args.run(args, grid)}
     except SubordinationError as exc:
         report = {"command": args.command,
                   "error": {"type": type(exc).__name__, "message": str(exc)},
                   "cases": [], "passed": False}
-        check = getattr(exc, "check", None)
-        if check is not None:
-            report["violations"] = [{"code": v.code, "detail": v.detail}
-                                    for v in check.violations]
+        violations = getattr(exc, "violations", None)
+        if violations is not None:
+            report["violations"] = [{"code": v.code, "detail": v.detail} for v in violations]
         _emit(report, args.out, args.csv)
         return exc.exit_code
 

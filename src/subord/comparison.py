@@ -26,7 +26,7 @@ from .errors import (
     InvalidParameterError,
     NestedZerosViolatedError,
 )
-from .fourier_core import GridSpec, SampledFunction, apply_symbol, forward_ft, lp_norm
+from .fourier_core import GridSpec, SampledFunction, _finite, apply_symbol, forward_ft, lp_norm
 from .measures import WienerEstimate, wiener_norm
 from .testkit import TestFunction, materialize, means_suite
 
@@ -81,10 +81,8 @@ def constant(value: complex = 1.0) -> Multiplier:
 
 
 def _check_exponent(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise InvalidParameterError(f"exponent must be finite and positive, got {alpha}")
-    return alpha
+    """The order of a smoothing symbol or mean: finite and positive."""
+    return _finite(alpha, "exponent")
 
 
 def gw_symbol(alpha: float) -> Multiplier:

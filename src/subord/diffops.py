@@ -46,7 +46,6 @@ __all__ = [
     "poly_label",
     "real_roots",
     "Violation",
-    "HypothesisCheck",
     "decomposition_hypotheses",
     "SymbolDecomposition",
     "construct_decomposition",
@@ -143,18 +142,13 @@ def real_roots(coeffs) -> np.ndarray:
     if c.size - 1 <= 0:
         return np.empty(0)
     roots = npoly.polyroots(c)
-    real = [r.real for r in roots if abs(r.imag) <= _IMAG_TOL * (1.0 + abs(r.real))]
-    if not real:
+    real = np.sort(roots.real[np.abs(roots.imag) <= _IMAG_TOL * (1.0 + np.abs(roots.real))])
+    if not real.size:
         return np.empty(0)
-    real.sort()
-    clusters = [[real[0]]]
-    for r in real[1:]:
-        if r - clusters[-1][-1] <= _CLUSTER_TOL * (1.0 + abs(r)):
-            clusters[-1].append(r)
-        else:
-            clusters.append([r])
+    # a root farther than the clustering distance from its predecessor starts a cluster
+    starts = np.flatnonzero(np.diff(real) > _CLUSTER_TOL * (1.0 + np.abs(real[1:]))) + 1
     locations = []
-    for group in clusters:
+    for group in np.split(real, starts):
         loc = float(np.mean(group))
         residual = abs(complex(npoly.polyval(loc, c)))
         if residual > _ROOT_RESIDUAL * _poly_scale(c, loc):
@@ -175,14 +169,8 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
-    ok: bool
-    violations: tuple[Violation, ...]
-
-
-def decomposition_hypotheses(target, op1, op2) -> HypothesisCheck:
-    """Check the structural conditions for a bounded decomposition.
+def decomposition_hypotheses(target, op1, op2) -> tuple[Violation, ...]:
+    """The violated structural conditions for a bounded decomposition, if any.
 
     Required: all three polynomials nonzero, ``deg target <= deg op1``, and
     every common real root of the two operators is a real root of the
@@ -197,7 +185,7 @@ def decomposition_hypotheses(target, op1, op2) -> HypothesisCheck:
                 code="zero_polynomial",
                 detail=f"{name} is the zero polynomial"))
     if violations:
-        return HypothesisCheck(ok=False, violations=tuple(violations))
+        return tuple(violations)
     if poly_degree(q) > poly_degree(p1):
         violations.append(Violation(
             code="degree",
@@ -215,7 +203,7 @@ def decomposition_hypotheses(target, op1, op2) -> HypothesisCheck:
                 code="common_root",
                 detail=f"op1 and op2 share the real root y={r:.9g} but "
                        f"target({r:.9g}) = {value:.3g} does not vanish there"))
-    return HypothesisCheck(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +244,6 @@ def _local_grid(center: float, halfwidth: float, spacing: float) -> np.ndarray:
 
 
 def _max_slope(values: np.ndarray, points: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
     return float(np.max(np.abs(np.diff(values)) / np.diff(points)))
 
 
@@ -282,17 +268,14 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     misses the target beyond rounding.
     """
     q, p1, p2 = _as_poly(target), _as_poly(op1), _as_poly(op2)
-    check = decomposition_hypotheses(q, p1, p2)
-    if not check.ok:
-        raise HypothesesViolatedError(check)
+    violations = decomposition_hypotheses(q, p1, p2)
+    if violations:
+        raise HypothesesViolatedError(violations)
 
     roots1 = real_roots(p1)
     roots2 = real_roots(p2)
-    shared = np.zeros(roots2.shape, dtype=bool)
-    for i, s in enumerate(roots2):
-        shared[i] = bool((np.abs(roots1 - s) <= _CLUSTER_TOL * (1.0 + abs(s))).any()) \
-            if roots1.size else False
-    op2_only = roots2[~shared]
+    shared = np.abs(roots2[:, None] - roots1) <= _CLUSTER_TOL * (1.0 + np.abs(roots2[:, None]))
+    op2_only = roots2[~shared.any(axis=1)]
 
     neighborhoods = []
     for r in roots1:
@@ -349,17 +332,15 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         for center, delta, _, _ in segments:
             m = (np.abs(y - center) <= delta) & ~claimed
             claimed |= m
-            if not m.any():
-                continue
             ym = y[m]
             vals, bad = _h2_direct(ym)
-            if bad.any():
-                for i in np.flatnonzero(bad):
-                    step = 1e-6 * (1.0 + abs(ym[i]))
-                    probe = np.array([ym[i] - step, ym[i] + step])
-                    pv, pbad = _h2_direct(probe)
-                    good = ~pbad
-                    vals[i] = np.mean(pv[good]) if good.any() else 0.0
+            # a point too close to a zero of op2 takes the mean of the usable
+            # values at the two probes y -+ 1e-6 (1 + |y|), or 0 if neither is
+            yb = ym[bad]
+            step = 1e-6 * (1.0 + np.abs(yb))
+            pv, pbad = _h2_direct(np.stack([yb - step, yb + step]))
+            pv = np.where(pbad, pv[::-1], pv)  # an unusable probe repeats the other
+            vals[bad] = np.where(pbad.all(axis=0), 0.0, (pv[0] + pv[1]) / 2.0)
             out[m] = vals
         return out
 
@@ -496,9 +477,7 @@ def partner_exponent(q: float, p: float) -> float:
 
 def _check_exponent_value(name: str, p: float) -> float:
     p = float(p)
-    if math.isinf(p) and p > 0:
-        return p
-    if not (math.isfinite(p) and p >= 1.0):
+    if not p >= 1.0:  # false for nan and -inf as well
         raise InadmissibleExponentsError(f"{name} must lie in [1, inf], got {p}")
     return p
 

@@ -14,7 +14,6 @@ __all__ = [
     "GridMismatchError",
     "GridTooSmallError",
     "InconsistentLimitError",
-    "NonConvergentError",
     "NotApplicableError",
     "NestedZerosViolatedError",
     "FillUndefinedError",
@@ -62,10 +61,6 @@ class InconsistentLimitError(NumericalError):
     """The two one-sided limits of a multiplier at the grid edge disagree."""
 
 
-class NonConvergentError(NumericalError):
-    """A refinement stability check failed (estimate not trustworthy)."""
-
-
 class NotApplicableError(NumericalError):
     """A sufficient criterion cannot be evaluated for this input."""
 
@@ -83,11 +78,11 @@ class AllCasesSkippedError(NumericalError):
 
 
 class HypothesesViolatedError(HypothesisError):
-    """Structural hypotheses of a decomposition fail; carries the check result."""
+    """Structural hypotheses of a decomposition fail; carries the violations."""
 
-    def __init__(self, check):
-        self.check = check
-        details = "; ".join(v.detail for v in check.violations)
+    def __init__(self, violations):
+        self.violations = violations
+        details = "; ".join(v.detail for v in violations)
         super().__init__(f"decomposition hypotheses violated: {details}")
 
 

@@ -156,11 +156,6 @@ class SampledFunction:
         self._check_compatible(other)
         return SampledFunction(self.grid, self.values - other.values, self.side)
 
-    def __mul__(self, scalar: complex) -> "SampledFunction":
-        return SampledFunction(self.grid, self.values * complex(scalar), self.side)
-
-    __rmul__ = __mul__
-
 
 def forward_ft(f: SampledFunction) -> SampledFunction:
     """Discrete approximation of ``F(y) = int f(x) exp(-i x y) dx``.
@@ -204,7 +199,7 @@ def lp_norm(f: SampledFunction, p: float) -> float:
     Space-side samples are weighted by ``dx``, frequency-side samples by
     ``dy``.  ``p = math.inf`` returns the node maximum.
     """
-    if math.isinf(p):
+    if p == math.inf:
         return float(np.abs(f.values).max())
     p = float(p)
     if not p >= 1.0:
@@ -212,6 +207,15 @@ def lp_norm(f: SampledFunction, p: float) -> float:
     weight = f.grid.dx if f.side == SPACE else f.grid.dy
     absv = np.abs(f.values)
     return float((weight * np.sum(absv**p)) ** (1.0 / p))
+
+
+def _finite(value: float, what: str, positive: bool = True) -> float:
+    """``value`` as a float; it must be finite and, if ``positive``, above 0."""
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        raise InvalidParameterError(
+            f"{what} must be finite{' and positive' if positive else ''}, got {value}")
+    return value
 
 
 def _outer_band(values: np.ndarray) -> tuple[float, float]:

@@ -12,9 +12,8 @@ with a bounded-measure ratio, so
     || f - U[beta, eps] f ||_p  <=  C(alpha, beta) || f - U[alpha, eps] f ||_p
 
 for every ``p`` and every ``eps``, with a constant independent of both (the
-ratio symbol is invariant under dilation).  This module estimates the
-constant, verifies the inequality on a corpus, and materializes the kernels
-themselves.
+ratio symbol is invariant under dilation).  This module applies the means,
+estimates the constant and verifies the inequality on a corpus.
 """
 
 from __future__ import annotations
@@ -26,18 +25,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    KernelUnresolvableError,
-    NonConvergentError,
-)
-from .comparison import Report, _fmt_p, _verify, gw_ratio
-from .fourier_core import FREQUENCY, GridSpec, SampledFunction, apply_symbol, forward_ft, inverse_ft, lp_norm
+from .errors import InvalidParameterError, KernelUnresolvableError
+from .comparison import Report, _check_exponent, _fmt_p, _verify, gw_ratio
+from .fourier_core import GridSpec, SampledFunction, _finite, apply_symbol, forward_ft, lp_norm
 from .measures import WienerEstimate, wiener_norm
 from .testkit import TestFunction, means_suite
 
 __all__ = [
-    "gw_kernel",
     "gw_mean",
     "gw_error",
     "gw_constant",
@@ -45,7 +39,6 @@ __all__ = [
     "DEFAULT_PAIRS",
     "ORACLE_GRID",
     "ORACLE_OVERSAMPLE",
-    "load_pinned_constants",
     "pinned_constant",
     "seed_pinned_constants",
 ]
@@ -61,17 +54,8 @@ ORACLE_OVERSAMPLE = 8
 _MIN_NODES_PER_WIDTH = 4
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise InvalidParameterError(f"order must be finite and positive, got {alpha}")
-    return alpha
-
-
 def _check_eps(eps: float, grid: GridSpec) -> float:
-    eps = float(eps)
-    if not (math.isfinite(eps) and eps > 0):
-        raise InvalidParameterError(f"scale must be finite and positive, got {eps}")
+    eps = _finite(eps, "scale")
     if eps < _MIN_NODES_PER_WIDTH * grid.dx:
         raise KernelUnresolvableError(
             f"scale {eps} is below {_MIN_NODES_PER_WIDTH} nodes of spacing {grid.dx:.3g}; "
@@ -81,24 +65,9 @@ def _check_eps(eps: float, grid: GridSpec) -> float:
 
 def _mean_symbol(alpha: float, eps: float, grid: GridSpec) -> np.ndarray:
     """``exp(-|eps y|^alpha)`` on the dual nodes, once order and scale are validated."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_exponent(alpha)
     eps = _check_eps(eps, grid)
     return np.exp(-np.abs(eps * grid.dual_nodes()) ** alpha)
-
-
-def gw_kernel(alpha: float, eps: float, grid: GridSpec) -> SampledFunction:
-    """The smoothing kernel: inverse transform of ``exp(-|eps y|^alpha)``.
-
-    The samples are the grid periodization of the true kernel, so their
-    rectangle-rule mass equals the symbol at 0, i.e. exactly 1; a mass off
-    by more than ``1e-3`` means the transform itself misfired and raises
-    :class:`NonConvergentError`.
-    """
-    kernel = inverse_ft(SampledFunction(grid, _mean_symbol(alpha, eps, grid), FREQUENCY))
-    mass = grid.dx * complex(np.sum(kernel.values))
-    if abs(mass - 1.0) > 1e-3:
-        raise NonConvergentError(f"kernel mass {mass:.6g} differs from 1 beyond 1e-3")
-    return kernel
 
 
 def gw_mean(f: SampledFunction, alpha: float, eps: float) -> SampledFunction:
@@ -137,8 +106,6 @@ def gw_verify(alpha: float, beta: float, grid: GridSpec,
     right-hand side below ``1e-12 * (1 + lhs)`` are skipped; if nothing
     remains, :class:`AllCasesSkippedError` is raised.
     """
-    alpha = _check_alpha(alpha)
-    beta = _check_alpha(beta)
     estimate = gw_constant(alpha, beta, grid, oversample=oversample)
 
     def rows(f, F):
@@ -166,18 +133,13 @@ def _pair_key(alpha: float, beta: float) -> str:
     return f"{alpha:g},{beta:g}"
 
 
-def load_pinned_constants() -> dict:
-    """The reference constants shipped with the package, as a plain dict."""
-    with open(_fixture_path(), "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def pinned_constant(alpha: float, beta: float) -> float:
     """Reference constant for one exponent pair.
 
     Raises :class:`InvalidParameterError` for pairs without a pinned value.
     """
-    data = load_pinned_constants()
+    with open(_fixture_path(), "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     key = _pair_key(float(alpha), float(beta))
     try:
         return float(data["constants"][key])

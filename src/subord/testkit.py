@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GridTooSmallError, InvalidParameterError
-from .fourier_core import FREQUENCY, SPACE, GridSpec, SampledFunction, _outer_band
+from .fourier_core import SPACE, GridSpec, SampledFunction, _finite, _outer_band
 
 __all__ = [
     "TestFunction",
@@ -26,7 +26,6 @@ __all__ = [
     "bspline",
     "modulated_gaussian",
     "materialize",
-    "materialize_transform",
     "means_suite",
     "diffop_suite",
 ]
@@ -64,9 +63,7 @@ def _fmt(value: float) -> str:
 
 def gaussian(a: float = 1.0) -> TestFunction:
     """``exp(-(x/a)^2)`` with transform ``a sqrt(pi) exp(-(a y)^2 / 4)``."""
-    if not a > 0:
-        raise InvalidParameterError(f"gaussian width must be positive, got {a}")
-    a = float(a)
+    a = _finite(a, "gaussian width")
     return TestFunction(
         label=f"gaussian_a{_fmt(a)}",
         profile=lambda x: np.exp(-((x / a) ** 2)),
@@ -81,9 +78,7 @@ def exp_abs(a: float = 1.0) -> TestFunction:
     The kink at the origin caps the usable polynomial degree at zero: the
     transform only decays like ``y^-2``.
     """
-    if not a > 0:
-        raise InvalidParameterError(f"exp_abs width must be positive, got {a}")
-    a = float(a)
+    a = _finite(a, "exp_abs width")
     return TestFunction(
         label=f"exp_abs_a{_fmt(a)}",
         profile=lambda x: np.exp(-np.abs(x) / a),
@@ -94,9 +89,7 @@ def exp_abs(a: float = 1.0) -> TestFunction:
 
 def bump(R: float = 1.0) -> TestFunction:
     """Peak-normalized smooth bump supported on ``[-R, R]``; no closed transform."""
-    if not R > 0:
-        raise InvalidParameterError(f"bump radius must be positive, got {R}")
-    R = float(R)
+    R = _finite(R, "bump radius")
 
     def profile(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -162,9 +155,7 @@ def bspline(m: int = 4) -> TestFunction:
 
 def modulated_gaussian(a: float = 1.0, omega: float = 3.0) -> TestFunction:
     """``exp(-(x/a)^2) exp(i omega x)``: a gaussian carried to frequency ``omega``."""
-    if not a > 0:
-        raise InvalidParameterError(f"gaussian width must be positive, got {a}")
-    a, omega = float(a), float(omega)
+    a, omega = _finite(a, "gaussian width"), _finite(omega, "frequency", positive=False)
     return TestFunction(
         label=f"modulated_gaussian_a{_fmt(a)}_w{_fmt(omega)}",
         profile=lambda x: np.exp(-((x / a) ** 2)) * np.exp(1j * omega * x),
@@ -187,14 +178,6 @@ def materialize(fn: TestFunction, grid: GridSpec) -> SampledFunction:
             f"{fn.label} reaches {band / peak:.2e} of its peak in the outer 10% of "
             f"[-{grid.half_length}, {grid.half_length}); enlarge the window")
     return SampledFunction(grid, values, SPACE)
-
-
-def materialize_transform(fn: TestFunction, grid: GridSpec) -> SampledFunction:
-    """Sample the closed-form transform of ``fn`` on the dual grid."""
-    if fn.transform is None:
-        raise InvalidParameterError(f"{fn.label} has no closed-form transform")
-    values = np.asarray(fn.transform(grid.dual_nodes()), dtype=np.complex128)
-    return SampledFunction(grid, values, FREQUENCY)
 
 
 def means_suite() -> list[TestFunction]:

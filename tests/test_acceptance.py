@@ -151,14 +151,14 @@ def test_criterion_06_decomposition_identity():
     ok = True
     details = []
     for target, op1, op2 in TRIPLES:
-        check = decomposition_hypotheses(target, op1, op2)
+        violations = decomposition_hypotheses(target, op1, op2)
         d = construct_decomposition(target, op1, op2, FINE)
         sup_q = float(np.abs(np.polyval(list(reversed(target)),
                                         FINE.dual_nodes())).max())
         resid_ok = d.identity_residual <= 1e-10 * (1.0 + sup_q)
         deg_p1 = len(op1) - 1
         rep = verify_identity(d, suite=diffop_suite(deg_p1))
-        ok = ok and check.ok and resid_ok and rep.passed
+        ok = ok and not violations and resid_ok and rep.passed
         details.append(f"deg({len(target)-1},{deg_p1},{len(op2)-1}): "
                        f"resid={d.identity_residual:.1e} err={rep.worst_ratio:.1e}")
     _report(6, ok, "; ".join(details))
@@ -190,7 +190,7 @@ def test_criterion_08_hypothesis_rejection():
         construct_decomposition([1], [0, 1], [0, 1], DESK)
     except HypothesesViolatedError as err:
         named = "y=0" in str(err)
-    degree = not decomposition_hypotheses([0, 0, 0, 1], [0, 0, 1], [1]).ok
+    degree = bool(decomposition_hypotheses([0, 0, 0, 1], [0, 0, 1], [1]))
     multiplicity = False
     try:
         construct_decomposition([0, 1], [0, 0, 1], [0, 0, 1], DESK)

@@ -125,6 +125,18 @@ def test_unknown_multiplier_is_a_hypothesis_error(capsys):
     assert run(["wiener-norm", "--multiplier", "no_such_symbol"], capsys) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--m1", "exp_abs_ft", "--m2", "exp_abs_ft", "--p", "0.5"],
+    ["compare", "--m1", "exp_abs_ft", "--m2", "exp_abs_ft", "--p=-inf"],
+    ["gw-compare", "--alpha", "1", "--beta", "2", "--p=-inf"],
+])
+def test_exponent_below_one_is_a_hypothesis_error(argv, tmp_path, capsys):
+    # -inf is not the sup norm: it is refused like any p below 1
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)], capsys) == 1
+    assert json.loads(out.read_text())["error"]["type"] == "InvalidParameterError"
+
+
 # ---------------------------------------------------------------------------
 # exit code 2: numerical failures
 # ---------------------------------------------------------------------------
@@ -142,7 +154,6 @@ def test_diffop_verify_underresolved_grid(tmp_path, capsys):
         assert json.loads(out.read_text())["error"]["type"] == "BandwidthExceededError"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_wiener_norm_on_too_few_dual_nodes(tmp_path, capsys):
     # 16 dual nodes leave the outer 5% of the upper side empty
     out = tmp_path / "report.json"
@@ -196,6 +207,9 @@ def test_json_config_overrides_flags(tmp_path, capsys):
     {"out": 7},
     {"csv": 7},
     {"csv": "no-such-directory/cases.csv"},
+    {"const-at-infinity": None},
+    {"multiplier": None},
+    {"multiplier": 7},
 ])
 def test_json_config_refuses_coercion(config, tmp_path, capsys):
     """Booleans are not numbers, an integer key takes no fraction and an output
@@ -207,6 +221,31 @@ def test_json_config_refuses_coercion(config, tmp_path, capsys):
             else ["wiener-norm", "--multiplier", "gw_symbol:alpha=1"])
     assert run(argv + ["--json-config", str(cfg), "--out", str(out)], capsys) == 3
     assert not out.exists()
+
+
+_WIENER = ["wiener-norm", "--multiplier", "gw_symbol:alpha=1"]
+_POLYS = ["--Q", "[1]", "--P1", "[0,0,1]", "--P2", "[1]"]
+
+
+@pytest.mark.parametrize("argv,key,text,value", [
+    (_WIENER, "grid-N", "16384.0", 16384.0),
+    (_WIENER, "grid-N", "16384.9", 16384.9),
+    (["compare", "--m1", "exp_abs_ft", "--m2", "exp_abs_ft"], "p", "1,2", [1, 2]),
+    (["lemma2"] + _POLYS, "Q", "[0,1]", [0, 1]),
+    (_WIENER, "multiplier", "gw_symbol:alpha=1,alpha=2", "gw_symbol:alpha=1,alpha=2"),
+])
+def test_flag_and_config_key_take_one_parse_path(argv, key, text, value, tmp_path, capsys):
+    """A value given as the flag ``--key text`` and as the config key ``{key: value}``
+    ends in the same exit code and, when it runs, in the same report bytes."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    by_flag, by_config = tmp_path / "flag.json", tmp_path / "config.json"
+    code = run(argv + [f"--{key}", text, "--out", str(by_flag)], capsys)
+    assert run(argv + ["--json-config", str(cfg), "--out", str(by_config)], capsys) == code
+    if code == 0:
+        assert by_flag.read_bytes() == by_config.read_bytes()
+    else:
+        assert not by_flag.exists() and not by_config.exists()
 
 
 def test_json_config_accepts_whole_float_for_integer_key(tmp_path, capsys):
@@ -229,12 +268,14 @@ def _config_values(bound, valid):
     return st.booleans().flatmap(lambda accepted: valid if accepted else anything)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(config=st.fixed_dictionaries({}, optional={
     "grid-N": _config_values(2**14, st.sampled_from([16, 1024, 16384, 16384.0])),
     "oversample": _config_values(8, st.sampled_from([1, 2, 8, 8.0])),
     "grid-L": _config_values(2**14, st.floats(0.5, 100.0)),
+    "const-at-infinity": _config_values(8, st.floats(-2.0, 2.0)),
+    "multiplier": _config_values(2**14, st.sampled_from(
+        ["gw_symbol:alpha=1", "exp_abs_ft", "constant:value=2", "gw_symbol:alpha=x"])),
 }))
 def test_any_json_grid_config_ends_in_an_exit_code(config):
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subord.diffops import (
     apply_diffop,
@@ -41,6 +43,29 @@ def test_real_roots():
     assert list(real_roots([5.0])) == []
 
 
+def _clustered_roots_loop(coeffs):
+    # the per-root clustering loop real_roots replaced, kept as the reference
+    roots = np.polynomial.polynomial.polyroots(np.asarray(coeffs, dtype=complex))
+    real = sorted(r.real for r in roots if abs(r.imag) <= 1e-7 * (1.0 + abs(r.real)))
+    clusters = []
+    for r in real:
+        if clusters and r - clusters[-1][-1] <= 1e-7 * (1.0 + abs(r)):
+            clusters[-1].append(r)
+        else:
+            clusters.append([r])
+    return [float(np.mean(group)) for group in clusters]
+
+
+@settings(max_examples=100, deadline=None)
+@given(roots=st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.5]), min_size=1, max_size=5),
+       complex_pair=st.booleans())
+def test_real_roots_cluster_like_the_loop(roots, complex_pair):
+    coeffs = np.polynomial.polynomial.polyfromroots(roots)
+    if complex_pair:
+        coeffs = np.polynomial.polynomial.polymul(coeffs, [1, 0, 1])
+    assert real_roots(coeffs).tolist() == _clustered_roots_loop(coeffs)
+
+
 def test_poly_label():
     assert poly_label([0, 1]) == "y"
     assert poly_label([-1, 0, 1]) == "y^2-1"
@@ -59,20 +84,20 @@ def test_hypotheses_accept_fixture_triples():
         ([1, 0, -2, 0, 1], [1, 0, -2, 0, 1], [-1, 0, 1]),
     ]
     for target, op1, op2 in triples:
-        check = decomposition_hypotheses(target, op1, op2)
-        assert check.ok, check.violations
+        violations = decomposition_hypotheses(target, op1, op2)
+        assert not violations, violations
 
 
 def test_hypotheses_reject_uncovered_common_zero():
-    check = decomposition_hypotheses([1], [0, 1], [0, 1])
-    assert not check.ok
-    assert any("y=0" in v.detail for v in check.violations)
+    violations = decomposition_hypotheses([1], [0, 1], [0, 1])
+    assert violations
+    assert any("y=0" in v.detail for v in violations)
 
 
 def test_hypotheses_reject_degree_excess():
-    check = decomposition_hypotheses([0, 0, 0, 1], [0, 0, 1], [1])
-    assert not check.ok
-    assert any(v.code == "degree" for v in check.violations)
+    violations = decomposition_hypotheses([0, 0, 0, 1], [0, 0, 1], [1])
+    assert violations
+    assert any(v.code == "degree" for v in violations)
 
 
 def test_construct_raises_named_violation():
@@ -115,6 +140,20 @@ def test_decomposition_odd_triple_division_guard():
     assert d.cofactor2_sup == pytest.approx(1.0, abs=1e-9)
     assert d.cofactor2(np.array([0.0]))[0].real == pytest.approx(1.0, abs=1e-9)
     assert d.identity_residual <= 1e-10
+
+
+@pytest.mark.parametrize("triple", [
+    ([1, 1], [-1, 0, 1], [1, 1]),
+    ([-1, 0, 1], [1, 0, -2, 0, 1], [-1, 0, 1]),
+])
+def test_cofactor2_at_a_zero_of_op2_is_the_mean_of_its_probes(triple):
+    """Where op2 vanishes, h2 is the mean of its values at y -+ 1e-6 (1 + |y|),
+    bit for bit as the per-point loop that computed it before."""
+    d = construct_decomposition(*triple, GRID)
+    for r in real_roots(triple[2]):
+        step = 1e-6 * (1.0 + abs(r))
+        left, right = d.cofactor2(np.array([r - step, r + step]))
+        assert d.cofactor2(np.array([r]))[0] == np.mean([left, right])
 
 
 def test_decomposition_touching_neighborhoods():

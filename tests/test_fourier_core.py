@@ -103,9 +103,9 @@ def test_transform_linearity():
     x = g.nodes()
     f = SampledFunction(g, np.exp(-x * x), SPACE)
     h = SampledFunction(g, np.exp(-2.0 * x * x), SPACE)
-    lhs = forward_ft(2.0 * f - 1j * h)
-    rhs = 2.0 * forward_ft(f) - 1j * forward_ft(h)
-    assert np.abs(lhs.values - rhs.values).max() <= 1e-12
+    lhs = forward_ft(SampledFunction(g, 2.0 * f.values - 1j * h.values, SPACE))
+    rhs = 2.0 * forward_ft(f).values - 1j * forward_ft(h).values
+    assert np.abs(lhs.values - rhs).max() <= 1e-12
 
 
 def test_lp_norm_values():
@@ -118,8 +118,9 @@ def test_lp_norm_values():
     assert lp_norm(f, math.inf) == pytest.approx(1.0, abs=1e-15)
     e = SampledFunction(g, np.exp(-np.abs(x)), SPACE)
     assert lp_norm(e, 1.0) == pytest.approx(2.0, abs=1e-4)
-    with pytest.raises(InvalidParameterError):
-        lp_norm(f, 0.5)
+    for bad in (0.5, -math.inf):
+        with pytest.raises(InvalidParameterError):
+            lp_norm(f, bad)
 
 
 def test_plancherel():

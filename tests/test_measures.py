@@ -65,7 +65,6 @@ def test_wiener_norm_rejects_inconsistent_limits():
     assert est.density is not None
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("oversample", [1, 2])
 def test_constant_term_needs_a_node_in_each_outer_band(oversample):
     """At 16 or 32 dual nodes the outer 5% of the upper side holds no node."""

@@ -1,26 +1,39 @@
 """Generalized Gauss-Weierstrass means: kernels, comparison constants, fixtures."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subord import summability
 from subord.errors import InvalidParameterError, KernelUnresolvableError
-from subord.fourier_core import make_grid
+from subord.fourier_core import SPACE, SampledFunction, make_grid
 from subord.summability import (
     DEFAULT_PAIRS,
     ORACLE_GRID,
     gw_constant,
     gw_error,
-    gw_kernel,
     gw_mean,
     gw_verify,
-    load_pinned_constants,
     pinned_constant,
 )
 from subord.testkit import gaussian, materialize
 
 GRID = make_grid(40.0, 16384)
+
+
+def mean_kernel(alpha, eps):
+    """The kernel of the mean: its action on a unit impulse at 0, whose transform is 1."""
+    impulse = np.zeros(GRID.size)
+    impulse[GRID.size // 2] = 1.0 / GRID.dx
+    return gw_mean(SampledFunction(GRID, impulse, SPACE), alpha, eps)
+
+
+def pinned_file():
+    path = Path(summability.__file__).parent / "_fixtures" / "gw_constants.json"
+    return json.loads(path.read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +42,7 @@ GRID = make_grid(40.0, 16384)
 
 def test_gauss_kernel_closed_form():
     """alpha=2, eps=1: kernel is e^{-x^2/4} / (2 sqrt(pi))."""
-    k = gw_kernel(2.0, 1.0, GRID)
+    k = mean_kernel(2.0, 1.0)
     x = GRID.nodes()
     exact = np.exp(-x * x / 4.0) / (2.0 * math.sqrt(math.pi))
     assert np.abs(k.values - exact).max() <= 1e-12
@@ -43,7 +56,7 @@ def test_poisson_kernel_matches_periodization():
 
     The unperiodized kernel alone differs at the 3e-4 level near the
     boundary, which is exactly the image mass the comparison ignores."""
-    k = gw_kernel(1.0, 1.0, GRID)
+    k = mean_kernel(1.0, 1.0)
     x = GRID.nodes()
     images = np.arange(-200, 201)
     periodized = ((1.0 / math.pi) /
@@ -57,14 +70,12 @@ def test_poisson_kernel_matches_periodization():
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_kernel_mass_is_exactly_one(alpha):
     # discrete mass equals the symbol at y=0 by the summation formula
-    k = gw_kernel(alpha, 1.0, GRID)
+    k = mean_kernel(alpha, 1.0)
     mass = GRID.dx * k.values.sum()
     assert abs(mass - 1.0) <= 1e-14
 
 
 def test_kernel_rejects_unresolvable_scale():
-    with pytest.raises(KernelUnresolvableError):
-        gw_kernel(2.0, 0.001, GRID)
     f = materialize(gaussian(1.0), GRID)
     with pytest.raises(KernelUnresolvableError):
         gw_mean(f, 2.0, 0.001)
@@ -72,14 +83,15 @@ def test_kernel_rejects_unresolvable_scale():
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf])
 def test_kernel_rejects_bad_exponent(bad):
+    f = materialize(gaussian(1.0), GRID)
     with pytest.raises(InvalidParameterError):
-        gw_kernel(bad, 1.0, GRID)
+        gw_mean(f, bad, 1.0)
 
 
 def test_high_order_kernel_is_legal():
     # orders above 2 are part of the family (the (2, 4) comparison uses one);
     # the kernel is no longer nonnegative but still has unit mass
-    k = gw_kernel(4.0, 1.0, GRID)
+    k = mean_kernel(4.0, 1.0)
     assert abs(GRID.dx * k.values.sum() - 1.0) <= 1e-14
     assert k.values.real.min() < 0.0
 
@@ -151,7 +163,7 @@ def test_verify_full_default_run():
 # ---------------------------------------------------------------------------
 
 def test_fixture_file_contents():
-    data = load_pinned_constants()
+    data = pinned_file()
     assert data["grid"] == {"half_length": ORACLE_GRID.half_length,
                             "size": ORACLE_GRID.size}
     keys = {f"{a:g},{b:g}" for a, b in DEFAULT_PAIRS}
@@ -161,6 +173,6 @@ def test_fixture_file_contents():
 
 
 def test_pinned_constant_lookup():
-    assert pinned_constant(1.0, 2.0) == load_pinned_constants()["constants"]["1,2"]
+    assert pinned_constant(1.0, 2.0) == pinned_file()["constants"]["1,2"]
     with pytest.raises(InvalidParameterError):
         pinned_constant(1.0, 7.0)

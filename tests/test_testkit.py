@@ -20,7 +20,6 @@ from subord.testkit import (
     exp_abs,
     gaussian,
     materialize,
-    materialize_transform,
     means_suite,
     modulated_gaussian,
 )
@@ -37,8 +36,8 @@ GRID = make_grid(40.0, 16384)
 ])
 def test_closed_form_transform_matches_fft(fn, tol):
     numeric = forward_ft(materialize(fn, GRID))
-    known = materialize_transform(fn, GRID)
-    assert np.abs(numeric.values - known.values).max() <= tol
+    known = fn.transform(GRID.dual_nodes())
+    assert np.abs(numeric.values - known).max() <= tol
 
 
 def test_labels():
@@ -109,9 +108,20 @@ def test_bump_is_compact_and_normalized():
     assert np.abs(f.values[np.abs(x) >= 2.0]).max() == 0.0
 
 
-def test_bump_has_no_closed_form_transform():
+@pytest.mark.parametrize("make,args", [
+    (gaussian, (math.inf,)),
+    (exp_abs, (math.inf,)),
+    (bump, (math.inf,)),
+    (modulated_gaussian, (1.0, math.inf)),
+    (modulated_gaussian, (1.0, math.nan)),
+])
+def test_constructors_refuse_non_finite_parameters(make, args):
     with pytest.raises(InvalidParameterError):
-        materialize_transform(bump(2.0), GRID)
+        make(*args)
+
+
+def test_bump_has_no_closed_form_transform():
+    assert bump(2.0).transform is None
 
 
 def test_means_suite_order_is_contractual():
