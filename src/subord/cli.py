@@ -13,8 +13,9 @@ Exit codes: 0 all checks passed; 1 the requested comparison is structurally
 impossible (violated hypotheses, nested zeros, inadmissible exponents, bad
 mathematical parameters); 2 a numerical verification failed or could not be
 completed on this grid; 3 the invocation itself was invalid (unparseable
-flags, malformed JSON, bad grid, an output path outside an existing
-directory).  Codes 1 and 2 are the ``exit_code`` of the error class.
+flags, malformed JSON, bad grid, an ``--oversample`` that is not a power of
+two, an output path outside an existing directory).  Codes 1 and 2 are the
+``exit_code`` of the error class.
 Reports are still written for exits 1 and 2; nothing is written for exit 3.
 
 Every option is parsed by argparse through its flag's ``type=``.  A
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -205,15 +207,8 @@ def _case_rows(report: comparison.Report) -> list[dict]:
 
 
 def _estimate_dict(est: measures.WienerEstimate) -> dict:
-    return {
-        "const_at_infinity": _jsonable(est.const_at_infinity),
-        "density_l1": est.density_l1,
-        "tail_bound": est.tail_bound,
-        "total": est.total,
-        "refined_total": est.refined_total,
-        "converged": est.converged,
-        "oversample": est.oversample,
-    }
+    # every field of the estimate; all of them are numbers
+    return {name: _jsonable(value) for name, value in dataclasses.asdict(est).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +455,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.json_config:
             args = parser.parse_args(argv + _config_tokens(args.json_config, args))
         grid = GridSpec(args.grid_L, args.grid_N)
+        grid.refined(args.oversample)  # --oversample obeys the refinement rule
     except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -38,7 +38,7 @@ from .errors import (
     VerificationFailureError,
 )
 from .fourier_core import GridSpec, SampledFunction, _outer_band, apply_symbol, forward_ft, lp_norm
-from .measures import wiener_norm
+from .measures import _window_density, wiener_norm
 from .testkit import TestFunction, diffop_suite
 
 __all__ = [
@@ -129,27 +129,32 @@ def _poly_scale(coeffs: np.ndarray, y: float) -> float:
 
 
 def real_roots(coeffs) -> np.ndarray:
-    """Sorted distinct real roots of the polynomial.
+    """Sorted distinct real roots of the polynomial, each once whatever its multiplicity.
 
-    Companion-matrix roots are kept when their imaginary part is below
-    ``1e-7`` relative to the real part, clustered within the same relative
-    distance (a double root comes back as one location), and each cluster
-    representative is confirmed by a residual check —
-    :class:`VerificationFailureError` if the polynomial does not actually
-    vanish there.
+    A root of multiplicity ``m <= n = deg`` comes back from the companion
+    matrix as ``m`` roots about ``eps^(1/m)`` from it (relative: 1.5e-8, 1e-5,
+    2e-4, 1e-3 for ``m = 2 .. 5``).  Roots within ``tol = 1e-7 ** (2/n)`` of
+    the real axis (relative) are clustered within ``tol``; a cluster whose
+    mean is real to ``1e-7`` is one root at the mean of its real parts,
+    where the spread cancels, confirmed by a residual check —
+    :class:`VerificationFailureError` if the polynomial does not vanish there.
     """
     c = _as_poly(coeffs)
     if c.size - 1 <= 0:
         return np.empty(0)
+    tol = _CLUSTER_TOL ** (2.0 / (c.size - 1))
     roots = npoly.polyroots(c)
-    real = np.sort(roots.real[np.abs(roots.imag) <= _IMAG_TOL * (1.0 + np.abs(roots.real))])
-    if not real.size:
+    near = roots[np.abs(roots.imag) <= tol * (1.0 + np.abs(roots.real))]
+    near = near[np.argsort(near.real)]
+    if not near.size:
         return np.empty(0)
     # a root farther than the clustering distance from its predecessor starts a cluster
-    starts = np.flatnonzero(np.diff(real) > _CLUSTER_TOL * (1.0 + np.abs(real[1:]))) + 1
+    starts = np.flatnonzero(np.diff(near.real) > tol * (1.0 + np.abs(near.real[1:]))) + 1
     locations = []
-    for group in np.split(real, starts):
-        loc = float(np.mean(group))
+    for group in np.split(near, starts):
+        loc = float(np.mean(group.real))
+        if abs(np.mean(group.imag)) > _IMAG_TOL * (1.0 + abs(loc)):
+            continue
         residual = abs(complex(npoly.polyval(loc, c)))
         if residual > _ROOT_RESIDUAL * _poly_scale(c, loc):
             raise VerificationFailureError(
@@ -169,6 +174,35 @@ class Violation:
     detail: str
 
 
+def _root_table(q: np.ndarray, p1: np.ndarray, p2: np.ndarray):
+    """``(violations, real roots of p1, real roots of p2 not shared with p1)``,
+    found once for :func:`decomposition_hypotheses` and :func:`construct_decomposition`."""
+    violations = []
+    for name, poly in (("target", q), ("op1", p1), ("op2", p2)):
+        if poly_degree(poly) < 0:
+            violations.append(Violation(
+                code="zero_polynomial",
+                detail=f"{name} is the zero polynomial"))
+    if violations:
+        return tuple(violations), np.empty(0), np.empty(0)
+    if poly_degree(q) > poly_degree(p1):
+        violations.append(Violation(
+            code="degree",
+            detail=f"target degree {poly_degree(q)} exceeds op1 degree {poly_degree(p1)}; "
+                   "the outer cofactor would be unbounded"))
+    roots1 = real_roots(p1)
+    roots2 = real_roots(p2)
+    shared = np.abs(roots2[:, None] - roots1) <= _CLUSTER_TOL * (1.0 + np.abs(roots2[:, None]))
+    for r in roots1[shared.any(axis=0)]:
+        value = abs(complex(npoly.polyval(r, q)))
+        if value > _ROOT_RESIDUAL * _poly_scale(q, r):
+            violations.append(Violation(
+                code="common_root",
+                detail=f"op1 and op2 share the real root y={r:.9g} but "
+                       f"target({r:.9g}) = {value:.3g} does not vanish there"))
+    return tuple(violations), roots1, roots2[~shared.any(axis=1)]
+
+
 def decomposition_hypotheses(target, op1, op2) -> tuple[Violation, ...]:
     """The violated structural conditions for a bounded decomposition, if any.
 
@@ -177,33 +211,7 @@ def decomposition_hypotheses(target, op1, op2) -> tuple[Violation, ...]:
     target (otherwise no bounded combination of the two symbols can
     reproduce the target near that point).
     """
-    violations = []
-    q, p1, p2 = _as_poly(target), _as_poly(op1), _as_poly(op2)
-    for name, poly in (("target", q), ("op1", p1), ("op2", p2)):
-        if poly_degree(poly) < 0:
-            violations.append(Violation(
-                code="zero_polynomial",
-                detail=f"{name} is the zero polynomial"))
-    if violations:
-        return tuple(violations)
-    if poly_degree(q) > poly_degree(p1):
-        violations.append(Violation(
-            code="degree",
-            detail=f"target degree {poly_degree(q)} exceeds op1 degree {poly_degree(p1)}; "
-                   "the outer cofactor would be unbounded"))
-    roots1 = real_roots(p1)
-    roots2 = real_roots(p2)
-    for r in roots1:
-        near = roots2[np.abs(roots2 - r) <= _CLUSTER_TOL * (1.0 + abs(r))]
-        if near.size == 0:
-            continue
-        value = abs(complex(npoly.polyval(r, q)))
-        if value > _ROOT_RESIDUAL * _poly_scale(q, r):
-            violations.append(Violation(
-                code="common_root",
-                detail=f"op1 and op2 share the real root y={r:.9g} but "
-                       f"target({r:.9g}) = {value:.3g} does not vanish there"))
-    return tuple(violations)
+    return _root_table(_as_poly(target), _as_poly(op1), _as_poly(op2))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,46 +276,43 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     misses the target beyond rounding.
     """
     q, p1, p2 = _as_poly(target), _as_poly(op1), _as_poly(op2)
-    violations = decomposition_hypotheses(q, p1, p2)
+    violations, roots1, op2_only = _root_table(q, p1, p2)
     if violations:
         raise HypothesesViolatedError(violations)
 
-    roots1 = real_roots(p1)
-    roots2 = real_roots(p2)
-    shared = np.abs(roots2[:, None] - roots1) <= _CLUSTER_TOL * (1.0 + np.abs(roots2[:, None]))
-    op2_only = roots2[~shared.any(axis=1)]
-
     neighborhoods = []
+    segments = []
     for r in roots1:
-        delta = 1.0
-        others = roots1[np.abs(roots1 - r) > 0]
-        if others.size:
-            delta = min(delta, float(np.min(np.abs(others - r))) / 2.0)
-        if op2_only.size:
-            delta = min(delta, float(np.min(np.abs(op2_only - r))) / 2.0)
+        # half the distance to the nearest other root of op1 or unshared root of op2, at most 1
+        gaps = np.abs(np.concatenate([roots1[roots1 != r], op2_only]) - r)
+        delta = min(1.0, float(gaps.min(initial=2.0)) / 2.0)
         if delta < 4.0 * grid.dy:
             raise NeighborhoodDegenerateError(
                 f"neighborhood of root y={r:.6g} has halfwidth {delta:.3g}, below four "
                 f"dual-grid steps ({grid.dy:.3g}); refine the window before decomposing")
-        neighborhoods.append((float(r), float(delta)))
-
-    # linear interpolant data per neighborhood
-    segments = []
-    for center, delta in neighborhoods:
-        left, right = center - delta, center + delta
+        neighborhoods.append((float(r), delta))
+        # linear interpolant data
+        left, right = r - delta, r + delta
         lval = complex(npoly.polyval(left, q) / npoly.polyval(left, p1))
         rval = complex(npoly.polyval(right, q) / npoly.polyval(right, p1))
-        segments.append((center, delta, lval, (rval - lval) / (2.0 * delta)))
+        segments.append((float(r), delta, lval, (rval - lval) / (2.0 * delta)))
+
+    def held(y: np.ndarray):
+        # y's indices in each neighborhood (a shared edge point goes to the first), and the rest
+        free = np.ones(y.shape, dtype=bool)
+        indices = []
+        for center, delta in neighborhoods:
+            idx = np.nonzero(free & (np.abs(y - center) <= delta))
+            free[idx] = False
+            indices.append(idx)
+        return indices, free
 
     def h1_fn(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         out = np.empty(y.shape, dtype=np.complex128)
-        claimed = np.zeros(y.shape, dtype=bool)
-        for center, delta, lval, slope in segments:
-            m = (np.abs(y - center) <= delta) & ~claimed
-            out[m] = lval + (y[m] - (center - delta)) * slope
-            claimed |= m
-        rest = ~claimed
+        indices, rest = held(y)
+        for (center, delta, lval, slope), idx in zip(segments, indices):
+            out[idx] = lval + (y[idx] - (center - delta)) * slope
         out[rest] = npoly.polyval(y[rest], q) / npoly.polyval(y[rest], p1)
         return out
 
@@ -328,20 +333,17 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     def h2_fn(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         out = np.zeros(y.shape, dtype=np.complex128)
-        claimed = np.zeros(y.shape, dtype=bool)
-        for center, delta, _, _ in segments:
-            m = (np.abs(y - center) <= delta) & ~claimed
-            claimed |= m
-            ym = y[m]
-            vals, bad = _h2_direct(ym)
-            # a point too close to a zero of op2 takes the mean of the usable
-            # values at the two probes y -+ 1e-6 (1 + |y|), or 0 if neither is
-            yb = ym[bad]
-            step = 1e-6 * (1.0 + np.abs(yb))
-            pv, pbad = _h2_direct(np.stack([yb - step, yb + step]))
-            pv = np.where(pbad, pv[::-1], pv)  # an unusable probe repeats the other
-            vals[bad] = np.where(pbad.all(axis=0), 0.0, (pv[0] + pv[1]) / 2.0)
-            out[m] = vals
+        idx = np.nonzero(~held(y)[1])
+        ym = y[idx]
+        vals, bad = _h2_direct(ym)
+        # a point too close to a zero of op2 takes the mean of the usable
+        # values at the two probes y -+ 1e-6 (1 + |y|), or 0 if neither is
+        yb = ym[bad]
+        step = 1e-6 * (1.0 + np.abs(yb))
+        pv, pbad = _h2_direct(np.stack([yb - step, yb + step]))
+        pv = np.where(pbad, pv[::-1], pv)  # an unusable probe repeats the other
+        vals[bad] = np.where(pbad.all(axis=0), 0.0, (pv[0] + pv[1]) / 2.0)
+        out[idx] = vals
         return out
 
     label1 = f"cofactor1[{poly_label(q)}|{poly_label(p1)}]"
@@ -357,10 +359,10 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     # diagnostics: dual grid plus refined local grids around each root
     ydual = grid.dual_nodes()
     locals16 = [_local_grid(c, d, grid.dy / 16.0) for c, d in neighborhoods]
-    locals32 = [_local_grid(c, d, grid.dy / 32.0) for c, d in neighborhoods]
-
-    sup16 = max((float(np.abs(h2_fn(pts)).max()) for pts in locals16), default=0.0)
-    sup32 = max((float(np.abs(h2_fn(pts)).max()) for pts in locals32), default=0.0)
+    h2_16 = [h2_fn(pts) for pts in locals16]
+    sup16 = max((float(np.abs(v).max()) for v in h2_16), default=0.0)
+    sup32 = max((float(np.abs(h2_fn(_local_grid(c, d, grid.dy / 32.0))).max())
+                 for c, d in neighborhoods), default=0.0)
     if sup16 > 0.0 and sup32 >= 1.5 * sup16:
         raise MultiplicityObstructionError(
             f"second cofactor grows under refinement (sup {sup16:.4g} -> {sup32:.4g}); "
@@ -371,9 +373,8 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     sup_h2 = 0.0
     lip1 = 0.0
     lip2 = 0.0
-    for pts in [ydual] + locals16:
+    for pts, v2 in zip([ydual] + locals16, [h2_fn(ydual)] + h2_16):
         v1 = h1_fn(pts)
-        v2 = h2_fn(pts)
         rebuilt = v1 * npoly.polyval(pts, p1) + v2 * npoly.polyval(pts, p2)
         defect = np.abs(npoly.polyval(pts, q) - rebuilt)
         residual = max(residual, float(defect.max()))
@@ -409,12 +410,12 @@ def apply_diffop(coeffs, f: SampledFunction) -> SampledFunction:
     :class:`BandwidthExceededError` is raised (enlarge ``size`` to widen
     the dual window).
     """
-    return _apply_poly(_as_poly(coeffs), forward_ft(f))
+    p = _as_poly(coeffs)
+    return _apply_poly(p, npoly.polyval(f.grid.dual_nodes(), p), forward_ft(f))
 
 
-def _apply_poly(p: np.ndarray, F: SampledFunction) -> SampledFunction:
-    """:func:`apply_diffop` for trimmed coefficients ``p`` and the transform ``F`` of ``f``."""
-    pvals = npoly.polyval(F.grid.dual_nodes(), p)
+def _apply_poly(p: np.ndarray, pvals: np.ndarray, F: SampledFunction) -> SampledFunction:
+    """:func:`apply_diffop` for trimmed ``p``, its dual-node values ``pvals`` and ``F`` of ``f``."""
     band, peak = _outer_band(pvals * F.values)
     # The transform of the input carries rounding residue of order eps at the
     # window edge even when the true spectrum has long underflowed, and the
@@ -446,10 +447,13 @@ def verify_identity(decomp: SymbolDecomposition,
     report's ``constant`` is the allowed defect ``1e-6``, with no further
     slack, and ``worst_ratio`` the largest relative error.
     """
+    y = decomp.grid.dual_nodes()  # each polynomial sampled once per call
+    target, op1, op2 = ((p, npoly.polyval(y, p)) for p in (decomp.target, decomp.op1, decomp.op2))
+
     def rows(f, F):
-        direct = _apply_poly(decomp.target, F)
-        rebuilt = (apply_multiplier(decomp.cofactor1, _apply_poly(decomp.op1, F))
-                   + apply_multiplier(decomp.cofactor2, _apply_poly(decomp.op2, F)))
+        direct = _apply_poly(*target, F)
+        rebuilt = (apply_multiplier(decomp.cofactor1, _apply_poly(*op1, F))
+                   + apply_multiplier(decomp.cofactor2, _apply_poly(*op2, F)))
         yield (None, "p=inf", float(np.abs(direct.values - rebuilt.values).max()),
                1.0 + float(np.abs(direct.values).max()))
 
@@ -505,21 +509,16 @@ def _operator_factor(symbol: Multiplier, grid: GridSpec, q: float, p: float,
                      oversample: int, const_at_infinity: complex) -> float:
     """Norm bound for the convolution operator with this symbol, L^p -> L^q."""
     if p == q:
-        est = wiener_norm(symbol, grid, oversample=oversample,
-                          const_at_infinity=const_at_infinity)
-        return est.total
+        return wiener_norm(symbol, grid, oversample=oversample,
+                           const_at_infinity=const_at_infinity).total
     # p < q: the symbol has no constant at infinity, so the operator is
     # convolution with the density alone and its norm is bounded by the
     # partner-exponent norm of the density over the window.
     s = partner_exponent(q, p)
-    est = wiener_norm(symbol, grid, oversample=oversample, const_at_infinity=0.0)
-    g = est.density
-    x = g.grid.nodes()
-    window = np.abs(x) < grid.half_length
-    absg = np.abs(g.values[window])
+    _, _, absg, dx = _window_density(symbol, grid, oversample, 0.0)
     if math.isinf(s):
         return float(absg.max())
-    return float((g.grid.dx * np.sum(absg**s)) ** (1.0 / s))
+    return float((dx * np.sum(absg**s)) ** (1.0 / s))
 
 
 def diffop_subordination(target, op1, op2, grid: GridSpec, q: float,
@@ -547,10 +546,12 @@ def diffop_subordination(target, op1, op2, grid: GridSpec, q: float,
     factor1 = _operator_factor(d.cofactor1, grid, q_, p1_, oversample, d.cofactor1_at_infinity)
     factor2 = _operator_factor(d.cofactor2, grid, q_, p2_, oversample, 0.0)
     exponents = f"q={_fmt_p(q_)};p1={_fmt_p(p1_)};p2={_fmt_p(p2_)}"
+    y = grid.dual_nodes()  # each polynomial sampled once per call
+    target, op1, op2 = ((p, npoly.polyval(y, p)) for p in (d.target, d.op1, d.op2))
 
     def rows(f, F):
-        lhs = lp_norm(_apply_poly(d.target, F), q_)
-        rhs = lp_norm(_apply_poly(d.op1, F), p1_) + lp_norm(_apply_poly(d.op2, F), p2_)
+        lhs = lp_norm(_apply_poly(*target, F), q_)
+        rhs = lp_norm(_apply_poly(*op1, F), p1_) + lp_norm(_apply_poly(*op2, F), p2_)
         yield None, exponents, lhs, rhs
 
     if suite is None:

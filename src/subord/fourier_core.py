@@ -108,7 +108,11 @@ class GridSpec:
         return (np.arange(self.size) - self.size // 2) * self.dy
 
     def refined(self, factor: int) -> "GridSpec":
-        """Grid with the same spacing and a ``factor`` times larger window."""
+        """Same spacing, a ``factor`` times larger window; ``factor`` is a power of two >= 1."""
+        if (not isinstance(factor, int) or isinstance(factor, bool)
+                or factor < 1 or factor & (factor - 1)):
+            raise InvalidParameterError(
+                f"refinement factor must be a power of two >= 1, got {factor!r}")
         return GridSpec(self.half_length * factor, self.size * factor)
 
 

@@ -8,7 +8,8 @@ with an atom ``c * delta_0`` and an integrable density ``g``.  The norm of
 the measure, ``|c| + ||g||_1``, is what controls every operator-norm bound in
 this package, so the estimator here is deliberately conservative: it reports
 the window mass of ``g`` plus an explicit tail correction, and flags the
-result as unconverged when doubling the window moves it.
+result as unconverged when doubling the window moves it.  The result is
+numbers only; the recovered density is read and dropped inside each pass.
 
 The density is recovered on an internally *oversampled* grid (same spacing,
 larger window).  Recovering it on the caller's own window would periodize
@@ -48,17 +49,9 @@ _TAIL_BAND = 0.10
 _LIMIT_CONSISTENCY = 1e-3
 
 
-def _check_oversample(oversample: int) -> int:
-    if not isinstance(oversample, int) or isinstance(oversample, bool):
-        raise InvalidParameterError(f"oversample must be an integer, got {oversample!r}")
-    if oversample < 1 or (oversample & (oversample - 1)) != 0:
-        raise InvalidParameterError(f"oversample must be a power of two >= 1, got {oversample}")
-    return oversample
-
-
 @dataclass(frozen=True)
 class WienerEstimate:
-    """Result of :func:`wiener_norm`.
+    """Result of :func:`wiener_norm`: numbers only, no sampled arrays.
 
     ``total = |const_at_infinity| + density_l1 + tail_bound`` is the usable
     upper estimate; ``converged`` records whether doubling the window keeps
@@ -67,7 +60,6 @@ class WienerEstimate:
 
     oversample: int
     const_at_infinity: complex
-    density: SampledFunction
     density_l1: float
     tail_bound: float
     total: float
@@ -96,33 +88,41 @@ def _limit_at_infinity(values: np.ndarray, y: np.ndarray, half_length: float,
     return c
 
 
-def _sample(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec):
-    # the dual nodes and the symbol on them, which must be finite
+def _centered(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, const_at_infinity):
+    # the constant term c and psi - c on the dual nodes, where psi must be finite;
+    # the raw samples are dropped on return
     y = grid.dual_nodes()
     vals = np.asarray(psi(y), dtype=np.complex128)
     if not np.isfinite(vals).all():
         raise InvalidParameterError("symbol evaluated to non-finite values on the dual grid")
-    return y, vals
+    c = _limit_at_infinity(vals, y, grid.dual_half_length, const_at_infinity)
+    return c, SampledFunction(grid, vals - c, FREQUENCY)
+
+
+def _window_density(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
+                    oversample: int, const_at_infinity):
+    """One pass on ``grid.refined(oversample)``: the constant term ``c``, and the nodes
+    ``x`` of ``grid``'s window with ``|g(x)|`` there and ``dx``, from one inversion."""
+    fine = grid.refined(oversample)
+    c, centered = _centered(psi, fine, const_at_infinity)
+    absg = np.abs(inverse_ft(centered).values)
+    x = fine.nodes()
+    window = np.abs(x) < grid.half_length
+    return c, x[window], absg[window], fine.dx
 
 
 def _wiener_components(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
                        oversample: int, const_at_infinity):
-    fine = grid.refined(oversample)
-    y, vals = _sample(psi, fine)
-    c = _limit_at_infinity(vals, y, fine.dual_half_length, const_at_infinity)
-    density = inverse_ft(SampledFunction(fine, vals - c, FREQUENCY))
-    x = fine.nodes()
-    absg = np.abs(density.values)
+    c, x, absg, dx = _window_density(psi, grid, oversample, const_at_infinity)
     L = grid.half_length
-    window = np.abs(x) < L
-    density_l1 = fine.dx * float(np.sum(absg[window]))
-    left = (x <= -(1.0 - _TAIL_BAND) * L) & window
-    right = (x >= (1.0 - _TAIL_BAND) * L) & window
+    density_l1 = dx * float(np.sum(absg))
+    left = x <= -(1.0 - _TAIL_BAND) * L
+    right = x >= (1.0 - _TAIL_BAND) * L
     c_left = float(np.max(absg[left] * x[left] ** 2)) if left.any() else 0.0
     c_right = float(np.max(absg[right] * x[right] ** 2)) if right.any() else 0.0
     tail = (c_left + c_right) / L
     total = abs(c) + density_l1 + tail
-    return c, density, density_l1, tail, total
+    return c, density_l1, tail, total
 
 
 def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
@@ -142,18 +142,17 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
 
     Convergence is assessed by repeating the computation on a doubled
     window; the estimate is flagged converged when the totals agree within
-    ``max(1e-3, 1e-2 * total)``.
+    ``max(1e-3, 1e-2 * total)``.  ``oversample`` must be a power of two
+    (:meth:`GridSpec.refined`); otherwise :class:`InvalidParameterError`.
     """
-    _check_oversample(oversample)
-    c, density, density_l1, tail, total = _wiener_components(
+    c, density_l1, tail, total = _wiener_components(
         psi, grid, oversample, const_at_infinity)
-    _, _, _, _, refined_total = _wiener_components(
+    _, _, _, refined_total = _wiener_components(
         psi, grid.refined(2), oversample, const_at_infinity)
     converged = abs(total - refined_total) <= max(1e-3, 1e-2 * total)
     return WienerEstimate(
         oversample=oversample,
         const_at_infinity=c,
-        density=density,
         density_l1=density_l1,
         tail_bound=tail,
         total=total,
@@ -163,9 +162,7 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
 
 
 def _carlson_value(psi, grid: GridSpec, const_at_infinity) -> float:
-    y, vals = _sample(psi, grid)
-    c = _limit_at_infinity(vals, y, grid.dual_half_length, const_at_infinity)
-    centered = vals - c
+    centered = _centered(psi, grid, const_at_infinity)[1].values
     deriv = np.gradient(centered, grid.dy)
     n2 = grid.dy * float(np.sum(np.abs(centered) ** 2))
     d2 = grid.dy * float(np.sum(np.abs(deriv) ** 2))

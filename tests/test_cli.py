@@ -178,6 +178,8 @@ def test_wiener_norm_on_too_few_dual_nodes(tmp_path, capsys):
     ["gw-compare", "--alpha", "1", "--beta", "2", "--eps", "1,spam"],
     ["wiener-norm", "--multiplier", "gw_symbol:alpha"],
     ["wiener-norm", "--multiplier", "gw_symbol:alpha=1,alpha=2"],
+    ["wiener-norm", "--multiplier", "exp_abs_ft", "--oversample", "3"],
+    ["wiener-norm", "--multiplier", "exp_abs_ft", "--oversample", "0"],
 ])
 def test_config_errors(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -210,6 +212,7 @@ def test_json_config_overrides_flags(tmp_path, capsys):
     {"const-at-infinity": None},
     {"multiplier": None},
     {"multiplier": 7},
+    {"oversample": 3},
 ])
 def test_json_config_refuses_coercion(config, tmp_path, capsys):
     """Booleans are not numbers, an integer key takes no fraction and an output

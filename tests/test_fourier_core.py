@@ -43,6 +43,10 @@ def test_grid_refined():
     # refinement keeps the space step (and hence the dual window) fixed
     assert r.dx == pytest.approx(g.dx)
     assert r.dual_half_length == pytest.approx(g.dual_half_length)
+    # the factor is an integer power of two >= 1; a bool is not an integer
+    for factor in (3, 0, -2, True, 2.0):
+        with pytest.raises(InvalidParameterError):
+            g.refined(factor)
 
 
 @pytest.mark.parametrize("L,N", [(0.0, 4096), (-3.0, 4096), (math.inf, 4096),

@@ -1,5 +1,6 @@
 """The Wiener-norm estimator and the Carlson-type sufficient bound."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_wiener_norm_rejects_inconsistent_limits():
         wiener_norm(odd, GRID)
     # pinning a limit bypasses the two-sided consistency requirement
     est = wiener_norm(odd, GRID, const_at_infinity=0.0)
-    assert est.density is not None
+    assert est.total > 0.0
 
 
 @pytest.mark.parametrize("oversample", [1, 2])
@@ -76,6 +77,12 @@ def test_constant_term_needs_a_node_in_each_outer_band(oversample):
     # a pinned constant term reads no band
     assert wiener_norm(gw_symbol(1.0), tiny, oversample=oversample,
                        const_at_infinity=0.0).total > 0.0
+
+
+def test_wiener_estimate_holds_numbers_only():
+    est = wiener_norm(gw_symbol(1.0), GRID)
+    for field in dataclasses.fields(est):
+        assert isinstance(getattr(est, field.name), (bool, int, float, complex)), field.name
 
 
 def test_wiener_norm_rejects_bad_oversample():
