@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -207,8 +206,15 @@ def _case_rows(report: comparison.Report) -> list[dict]:
 
 
 def _estimate_dict(est: measures.WienerEstimate) -> dict:
-    # every field of the estimate; all of them are numbers
-    return {name: _jsonable(value) for name, value in dataclasses.asdict(est).items()}
+    return {
+        "const_at_infinity": _jsonable(est.const_at_infinity),
+        "density_l1": est.density_l1,
+        "tail_bound": est.tail_bound,
+        "total": est.total,
+        "refined_total": est.refined_total,
+        "converged": est.converged,
+        "oversample": est.oversample,
+    }
 
 
 # ---------------------------------------------------------------------------

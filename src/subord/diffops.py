@@ -57,7 +57,7 @@ __all__ = [
 
 #: imaginary parts below this (relative) level count as real roots
 _IMAG_TOL = 1e-7
-#: roots closer than this (relative) are merged into one location
+#: roots closer than this (relative) are merged into one location (see _root_spread)
 _CLUSTER_TOL = 1e-7
 #: relative residual allowed when confirming a root location
 _ROOT_RESIDUAL = 1e-8
@@ -128,30 +128,33 @@ def _poly_scale(coeffs: np.ndarray, y: float) -> float:
     return float(np.abs(coeffs).max()) * max(1.0, abs(y)) ** (coeffs.size - 1)
 
 
+def _root_spread(m: int) -> float:
+    # the m copies of a root of multiplicity m spread about eps^(1/m) (relative: 1.5e-8, 1e-5,
+    # 2e-4, 1e-3 for m = 2 .. 5); doubled from m = 3 on, as a nearby root widens the spread
+    # (2.2e-5 for (y-1.5)^3 (y-1.6)); a simple root is held to the double-root level
+    return _CLUSTER_TOL if m <= 2 else 2.0 * _CLUSTER_TOL ** (2.0 / m)
+
+
 def real_roots(coeffs) -> np.ndarray:
     """Sorted distinct real roots of the polynomial, each once whatever its multiplicity.
 
-    A root of multiplicity ``m <= n = deg`` comes back from the companion
-    matrix as ``m`` roots about ``eps^(1/m)`` from it (relative: 1.5e-8, 1e-5,
-    2e-4, 1e-3 for ``m = 2 .. 5``).  Roots within ``tol = 1e-7 ** (2/n)`` of
-    the real axis (relative) are clustered within ``tol``; a cluster whose
-    mean is real to ``1e-7`` is one root at the mean of its real parts,
-    where the spread cancels, confirmed by a residual check —
-    :class:`VerificationFailureError` if the polynomial does not vanish there.
+    In order of real part, the companion-matrix roots are taken in runs, each the
+    longest that spreads like one root of its multiplicity (:func:`_root_spread`).
+    A run whose mean is real to ``1e-7`` is one root at the mean of its real parts, where
+    the spread cancels; :class:`VerificationFailureError` if the polynomial does not vanish there.
     """
     c = _as_poly(coeffs)
-    if c.size - 1 <= 0:
-        return np.empty(0)
-    tol = _CLUSTER_TOL ** (2.0 / (c.size - 1))
     roots = npoly.polyroots(c)
-    near = roots[np.abs(roots.imag) <= tol * (1.0 + np.abs(roots.real))]
+    near = roots[np.abs(roots.imag) <= _root_spread(c.size - 1) * (1.0 + np.abs(roots.real))]
     near = near[np.argsort(near.real)]
-    if not near.size:
-        return np.empty(0)
-    # a root farther than the clustering distance from its predecessor starts a cluster
-    starts = np.flatnonzero(np.diff(near.real) > tol * (1.0 + np.abs(near.real[1:]))) + 1
     locations = []
-    for group in np.split(near, starts):
+    while near.size:
+        for size in range(near.size, 0, -1):
+            group = near[:size]
+            tol = _root_spread(size) * (1.0 + np.abs(group.real))
+            if np.all(np.abs(group.imag) <= tol) and np.all(np.diff(group.real) <= tol[1:]):
+                break
+        near = near[size:]
         loc = float(np.mean(group.real))
         if abs(np.mean(group.imag)) > _IMAG_TOL * (1.0 + abs(loc)):
             continue
@@ -244,10 +247,8 @@ class SymbolDecomposition:
 
 
 def _local_grid(center: float, halfwidth: float, spacing: float) -> np.ndarray:
-    n = int(round(2.0 * halfwidth / spacing)) + 1
-    n = max(n, 65)
-    if n % 2 == 0:
-        n += 1
+    # an odd node count, so the center is a node, and at least 65
+    n = max(int(round(2.0 * halfwidth / spacing)) + 1, 65) | 1
     return np.linspace(center - halfwidth, center + halfwidth, n)
 
 
@@ -280,7 +281,6 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     if violations:
         raise HypothesesViolatedError(violations)
 
-    neighborhoods = []
     segments = []
     for r in roots1:
         # half the distance to the nearest other root of op1 or unshared root of op2, at most 1
@@ -290,7 +290,6 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
             raise NeighborhoodDegenerateError(
                 f"neighborhood of root y={r:.6g} has halfwidth {delta:.3g}, below four "
                 f"dual-grid steps ({grid.dy:.3g}); refine the window before decomposing")
-        neighborhoods.append((float(r), delta))
         # linear interpolant data
         left, right = r - delta, r + delta
         lval = complex(npoly.polyval(left, q) / npoly.polyval(left, p1))
@@ -298,21 +297,20 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         segments.append((float(r), delta, lval, (rval - lval) / (2.0 * delta)))
 
     def held(y: np.ndarray):
-        # y's indices in each neighborhood (a shared edge point goes to the first), and the rest
+        # a mask per neighborhood of the y it holds (a shared edge goes to the first), and the rest
         free = np.ones(y.shape, dtype=bool)
-        indices = []
-        for center, delta in neighborhoods:
-            idx = np.nonzero(free & (np.abs(y - center) <= delta))
-            free[idx] = False
-            indices.append(idx)
-        return indices, free
+        masks = []
+        for center, delta, _, _ in segments:
+            masks.append(free & (np.abs(y - center) <= delta))
+            free &= ~masks[-1]
+        return masks, free
 
     def h1_fn(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         out = np.empty(y.shape, dtype=np.complex128)
-        indices, rest = held(y)
-        for (center, delta, lval, slope), idx in zip(segments, indices):
-            out[idx] = lval + (y[idx] - (center - delta)) * slope
+        masks, rest = held(y)
+        for (center, delta, lval, slope), m in zip(segments, masks):
+            out[m] = lval + (y[m] - (center - delta)) * slope
         out[rest] = npoly.polyval(y[rest], q) / npoly.polyval(y[rest], p1)
         return out
 
@@ -325,16 +323,13 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         den = npoly.polyval(y, p2)
         guard = _DIVISION_GUARD * max_c2 * np.maximum(1.0, np.abs(y)) ** deg_p2
         bad = np.abs(den) < guard
-        out = np.zeros(y.shape, dtype=np.complex128)
-        ok = ~bad
-        out[ok] = num[ok] / den[ok]
-        return out, bad
+        return np.divide(num, den, out=np.zeros(y.shape, dtype=np.complex128), where=~bad), bad
 
     def h2_fn(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         out = np.zeros(y.shape, dtype=np.complex128)
-        idx = np.nonzero(~held(y)[1])
-        ym = y[idx]
+        inside = ~held(y)[1]
+        ym = y[inside]
         vals, bad = _h2_direct(ym)
         # a point too close to a zero of op2 takes the mean of the usable
         # values at the two probes y -+ 1e-6 (1 + |y|), or 0 if neither is
@@ -343,7 +338,7 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         pv, pbad = _h2_direct(np.stack([yb - step, yb + step]))
         pv = np.where(pbad, pv[::-1], pv)  # an unusable probe repeats the other
         vals[bad] = np.where(pbad.all(axis=0), 0.0, (pv[0] + pv[1]) / 2.0)
-        out[idx] = vals
+        out[inside] = vals
         return out
 
     label1 = f"cofactor1[{poly_label(q)}|{poly_label(p1)}]"
@@ -358,11 +353,11 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
 
     # diagnostics: dual grid plus refined local grids around each root
     ydual = grid.dual_nodes()
-    locals16 = [_local_grid(c, d, grid.dy / 16.0) for c, d in neighborhoods]
+    locals16 = [_local_grid(c, d, grid.dy / 16.0) for c, d, _, _ in segments]
     h2_16 = [h2_fn(pts) for pts in locals16]
     sup16 = max((float(np.abs(v).max()) for v in h2_16), default=0.0)
     sup32 = max((float(np.abs(h2_fn(_local_grid(c, d, grid.dy / 32.0))).max())
-                 for c, d in neighborhoods), default=0.0)
+                 for c, d, _, _ in segments), default=0.0)
     if sup16 > 0.0 and sup32 >= 1.5 * sup16:
         raise MultiplicityObstructionError(
             f"second cofactor grows under refinement (sup {sup16:.4g} -> {sup32:.4g}); "
@@ -388,7 +383,7 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
 
     return SymbolDecomposition(
         target=q, op1=p1, op2=p2, grid=grid,
-        neighborhoods=tuple(neighborhoods),
+        neighborhoods=tuple((c, d) for c, d, _, _ in segments),
         cofactor1=cofactor1, cofactor2=cofactor2,
         cofactor1_at_infinity=at_infinity,
         identity_residual=residual,

@@ -22,12 +22,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: command lines beyond the benchmark's: a failing hypothesis (exit 1), a
-#: bandwidth failure (exit 2), a triple root, and mixed exponents (p < q)
+#: bandwidth failure (exit 2), a triple root, a triple root beside a complex
+#: pair near the real axis, and mixed exponents (p < q)
 EXTRAS = (
     ("selftest",),
     ("compare", "--m1", "gaussian_ft", "--m2", "exp_abs_ft"),
     ("lemma2", "--Q", "[0,0,0,1]", "--P1", "[0,0,1]", "--P2", "[1]"),
     ("lemma2", "--Q", "[1]", "--P1", "[-1,3,-3,1]", "--P2", "[1]"),
+    ("lemma2", "--Q", "[1]", "--P1", "[0,0,0,1.000001,-2,1]", "--P2", "[1]"),
     ("diffop-verify", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]"),
     ("diffop-verify", "--Q", "[0,1]", "--P1", "[0,0,0,1]", "--P2", "[1]",
      "--grid-N", "262144", "--p1", "1"),
