@@ -9,18 +9,18 @@ import numpy as np
 
 from subord import (
     SPACE,
+    GridSpec,
     SampledFunction,
     convolve,
     forward_ft,
     inverse_ft,
     lp_norm,
-    make_grid,
 )
 
 # A grid is a symmetric window [-L, L) sampled at N points.  Its dual grid
 # covers [-pi/dx, pi/dx) with spacing pi/L, so enlarging the window refines
 # the dual grid and refining the window extends the dual one.
-grid = make_grid(20.0, 4096)
+grid = GridSpec(20.0, 4096)
 print(f"grid: L={grid.half_length} N={grid.size} dx={grid.dx:.5f}")
 print(f"dual: |y| < {grid.dual_half_length:.1f}  dy={grid.dy:.5f}")
 

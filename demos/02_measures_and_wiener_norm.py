@@ -5,15 +5,15 @@ Run:  python3 demos/02_measures_and_wiener_norm.py
 """
 
 from subord import (
+    GridSpec,
     carlson_bound,
     constant,
     exp_abs_ft,
     gw_symbol,
-    make_grid,
     wiener_norm,
 )
 
-grid = make_grid(40.0, 16384)
+grid = GridSpec(40.0, 16384)
 
 # Given only the multiplier values psi(y), estimate the norm of the measure
 # behind it.  The estimator separates the limit at infinity (an atom at the

@@ -12,14 +12,14 @@ Run:  python3 demos/03_comparison_principle.py
 """
 
 from subord import (
-    make_grid,
+    GridSpec,
     one_minus_gw_symbol,
     ratio_multiplier,
     verify_comparison,
 )
 from subord.errors import NestedZerosViolatedError
 
-grid = make_grid(40.0, 16384)
+grid = GridSpec(40.0, 16384)
 
 # 1 - e^{-y^2} vs 1 - e^{-|y|}: both vanish only at y=0, and their ratio is
 # bounded with a removable zero -- the canonical dominated pair.

@@ -14,16 +14,16 @@ Run:  python3 demos/04_summability_means.py
 import numpy as np
 
 from subord import (
+    GridSpec,
     gaussian,
     gw_error,
     gw_mean,
     gw_verify,
-    make_grid,
     materialize,
     pinned_constant,
 )
 
-grid = make_grid(40.0, 16384)
+grid = GridSpec(40.0, 16384)
 f = materialize(gaussian(1.0), grid)
 
 # Means smooth: larger eps smooths more, and the mean of a Gaussian is again

@@ -17,21 +17,21 @@ import math
 import numpy as np
 
 from subord import (
+    GridSpec,
     apply_diffop,
     construct_decomposition,
     decomposition_hypotheses,
     diffop_subordination,
     gaussian,
-    make_grid,
     materialize,
     verify_identity,
 )
 from subord.errors import HypothesesViolatedError
 
-grid = make_grid(40.0, 2 ** 18)
+grid = GridSpec(40.0, 2 ** 18)
 
 # Spectral application: symbol y acts as -i d/dx.
-small = make_grid(40.0, 16384)
+small = GridSpec(40.0, 16384)
 f = materialize(gaussian(1.0), small)
 x = small.nodes()
 df = apply_diffop([0, 1], f)
@@ -58,12 +58,11 @@ print(f"identity on the corpus: max err {rep.worst_ratio:.2e}, passed={rep.passe
 
 # The inequality, with constants from the measure norms of h1 and h2.
 for q in (1.0, 2.0, math.inf):
-    sub = diffop_subordination([0, 1], [0, 0, 1], [1], grid, q=q, decomposition=d)
+    sub = diffop_subordination(d, q=q)
     print(f"q={q:<4g} C = {sub.constant:.4f}  worst ratio {sub.worst_ratio:.4f}  "
           f"passed={sub.passed}")
 
 # Mixed exponents are admissible within the Young range.
-sub = diffop_subordination([0, 1], [0, 0, 1], [1], grid, q=2.0, p2=1.0,
-                           decomposition=d)
+sub = diffop_subordination(d, q=2.0, p2=1.0)
 print(f"q=2, p2=1: factor for h2 drops to {sub.factor2:.4f} "
       f"(h2's own norm against the L1 -> L2 pairing)")

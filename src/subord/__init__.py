@@ -56,7 +56,6 @@ from .fourier_core import (
     forward_ft,
     inverse_ft,
     lp_norm,
-    make_grid,
 )
 from .testkit import (
     TestFunction,

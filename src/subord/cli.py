@@ -18,6 +18,10 @@ two, an output path outside an existing directory).  Codes 1 and 2 are the
 ``exit_code`` of the error class.
 Reports are still written for exits 1 and 2; nothing is written for exit 3.
 
+``--oversample`` belongs only to the commands whose estimate reads it
+(``wiener-norm``, ``compare``, ``gw-compare``, ``diffop-verify``);
+``lemma2`` and ``selftest`` refuse it, as flag and as config key.
+
 Every option is parsed by argparse through its flag's ``type=``.  A
 ``--json-config`` object is appended as ``--key=value`` arguments and the
 command line parsed again, so a config value passes the flag's check and wins.
@@ -282,10 +286,9 @@ def _run_lemma2(args, grid: GridSpec):
 
 
 def _run_diffop_verify(args, grid: GridSpec):
+    decomp = diffops.construct_decomposition(args.Q, args.P1, args.P2, grid)
     report_obj = diffops.diffop_subordination(
-        args.Q, args.P1, args.P2, grid, q=args.q, p1=args.p1, p2=args.p2,
-        oversample=args.oversample)
-    decomp = report_obj.decomposition
+        decomp, q=args.q, p1=args.p1, p2=args.p2, oversample=args.oversample)
     return {
         "target": diffops.poly_label(decomp.target),
         "op1": diffops.poly_label(decomp.op1),
@@ -339,8 +342,7 @@ def _run_selftest(args, grid: GridSpec):
     })
 
     small_suite = [gaussian(1.0), bump(2.0), modulated_gaussian(1.0, 3.0)]
-    sub = diffops.diffop_subordination([0, 1], [0, 0, 1], [1], grid, q=2.0,
-                                       suite=small_suite, decomposition=decomp)
+    sub = diffops.diffop_subordination(decomp, q=2.0, suite=small_suite)
     checks.append({
         "name": "mixed_norm_domination_first_order",
         "passed": bool(sub.passed),
@@ -359,15 +361,16 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, oversample_default, run):
+    def common(p, run, oversample=None):
         p.set_defaults(run=run)
         p.add_argument("--grid-L", type=float, default=40.0, dest="grid_L",
                        help="window half-length (default 40)")
         p.add_argument("--grid-N", type=_integer, default=16384, dest="grid_N",
                        help="grid size, a power of two (default 16384)")
-        p.add_argument("--oversample", type=_integer, default=oversample_default,
-                       help="window oversampling for density recovery "
-                            f"(default {oversample_default})")
+        if oversample is not None:
+            p.add_argument("--oversample", type=_integer, default=oversample,
+                           help="window oversampling for density recovery "
+                                f"(default {oversample})")
         p.add_argument("--out", type=_output_path, default=None,
                        help="write the JSON report here")
         p.add_argument("--csv", type=_output_path, default=None,
@@ -382,7 +385,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--P2", type=_poly, required=True, help="second operator polynomial")
 
     p = sub.add_parser("wiener-norm", help="measure-norm estimate of a named symbol")
-    common(p, 8, _run_wiener_norm)
+    common(p, _run_wiener_norm, oversample=8)
     p.add_argument("--multiplier", type=_multiplier_spec, required=True,
                    help="registry symbol, e.g. 'gw_ratio:alpha=1,beta=2'")
     p.add_argument("--const-at-infinity", type=float, default=None,
@@ -390,7 +393,7 @@ def _build_parser() -> _Parser:
                    help="pin the constant term instead of reading it off the tails")
 
     p = sub.add_parser("compare", help="two-multiplier domination on a corpus")
-    common(p, 8, _run_compare)
+    common(p, _run_compare, oversample=8)
     p.add_argument("--m1", type=_multiplier_spec, required=True,
                    help="dominated symbol (registry spec)")
     p.add_argument("--m2", type=_multiplier_spec, required=True,
@@ -398,7 +401,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=_float_list, default="1,2,inf", help="exponents, e.g. '1,2,inf'")
 
     p = sub.add_parser("gw-compare", help="smoothing-mean error subordination")
-    common(p, 8, _run_gw_compare)
+    common(p, _run_gw_compare, oversample=8)
     p.add_argument("--alpha", type=float, required=True, help="dominating mean order")
     p.add_argument("--beta", type=float, required=True, help="dominated mean order")
     p.add_argument("--eps", type=_float_list, default="1,0.5,0.1",
@@ -406,18 +409,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=_float_list, default="1,2,inf", help="exponents, e.g. '1,2,inf'")
 
     p = sub.add_parser("lemma2", help="two-cofactor decomposition of a polynomial symbol")
-    common(p, 8, _run_lemma2)
+    common(p, _run_lemma2)
     polynomials(p)
 
     p = sub.add_parser("diffop-verify", help="mixed-exponent domination for a triple")
-    common(p, 4, _run_diffop_verify)
+    common(p, _run_diffop_verify, oversample=4)
     polynomials(p)
     p.add_argument("--q", type=float, default=2.0, help="output exponent (default 2)")
     p.add_argument("--p1", type=float, default=None, help="first input exponent (default q)")
     p.add_argument("--p2", type=float, default=None, help="second input exponent (default q)")
 
     p = sub.add_parser("selftest", help="fast deterministic battery")
-    common(p, 8, _run_selftest)
+    common(p, _run_selftest)
 
     return parser
 
@@ -461,7 +464,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.json_config:
             args = parser.parse_args(argv + _config_tokens(args.json_config, args))
         grid = GridSpec(args.grid_L, args.grid_N)
-        grid.refined(args.oversample)  # --oversample obeys the refinement rule
+        grid.refined(getattr(args, "oversample", 1))  # --oversample obeys the refinement rule
     except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .errors import (
 from .fourier_core import GridSpec, SampledFunction, _finite, apply_symbol, forward_ft, lp_norm
 from .measures import WienerEstimate, wiener_norm
 from .testkit import TestFunction, materialize, means_suite
-
-if TYPE_CHECKING:
-    from .diffops import SymbolDecomposition
 
 __all__ = [
     "Multiplier",
@@ -270,8 +267,8 @@ class Report:
 
     The fields after ``passed`` are filled only by the routines that produce
     them: ``estimate`` by :func:`verify_comparison` and
-    :func:`subord.summability.gw_verify`; the factors,
-    the resolved exponents ``q``, ``p1``, ``p2`` and the decomposition by
+    :func:`subord.summability.gw_verify`; the factors and
+    the resolved exponents ``q``, ``p1``, ``p2`` by
     :func:`subord.diffops.diffop_subordination`.
     """
 
@@ -285,7 +282,6 @@ class Report:
     q: Optional[float] = None
     p1: Optional[float] = None
     p2: Optional[float] = None
-    decomposition: Optional[SymbolDecomposition] = None
 
 
 #: a verifier's rows for one sampled function ``f`` and its transform ``F``:
@@ -325,15 +321,15 @@ def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant:
 
 
 def verify_comparison(multiplier1: Multiplier, multiplier2: Multiplier, grid: GridSpec,
-                      suite: Optional[Sequence[TestFunction]] = None,
                       p_values: Sequence[float] = (1.0, 2.0, math.inf),
                       oversample: int = 8) -> Report:
     """Estimate the comparison constant and check the inequality on a corpus.
 
     The constant is the measure norm of :func:`ratio_multiplier`
     ``(multiplier1, multiplier2)`` as estimated by :func:`wiener_norm`; the
-    report carries that estimate.  For each function and each exponent the
-    two operator outputs are compared in norm; a case passes when ``lhs <=
+    report carries that estimate.  For each function of
+    :func:`subord.testkit.means_suite` and each exponent the two operator
+    outputs are compared in norm; a case passes when ``lhs <=
     constant * rhs * (1 + TOLERANCE)``.  Cases whose right side is below
     ``1e-12 * (1 + lhs)`` carry no information and are skipped; if every
     case is skipped, :class:`AllCasesSkippedError` is raised.
@@ -349,5 +345,5 @@ def verify_comparison(multiplier1: Multiplier, multiplier2: Multiplier, grid: Gr
         for p in p_values:
             yield None, f"p={_fmt_p(float(p))}", lp_norm(out1, p), lp_norm(out2, p)
 
-    return _verify(means_suite() if suite is None else suite, grid, rows,
-                   estimate.total, "comparison", estimate=estimate)
+    return _verify(means_suite(), grid, rows, estimate.total, "comparison",
+                   estimate=estimate)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .comparison import Multiplier, Report, _fmt_p, _verify, apply_multiplier
+from .comparison import Multiplier, Report, _fmt_p, _verify
 from .errors import (
     BandwidthExceededError,
     HypothesesViolatedError,
@@ -434,27 +434,28 @@ def _required_order(decomp: SymbolDecomposition) -> int:
     return max(poly_degree(decomp.target), poly_degree(decomp.op1), poly_degree(decomp.op2))
 
 
-def verify_identity(decomp: SymbolDecomposition,
-                    suite: Optional[Sequence[TestFunction]] = None) -> Report:
+def verify_identity(decomp: SymbolDecomposition) -> Report:
     """Check ``target f = h1 (op1 f) + h2 (op2 f)`` on actual functions.
 
     Each case is the sup-norm defect over ``1 + sup |target f|``, so the
     report's ``constant`` is the allowed defect ``1e-6``, with no further
-    slack, and ``worst_ratio`` the largest relative error.
+    slack, and ``worst_ratio`` the largest relative error.  The corpus is
+    :func:`subord.testkit.diffop_suite` of the highest degree of the triple.
     """
-    y = decomp.grid.dual_nodes()  # each polynomial sampled once per call
+    y = decomp.grid.dual_nodes()  # each polynomial and cofactor sampled once per call
     target, op1, op2 = ((p, npoly.polyval(y, p)) for p in (decomp.target, decomp.op1, decomp.op2))
+    h1, h2 = decomp.cofactor1(y), decomp.cofactor2(y)
 
     def rows(f, F):
         direct = _apply_poly(*target, F)
-        rebuilt = (apply_multiplier(decomp.cofactor1, _apply_poly(*op1, F))
-                   + apply_multiplier(decomp.cofactor2, _apply_poly(*op2, F)))
+        # each image goes back through space before its cofactor applies
+        rebuilt = (apply_symbol(h1, forward_ft(_apply_poly(*op1, F)))
+                   + apply_symbol(h2, forward_ft(_apply_poly(*op2, F))))
         yield (None, "p=inf", float(np.abs(direct.values - rebuilt.values).max()),
                1.0 + float(np.abs(direct.values).max()))
 
-    if suite is None:
-        suite = diffop_suite(_required_order(decomp))
-    return _verify(suite, decomp.grid, rows, _IDENTITY_DEFECT, "identity", slack=0.0)
+    return _verify(diffop_suite(_required_order(decomp)), decomp.grid, rows,
+                   _IDENTITY_DEFECT, "identity", slack=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,30 +511,28 @@ def _operator_factor(symbol: Multiplier, grid: GridSpec, q: float, p: float,
     # convolution with the density alone and its norm is bounded by the
     # partner-exponent norm of the density over the window.
     s = partner_exponent(q, p)
-    _, _, absg, dx = _window_density(symbol, grid, oversample, 0.0)
+    _, _, absg, dx = _window_density(symbol, grid, oversample, const_at_infinity)
     if math.isinf(s):
         return float(absg.max())
     return float((dx * np.sum(absg**s)) ** (1.0 / s))
 
 
-def diffop_subordination(target, op1, op2, grid: GridSpec, q: float,
+def diffop_subordination(d: SymbolDecomposition, q: float,
                          p1: Optional[float] = None, p2: Optional[float] = None,
                          oversample: int = 4,
-                         suite: Optional[Sequence[TestFunction]] = None,
-                         decomposition: Optional[SymbolDecomposition] = None,
-                         ) -> Report:
+                         suite: Optional[Sequence[TestFunction]] = None) -> Report:
     """Verify ``||target f||_q <= C (||op1 f||_p1 + ||op2 f||_p2)`` on a corpus.
 
-    Exponents default to ``p1 = p2 = q``.  Lower exponents are admissible
-    only where the corresponding cofactor decays: ``p1 < q`` needs
+    ``d`` is the decomposition of :func:`construct_decomposition`; its
+    polynomials and its grid are the ones checked.  Exponents default to
+    ``p1 = p2 = q``.  Lower exponents are admissible only where the
+    corresponding cofactor decays: ``p1 < q`` needs
     ``deg target < deg op1``; the second cofactor is always compactly
     supported, so any ``p2 <= q`` works.  The constant is the larger of the
     two per-operator factors (measure norm for ``p = q``, window partner
     norm of the cofactor density otherwise).
     """
-    if decomposition is None:
-        decomposition = construct_decomposition(target, op1, op2, grid)
-    d = decomposition
+    grid = d.grid
     q_, p1_, p2_ = _validate_exponents(
         q, q if p1 is None else p1, q if p2 is None else p2,
         poly_degree(d.target), poly_degree(d.op1))
@@ -552,4 +551,4 @@ def diffop_subordination(target, op1, op2, grid: GridSpec, q: float,
     if suite is None:
         suite = diffop_suite(_required_order(d))
     return _verify(suite, grid, rows, max(factor1, factor2), "subordination",
-                   factor1=factor1, factor2=factor2, q=q_, p1=p1_, p2=p2_, decomposition=d)
+                   factor1=factor1, factor2=factor2, q=q_, p1=p1_, p2=p2_)

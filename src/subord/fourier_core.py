@@ -33,7 +33,6 @@ __all__ = [
     "GridSpec",
     "SampledFunction",
     "WraparoundWarning",
-    "make_grid",
     "forward_ft",
     "inverse_ft",
     "apply_symbol",
@@ -114,11 +113,6 @@ class GridSpec:
             raise InvalidParameterError(
                 f"refinement factor must be a power of two >= 1, got {factor!r}")
         return GridSpec(self.half_length * factor, self.size * factor)
-
-
-def make_grid(half_length: float, size: int) -> GridSpec:
-    """Validate and build a :class:`GridSpec`."""
-    return GridSpec(half_length, size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,7 @@ from .errors import InvalidParameterError, KernelUnresolvableError
 from .comparison import Report, _check_exponent, _fmt_p, _verify, gw_ratio
 from .fourier_core import GridSpec, SampledFunction, _finite, apply_symbol, forward_ft, lp_norm
 from .measures import WienerEstimate, wiener_norm
-from .testkit import TestFunction, means_suite
+from .testkit import means_suite
 
 __all__ = [
     "gw_mean",
@@ -93,32 +93,36 @@ def gw_constant(alpha: float, beta: float, grid: GridSpec,
 
 
 def gw_verify(alpha: float, beta: float, grid: GridSpec,
-              suite: Optional[Sequence[TestFunction]] = None,
               eps_values: Sequence[float] = (1.0, 0.5, 0.1),
               p_values: Sequence[float] = (1.0, 2.0, math.inf),
               oversample: int = 8) -> Report:
     """Verify the error subordination inequality on a corpus.
 
-    For every test function, scale, and exponent the two approximation
-    errors are measured; a case passes when the error of the ``beta`` mean
+    For every function of :func:`subord.testkit.means_suite`, scale, and
+    exponent the two approximation errors are measured; a case passes when
+    the error of the ``beta`` mean
     is at most ``constant * (1 + TOLERANCE)`` times the error of the
     ``alpha`` mean, with the constant from :func:`gw_constant`.  Cases with
     right-hand side below ``1e-12 * (1 + lhs)`` are skipped; if nothing
-    remains, :class:`AllCasesSkippedError` is raised.
+    remains, :class:`AllCasesSkippedError` is raised.  Each mean symbol is
+    sampled once per scale, so a scale the grid cannot resolve is refused
+    before any test function is sampled.
     """
     estimate = gw_constant(alpha, beta, grid, oversample=oversample)
+    means = [(eps, _mean_symbol(beta, eps, grid), _mean_symbol(alpha, eps, grid))
+             for eps in eps_values]
 
     def rows(f, F):
-        for eps in eps_values:
+        for eps, mean_beta, mean_alpha in means:
             # each error once per scale; every exponent reads the same samples
-            error_beta = f - apply_symbol(_mean_symbol(beta, eps, grid), F)
-            error_alpha = f - apply_symbol(_mean_symbol(alpha, eps, grid), F)
+            error_beta = f - apply_symbol(mean_beta, F)
+            error_alpha = f - apply_symbol(mean_alpha, F)
             for p in p_values:
                 yield (float(eps), f"p={_fmt_p(float(p))}",
                        lp_norm(error_beta, p), lp_norm(error_alpha, p))
 
-    return _verify(means_suite() if suite is None else suite, grid, rows, estimate.total,
-                   "verification", estimate=estimate)
+    return _verify(means_suite(), grid, rows, estimate.total, "verification",
+                   estimate=estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +153,16 @@ def pinned_constant(alpha: float, beta: float) -> float:
             f"no pinned constant for pair ({alpha}, {beta}); known pairs: {known}") from None
 
 
-def seed_pinned_constants(path: Optional[str] = None,
-                          pairs: Sequence[tuple[float, float]] = DEFAULT_PAIRS) -> dict:
-    """Recompute the reference constants on the oracle grid and write them out.
+def seed_pinned_constants(path: Optional[str] = None) -> dict:
+    """Recompute the constants of :data:`DEFAULT_PAIRS` on the oracle grid and write
+    them to ``path``, by default the shipped fixture.
 
     This is the only way the shipped values change: no test or command
     calls it, because they are the baseline that future runs are compared
     against.
     """
     constants = {}
-    for alpha, beta in pairs:
+    for alpha, beta in DEFAULT_PAIRS:
         est = gw_constant(alpha, beta, ORACLE_GRID, oversample=ORACLE_OVERSAMPLE)
         constants[_pair_key(alpha, beta)] = est.total
     data = {

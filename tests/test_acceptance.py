@@ -30,12 +30,12 @@ from subord.errors import (
 )
 from subord.fourier_core import (
     SPACE,
+    GridSpec,
     SampledFunction,
     convolve,
     forward_ft,
     inverse_ft,
     lp_norm,
-    make_grid,
 )
 from subord.measures import carlson_bound, wiener_norm
 from subord.summability import (
@@ -50,7 +50,6 @@ from subord.summability import (
 from subord.testkit import (
     bspline,
     bump,
-    diffop_suite,
     exp_abs,
     gaussian,
     materialize,
@@ -58,8 +57,8 @@ from subord.testkit import (
 )
 from subord.cli import main as cli_main
 
-DESK = make_grid(40.0, 16384)
-FINE = make_grid(40.0, 2 ** 18)
+DESK = GridSpec(40.0, 16384)
+FINE = GridSpec(40.0, 2 ** 18)
 
 
 def _report(number, passed, detail):
@@ -69,7 +68,7 @@ def _report(number, passed, detail):
 
 
 def test_criterion_01_transform_oracle():
-    g = make_grid(20.0, 4096)
+    g = GridSpec(20.0, 4096)
     x, y = g.nodes(), g.dual_nodes()
     f = SampledFunction(g, np.exp(-x * x), SPACE)
     F = forward_ft(f)
@@ -157,7 +156,7 @@ def test_criterion_06_decomposition_identity():
                                         FINE.dual_nodes())).max())
         resid_ok = d.identity_residual <= 1e-10 * (1.0 + sup_q)
         deg_p1 = len(op1) - 1
-        rep = verify_identity(d, suite=diffop_suite(deg_p1))
+        rep = verify_identity(d)
         ok = ok and not violations and resid_ok and rep.passed
         details.append(f"deg({len(target)-1},{deg_p1},{len(op2)-1}): "
                        f"resid={d.identity_residual:.1e} err={rep.worst_ratio:.1e}")
@@ -169,14 +168,13 @@ def test_criterion_07_mixed_norm_inequality_and_stability():
     ok = True
     details = []
     for q, p2 in ((1.0, None), (2.0, None), (math.inf, None), (2.0, 1.0)):
-        sub = diffop_subordination([0, 1], [0, 0, 1], [1], FINE, q=q, p2=p2,
-                                   decomposition=d)
+        sub = diffop_subordination(d, q=q, p2=p2)
         ok = ok and sub.passed and math.isfinite(sub.constant)
         name = f"q={q:g}" + (f",p2={p2:g}" if p2 else "")
         details.append(f"{name}: C={sub.constant:.4f} worst={sub.worst_ratio:.3f}")
-    coarse = diffop_subordination([0, 1], [0, 0, 1], [1], FINE, q=2.0,
-                                  decomposition=d)
-    refined = diffop_subordination([0, 1], [0, 0, 1], [1], FINE.refined(2), q=2.0)
+    coarse = diffop_subordination(d, q=2.0)
+    refined = diffop_subordination(
+        construct_decomposition([0, 1], [0, 0, 1], [1], FINE.refined(2)), q=2.0)
     drift = abs(coarse.constant - refined.constant)
     stable = drift <= 1e-2 * max(1.0, coarse.constant)
     ok = ok and stable

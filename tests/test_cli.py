@@ -180,6 +180,8 @@ def test_wiener_norm_on_too_few_dual_nodes(tmp_path, capsys):
     ["wiener-norm", "--multiplier", "gw_symbol:alpha=1,alpha=2"],
     ["wiener-norm", "--multiplier", "exp_abs_ft", "--oversample", "3"],
     ["wiener-norm", "--multiplier", "exp_abs_ft", "--oversample", "0"],
+    ["selftest", "--oversample", "2"],
+    ["lemma2", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]", "--oversample", "2"],
 ])
 def test_config_errors(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -291,10 +293,15 @@ def test_any_json_grid_config_ends_in_an_exit_code(config):
 
 
 def test_json_config_rejects_unknown_key(tmp_path, capsys):
+    # lemma2 and selftest read no oversampling, so they do not take the key
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"grid-M": 1}')
-    assert run(["gw-compare", "--alpha", "1", "--beta", "2",
-                "--json-config", str(cfg)], capsys) == 3
+    out = tmp_path / "report.json"
+    for config, argv in (({"grid-M": 1}, ["gw-compare", "--alpha", "1", "--beta", "2"]),
+                         ({"oversample": 2}, ["selftest"]),
+                         ({"oversample": 2}, ["lemma2"] + _POLYS)):
+        cfg.write_text(json.dumps(config))
+        assert run(argv + ["--json-config", str(cfg), "--out", str(out)], capsys) == 3
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,10 @@ from subord.errors import (
     InvalidParameterError,
     NestedZerosViolatedError,
 )
-from subord.fourier_core import forward_ft, inverse_ft, lp_norm, make_grid
+from subord.fourier_core import GridSpec, forward_ft, inverse_ft, lp_norm
 from subord.testkit import gaussian, materialize
 
-GRID = make_grid(40.0, 16384)
+GRID = GridSpec(40.0, 16384)
 
 
 def test_registry_lookup():

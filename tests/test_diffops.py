@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subord import diffops
 from subord.diffops import (
     _operator_factor,
     apply_diffop,
@@ -27,11 +28,11 @@ from subord.errors import (
     MultiplicityObstructionError,
     NeighborhoodDegenerateError,
 )
-from subord.fourier_core import FREQUENCY, SampledFunction, forward_ft, inverse_ft, make_grid
+from subord.fourier_core import FREQUENCY, GridSpec, SampledFunction, forward_ft, inverse_ft
 from subord.testkit import bspline, bump, gaussian, materialize, modulated_gaussian
 
-GRID = make_grid(40.0, 16384)
-FINE = make_grid(40.0, 2 ** 18)
+GRID = GridSpec(40.0, 16384)
+FINE = GridSpec(40.0, 2 ** 18)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +308,12 @@ def test_partner_exponent_rejects_decreasing_pair():
 
 def test_subordination_rejects_inadmissible_exponents():
     with pytest.raises(InadmissibleExponentsError):
-        diffop_subordination([0, 1], [0, 0, 1], [1], GRID, q=2.0, p1=4.0)
+        diffop_subordination(construct_decomposition([0, 1], [0, 0, 1], [1], GRID),
+                             q=2.0, p1=4.0)
     # equal degrees force p1 = q
     with pytest.raises(InadmissibleExponentsError):
-        diffop_subordination([0, 0, 1], [0, 0, 1], [1], GRID, q=2.0, p1=1.0)
+        diffop_subordination(construct_decomposition([0, 0, 1], [0, 0, 1], [1], GRID),
+                             q=2.0, p1=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +321,7 @@ def test_subordination_rejects_inadmissible_exponents():
 # ---------------------------------------------------------------------------
 
 def test_subordination_first_order_under_second():
-    sub = diffop_subordination([0, 1], [0, 0, 1], [1], FINE, q=2.0)
+    sub = diffop_subordination(construct_decomposition([0, 1], [0, 0, 1], [1], FINE), q=2.0)
     assert sub.passed
     assert sub.factor1 == pytest.approx(1.5894533544400302, rel=1e-6)
     assert sub.factor2 == pytest.approx(0.6152227976225431, rel=1e-6)
@@ -329,13 +332,16 @@ def test_subordination_first_order_under_second():
         assert case.lhs <= sub.constant * case.rhs * (1.0 + 1e-2)
 
 
-def test_subordination_reuses_decomposition():
+def test_subordination_reuses_decomposition(monkeypatch):
     d = construct_decomposition([0, 1], [0, 0, 1], [1], FINE)
     small = [gaussian(1.0), bump(2.0), modulated_gaussian(1.0, 3.0)]
-    sub = diffop_subordination([0, 1], [0, 0, 1], [1], FINE, q=2.0,
-                               suite=small, decomposition=d)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("diffop_subordination built a decomposition of its own")
+
+    monkeypatch.setattr(diffops, "construct_decomposition", refuse)
+    sub = diffop_subordination(d, q=2.0, suite=small)
     assert sub.passed
-    assert sub.decomposition is d
 
 
 @pytest.mark.parametrize("q", [2.0, math.inf])
@@ -376,6 +382,7 @@ def test_subordination_transforms_each_function_once(monkeypatch):
             if getattr(module, "forward_ft", None) is forward_ft:
                 monkeypatch.setattr(module, "forward_ft", counted)
     small = [gaussian(1.0), bump(2.0), modulated_gaussian(1.0, 3.0)]
-    sub = diffop_subordination([0, 1], [0, 0, 1], [1], GRID, q=2.0, suite=small)
+    sub = diffop_subordination(construct_decomposition([0, 1], [0, 0, 1], [1], GRID),
+                               q=2.0, suite=small)
     assert sub.passed
     assert len(calls) == len(small)

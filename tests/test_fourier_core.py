@@ -17,16 +17,15 @@ from subord.fourier_core import (
     forward_ft,
     inverse_ft,
     lp_norm,
-    make_grid,
 )
 
 
 def test_grid_basic_geometry():
-    g = make_grid(20.0, 4096)
+    g = GridSpec(20.0, 4096)
     assert g.dx == pytest.approx(40.0 / 4096)
     # dual spacing depends only on the window length, not on N
     assert g.dy == pytest.approx(math.pi / 20.0)
-    assert make_grid(20.0, 8192).dy == pytest.approx(math.pi / 20.0)
+    assert GridSpec(20.0, 8192).dy == pytest.approx(math.pi / 20.0)
     assert g.dual_half_length == pytest.approx(math.pi / g.dx)
     x = g.nodes()
     assert x.shape == (4096,)
@@ -37,7 +36,7 @@ def test_grid_basic_geometry():
 
 
 def test_grid_refined():
-    g = make_grid(20.0, 4096)
+    g = GridSpec(20.0, 4096)
     r = g.refined(2)
     assert r.half_length == 40.0 and r.size == 8192
     # refinement keeps the space step (and hence the dual window) fixed
@@ -53,12 +52,12 @@ def test_grid_refined():
                                  (20.0, 1000), (20.0, 8), (20.0, 4095)])
 def test_grid_rejects_bad_parameters(L, N):
     with pytest.raises(InvalidParameterError):
-        make_grid(L, N)
+        GridSpec(L, N)
 
 
 def test_gaussian_transform_oracle():
     """FT of e^{-x^2} is sqrt(pi) e^{-y^2/4}; checked in relative error."""
-    g = make_grid(20.0, 4096)
+    g = GridSpec(20.0, 4096)
     x = g.nodes()
     f = SampledFunction(g, np.exp(-x * x), SPACE)
     F = forward_ft(f)
@@ -70,7 +69,7 @@ def test_gaussian_transform_oracle():
 
 
 def test_round_trip_is_identity():
-    g = make_grid(20.0, 4096)
+    g = GridSpec(20.0, 4096)
     x = g.nodes()
     f = SampledFunction(g, np.exp(-x * x) * (1.0 + 0.3j), SPACE)
     back = inverse_ft(forward_ft(f))
@@ -78,7 +77,7 @@ def test_round_trip_is_identity():
 
 
 def test_transform_side_bookkeeping():
-    g = make_grid(20.0, 4096)
+    g = GridSpec(20.0, 4096)
     f = SampledFunction(g, np.exp(-g.nodes() ** 2), SPACE)
     F = forward_ft(f)
     assert F.side == FREQUENCY
@@ -90,7 +89,7 @@ def test_transform_side_bookkeeping():
 
 def test_apply_symbol_multiplies_the_transform():
     """The symbol i y acts as d/dx; the unit symbol is the identity."""
-    g = make_grid(40.0, 16384)
+    g = GridSpec(40.0, 16384)
     x = g.nodes()
     f = SampledFunction(g, np.exp(-x * x), SPACE)
     F = forward_ft(f)
@@ -103,7 +102,7 @@ def test_apply_symbol_multiplies_the_transform():
 
 
 def test_transform_linearity():
-    g = make_grid(20.0, 4096)
+    g = GridSpec(20.0, 4096)
     x = g.nodes()
     f = SampledFunction(g, np.exp(-x * x), SPACE)
     h = SampledFunction(g, np.exp(-2.0 * x * x), SPACE)
@@ -113,7 +112,7 @@ def test_transform_linearity():
 
 
 def test_lp_norm_values():
-    g = make_grid(40.0, 16384)
+    g = GridSpec(40.0, 16384)
     x = g.nodes()
     f = SampledFunction(g, np.exp(-x * x), SPACE)
     # ||e^{-x^2}||_2 = (pi/2)^{1/4}
@@ -128,7 +127,7 @@ def test_lp_norm_values():
 
 
 def test_plancherel():
-    g = make_grid(40.0, 16384)
+    g = GridSpec(40.0, 16384)
     x = g.nodes()
     f = SampledFunction(g, np.exp(-x * x) + 0.5j * np.exp(-2 * x * x), SPACE)
     F = forward_ft(f)
@@ -138,7 +137,7 @@ def test_plancherel():
 
 def test_gaussian_self_convolution():
     """(e^{-x^2} * e^{-x^2})(x) = sqrt(pi/2) e^{-x^2/2}."""
-    g = make_grid(40.0, 16384)
+    g = GridSpec(40.0, 16384)
     x = g.nodes()
     f = SampledFunction(g, np.exp(-x * x), SPACE)
     conv = convolve(f, f)
@@ -147,7 +146,7 @@ def test_gaussian_self_convolution():
 
 
 def test_convolution_matches_transform_product():
-    g = make_grid(40.0, 16384)
+    g = GridSpec(40.0, 16384)
     x = g.nodes()
     f = SampledFunction(g, np.exp(-x * x), SPACE)
     h = SampledFunction(g, np.exp(-np.abs(x)), SPACE)
@@ -159,7 +158,7 @@ def test_convolution_matches_transform_product():
 
 def test_convolution_warns_on_wraparound():
     # a window far too small for e^{-|x|/4}: visible mass at the boundary
-    g = make_grid(10.0, 1024)
+    g = GridSpec(10.0, 1024)
     x = g.nodes()
     f = SampledFunction(g, np.exp(-np.abs(x) / 4.0), SPACE)
     with pytest.warns(WraparoundWarning):
@@ -167,8 +166,8 @@ def test_convolution_warns_on_wraparound():
 
 
 def test_grid_mismatch_rejected():
-    f = SampledFunction(make_grid(20.0, 4096), np.zeros(4096), SPACE)
-    h = SampledFunction(make_grid(20.0, 8192), np.zeros(8192), SPACE)
+    f = SampledFunction(GridSpec(20.0, 4096), np.zeros(4096), SPACE)
+    h = SampledFunction(GridSpec(20.0, 8192), np.zeros(8192), SPACE)
     with pytest.raises(GridMismatchError):
         f + h
     with pytest.raises(GridMismatchError):
@@ -176,7 +175,7 @@ def test_grid_mismatch_rejected():
 
 
 def test_sampled_function_rejects_nonfinite():
-    g = make_grid(20.0, 4096)
+    g = GridSpec(20.0, 4096)
     v = np.zeros(4096)
     v[0] = np.nan
     with pytest.raises(InvalidParameterError):

@@ -19,10 +19,10 @@ from subord.errors import (
     InvalidParameterError,
     NotApplicableError,
 )
-from subord.fourier_core import make_grid
+from subord.fourier_core import GridSpec
 from subord.measures import carlson_bound, wiener_norm
 
-GRID = make_grid(40.0, 16384)
+GRID = GridSpec(40.0, 16384)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ def test_wiener_norm_rejects_inconsistent_limits():
 @pytest.mark.parametrize("oversample", [1, 2])
 def test_constant_term_needs_a_node_in_each_outer_band(oversample):
     """At 16 or 32 dual nodes the outer 5% of the upper side holds no node."""
-    tiny = make_grid(40.0, 16)
+    tiny = GridSpec(40.0, 16)
     with pytest.raises(GridTooSmallError):
         wiener_norm(gw_symbol(1.0), tiny, oversample=oversample)
     with pytest.raises(GridTooSmallError):

@@ -9,7 +9,7 @@ import pytest
 
 from subord import summability
 from subord.errors import InvalidParameterError, KernelUnresolvableError
-from subord.fourier_core import SPACE, SampledFunction, make_grid
+from subord.fourier_core import SPACE, GridSpec, SampledFunction
 from subord.summability import (
     DEFAULT_PAIRS,
     ORACLE_GRID,
@@ -21,7 +21,7 @@ from subord.summability import (
 )
 from subord.testkit import gaussian, materialize
 
-GRID = make_grid(40.0, 16384)
+GRID = GridSpec(40.0, 16384)
 
 
 def mean_kernel(alpha, eps):

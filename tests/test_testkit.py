@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import subord
 
 from subord.errors import GridTooSmallError, InvalidParameterError
-from subord.fourier_core import forward_ft, make_grid
+from subord.fourier_core import GridSpec, forward_ft
 from subord.testkit import (
     bspline,
     bump,
@@ -24,7 +24,7 @@ from subord.testkit import (
     modulated_gaussian,
 )
 
-GRID = make_grid(40.0, 16384)
+GRID = GridSpec(40.0, 16384)
 
 
 @pytest.mark.parametrize("fn,tol", [
@@ -64,7 +64,7 @@ def test_bspline_matches_scipy_bitwise(m):
     knots = np.arange(m + 1, dtype=float) - m / 2.0
     element = interpolate.BSpline.basis_element(knots, extrapolate=False)
     for L, N in ((40.0, 2**14), (40.0, 2**18), (64.0, 2**14)):
-        x = make_grid(L, N).nodes()
+        x = GridSpec(L, N).nodes()
         expected = np.nan_to_num(element(x), nan=0.0)
         assert bspline(m).profile(x).tobytes() == expected.tobytes()
 
@@ -151,11 +151,11 @@ def test_diffop_suite_filters_by_smoothness():
 
 def test_materialize_rejects_undersized_window():
     with pytest.raises(GridTooSmallError):
-        materialize(gaussian(1.0), make_grid(4.0, 64))
+        materialize(gaussian(1.0), GridSpec(4.0, 64))
     with pytest.raises(GridTooSmallError):
-        materialize(exp_abs(1.0), make_grid(10.0, 1024))
+        materialize(exp_abs(1.0), GridSpec(10.0, 1024))
     # zero at both end nodes, -L and L - dx, but large in the rest of the outer band
-    grid = make_grid(8.0, 256)
+    grid = GridSpec(8.0, 256)
     L, dx = grid.half_length, grid.dx
     parabola = subord.TestFunction("parabola", lambda x: (x + L) * (L - dx - x), None, 0)
     with pytest.raises(GridTooSmallError):

@@ -7,8 +7,10 @@ this one, every command line of ``benchmarks/workloads.py`` and the extra
 ones below run as ``python -m subord.cli ARGS --out FILE --csv FILE``, each
 in its own subprocess and one at a time.  One line per command gives the
 exit codes (revision, then this tree) and names every report file, JSON or
-CSV, whose bytes differ.  The exit status is 1 when an exit code or a file
-differs, else 0.  ``benchmarks/`` is read, never written.
+CSV, whose bytes differ.  A last line gives the line count of
+``src/subord/*.py`` in both trees, the total that ``wc -l`` prints.  The
+exit status is 1 when an exit code or a file differs, else 0.
+``benchmarks/`` is read, never written.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ def _bytes(path: Path):
     return path.read_bytes() if path.exists() else None
 
 
+def _source_lines(tree: Path) -> int:
+    # newlines, as wc -l counts them
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "subord").glob("*.py"))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/same_reports.py <git-rev>", file=sys.stderr)
@@ -81,7 +88,9 @@ def main(argv: list[str]) -> int:
             differences += (codes[0] != codes[1]) + len(changed)
             note = f"  DIFFERS: {', '.join(changed)}" if changed else ""
             print(f"{codes[0]} {codes[1]}  {' '.join(args)}{note}", flush=True)
+        sizes = [_source_lines(tree) for tree in (base, ROOT)]
     print(f"{len(lines)} command lines, {differences} differences")
+    print(f"src/subord/*.py: {sizes[0]} -> {sizes[1]} lines")
     return 1 if differences else 0
 
 
