@@ -57,8 +57,10 @@ __all__ = [
 
 #: imaginary parts below this (relative) level count as real roots
 _IMAG_TOL = 1e-7
-#: roots closer than this (relative) are merged into one location (see _root_spread)
+#: roots of two polynomials closer than this (relative) are one shared root (see _root_spread)
 _CLUSTER_TOL = 1e-7
+#: spread and lower Taylor terms allowed for the copies of one root, in rounding units (_one_root)
+_CLUSTER_SLACK = 10.0
 #: relative residual allowed when confirming a root location
 _ROOT_RESIDUAL = 1e-8
 #: relative level below which the second symbol counts as zero inside a neighborhood
@@ -130,16 +132,27 @@ def _poly_scale(coeffs: np.ndarray, y: float) -> float:
 
 def _root_spread(m: int) -> float:
     # the m copies of a root of multiplicity m spread about eps^(1/m) (relative: 1.5e-8, 1e-5,
-    # 2e-4, 1e-3 for m = 2 .. 5); doubled from m = 3 on, as a nearby root widens the spread
-    # (2.2e-5 for (y-1.5)^3 (y-1.6)); a simple root is held to the double-root level
+    # 2e-4, 1e-3 for m = 2 .. 5), doubled from m = 3 on; at the degree, the widest imag part kept
     return _CLUSTER_TOL if m <= 2 else 2.0 * _CLUSTER_TOL ** (2.0 / m)
+
+
+def _one_root(c: np.ndarray, group: np.ndarray) -> bool:
+    # whether group is the m copies of one root z, their mean: rounding at s = eps S(z) spreads
+    # it over r = (s / |a_m|)^(1/m), a_j = P^(j)(z) / j!, wide if a root nearby shrinks a_m; the
+    # copies lie within 10 r of z and each |a_j| r^j, j < m, below 10 s, as no run of simple roots
+    m, z = group.size, complex(np.mean(group))
+    s = np.finfo(float).eps * _poly_scale(c, abs(z))
+    a = [abs(npoly.polyval(z, npoly.polyder(c, j))) / math.factorial(j) for j in range(m + 1)]
+    r = (s / a[m]) ** (1.0 / m) if a[m] else math.inf
+    return (float(np.abs(group - z).max()) <= _CLUSTER_SLACK * r
+            and all(a[j] * r**j <= _CLUSTER_SLACK * s for j in range(m)))
 
 
 def real_roots(coeffs) -> np.ndarray:
     """Sorted distinct real roots of the polynomial, each once whatever its multiplicity.
 
     In order of real part, the companion-matrix roots are taken in runs, each the
-    longest that spreads like one root of its multiplicity (:func:`_root_spread`).
+    longest that passes for one root of its multiplicity (:func:`_one_root`).
     A run whose mean is real to ``1e-7`` is one root at the mean of its real parts, where
     the spread cancels; :class:`VerificationFailureError` if the polynomial does not vanish there.
     """
@@ -149,12 +162,8 @@ def real_roots(coeffs) -> np.ndarray:
     near = near[np.argsort(near.real)]
     locations = []
     while near.size:
-        for size in range(near.size, 0, -1):
-            group = near[:size]
-            tol = _root_spread(size) * (1.0 + np.abs(group.real))
-            if np.all(np.abs(group.imag) <= tol) and np.all(np.diff(group.real) <= tol[1:]):
-                break
-        near = near[size:]
+        size = next((k for k in range(near.size, 1, -1) if _one_root(c, near[:k])), 1)
+        group, near = near[:size], near[size:]
         loc = float(np.mean(group.real))
         if abs(np.mean(group.imag)) > _IMAG_TOL * (1.0 + abs(loc)):
             continue

@@ -10,7 +10,8 @@ with spacing ``dx = 2 L / N``.  The dual grid covers ``[-pi/dx, pi/dx)`` with
 spacing ``dy = 2 pi / (N dx)``.  With node ``j`` at ``(j - N/2) dx`` and dual
 node ``k`` at ``(k - N/2) dy``, the rectangle-rule approximation of the
 forward integral is an FFT conjugated by index shifts, and the discrete pair
-is exactly invertible.
+is exactly invertible.  For even ``N`` both shifts swap the halves of the array,
+so a transform copies its input once, halves swapped, and works in place on it.
 
 All quadrature in this package is the rectangle rule on these grids; sums are
 evaluated with numpy's deterministic reducer, so repeated runs in one
@@ -130,13 +131,22 @@ class SampledFunction:
     def __post_init__(self) -> None:
         if self.side not in (SPACE, FREQUENCY):
             raise InvalidParameterError(f"side must be {SPACE!r} or {FREQUENCY!r}, got {self.side!r}")
-        vals = np.asarray(self.values, dtype=np.complex128)
+        self._freeze(np.array(self.values, dtype=np.complex128))
+
+    @classmethod
+    def _owning(cls, grid: GridSpec, values: np.ndarray, side: str) -> "SampledFunction":
+        # wraps a fresh array that nothing else holds: checked and frozen, not copied
+        f = cls.__new__(cls)
+        f.__dict__.update(grid=grid, side=side)
+        f._freeze(np.asarray(values, dtype=np.complex128))
+        return f
+
+    def _freeze(self, vals: np.ndarray) -> None:
         if vals.shape != (self.grid.size,):
             raise InvalidParameterError(
                 f"values must have shape ({self.grid.size},), got {vals.shape}")
         if not np.isfinite(vals).all():
             raise InvalidParameterError("values contain non-finite entries")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -155,6 +165,15 @@ class SampledFunction:
         return SampledFunction(self.grid, self.values - other.values, self.side)
 
 
+def _centered_fft(f: SampledFunction, fft, scale, side: str) -> SampledFunction:
+    # scale(fftshift(fft(ifftshift(v))), dx) bit for bit: one array, swapped back in place
+    v, n = f.values, f.grid.size // 2
+    out = np.concatenate((v[n:], v[:n]))
+    fft(out, out=out)
+    out[:n], out[n:] = out[n:], out[:n].copy()  # the copy is the one half-length temporary
+    return SampledFunction._owning(f.grid, scale(out, f.grid.dx, out=out), side)
+
+
 def forward_ft(f: SampledFunction) -> SampledFunction:
     """Discrete approximation of ``F(y) = int f(x) exp(-i x y) dx``.
 
@@ -164,8 +183,7 @@ def forward_ft(f: SampledFunction) -> SampledFunction:
     """
     if f.side != SPACE:
         raise InvalidParameterError("forward_ft expects a space-side function")
-    spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f.values))) * f.grid.dx
-    return SampledFunction(f.grid, spec, FREQUENCY)
+    return _centered_fft(f, np.fft.fft, np.multiply, FREQUENCY)
 
 
 def inverse_ft(F: SampledFunction) -> SampledFunction:
@@ -175,8 +193,7 @@ def inverse_ft(F: SampledFunction) -> SampledFunction:
     """
     if F.side != FREQUENCY:
         raise InvalidParameterError("inverse_ft expects a frequency-side function")
-    vals = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(F.values))) / F.grid.dx
-    return SampledFunction(F.grid, vals, SPACE)
+    return _centered_fft(F, np.fft.ifft, np.divide, SPACE)
 
 
 def apply_symbol(symbol: np.ndarray, F: SampledFunction) -> SampledFunction:
@@ -188,7 +205,7 @@ def apply_symbol(symbol: np.ndarray, F: SampledFunction) -> SampledFunction:
     """
     if F.side != FREQUENCY:
         raise InvalidParameterError("apply_symbol expects a frequency-side function")
-    return inverse_ft(SampledFunction(F.grid, symbol * F.values, FREQUENCY))
+    return inverse_ft(SampledFunction._owning(F.grid, symbol * F.values, FREQUENCY))
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:

@@ -16,7 +16,8 @@ larger window).  Recovering it on the caller's own window would periodize
 ``g`` with period ``2 L`` and silently fold the tail mass back into the
 window — the window integral would then match ``psi(0)`` exactly and the
 tail correction would double-count.  Oversampling pushes the aliasing images
-out to ``2 L * oversample`` where they are harmless.
+out to ``2 L * oversample`` where they are harmless.  Only the caller's window
+of the inverse is read, as one contiguous slice.
 """
 
 from __future__ import annotations
@@ -96,19 +97,19 @@ def _centered(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, const_at_
     if not np.isfinite(vals).all():
         raise InvalidParameterError("symbol evaluated to non-finite values on the dual grid")
     c = _limit_at_infinity(vals, y, grid.dual_half_length, const_at_infinity)
-    return c, SampledFunction(grid, vals - c, FREQUENCY)
+    return c, SampledFunction._owning(grid, vals - c, FREQUENCY)
 
 
 def _window_density(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
                     oversample: int, const_at_infinity):
     """One pass on ``grid.refined(oversample)``: the constant term ``c``, and the nodes
-    ``x`` of ``grid``'s window with ``|g(x)|`` there and ``dx``, from one inversion."""
+    ``x`` of ``grid``'s window with ``|g(x)|`` there and ``dx``, from one inversion; the
+    window ``|x| < L`` is the slice ``[M/2 - N/2 + 1, M/2 + N/2)``, ``dx = 2 L / N`` being exact."""
     fine = grid.refined(oversample)
     c, centered = _centered(psi, fine, const_at_infinity)
-    absg = np.abs(inverse_ft(centered).values)
-    x = fine.nodes()
-    window = np.abs(x) < grid.half_length
-    return c, x[window], absg[window], fine.dx
+    n, mid = grid.size // 2, fine.size // 2
+    absg = np.abs(inverse_ft(centered).values[mid - n + 1:mid + n])
+    return c, np.arange(1 - n, n) * fine.dx, absg, fine.dx
 
 
 def _wiener_components(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
@@ -116,11 +117,9 @@ def _wiener_components(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     c, x, absg, dx = _window_density(psi, grid, oversample, const_at_infinity)
     L = grid.half_length
     density_l1 = dx * float(np.sum(absg))
-    left = x <= -(1.0 - _TAIL_BAND) * L
-    right = x >= (1.0 - _TAIL_BAND) * L
-    c_left = float(np.max(absg[left] * x[left] ** 2)) if left.any() else 0.0
-    c_right = float(np.max(absg[right] * x[right] ** 2)) if right.any() else 0.0
-    tail = (c_left + c_right) / L
+    band = (1.0 - _TAIL_BAND) * L  # C / x^2 fitted to each side's outer band
+    tail = sum(float(np.max(absg[side] * x[side] ** 2)) if side.any() else 0.0
+               for side in (x <= -band, x >= band)) / L
     total = abs(c) + density_l1 + tail
     return c, density_l1, tail, total
 

@@ -1,9 +1,12 @@
 """Grid construction, transform pair, norms, and convolution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subord.errors import GridMismatchError, InvalidParameterError
 from subord.fourier_core import (
@@ -180,3 +183,70 @@ def test_sampled_function_rejects_nonfinite():
     v[0] = np.nan
     with pytest.raises(InvalidParameterError):
         SampledFunction(g, v, SPACE)
+
+
+# ---------------------------------------------------------------------------
+# the in-place transform path
+# ---------------------------------------------------------------------------
+
+def _reference(values, fft, scale, dx):
+    # the shift-copy composition the transforms replaced
+    return scale(np.fft.fftshift(fft(np.fft.ifftshift(values))), dx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(power=st.integers(4, 12), half_length=st.floats(0.5, 500.0), seed=st.integers(0, 2**32 - 1))
+def test_transforms_equal_the_shifted_fft_bit_for_bit(power, half_length, seed):
+    grid = GridSpec(half_length, 2 ** power)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    F = forward_ft(SampledFunction(grid, values, SPACE))
+    f = inverse_ft(SampledFunction(grid, values, FREQUENCY))
+    assert F.values.tobytes() == _reference(values, np.fft.fft, np.multiply, grid.dx).tobytes()
+    assert f.values.tobytes() == _reference(values, np.fft.ifft, np.divide, grid.dx).tobytes()
+
+
+def test_transforms_keep_their_input_and_freeze_their_output():
+    grid = GridSpec(20.0, 1024)
+    f = SampledFunction(grid, np.exp(-grid.nodes() ** 2) * (1 + 1j), SPACE)
+    before = f.values.copy()
+    F = forward_ft(f)
+    back = inverse_ft(F)
+    shifted = apply_symbol(np.cos(grid.dual_nodes()), F)
+    assert f.values.tobytes() == before.tobytes()
+    for g in (F, back, shifted):
+        assert not g.values.flags.writeable
+        assert g.values.dtype == np.complex128
+        with pytest.raises(ValueError):
+            g.values[0] = 1.0
+
+
+def test_sampled_function_copies_the_callers_array():
+    grid = GridSpec(20.0, 256)
+    arr = np.zeros(256, dtype=np.complex128)
+    f = SampledFunction(grid, arr, SPACE)
+    assert not np.shares_memory(f.values, arr)
+    assert arr.flags.writeable
+    arr[0] = 1.0
+    assert f.values[0] == 0.0
+
+
+def _peak_bytes(call) -> int:
+    """Peak of the memory ``call()`` allocates, its result included; a first call warms caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_transform_allocates_one_output_and_a_half_length_temporary():
+    # the shift copies, the scaling and the defensive copy took 2.0 output arrays at the peak
+    grid = GridSpec(40.0, 2 ** 16)
+    f = SampledFunction(grid, np.exp(-grid.nodes() ** 2), SPACE)
+    F = forward_ft(f)
+    one_array = 16 * grid.size
+    assert _peak_bytes(lambda: forward_ft(f)) <= 1.6 * one_array
+    assert _peak_bytes(lambda: inverse_ft(F)) <= 1.6 * one_array

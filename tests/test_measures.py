@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,21 @@ def test_wiener_estimate_holds_numbers_only():
 def test_wiener_norm_rejects_bad_oversample():
     with pytest.raises(InvalidParameterError):
         wiener_norm(gw_symbol(1.0), GRID, oversample=3)
+
+
+def test_wiener_norm_peak_memory():
+    # in complex arrays of the doubled window's fine grid; the shift copies, the full-window
+    # node array and mask and the copied samples took 3.5
+    grid = GridSpec(40.0, 2 ** 12)
+    fine_array = 16 * grid.refined(2).refined(8).size
+    wiener_norm(gw_symbol(1.0), grid)  # warm
+    tracemalloc.start()
+    try:
+        wiener_norm(gw_symbol(1.0), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * fine_array
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: command lines beyond the benchmark's: a failing hypothesis (exit 1), a
 #: bandwidth failure (exit 2), a triple root, a triple root beside a complex
-#: pair near the real axis, and mixed exponents (p < q)
+#: pair near the real axis, mixed exponents (p < q), and the oversample
+#: factors 1 and 2, the edge cases of the estimator's window slice
 EXTRAS = (
     ("selftest",),
+    ("wiener-norm", "--multiplier", "exp_abs_ft", "--oversample", "1"),
+    ("wiener-norm", "--multiplier", "exp_abs_ft", "--oversample", "2"),
     ("compare", "--m1", "gaussian_ft", "--m2", "exp_abs_ft"),
     ("lemma2", "--Q", "[0,0,0,1]", "--P1", "[0,0,1]", "--P2", "[1]"),
     ("lemma2", "--Q", "[1]", "--P1", "[-1,3,-3,1]", "--P2", "[1]"),
