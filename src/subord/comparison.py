@@ -112,13 +112,13 @@ def gw_ratio(alpha: float, beta: float) -> Multiplier:
             f"ratio symbol requires beta > alpha, got alpha={alpha}, beta={beta}")
 
     def fn(y: np.ndarray) -> np.ndarray:
-        # -expm1(-t) in place; ``**`` keeps numpy's exact paths for the exponents 2 and 0.5
-        num, den = (np.abs(np.asarray(y, dtype=float)) ** e for e in (beta, alpha))
+        # -expm1(-t) in place, so at least 1-d; ``**`` keeps numpy's exact paths for 2 and 0.5
+        num, den = (np.abs(np.atleast_1d(y)) ** e for e in (beta, alpha))
         for t in (num, den):
             np.negative(np.expm1(np.negative(t, out=t), out=t), out=t)
         out = np.zeros(den.shape, dtype=np.complex128)
         np.divide(num, den, out=out.real, where=den != 0.0)
-        return out
+        return out.reshape(np.shape(y))
 
     return Multiplier(label=f"gw_ratio(alpha={alpha:g},beta={beta:g})", _fn=fn)
 

@@ -153,8 +153,8 @@ def real_roots(coeffs) -> np.ndarray:
 
     In order of real part, the companion-matrix roots are taken in runs, each the
     longest that passes for one root of its multiplicity (:func:`_one_root`).
-    A run whose mean is real to ``1e-7`` is one root at the mean of its real parts, where
-    the spread cancels; :class:`VerificationFailureError` if the polynomial does not vanish there.
+    A run whose mean is real to ``1e-7`` is one root at the mean of its real parts, where the
+    spread cancels; :class:`VerificationFailureError` unless P vanishes at just the real runs.
     """
     c = _as_poly(coeffs)
     roots = npoly.polyroots(c)
@@ -164,15 +164,15 @@ def real_roots(coeffs) -> np.ndarray:
     while near.size:
         size = next((k for k in range(near.size, 1, -1) if _one_root(c, near[:k])), 1)
         group, near = near[:size], near[size:]
-        loc = float(np.mean(group.real))
-        if abs(np.mean(group.imag)) > _IMAG_TOL * (1.0 + abs(loc)):
-            continue
+        loc, imag = float(np.mean(group.real)), abs(float(np.mean(group.imag)))
+        real = imag <= _IMAG_TOL * (1.0 + abs(loc))
         residual = abs(complex(npoly.polyval(loc, c)))
-        if residual > _ROOT_RESIDUAL * _poly_scale(c, loc):
+        if real != (residual <= _ROOT_RESIDUAL * _poly_scale(c, loc)):  # none dropped silently
             raise VerificationFailureError(
-                f"candidate real root y={loc:.9g} of {poly_label(c)} has residual "
-                f"{residual:.3g}, beyond the accepted level")
-        locations.append(loc)
+                f"candidate real root y={loc:.9g} of {poly_label(c)} has residual {residual:.3g}, "
+                + ("beyond the accepted level" if real else f"yet lies {imag:.3g} off the axis"))
+        if real:
+            locations.append(loc)
     return np.asarray(locations)
 
 

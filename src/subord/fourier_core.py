@@ -128,20 +128,10 @@ class SampledFunction:
     values: np.ndarray
     side: str
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, owned: bool = False) -> None:
         if self.side not in (SPACE, FREQUENCY):
             raise InvalidParameterError(f"side must be {SPACE!r} or {FREQUENCY!r}, got {self.side!r}")
-        self._freeze(np.array(self.values, dtype=np.complex128))
-
-    @classmethod
-    def _owning(cls, grid: GridSpec, values: np.ndarray, side: str) -> "SampledFunction":
-        # wraps a fresh array that nothing else holds: checked and frozen, not copied
-        f = cls.__new__(cls)
-        f.__dict__.update(grid=grid, side=side)
-        f._freeze(np.asarray(values, dtype=np.complex128))
-        return f
-
-    def _freeze(self, vals: np.ndarray) -> None:
+        vals = (np.asarray if owned else np.array)(self.values, dtype=np.complex128)
         if vals.shape != (self.grid.size,):
             raise InvalidParameterError(
                 f"values must have shape ({self.grid.size},), got {vals.shape}")
@@ -149,6 +139,14 @@ class SampledFunction:
             raise InvalidParameterError("values contain non-finite entries")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _owning(cls, grid: GridSpec, values: np.ndarray, side: str) -> "SampledFunction":
+        # wraps a fresh array that nothing else holds: checked and frozen, not copied
+        f = cls.__new__(cls)
+        f.__dict__.update(grid=grid, values=values, side=side)
+        f.__post_init__(owned=True)
+        return f
 
     def _check_compatible(self, other: "SampledFunction") -> None:
         if self.grid != other.grid:

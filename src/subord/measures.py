@@ -103,11 +103,10 @@ def _centered(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, const_at_
 def _window_density(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
                     oversample: int, const_at_infinity):
     """One pass on ``grid.refined(oversample)``: the constant term ``c``, and the nodes
-    ``x`` of ``grid``'s window with ``|g(x)|`` there and ``dx``, from one inversion; the
-    window ``|x| < L`` is the slice ``[M/2 - N/2 + 1, M/2 + N/2)``, ``dx = 2 L / N`` being exact."""
+    ``x`` of ``grid``'s window with ``|g(x)|`` there and ``dx``, from one inversion."""
     fine = grid.refined(oversample)
     c, centered = _centered(psi, fine, const_at_infinity)
-    n, mid = grid.size // 2, fine.size // 2
+    n, mid = grid.size // 2, fine.size // 2  # |x| < L: nodes mid-n+1 .. mid+n-1, dx being exact
     absg = np.abs(inverse_ft(centered).values[mid - n + 1:mid + n])
     return c, np.arange(1 - n, n) * fine.dx, absg, fine.dx
 
@@ -117,9 +116,11 @@ def _wiener_components(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     c, x, absg, dx = _window_density(psi, grid, oversample, const_at_infinity)
     L = grid.half_length
     density_l1 = dx * float(np.sum(absg))
-    band = (1.0 - _TAIL_BAND) * L  # C / x^2 fitted to each side's outer band
-    tail = sum(float(np.max(absg[side] * x[side] ** 2)) if side.any() else 0.0
-               for side in (x <= -band, x >= band)) / L
+    left = x <= -(1.0 - _TAIL_BAND) * L
+    right = x >= (1.0 - _TAIL_BAND) * L
+    c_left = float(np.max(absg[left] * x[left] ** 2)) if left.any() else 0.0
+    c_right = float(np.max(absg[right] * x[right] ** 2)) if right.any() else 0.0
+    tail = (c_left + c_right) / L
     total = abs(c) + density_l1 + tail
     return c, density_l1, tail, total
 

@@ -59,6 +59,8 @@ def test_gw_ratio_endpoint_values():
     r = gw_ratio(1.0, 2.0)
     vals = r(GRID.dual_nodes()).real
     assert r(np.array([0.0]))[0] == 0.0          # removable zero pinned
+    assert r(0.0) == 0.0 and np.shape(r(2.0)) == ()  # a scalar in, a scalar out
+    assert r(2.0) == pytest.approx((1.0 - np.exp(-4.0)) / (1.0 - np.exp(-2.0)), rel=1e-15)
     assert vals.max() == pytest.approx(1.1563747984508446, rel=1e-9)
     assert vals[0] == 1.0                        # saturates at the window edge
     with pytest.raises(InvalidParameterError):
