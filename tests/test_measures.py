@@ -2,18 +2,31 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import subord
+from subord import measures
 from subord.comparison import (
+    REGISTRY,
     Multiplier,
     constant,
     exp_abs_ft,
     gaussian_ft,
     gw_symbol,
+    one_minus_gw_symbol,
+    ratio_multiplier,
 )
+from subord.diffops import construct_decomposition
 from subord.errors import (
     GridTooSmallError,
     InconsistentLimitError,
@@ -21,7 +34,7 @@ from subord.errors import (
     NotApplicableError,
 )
 from subord.fourier_core import GridSpec
-from subord.measures import carlson_bound, wiener_norm
+from subord.measures import _centered, _limit_at_infinity, carlson_bound, wiener_norm
 
 GRID = GridSpec(40.0, 16384)
 
@@ -106,6 +119,55 @@ def test_wiener_norm_peak_memory():
     assert peak <= 2.6 * fine_array
 
 
+def test_wiener_norm_peak_memory_of_a_cofactor():
+    # in complex arrays of the doubled window's fine grid; the first cofactor sampled on the
+    # whole dual grid in one call held about six of them, its masks and quotient temporaries
+    d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 14))
+    fine_array = 16 * d.grid.refined(2).refined(4).size
+
+    def norm():
+        wiener_norm(d.cofactor1, d.grid, oversample=4, const_at_infinity=d.cofactor1_at_infinity)
+
+    norm()  # warm
+    tracemalloc.start()
+    try:
+        norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * fine_array
+
+
+#: prints the growth of the peak RSS over one first-cofactor norm at N = 2^18, in complex
+#: arrays of the doubled window's 2^21-point fine grid
+_RSS_PROBE = """
+import resource, sys
+from subord.diffops import construct_decomposition
+from subord.fourier_core import GridSpec
+from subord.measures import wiener_norm
+d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 18))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+wiener_norm(d.cofactor1, d.grid, oversample=4, const_at_infinity=d.cofactor1_at_infinity)
+growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(growth * (1 if sys.platform == "darwin" else 1024) / (16 * 2 ** 21))
+"""
+
+
+#: starts the probe from a small process: on Linux ``exec`` records the resident high-water
+#: mark of the launching process in the child's ``ru_maxrss``, and the test runner is large
+_LAUNCHER = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+
+
+def test_wiener_norm_process_peak_of_a_cofactor():
+    # unlike tracemalloc, ru_maxrss counts numpy's FFT work memory too.  Sampling the
+    # cofactor in one call grew it by 5.2 arrays, sampling it in blocks by 3.1
+    src = str(Path(subord.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _LAUNCHER, _RSS_PROBE],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True)
+    assert float(out.stdout) <= 3.6
+
+
 # ---------------------------------------------------------------------------
 # Carlson-type sufficient bound
 # ---------------------------------------------------------------------------
@@ -143,3 +205,70 @@ def test_both_estimators_reject_a_non_finite_symbol(at_origin):
         wiener_norm(bad, GRID)
     with pytest.raises(InvalidParameterError):
         carlson_bound(bad, GRID)
+
+
+# ---------------------------------------------------------------------------
+# Sampling a symbol in blocks
+# ---------------------------------------------------------------------------
+
+_WRONG_SHAPES = {
+    "scalar": lambda y: np.complex128(0.5),
+    "short": lambda y: np.exp(-np.abs(y[1:])),
+    "long": lambda y: np.exp(-np.abs(np.append(y, 0.0))),
+    "2-D": lambda y: np.exp(-np.abs(y))[None, :],
+}
+
+
+@pytest.mark.parametrize("pinned", [None, 0.0])
+@pytest.mark.parametrize("shape", sorted(_WRONG_SHAPES))
+def test_both_estimators_reject_a_symbol_of_the_wrong_shape(shape, pinned):
+    psi = _WRONG_SHAPES[shape]
+    with pytest.raises(InvalidParameterError, match="shape"):
+        wiener_norm(psi, GRID, const_at_infinity=pinned)
+    with pytest.raises(InvalidParameterError, match="shape"):
+        carlson_bound(psi, GRID, const_at_infinity=pinned)
+
+
+_EXPONENT = st.floats(0.25, 3.0)
+#: parameters of each registry symbol; a symbol added to the registry without an entry
+#: here fails the property below with a KeyError
+_PARAMS = {
+    "constant": st.fixed_dictionaries({"value": st.complex_numbers(max_magnitude=10.0)}),
+    "gw_symbol": st.fixed_dictionaries({"alpha": _EXPONENT}),
+    "one_minus_gw_symbol": st.fixed_dictionaries({"alpha": _EXPONENT}),
+    "gw_ratio": st.tuples(_EXPONENT, _EXPONENT).filter(lambda ab: ab[0] < ab[1]).map(
+        lambda ab: {"alpha": ab[0], "beta": ab[1]}),
+    "gaussian_ft": st.just({}),
+    "exp_abs_ft": st.just({}),
+}
+_SMALL = GridSpec(40.0, 2 ** 10)
+_DECOMPOSITION = construct_decomposition([0, 1], [0, 0, 1], [1], _SMALL)
+#: (symbol, pinned constant term or None)
+_SYMBOLS = st.one_of(
+    st.sampled_from(sorted(REGISTRY)).flatmap(lambda name: st.tuples(
+        _PARAMS[name].map(lambda kw: REGISTRY[name](**kw)), st.sampled_from([None, 0.0]))),
+    st.sampled_from([
+        # zero-filled at y = 0, a node of every grid
+        (ratio_multiplier(one_minus_gw_symbol(2.0), one_minus_gw_symbol(1.0), _SMALL), None),
+        (_DECOMPOSITION.cofactor1, _DECOMPOSITION.cofactor1_at_infinity),
+        (_DECOMPOSITION.cofactor2, 0.0),
+    ]),
+)
+#: (fine size, block): below one block, exactly one, whole blocks, a partial last block
+_LAYOUTS = [(2 ** 10, measures._BLOCK), (measures._BLOCK, measures._BLOCK),
+            (4 * measures._BLOCK, measures._BLOCK), (2 ** 15, 2 ** 12 + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_SYMBOLS, layout=st.sampled_from(_LAYOUTS))
+def test_blocked_sampling_matches_one_call_bit_for_bit(case, layout):
+    psi, pinned = case
+    size, block = layout
+    grid = GridSpec(40.0, size)
+    y = grid.dual_nodes()
+    whole = np.asarray(psi(y), dtype=np.complex128)
+    c_whole = _limit_at_infinity(whole, y, grid.dual_half_length, pinned)
+    with mock.patch.object(measures, "_BLOCK", block):
+        c, centered = _centered(psi, grid, pinned)
+    assert c == c_whole
+    assert centered.values.tobytes() == (whole - c_whole).tobytes()
