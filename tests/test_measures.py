@@ -26,7 +26,7 @@ from subord.comparison import (
     one_minus_gw_symbol,
     ratio_multiplier,
 )
-from subord.diffops import construct_decomposition
+from subord.diffops import _operator_factor, construct_decomposition
 from subord.errors import (
     GridTooSmallError,
     InconsistentLimitError,
@@ -138,11 +138,30 @@ def test_wiener_norm_peak_memory_of_a_cofactor():
     assert peak <= 2.6 * fine_array
 
 
+def test_operator_factor_peak_memory_of_a_cofactor():
+    # in complex arrays of the one estimator window's fine grid: a p == q factor of
+    # diffop-verify is one pass, where wiener_norm's doubled-window pass peaked at 5 of them
+    d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 14))
+    fine_array = 16 * d.grid.refined(4).size
+
+    def factor():
+        _operator_factor(d.cofactor1, d.grid, 2.0, 2.0, 4, d.cofactor1_at_infinity)
+
+    factor()  # warm
+    tracemalloc.start()
+    try:
+        factor()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * fine_array
+
+
 #: prints the growth of the peak RSS over one first-cofactor norm at N = 2^18, in complex
 #: arrays of the doubled window's 2^21-point fine grid
 _RSS_PROBE = """
 import resource, sys
-from subord.diffops import construct_decomposition
+from subord.diffops import _operator_factor, construct_decomposition
 from subord.fourier_core import GridSpec
 from subord.measures import wiener_norm
 d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 18))

@@ -25,8 +25,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: command lines beyond the benchmark's: a failing hypothesis (exit 1), a
 #: bandwidth failure (exit 2), a triple root, a triple root beside a complex
-#: pair near the real axis, mixed exponents (p < q), and the oversample
-#: factors 1 and 2, the edge cases of the estimator's window slice
+#: pair near the real axis, mixed exponents (p < q), p1 = p2 = q = 1 (the one
+#: equal-exponent q the benchmark does not run), and the oversample factors 1
+#: and 2, the edge cases of the estimator's window slice
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "exp_abs_ft", "--oversample", "1"),
@@ -42,6 +43,8 @@ EXTRAS = (
      "--grid-N", "262144", "--q", "inf", "--p2", "1"),
     ("diffop-verify", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]",
      "--grid-N", "262144", "--q", "2", "--p2", "1.5"),
+    ("diffop-verify", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]",
+     "--grid-N", "262144", "--q", "1"),
 )
 
 
