@@ -161,7 +161,7 @@ def test_operator_factor_peak_memory_of_a_cofactor():
 #: arrays of the doubled window's 2^21-point fine grid
 _RSS_PROBE = """
 import resource, sys
-from subord.diffops import _operator_factor, construct_decomposition
+from subord.diffops import construct_decomposition
 from subord.fourier_core import GridSpec
 from subord.measures import wiener_norm
 d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 18))
