@@ -6,7 +6,6 @@ Run:  python3 demos/02_measures_and_wiener_norm.py
 
 from subord import (
     GridSpec,
-    carlson_bound,
     constant,
     exp_abs_ft,
     gw_symbol,
@@ -29,10 +28,3 @@ for label, sym, exact in [
     print(f"  limit at infinity {est.const_at_infinity.real:+.2e}   "
           f"density L1 {est.density_l1:.6f}   tail {est.tail_bound:.2e}")
     print(f"  total {est.total:.6f}   (exact {exact})   converged={est.converged}")
-
-# A quick sufficient upper bound in the same currency (covers the density
-# part only; it needs psi and psi' square-summable over the window).
-b = carlson_bound(gw_symbol(1.0), grid)
-est = wiener_norm(gw_symbol(1.0), grid)
-print(f"\nsufficient bound for e^{{-|y|}}: {b:.4f} >= density part "
-      f"{est.density_l1 + est.tail_bound:.4f}")

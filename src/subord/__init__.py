@@ -10,8 +10,7 @@ constants, three layers of domination between them:
 ``testkit``
     named test functions with known transforms and smoothness metadata.
 ``measures``
-    measure-norm (Wiener-algebra) estimation of a symbol, quadrature bounds
-    for it.
+    measure-norm (Wiener-algebra) estimation of a symbol.
 ``comparison``
     multiplier registry and the ratio-based domination of one convolution
     operator by another.
@@ -40,7 +39,6 @@ from .errors import (
     MultiplicityObstructionError,
     NeighborhoodDegenerateError,
     NestedZerosViolatedError,
-    NotApplicableError,
     NumericalError,
     SubordinationError,
     VerificationFailureError,
@@ -68,7 +66,7 @@ from .testkit import (
     means_suite,
     modulated_gaussian,
 )
-from .measures import WienerEstimate, carlson_bound, wiener_norm
+from .measures import WienerEstimate, wiener_norm
 from .comparison import (
     Case,
     Multiplier,

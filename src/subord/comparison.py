@@ -62,7 +62,9 @@ class Multiplier:
 
     def __call__(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        return np.asarray(self._fn(y), dtype=np.complex128)
+        # |y|**alpha overflows only where the symbol has reached its limit, exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            return np.asarray(self._fn(y), dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -74,28 +76,23 @@ def constant(value: complex = 1.0) -> Multiplier:
     c = complex(value)
     return Multiplier(
         label=f"constant({c.real:g})" if c.imag == 0 else f"constant({c})",
-        _fn=lambda y: np.full(np.asarray(y, dtype=float).shape, c, dtype=np.complex128))
-
-
-def _check_exponent(alpha: float) -> float:
-    """The order of a smoothing symbol or mean: finite and positive."""
-    return _finite(alpha, "exponent")
+        _fn=lambda y: np.full(y.shape, c))
 
 
 def gw_symbol(alpha: float) -> Multiplier:
     """``exp(-|y|^alpha)``: the symbol of the generalized smoothing kernel."""
-    alpha = _check_exponent(alpha)
+    alpha = _finite(alpha, "exponent")
     return Multiplier(
         label=f"gw_symbol(alpha={alpha:g})",
-        _fn=lambda y: np.exp(-np.abs(y) ** alpha).astype(np.complex128))
+        _fn=lambda y: np.exp(-np.abs(y) ** alpha))
 
 
 def one_minus_gw_symbol(alpha: float) -> Multiplier:
     """``1 - exp(-|y|^alpha)``, computed as ``-expm1`` so small ``y`` stay accurate."""
-    alpha = _check_exponent(alpha)
+    alpha = _finite(alpha, "exponent")
     return Multiplier(
         label=f"one_minus_gw_symbol(alpha={alpha:g})",
-        _fn=lambda y: (-np.expm1(-np.abs(y) ** alpha)).astype(np.complex128))
+        _fn=lambda y: -np.expm1(-np.abs(y) ** alpha))
 
 
 def gw_ratio(alpha: float, beta: float) -> Multiplier:
@@ -105,8 +102,8 @@ def gw_ratio(alpha: float, beta: float) -> Multiplier:
     ``|y|^(beta-alpha)``), so the symbol is pinned to its limit 0 there.  At
     the far end both numerator and denominator saturate to exactly 1.
     """
-    alpha = _check_exponent(alpha)
-    beta = _check_exponent(beta)
+    alpha = _finite(alpha, "exponent")
+    beta = _finite(beta, "exponent")
     if not beta > alpha:
         raise InvalidParameterError(
             f"ratio symbol requires beta > alpha, got alpha={alpha}, beta={beta}")
@@ -127,15 +124,14 @@ def gaussian_ft() -> Multiplier:
     """``sqrt(pi) exp(-y^2/4)``: transform of the unit gaussian."""
     return Multiplier(
         label="gaussian_ft",
-        _fn=lambda y: (np.sqrt(np.pi) * np.exp(-(np.asarray(y, dtype=float) ** 2) / 4.0)
-                       ).astype(np.complex128))
+        _fn=lambda y: np.sqrt(np.pi) * np.exp(-(y ** 2) / 4.0))
 
 
 def exp_abs_ft() -> Multiplier:
     """``2 / (1 + y^2)``: transform of ``exp(-|x|)``."""
     return Multiplier(
         label="exp_abs_ft",
-        _fn=lambda y: (2.0 / (1.0 + np.asarray(y, dtype=float) ** 2)).astype(np.complex128))
+        _fn=lambda y: 2.0 / (1.0 + y ** 2))
 
 
 REGISTRY: dict[str, Callable[..., Multiplier]] = {
@@ -217,10 +213,8 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier,
         values.append(0.5 * (left + right))
     fill_centers = np.asarray(centers, dtype=float)
     fill_values = np.asarray(values, dtype=np.complex128)
-    num_label, den_label = numerator.label, denominator.label
 
     def fn(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
         a = numerator(y)
         b = denominator(y)
         out = np.empty_like(a)
@@ -230,13 +224,13 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier,
         if masked.any():
             if not fill_centers.size:
                 raise FillUndefinedError(
-                    f"{den_label} fell below its zero threshold off the construction "
+                    f"{denominator.label} fell below its zero threshold off the construction "
                     "grid and no fill value is on record")
             pick = np.abs(y[masked, None] - fill_centers[None, :]).argmin(axis=1)
             out[masked] = fill_values[pick]
         return out
 
-    return Multiplier(label=f"({num_label})/({den_label})", _fn=fn)
+    return Multiplier(label=f"({numerator.label})/({denominator.label})", _fn=fn)
 
 
 # ---------------------------------------------------------------------------

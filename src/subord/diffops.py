@@ -279,11 +279,11 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
 
     Raises :class:`HypothesesViolatedError` when the structural conditions
     fail, :class:`NeighborhoodDegenerateError` when a neighborhood is too
-    narrow for the dual grid to see, :class:`MultiplicityObstructionError`
-    when the second cofactor grows under local grid refinement (a shared
-    root of higher multiplicity in ``op2`` than the remainder can cancel),
-    and :class:`VerificationFailureError` when the reconstructed symbol
-    misses the target beyond rounding.
+    narrow for the dual grid to see or leaves the dual window,
+    :class:`MultiplicityObstructionError` when the second cofactor grows
+    under local refinement (a shared root of higher multiplicity in ``op2``
+    than the remainder can cancel), and :class:`VerificationFailureError`
+    when the reconstructed symbol misses the target beyond rounding.
     """
     q, p1, p2 = _as_poly(target), _as_poly(op1), _as_poly(op2)
     violations, roots1, op2_only = _root_table(q, p1, p2)
@@ -295,10 +295,10 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         # half the distance to the nearest other root of op1 or unshared root of op2, at most 1
         gaps = np.abs(np.concatenate([roots1[roots1 != r], op2_only]) - r)
         delta = min(1.0, float(gaps.min(initial=2.0)) / 2.0)
-        if delta < 4.0 * grid.dy:
+        if delta < 4.0 * grid.dy or abs(r) + delta >= grid.dual_half_length:
             raise NeighborhoodDegenerateError(
-                f"neighborhood of root y={r:.6g} has halfwidth {delta:.3g}, below four "
-                f"dual-grid steps ({grid.dy:.3g}); refine the window before decomposing")
+                f"neighborhood of root y={r:.6g} has halfwidth {delta:.3g}: below four dual-grid "
+                f"steps ({grid.dy:.3g}) or out of the dual window |y| < {grid.dual_half_length:.3g}")
         # linear interpolant data
         left, right = r - delta, r + delta
         lval = complex(npoly.polyval(left, q) / npoly.polyval(left, p1))
@@ -315,7 +315,6 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         return masks, free
 
     def h1_fn(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
         out = np.empty(y.shape, dtype=np.complex128)
         masks, rest = held(y)
         for (center, delta, lval, slope), m in zip(segments, masks):
@@ -335,7 +334,6 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         return np.divide(num, den, out=np.zeros(y.shape, dtype=np.complex128), where=~bad), bad
 
     def h2_fn(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
         out = np.zeros(y.shape, dtype=np.complex128)
         inside = ~held(y)[1]
         ym = y[inside]

@@ -14,7 +14,6 @@ __all__ = [
     "GridMismatchError",
     "GridTooSmallError",
     "InconsistentLimitError",
-    "NotApplicableError",
     "NestedZerosViolatedError",
     "FillUndefinedError",
     "AllCasesSkippedError",
@@ -61,10 +60,6 @@ class InconsistentLimitError(NumericalError):
     """The two one-sided limits of a multiplier at the grid edge disagree."""
 
 
-class NotApplicableError(NumericalError):
-    """A sufficient criterion cannot be evaluated for this input."""
-
-
 class NestedZerosViolatedError(HypothesisError):
     """The numerator multiplier does not vanish on the denominator's zero set."""
 
@@ -91,7 +86,7 @@ class MultiplicityObstructionError(NumericalError):
 
 
 class NeighborhoodDegenerateError(NumericalError):
-    """Two root neighborhoods collapse onto each other."""
+    """A root neighborhood is too narrow for the dual grid or leaves its window."""
 
 
 class BandwidthExceededError(NumericalError):

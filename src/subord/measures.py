@@ -28,7 +28,6 @@ shape raises :class:`InvalidParameterError`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -38,14 +37,12 @@ from .errors import (
     GridTooSmallError,
     InconsistentLimitError,
     InvalidParameterError,
-    NotApplicableError,
 )
 from .fourier_core import FREQUENCY, GridSpec, SampledFunction, inverse_ft
 
 __all__ = [
     "WienerEstimate",
     "wiener_norm",
-    "carlson_bound",
 ]
 
 #: fraction of the dual window, per side, averaged to read off the constant term
@@ -182,33 +179,3 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
         converged=converged,
     )
 
-
-def _carlson_value(psi, grid: GridSpec, const_at_infinity) -> float:
-    centered = _centered(psi, grid, const_at_infinity)[1].values
-    deriv = np.gradient(centered, grid.dy)
-    n2 = grid.dy * float(np.sum(np.abs(centered) ** 2))
-    d2 = grid.dy * float(np.sum(np.abs(deriv) ** 2))
-    return math.pi * math.sqrt(2.0) * math.sqrt(n2 + d2)
-
-
-def carlson_bound(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
-                  const_at_infinity: Optional[complex] = None) -> float:
-    """Quadrature bound ``pi * sqrt(2) * sqrt(||psi - c||_2^2 + ||psi'||_2^2)``.
-
-    Dominates the density part ``||g||_1`` of the measure norm whenever the
-    centered symbol and its derivative are square integrable.  The
-    derivative is a central difference on the dual grid.  If doubling the
-    window moves the value by more than 1% the symbol is not decaying fast
-    enough for the bound to mean anything and :class:`NotApplicableError`
-    is raised.  As in :func:`wiener_norm`, ``psi`` is called on consecutive
-    blocks of the dual nodes, must be pointwise in ``y`` and return ``y``'s
-    shape; another shape or a non-finite value raises
-    :class:`InvalidParameterError`.
-    """
-    b = _carlson_value(psi, grid, const_at_infinity)
-    b2 = _carlson_value(psi, grid.refined(2), const_at_infinity)
-    if abs(b - b2) > 1e-2 * max(b, b2) + 1e-9:
-        raise NotApplicableError(
-            f"bound unstable under window doubling ({b:.6g} vs {b2:.6g}); "
-            "symbol or its derivative is not square integrable at this scale")
-    return b

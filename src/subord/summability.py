@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, KernelUnresolvableError
-from .comparison import Report, _check_exponent, _fmt_p, _verify, gw_ratio
+from .comparison import Report, _fmt_p, _verify, gw_ratio
 from .fourier_core import GridSpec, SampledFunction, _finite, apply_symbol, forward_ft, lp_norm
 from .measures import WienerEstimate, wiener_norm
 from .testkit import means_suite
@@ -65,9 +65,10 @@ def _check_eps(eps: float, grid: GridSpec) -> float:
 
 def _mean_symbol(alpha: float, eps: float, grid: GridSpec) -> np.ndarray:
     """``exp(-|eps y|^alpha)`` on the dual nodes, once order and scale are validated."""
-    alpha = _check_exponent(alpha)
+    alpha = _finite(alpha, "exponent")
     eps = _check_eps(eps, grid)
-    return np.exp(-np.abs(eps * grid.dual_nodes()) ** alpha)
+    with np.errstate(over="ignore"):  # |eps y|**alpha = inf where the symbol is exp(-inf) = 0
+        return np.exp(-np.abs(eps * grid.dual_nodes()) ** alpha)
 
 
 def gw_mean(f: SampledFunction, alpha: float, eps: float) -> SampledFunction:

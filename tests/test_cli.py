@@ -163,6 +163,36 @@ def test_wiener_norm_on_too_few_dual_nodes(tmp_path, capsys):
     assert json.loads(out.read_text())["error"]["type"] == "GridTooSmallError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--P1", "[0,0,1]", "--P2", "[-1,0,1]", "--grid-L", "1e20"],
+    ["--P1", "[0,0,1]", "--P2", "[-1,0,1]", "--grid-L", "1e308"],
+    ["--P1", "[-7,1]", "--P2", "[1]", "--grid-N", "64"],
+])
+def test_lemma2_refuses_a_neighborhood_beyond_the_dual_window(argv, tmp_path, capsys):
+    # a huge window leaves a dual window far narrower than the neighborhood of the root
+    # y = 0; at N = 64 the dual half-length is 2.5 and the root y = 7 lies outside it.
+    # A local grid sampled at a sixteenth of the dual step would grow with L instead
+    out = tmp_path / "report.json"
+    assert run(["lemma2", "--Q", "[0,1]", *argv, "--out", str(out)], capsys) == 2
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "NeighborhoodDegenerateError"
+    assert "dual window" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["wiener-norm", "--multiplier", "gw_symbol:alpha=400"],
+    ["gw-compare", "--alpha", "1", "--beta", "400"],
+    ["compare", "--m1", "gw_symbol:alpha=300", "--m2", "constant"],
+])
+def test_a_large_exponent_overflows_without_a_warning(argv, tmp_path, capsys):
+    # |y|**alpha overflows to inf where the symbol is exp(-inf) = 0: no RuntimeWarning,
+    # which this suite turns into an error, and a report like any unconverged estimate
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["passed"] is False
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: config errors (no report file)
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The Wiener-norm estimator and the Carlson-type sufficient bound."""
+"""The Wiener-norm estimator of a symbol's measure norm."""
 
 import dataclasses
 import math
@@ -27,14 +27,9 @@ from subord.comparison import (
     ratio_multiplier,
 )
 from subord.diffops import _operator_factor, construct_decomposition
-from subord.errors import (
-    GridTooSmallError,
-    InconsistentLimitError,
-    InvalidParameterError,
-    NotApplicableError,
-)
+from subord.errors import GridTooSmallError, InconsistentLimitError, InvalidParameterError
 from subord.fourier_core import GridSpec
-from subord.measures import _centered, _limit_at_infinity, carlson_bound, wiener_norm
+from subord.measures import _centered, _limit_at_infinity, wiener_norm
 
 GRID = GridSpec(40.0, 16384)
 
@@ -86,8 +81,6 @@ def test_constant_term_needs_a_node_in_each_outer_band(oversample):
     tiny = GridSpec(40.0, 16)
     with pytest.raises(GridTooSmallError):
         wiener_norm(gw_symbol(1.0), tiny, oversample=oversample)
-    with pytest.raises(GridTooSmallError):
-        carlson_bound(gw_symbol(1.0), tiny)
     # a pinned constant term reads no band
     assert wiener_norm(gw_symbol(1.0), tiny, oversample=oversample,
                        const_at_infinity=0.0).total > 0.0
@@ -187,34 +180,6 @@ def test_wiener_norm_process_peak_of_a_cofactor():
     assert float(out.stdout) <= 3.6
 
 
-# ---------------------------------------------------------------------------
-# Carlson-type sufficient bound
-# ---------------------------------------------------------------------------
-
-def test_carlson_bound_dominates_density_part():
-    for m in (gw_symbol(1.0), gaussian_ft(), exp_abs_ft()):
-        est = wiener_norm(m, GRID)
-        bound = carlson_bound(m, GRID)
-        assert est.density_l1 + est.tail_bound <= bound + 1e-12
-
-
-def test_carlson_bound_of_constant_is_zero():
-    # nothing left once the atom at infinity is removed
-    assert carlson_bound(constant(1.0), GRID) == 0.0
-
-
-def test_carlson_bound_frozen_value():
-    assert carlson_bound(gw_symbol(1.0), GRID) == pytest.approx(
-        6.168205438271537, rel=1e-9)
-
-
-def test_carlson_bound_rejects_unresolved_oscillation():
-    rough = Multiplier(label="rough",
-                       _fn=lambda y: np.cos(20.0 * y) / (1.0 + 0.01 * y * y) + 0j)
-    with pytest.raises(NotApplicableError):
-        carlson_bound(rough, GRID)
-
-
 @pytest.mark.parametrize("at_origin", [math.nan, math.inf])
 def test_both_estimators_reject_a_non_finite_symbol(at_origin):
     # the symbol is non-finite at the dual node y = 0 only
@@ -222,8 +187,6 @@ def test_both_estimators_reject_a_non_finite_symbol(at_origin):
                      _fn=lambda y: np.where(y == 0.0, at_origin, np.exp(-np.abs(y))) + 0j)
     with pytest.raises(InvalidParameterError):
         wiener_norm(bad, GRID)
-    with pytest.raises(InvalidParameterError):
-        carlson_bound(bad, GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +207,6 @@ def test_both_estimators_reject_a_symbol_of_the_wrong_shape(shape, pinned):
     psi = _WRONG_SHAPES[shape]
     with pytest.raises(InvalidParameterError, match="shape"):
         wiener_norm(psi, GRID, const_at_infinity=pinned)
-    with pytest.raises(InvalidParameterError, match="shape"):
-        carlson_bound(psi, GRID, const_at_infinity=pinned)
 
 
 _EXPONENT = st.floats(0.25, 3.0)

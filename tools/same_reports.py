@@ -26,10 +26,13 @@ ROOT = Path(__file__).resolve().parent.parent
 #: command lines beyond the benchmark's: a failing hypothesis (exit 1), a
 #: bandwidth failure (exit 2), a triple root, a triple root beside a complex
 #: pair near the real axis, mixed exponents (p < q), p1 = p2 = q = 1 (the one
-#: equal-exponent q the benchmark does not run), and the oversample factors 1
-#: and 2, the edge cases of the estimator's window slice
+#: equal-exponent q the benchmark does not run), the oversample factors 1
+#: and 2, the edge cases of the estimator's window slice, and exponents so
+#: large that |y|**alpha overflows where the symbol has reached its limit
 EXTRAS = (
     ("selftest",),
+    ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
+    ("gw-compare", "--alpha", "1", "--beta", "400"),
     ("wiener-norm", "--multiplier", "exp_abs_ft", "--oversample", "1"),
     ("wiener-norm", "--multiplier", "exp_abs_ft", "--oversample", "2"),
     ("compare", "--m1", "gaussian_ft", "--m2", "exp_abs_ft"),
