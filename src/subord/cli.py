@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 
 from . import comparison, diffops, measures, summability
 from .errors import InvalidParameterError, SubordinationError
-from .fourier_core import GridSpec
+from .fourier_core import GridSpec, _finite
 from .testkit import bump, gaussian, modulated_gaussian
 
 __all__ = ["main"]
@@ -87,6 +87,14 @@ def _integer(text: str) -> int:
     except ValueError:
         pass
     raise ConfigError(f"expected an integer, got {text!r}")
+
+
+def _finite_float(text: str) -> float:
+    """A finite number, such as a pinned constant term."""
+    try:
+        return _finite(text, "value", positive=False)
+    except (ValueError, InvalidParameterError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _float_list(text: str) -> list[float]:
@@ -228,9 +236,8 @@ def _estimate_dict(est: measures.WienerEstimate) -> dict:
 def _run_wiener_norm(args, grid: GridSpec):
     name, params = args.multiplier
     mult = comparison.named_multiplier(name, **params)
-    const = None if args.const_at_infinity is None else complex(args.const_at_infinity)
     est = measures.wiener_norm(mult, grid, oversample=args.oversample,
-                               const_at_infinity=const)
+                               const_at_infinity=args.const_at_infinity)
     return {
         "multiplier": mult.label,
         "estimate": _estimate_dict(est),
@@ -251,29 +258,22 @@ def _comparison_fields(report: comparison.Report) -> dict:
 
 
 def _run_compare(args, grid: GridSpec):
-    name1, params1 = args.m1
-    name2, params2 = args.m2
-    m1 = comparison.named_multiplier(name1, **params1)
-    m2 = comparison.named_multiplier(name2, **params2)
+    m1, m2 = (comparison.named_multiplier(name, **params) for name, params in (args.m1, args.m2))
     report_obj = comparison.verify_comparison(m1, m2, grid, p_values=args.p,
                                               oversample=args.oversample)
     return {"multiplier1": m1.label, "multiplier2": m2.label, **_comparison_fields(report_obj)}
 
 
 def _run_gw_compare(args, grid: GridSpec):
-    report_obj = summability.gw_verify(
-        args.alpha, args.beta, grid,
-        eps_values=args.eps, p_values=args.p,
-        oversample=args.oversample)
+    report_obj = summability.gw_verify(args.alpha, args.beta, grid, eps_values=args.eps,
+                                       p_values=args.p, oversample=args.oversample)
     return {"alpha": args.alpha, "beta": args.beta, **_comparison_fields(report_obj)}
 
 
 def _run_lemma2(args, grid: GridSpec):
     decomp = diffops.construct_decomposition(args.Q, args.P1, args.P2, grid)
     return {
-        "target": diffops.poly_label(decomp.target),
-        "op1": diffops.poly_label(decomp.op1),
-        "op2": diffops.poly_label(decomp.op2),
+        **{key: diffops.poly_label(getattr(decomp, key)) for key in ("target", "op1", "op2")},
         "neighborhoods": [[c, d] for c, d in decomp.neighborhoods],
         "cofactor1_at_infinity": _jsonable(decomp.cofactor1_at_infinity),
         "identity_residual": decomp.identity_residual,
@@ -290,9 +290,7 @@ def _run_diffop_verify(args, grid: GridSpec):
     report_obj = diffops.diffop_subordination(
         decomp, q=args.q, p1=args.p1, p2=args.p2, oversample=args.oversample)
     return {
-        "target": diffops.poly_label(decomp.target),
-        "op1": diffops.poly_label(decomp.op1),
-        "op2": diffops.poly_label(decomp.op2),
+        **{key: diffops.poly_label(getattr(decomp, key)) for key in ("target", "op1", "op2")},
         "q": _jsonable(report_obj.q),
         "p1": _jsonable(report_obj.p1),
         "p2": _jsonable(report_obj.p2),
@@ -388,7 +386,7 @@ def _build_parser() -> _Parser:
     common(p, _run_wiener_norm, oversample=8)
     p.add_argument("--multiplier", type=_multiplier_spec, required=True,
                    help="registry symbol, e.g. 'gw_ratio:alpha=1,beta=2'")
-    p.add_argument("--const-at-infinity", type=float, default=None,
+    p.add_argument("--const-at-infinity", type=_finite_float, default=None,
                    dest="const_at_infinity",
                    help="pin the constant term instead of reading it off the tails")
 

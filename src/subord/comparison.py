@@ -72,8 +72,10 @@ class Multiplier:
 # ---------------------------------------------------------------------------
 
 def constant(value: complex = 1.0) -> Multiplier:
-    """The constant symbol ``m(y) = value``."""
+    """The constant symbol ``m(y) = value``; both parts must be finite."""
     c = complex(value)
+    for part in (c.real, c.imag):
+        _finite(part, "constant value", positive=False)
     return Multiplier(
         label=f"constant({c.real:g})" if c.imag == 0 else f"constant({c})",
         _fn=lambda y: np.full(y.shape, c))

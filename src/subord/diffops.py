@@ -38,7 +38,7 @@ from .errors import (
     VerificationFailureError,
 )
 from .fourier_core import GridSpec, SampledFunction, _outer_band, apply_symbol, forward_ft, lp_norm
-from .measures import _wiener_components, _window_density
+from .measures import _samples, _wiener_components, _window_density
 from .testkit import TestFunction, diffop_suite
 
 __all__ = [
@@ -353,10 +353,7 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     cofactor1 = Multiplier(label=label1, _fn=h1_fn)
     cofactor2 = Multiplier(label=label2, _fn=h2_fn)
 
-    if poly_degree(q) == poly_degree(p1):
-        at_infinity = complex(q[-1] / p1[-1])
-    else:
-        at_infinity = 0.0 + 0.0j
+    at_infinity = complex(q[-1] / p1[-1]) if poly_degree(q) == poly_degree(p1) else 0.0 + 0.0j
 
     # diagnostics: dual grid plus refined local grids around each root
     ydual = grid.dual_nodes()
@@ -371,10 +368,7 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
             "a shared real root has higher multiplicity in op2 than the remainder cancels")
 
     sup_q = float(np.abs(npoly.polyval(ydual, q)).max())
-    residual = 0.0
-    sup_h2 = 0.0
-    lip1 = 0.0
-    lip2 = 0.0
+    residual = sup_h2 = lip1 = lip2 = 0.0
     for pts, v2 in zip([ydual] + locals16, [h2_fn(ydual)] + h2_16):
         v1 = h1_fn(pts)
         rebuilt = v1 * npoly.polyval(pts, p1) + v2 * npoly.polyval(pts, p2)
@@ -516,13 +510,14 @@ def _operator_factor(symbol: Multiplier, grid: GridSpec, q: float, p: float,
     mass + C/x^2 tail``, the ``total`` of :func:`measures.wiener_norm`.  No
     window-doubling test runs on it: no report ever read its outcome.  The
     refinement-drift check of acceptance criterion 07 is the guard."""
+    vals = _samples(symbol, grid.refined(oversample))
     if p == q:
-        return _wiener_components(symbol, grid, oversample, const_at_infinity)[3]
+        return _wiener_components(vals, grid, oversample, const_at_infinity)[3]
     # p < q: the symbol has no constant at infinity, so the operator is
     # convolution with the density alone and its norm is bounded by the
     # partner-exponent norm of the density over the window.
     s = partner_exponent(q, p)
-    _, _, absg, dx = _window_density(symbol, grid, oversample, const_at_infinity)
+    _, _, absg, dx = _window_density(vals, grid, oversample, const_at_infinity)
     if math.isinf(s):
         return float(absg.max())
     return float((dx * np.sum(absg**s)) ** (1.0 / s))

@@ -105,7 +105,7 @@ class GridSpec:
 
     def dual_nodes(self) -> np.ndarray:
         """Dual nodes ``(k - N/2) dy``; node N/2 is exactly 0."""
-        return (np.arange(self.size) - self.size // 2) * self.dy
+        return np.arange(-(self.size // 2), self.size // 2) * self.dy
 
     def refined(self, factor: int) -> "GridSpec":
         """Same spacing, a ``factor`` times larger window; ``factor`` is a power of two >= 1."""
@@ -170,6 +170,42 @@ def _centered_fft(f: SampledFunction, fft, scale, side: str) -> SampledFunction:
     fft(out, out=out)
     out[:n], out[n:] = out[n:], out[:n].copy()  # the copy is the one half-length temporary
     return SampledFunction._owning(f.grid, scale(out, f.grid.dx, out=out), side)
+
+
+@dataclass(frozen=True)
+class _FFTOrder:
+    """Samples on the dual nodes of ``grid`` in FFT order, which an FFT inverts in place:
+    position ``p`` holds the node ``p dy`` for ``p < N/2`` and ``(p - N) dy`` after, the
+    ``ifftshift`` of the centred order."""
+
+    grid: GridSpec
+
+    def blocks(self, size: int):
+        """``(first position, nodes)`` in position order, at most ``size`` nodes each."""
+        h, dy = self.grid.size // 2, self.grid.dy
+        for first in (0, -h):  # a block never crosses from y >= 0 to y < 0
+            for k in range(first, first + h, size):
+                yield k % self.grid.size, np.arange(k, min(k + size, first + h)) * dy
+
+    def tails(self, values: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+        """The samples at ``y >= level > 0`` and at ``y <= -level``, each in ascending ``y``."""
+        h, dy = self.grid.size // 2, self.grid.dy
+        k = math.ceil(level / dy)  # at most one off the least k with k dy >= level,
+        k += (k * dy < level) - ((k - 1) * dy >= level)  # as both sides round
+        return values[k:h], values[h:2 * h + 1 - k]
+
+    def inverse_window(self, values: np.ndarray, n: int) -> np.ndarray:
+        """:func:`inverse_ft` at the nodes ``|j| < n``, bit for bit, from an inversion in place in
+        ``values`` that scales only them.  Non-finite input or output raises as it does there."""
+        if not np.isfinite(values).all():
+            raise InvalidParameterError("values contain non-finite entries")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+            np.fft.ifft(values, out=values)
+            window = np.concatenate((values[values.size - n + 1:], values[:n]))
+            np.divide(window, self.grid.dx, out=window)
+        if not (np.isfinite(values).all() and np.isfinite(window).all()):
+            raise InvalidParameterError("values contain non-finite entries")
+        return window
 
 
 def forward_ft(f: SampledFunction) -> SampledFunction:

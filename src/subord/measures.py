@@ -16,8 +16,13 @@ larger window).  Recovering it on the caller's own window would periodize
 ``g`` with period ``2 L`` and silently fold the tail mass back into the
 window — the window integral would then match ``psi(0)`` exactly and the
 tail correction would double-count.  Oversampling pushes the aliasing images
-out to ``2 L * oversample`` where they are harmless.  Only the caller's window
-of the inverse is read, as one contiguous slice.
+out to ``2 L * oversample`` where they are harmless.  A pass samples the symbol
+straight into FFT order (``fourier_core._FFTOrder``), subtracts the constant
+term and inverts that one array in place; only the caller's window is scaled and
+read.  :func:`wiener_norm` samples once, on its doubled window's grid: the single
+window's grid has the same ``dx`` and half the dual spacing, so its dual nodes are
+every other doubled node, in FFT order too, and a pointwise symbol's samples there
+are every other doubled sample, bit for bit.
 
 A symbol is called on consecutive blocks of the dual nodes, never on the
 whole grid at once, and its results are written into one array.  It must
@@ -38,7 +43,7 @@ from .errors import (
     InconsistentLimitError,
     InvalidParameterError,
 )
-from .fourier_core import FREQUENCY, GridSpec, SampledFunction, inverse_ft
+from .fourier_core import GridSpec, _FFTOrder
 
 __all__ = [
     "WienerEstimate",
@@ -51,7 +56,7 @@ _LIMIT_BAND = 0.05
 _TAIL_BAND = 0.10
 #: mismatch allowed between the two one-sided constant-term reads
 _LIMIT_CONSISTENCY = 1e-3
-#: dual nodes per call of a symbol in :func:`_centered`: a block's complex temporaries
+#: dual nodes per call of a symbol in :func:`_samples`: a block's complex temporaries
 #: (256 KB each) stay in cache.  2^13 and 2^14 timed alike on the first cofactor of
 #: ``diffop-verify`` and 2^14 faster on the second; 2^15 lifts the estimator's traced peak
 _BLOCK = 2 ** 14
@@ -75,20 +80,18 @@ class WienerEstimate:
     converged: bool
 
 
-def _limit_at_infinity(values: np.ndarray, y: np.ndarray, half_length: float,
+def _limit_at_infinity(values: np.ndarray, grid: GridSpec,
                        const_at_infinity: Optional[complex]) -> complex:
     # the pinned value when one is given, else the mean over the outer bands
     if const_at_infinity is not None:
         return complex(const_at_infinity)
-    band = _LIMIT_BAND * half_length
-    upper = values[y >= half_length - band]
-    lower = values[y <= -(half_length - band)]
+    half_length = grid.dual_half_length
+    upper, lower = _FFTOrder(grid).tails(values, half_length - _LIMIT_BAND * half_length)
     if upper.size == 0 or lower.size == 0:
         raise GridTooSmallError(
             f"the outer {_LIMIT_BAND:.0%} of one side of the dual window holds no node; "
             "enlarge the grid size to read off the constant term")
-    m_plus = complex(np.mean(upper))
-    m_minus = complex(np.mean(lower))
+    m_plus, m_minus = complex(np.mean(upper)), complex(np.mean(lower))
     c = 0.5 * (m_plus + m_minus)
     if abs(m_plus - m_minus) > _LIMIT_CONSISTENCY * (1.0 + abs(c)):
         raise InconsistentLimitError(
@@ -96,13 +99,11 @@ def _limit_at_infinity(values: np.ndarray, y: np.ndarray, half_length: float,
     return c
 
 
-def _centered(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, const_at_infinity):
-    # the constant term c and psi - c on the dual nodes, filled block by block into one
-    # array, so a symbol's own temporaries never exceed one block whatever it does inside
-    y = grid.dual_nodes()
-    vals = np.empty(y.shape, dtype=np.complex128)
-    for start in range(0, y.size, _BLOCK):
-        part = y[start:start + _BLOCK]
+def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> np.ndarray:
+    # psi on the dual nodes in FFT order, filled block by block into one array, so a
+    # symbol's own temporaries never exceed one block whatever it does inside
+    vals = np.empty(grid.size, dtype=np.complex128)
+    for start, part in _FFTOrder(grid).blocks(_BLOCK):
         block = np.asarray(psi(part), dtype=np.complex128)
         if block.shape != part.shape:
             raise InvalidParameterError(
@@ -110,25 +111,23 @@ def _centered(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, const_at_
                 "it must be pointwise and keep the shape of its argument")
         if not np.isfinite(block).all():
             raise InvalidParameterError("symbol evaluated to non-finite values on the dual grid")
-        vals[start:start + _BLOCK] = block
-    c = _limit_at_infinity(vals, y, grid.dual_half_length, const_at_infinity)
-    return c, SampledFunction._owning(grid, np.subtract(vals, c, out=vals), FREQUENCY)
+        vals[start:start + part.size] = block
+    return vals
 
 
-def _window_density(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
-                    oversample: int, const_at_infinity):
-    """One pass on ``grid.refined(oversample)``: the constant term ``c``, and the nodes
-    ``x`` of ``grid``'s window with ``|g(x)|`` there and ``dx``, from one inversion."""
+def _window_density(vals: np.ndarray, grid: GridSpec, oversample: int, const_at_infinity):
+    """One pass over ``vals``, a symbol's :func:`_samples` on ``grid.refined(oversample)``,
+    inverted in place: the constant term ``c``, and the nodes ``x`` of ``grid``'s window
+    with ``|g(x)|`` there and ``dx``."""
     fine = grid.refined(oversample)
-    c, centered = _centered(psi, fine, const_at_infinity)
-    n, mid = grid.size // 2, fine.size // 2  # |x| < L: nodes mid-n+1 .. mid+n-1, dx being exact
-    absg = np.abs(inverse_ft(centered).values[mid - n + 1:mid + n])
+    c = _limit_at_infinity(vals, fine, const_at_infinity)
+    n = grid.size // 2  # |x| < L: the nodes |j| < n of fine, dx being exact
+    absg = np.abs(_FFTOrder(fine).inverse_window(np.subtract(vals, c, out=vals), n))
     return c, np.arange(1 - n, n) * fine.dx, absg, fine.dx
 
 
-def _wiener_components(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
-                       oversample: int, const_at_infinity):
-    c, x, absg, dx = _window_density(psi, grid, oversample, const_at_infinity)
+def _wiener_components(vals: np.ndarray, grid: GridSpec, oversample: int, const_at_infinity):
+    c, x, absg, dx = _window_density(vals, grid, oversample, const_at_infinity)
     L = grid.half_length
     density_l1 = dx * float(np.sum(absg))
     left = x <= -(1.0 - _TAIL_BAND) * L
@@ -164,10 +163,10 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     pointwise in ``y`` and return ``y``'s shape.  A result of another shape,
     or a non-finite value, raises :class:`InvalidParameterError`.
     """
-    c, density_l1, tail, total = _wiener_components(
-        psi, grid, oversample, const_at_infinity)
-    _, _, _, refined_total = _wiener_components(
-        psi, grid.refined(2), oversample, const_at_infinity)
+    doubled = _samples(psi, grid.refined(oversample).refined(2))
+    c, density_l1, tail, total = _wiener_components(  # its fine nodes are every other one
+        doubled[::2].copy(), grid, oversample, const_at_infinity)
+    refined_total = _wiener_components(doubled, grid.refined(2), oversample, const_at_infinity)[3]
     converged = abs(total - refined_total) <= max(1e-3, 1e-2 * total)
     return WienerEstimate(
         oversample=oversample,

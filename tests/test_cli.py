@@ -193,6 +193,30 @@ def test_a_large_exponent_overflows_without_a_warning(argv, tmp_path, capsys):
     assert json.loads(out.read_text())["passed"] is False
 
 
+def test_an_overflowing_inversion_is_refused_in_a_report(tmp_path, capsys):
+    # psi - 1e308 overflows in the estimator's inverse FFT: a report of the non-finite
+    # inverse, not a RuntimeWarning, which this suite turns into an error
+    out = tmp_path / "report.json"
+    assert run(["wiener-norm", "--multiplier", "exp_abs_ft", "--const-at-infinity", "1e308",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    error = json.loads(out.read_text())["error"]
+    assert error == {"type": "InvalidParameterError",
+                     "message": "values contain non-finite entries"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--m1", "constant:value=inf", "--m2", "constant"],
+    ["wiener-norm", "--multiplier", "constant:value=nan"],
+])
+def test_a_non_finite_constant_symbol_is_refused_in_a_report(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)], capsys) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "InvalidParameterError"
+    assert error["message"].startswith("constant value must be finite")
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: config errors (no report file)
 # ---------------------------------------------------------------------------
@@ -216,6 +240,15 @@ def test_a_large_exponent_overflows_without_a_warning(argv, tmp_path, capsys):
 def test_config_errors(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(argv + ["--out", str(out)], capsys) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_const_at_infinity_must_be_finite(value, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["wiener-norm", "--multiplier", "exp_abs_ft", f"--const-at-infinity={value}"]
+    assert run(argv + ["--out", str(out)]) == 3
+    assert "argument --const-at-infinity: value must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -47,6 +47,13 @@ def test_registry_lookup():
         named_multiplier("gw_symbol", alpha=1.0, bogus=2.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, complex(1.0, math.inf),
+                                   complex(math.nan, 0.0)])
+def test_constant_refuses_a_non_finite_value(value):
+    with pytest.raises(InvalidParameterError, match="constant value must be finite"):
+        constant(value)
+
+
 def test_apply_multiplier_requires_space_side():
     f = materialize(gaussian(1.0), GRID)
     out = apply_multiplier(constant(3.0), f)

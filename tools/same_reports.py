@@ -27,8 +27,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: bandwidth failure (exit 2), a triple root, a triple root beside a complex
 #: pair near the real axis, mixed exponents (p < q), p1 = p2 = q = 1 (the one
 #: equal-exponent q the benchmark does not run), the oversample factors 1
-#: and 2, the edge cases of the estimator's window slice, and exponents so
-#: large that |y|**alpha overflows where the symbol has reached its limit
+#: and 2, the edge cases of the estimator's window slice, exponents so large
+#: that |y|**alpha overflows where the symbol has reached its limit, a pair
+#: whose ratio has a |y|**0.5 cusp, a fine grid below one sampling block with a
+#: pinned constant term, and a pinned nonzero constant term
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -48,6 +50,10 @@ EXTRAS = (
      "--grid-N", "262144", "--q", "2", "--p2", "1.5"),
     ("diffop-verify", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]",
      "--grid-N", "262144", "--q", "1"),
+    ("gw-compare", "--alpha", "1", "--beta", "1.5"),
+    ("wiener-norm", "--multiplier", "exp_abs_ft", "--grid-N", "16", "--oversample", "1",
+     "--const-at-infinity", "0"),
+    ("wiener-norm", "--multiplier", "exp_abs_ft", "--const-at-infinity", "0.5"),
 )
 
 
