@@ -7,7 +7,7 @@ Two Fourier multipliers ``m1`` and ``m2`` satisfy
 whenever the ratio ``psi = m1 / m2`` is the transform of a finite measure
 with norm at most ``K`` — the operator comparison is inherited from the
 scalar factorization ``m1 = psi * m2``.  This module builds the ratio symbol
-(filling removable zeros of the denominator), estimates ``K`` through
+(its limit at removable zeros of the denominator), estimates ``K`` through
 :func:`subord.measures.wiener_norm`, and verifies the resulting inequality on
 a corpus of test functions.
 """
@@ -51,6 +51,8 @@ __all__ = [
 ZERO_LEVEL = 1e-9
 #: relative slack of every pass rule ``ratio <= constant * (1 + TOLERANCE)``
 TOLERANCE = 1e-2
+#: relative step of the two probes that take the limit at a removable zero (_probe_limit)
+_PROBE_STEP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,26 +169,28 @@ def apply_multiplier(m: Multiplier, f: SampledFunction) -> SampledFunction:
     return apply_symbol(m(f.grid.dual_nodes()), forward_ft(f))
 
 
-def _masked_runs(mask: np.ndarray) -> np.ndarray:
-    # contiguous [start, stop) runs of True, one row each
-    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
-    return edges.reshape(-1, 2)
+def _probe_limit(direct: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(limit, undefined)`` at the 1-d points ``y``, the package's one rule for removable
+    zeros: the mean of the usable values of ``direct(y) -> (values, unusable)`` at the probes
+    ``y -+ _PROBE_STEP (1 + |y|)``, and where neither is usable, for the caller to decide."""
+    step = _PROBE_STEP * (1.0 + np.abs(y))
+    values, unusable = direct(np.stack([y - step, y + step]))
+    values = np.where(unusable, values[::-1], values)  # an unusable probe repeats the other
+    return (values[0] + values[1]) / 2.0, unusable.all(axis=0)
 
 
 def ratio_multiplier(numerator: Multiplier, denominator: Multiplier,
                      grid: GridSpec) -> Multiplier:
-    """The ratio symbol ``numerator / denominator`` with zeros filled.
+    """The ratio symbol ``numerator / denominator``, continuous across removable zeros.
 
     Denominator samples below :data:`ZERO_LEVEL` times its sup over the dual grid
-    count as zeros.  Every zero node must also be a zero of the numerator
-    (:class:`NestedZerosViolatedError` otherwise), each contiguous zero run
-    must have unmasked neighbors on both sides (:class:`FillUndefinedError`
-    otherwise), and the run is filled with the mean of the two neighboring
-    ratio values.
-
-    The returned symbol applies the same threshold pointwise wherever it is
-    evaluated, so refined grids see the filled value near the zero instead
-    of a blown-up quotient.
+    count as zeros; each must be a zero of the numerator
+    (:class:`NestedZerosViolatedError` otherwise) and away from the dual window's
+    edge (:class:`FillUndefinedError` otherwise).  The returned symbol depends on
+    ``y`` alone: the plain quotient where the denominator is a normal double, else
+    the limit of :func:`_probe_limit` (:class:`FillUndefinedError` where neither
+    probe is usable), the rule that also fills the second cofactor of diffops.
     """
     y0 = grid.dual_nodes()
     v1 = numerator(y0)
@@ -195,41 +199,29 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier,
     sup2 = float(np.abs(v2).max())
     if sup2 == 0.0:
         raise InvalidParameterError("denominator symbol vanishes identically on the dual grid")
-    threshold = ZERO_LEVEL * sup2
-    mask = np.abs(v2) <= threshold
+    mask = np.abs(v2) <= ZERO_LEVEL * sup2
     bad = mask & (np.abs(v1) > ZERO_LEVEL * max(sup1, 1e-300))
     if bad.any():
         raise NestedZerosViolatedError(
             f"denominator {denominator.label} vanishes at y={y0[bad][:5]} where "
             f"numerator {numerator.label} does not; no finite ratio exists there")
+    if mask[0] or mask[-1]:
+        raise FillUndefinedError(
+            f"zero run of {denominator.label} touches the dual window edge; "
+            "no neighboring ratio values to fill from")
 
-    centers, values = [], []
-    for start, stop in _masked_runs(mask):
-        if start == 0 or stop == grid.size:
-            raise FillUndefinedError(
-                f"zero run of {denominator.label} touches the dual window edge; "
-                "no neighboring ratio values to fill from")
-        left = v1[start - 1] / v2[start - 1]
-        right = v1[stop] / v2[stop]
-        centers.append(0.5 * (y0[start] + y0[stop - 1]))
-        values.append(0.5 * (left + right))
-    fill_centers = np.asarray(centers, dtype=float)
-    fill_values = np.asarray(values, dtype=np.complex128)
+    def direct(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a, b = numerator(y), denominator(y)
+        unusable = np.abs(b) < np.finfo(float).tiny  # a complex quotient by less overflows
+        return np.divide(a, b, out=np.zeros_like(a), where=~unusable), unusable
 
     def fn(y: np.ndarray) -> np.ndarray:
-        a = numerator(y)
-        b = denominator(y)
-        out = np.empty_like(a)
-        masked = np.abs(b) <= threshold
-        ok = ~masked
-        out[ok] = a[ok] / b[ok]
-        if masked.any():
-            if not fill_centers.size:
-                raise FillUndefinedError(
-                    f"{denominator.label} fell below its zero threshold off the construction "
-                    "grid and no fill value is on record")
-            pick = np.abs(y[masked, None] - fill_centers[None, :]).argmin(axis=1)
-            out[masked] = fill_values[pick]
+        out, unusable = direct(y)
+        limit, undefined = _probe_limit(direct, y[unusable])
+        if undefined.any():
+            raise FillUndefinedError(f"{denominator.label} vanishes at both probes beside "
+                                     f"y={y[unusable][undefined][:5]}; the ratio has no limit")
+        out[unusable] = limit
         return out
 
     return Multiplier(label=f"({numerator.label})/({denominator.label})", _fn=fn)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .comparison import Multiplier, Report, _fmt_p, _verify
+from .comparison import Multiplier, Report, _fmt_p, _probe_limit, _verify
 from .errors import (
     BandwidthExceededError,
     HypothesesViolatedError,
@@ -37,7 +37,8 @@ from .errors import (
     NeighborhoodDegenerateError,
     VerificationFailureError,
 )
-from .fourier_core import GridSpec, SampledFunction, _outer_band, apply_symbol, forward_ft, lp_norm
+from .fourier_core import (GridSpec, SampledFunction, _lp, _outer_band, apply_symbol, forward_ft,
+                           lp_norm)
 from .measures import _samples, _wiener_components, _window_density
 from .testkit import TestFunction, diffop_suite
 
@@ -186,6 +187,11 @@ class Violation:
     detail: str
 
 
+def _refuse_overflow(kind: str, flag: int):  # numpy's error callback, not an inf carried on
+    raise InvalidParameterError("polynomial values overflow a double")
+
+
+@np.errstate(over="call", call=_refuse_overflow)
 def _root_table(q: np.ndarray, p1: np.ndarray, p2: np.ndarray):
     """``(violations, real roots of p1, real roots of p2 not shared with p1)``,
     found once for :func:`decomposition_hypotheses` and :func:`construct_decomposition`."""
@@ -265,6 +271,7 @@ def _max_slope(values: np.ndarray, points: np.ndarray) -> float:
     return float(np.max(np.abs(np.diff(values)) / np.diff(points)))
 
 
+@np.errstate(over="call", call=_refuse_overflow)
 def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposition:
     """Build the two cofactors and verify the identity they must satisfy.
 
@@ -273,17 +280,18 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     distance to the nearest root of op2 that is not shared)``.  Inside it
     the first cofactor interpolates linearly between the two boundary
     values of ``target / op1`` and the second cofactor carries the
-    remainder divided by ``op2`` (values where ``op2`` nearly vanishes are
-    replaced by the average of nearby values; at a shared root the
-    remainder vanishes with it).
+    remainder divided by ``op2`` (where ``op2`` nearly vanishes it takes the
+    limit of :func:`subord.comparison._probe_limit`, or 0 where that has none;
+    at a shared root the remainder vanishes with it).
 
     Raises :class:`HypothesesViolatedError` when the structural conditions
     fail, :class:`NeighborhoodDegenerateError` when a neighborhood is too
     narrow for the dual grid to see or leaves the dual window,
     :class:`MultiplicityObstructionError` when the second cofactor grows
     under local refinement (a shared root of higher multiplicity in ``op2``
-    than the remainder can cancel), and :class:`VerificationFailureError`
-    when the reconstructed symbol misses the target beyond rounding.
+    than the remainder can cancel), :class:`VerificationFailureError`
+    when the reconstructed symbol misses the target beyond rounding, and
+    :class:`InvalidParameterError` when a value overflows a double.
     """
     q, p1, p2 = _as_poly(target), _as_poly(op1), _as_poly(op2)
     violations, roots1, op2_only = _root_table(q, p1, p2)
@@ -338,13 +346,9 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         inside = ~held(y)[1]
         ym = y[inside]
         vals, bad = _h2_direct(ym)
-        # a point too close to a zero of op2 takes the mean of the usable
-        # values at the two probes y -+ 1e-6 (1 + |y|), or 0 if neither is
-        yb = ym[bad]
-        step = 1e-6 * (1.0 + np.abs(yb))
-        pv, pbad = _h2_direct(np.stack([yb - step, yb + step]))
-        pv = np.where(pbad, pv[::-1], pv)  # an unusable probe repeats the other
-        vals[bad] = np.where(pbad.all(axis=0), 0.0, (pv[0] + pv[1]) / 2.0)
+        # a point too close to a zero of op2 takes the probe limit, or 0 where it has none
+        limit, undefined = _probe_limit(_h2_direct, ym[bad])
+        vals[bad] = np.where(undefined, 0.0, limit)
         out[inside] = vals
         return out
 
@@ -516,11 +520,8 @@ def _operator_factor(symbol: Multiplier, grid: GridSpec, q: float, p: float,
     # p < q: the symbol has no constant at infinity, so the operator is
     # convolution with the density alone and its norm is bounded by the
     # partner-exponent norm of the density over the window.
-    s = partner_exponent(q, p)
     _, _, absg, dx = _window_density(vals, grid, oversample, const_at_infinity)
-    if math.isinf(s):
-        return float(absg.max())
-    return float((dx * np.sum(absg**s)) ** (1.0 / s))
+    return _lp(absg, dx, partner_exponent(q, p))
 
 
 def diffop_subordination(d: SymbolDecomposition, q: float,

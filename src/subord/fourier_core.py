@@ -246,15 +246,22 @@ def lp_norm(f: SampledFunction, p: float) -> float:
     """Rectangle-rule Lebesgue norm on the function's own grid.
 
     Space-side samples are weighted by ``dx``, frequency-side samples by
-    ``dy``.  ``p = math.inf`` returns the node maximum.
+    ``dy``.  ``p = math.inf`` returns the node maximum.  No finite ``p``
+    underflows to 0 or overflows (:func:`_lp`).
     """
-    if p == math.inf:
-        return float(np.abs(f.values).max())
-    p = float(p)
+    return _lp(np.abs(f.values), f.grid.dx if f.side == SPACE else f.grid.dy, float(p))
+
+
+def _lp(absv: np.ndarray, weight: float, p: float) -> float:
+    """``(weight * sum absv**p) ** (1/p)``, the max for ``p = inf``; divided through by the max
+    only where ``max**p`` would leave the normal doubles, so no other value changes by a bit."""
     if not p >= 1.0:
         raise InvalidParameterError(f"p must satisfy 1 <= p <= inf, got {p}")
-    weight = f.grid.dx if f.side == SPACE else f.grid.dy
-    absv = np.abs(f.values)
+    top = float(absv.max())
+    if math.isinf(p):
+        return top
+    if top > 0.0 and not np.finfo(float).minexp <= p * math.log2(top) < np.finfo(float).maxexp:
+        return top * float((weight * np.sum((absv / top) ** p)) ** (1.0 / p))
     return float((weight * np.sum(absv**p)) ** (1.0 / p))
 
 

@@ -99,6 +99,36 @@ def test_diffop_verify_full_run(tmp_path, capsys):
     assert "q=2;p1=2;p2=2" in row
 
 
+@pytest.mark.parametrize("p,count", [("2000,inf", 12), ("1e308", 6)])
+def test_a_large_finite_exponent_neither_underflows_nor_overflows(p, count, tmp_path, capsys):
+    # max**p leaves the doubles, so the samples are divided by their max first: no p = 2000
+    # case underflows to 0 <= 0 and is skipped, and p = 1e308 reads the node maximum
+    argv = ["compare", "--m1", "one_minus_gw_symbol:alpha=2",
+            "--m2", "one_minus_gw_symbol:alpha=1"]
+    out, sup = tmp_path / "report.json", tmp_path / "sup.json"
+    assert run(argv + ["--p", p, "--out", str(out)]) == 0
+    assert run(argv + ["--p", "inf", "--out", str(sup)]) == 0
+    assert capsys.readouterr().err == ""
+    cases = json.loads(out.read_text())["cases"]
+    assert len(cases) == count
+    if p == "1e308":
+        assert [(c["lhs_norm"], c["rhs_norm"]) for c in cases] == [
+            (c["lhs_norm"], c["rhs_norm"]) for c in json.loads(sup.read_text())["cases"]]
+
+
+def test_a_large_partner_exponent_keeps_every_case(tmp_path, capsys):
+    # the partner exponent of q = p1 = 1e6, p2 = 1 is 1e6: factor2 is about the sup of the
+    # density rather than 0, and no norm of an operator image underflows or overflows
+    out = tmp_path / "report.json"
+    assert run(["diffop-verify", "--grid-N", "262144", "--Q", "[0,1]", "--P1", "[0,0,1]",
+                "--P2", "[1]", "--q", "1e6", "--p1", "1e6", "--p2", "1",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["factor2"] == pytest.approx(0.06621777462869614, rel=1e-6)
+    assert len(report["cases"]) == 5
+
+
 # ---------------------------------------------------------------------------
 # exit code 1: hypothesis violations
 # ---------------------------------------------------------------------------
@@ -203,6 +233,21 @@ def test_an_overflowing_inversion_is_refused_in_a_report(tmp_path, capsys):
     error = json.loads(out.read_text())["error"]
     assert error == {"type": "InvalidParameterError",
                      "message": "values contain non-finite entries"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma2", "--Q", "[1e308,1]", "--P1", "[0,0,1]", "--P2", "[1]"],
+    ["lemma2", "--Q", "[1e308,1]", "--P1", "[0,0,1e308]", "--P2", "[1]"],
+])
+def test_polynomial_values_beyond_a_double_are_refused_in_a_report(argv, tmp_path, capsys):
+    # the first overflows in the construction's diagnostics, the second while rooting op1:
+    # a report, not a RuntimeWarning, which this suite turns into an error
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    error = json.loads(out.read_text())["error"]
+    assert error == {"type": "InvalidParameterError",
+                     "message": "polynomial values overflow a double"}
 
 
 @pytest.mark.parametrize("argv", [

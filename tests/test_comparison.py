@@ -10,12 +10,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subord.comparison import (
     Multiplier,
-    _masked_runs,
     apply_multiplier,
     constant,
     exp_abs_ft,
@@ -32,6 +31,8 @@ from subord.errors import (
     NestedZerosViolatedError,
 )
 from subord.fourier_core import GridSpec, forward_ft, inverse_ft, lp_norm
+from subord.measures import wiener_norm
+from subord.summability import DEFAULT_PAIRS, gw_constant
 from subord.testkit import gaussian, materialize
 
 GRID = GridSpec(40.0, 16384)
@@ -74,28 +75,46 @@ def test_gw_ratio_endpoint_values():
         gw_ratio(2.0, 1.0)
 
 
-@given(st.lists(st.booleans(), min_size=1, max_size=50))
-def test_masked_runs_are_the_maximal_true_runs(bits):
-    runs = [(int(a), int(b)) for a, b in _masked_runs(np.array(bits))]
-    expected, start = [], None
-    for i, bit in enumerate(bits + [False]):
-        if bit and start is None:
-            start = i
-        elif not bit and start is not None:
-            expected.append((start, i))
-            start = None
-    assert runs == expected
-
-
 def test_ratio_multiplier_fills_interior_zero():
     r = ratio_multiplier(one_minus_gw_symbol(2.0), one_minus_gw_symbol(1.0), GRID)
     y = GRID.dual_nodes()
     exact = gw_ratio(1.0, 2.0)(y)
     diff = np.abs(r(y) - exact)
-    # agreement away from the filled node at the origin
+    # agreement away from the origin, where the denominator vanishes
     assert diff[y != 0.0].max() <= 1e-12
-    # the filled value interpolates the neighbors rather than using the limit
-    assert abs(r(np.array([0.0]))[0]) <= 2.0 * GRID.dy
+    # the origin takes the limit 0 through the probes at -+1e-6, not a neighbours' mean
+    assert abs(r(np.array([0.0]))[0]) <= 1e-5
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(0.25, 4.0), gap=st.floats(0.5, 3.0))
+def test_ratio_multiplier_is_the_closed_form_ratio_on_any_grid(alpha, gap):
+    # psi depends on y alone: the construction grid's nodes and the estimator's finer
+    # ones read the same function, and y = 0 reads the limit ~ (1e-6)^(beta - alpha)
+    beta = alpha + gap
+    r = ratio_multiplier(one_minus_gw_symbol(beta), one_minus_gw_symbol(alpha), GRID)
+    exact = gw_ratio(alpha, beta)
+    for y in (GRID.dual_nodes(), GRID.refined(8).dual_nodes()):
+        y = y[y != 0.0]
+        assert np.abs(r(y) - exact(y)).max() <= 1e-12
+    assert abs(r(np.array([0.0]))[0]) <= 2.0 * 1e-6 ** gap
+
+
+@pytest.mark.parametrize("alpha,beta", DEFAULT_PAIRS)
+def test_ratio_norm_matches_the_closed_form_constant(alpha, beta):
+    ratio = ratio_multiplier(one_minus_gw_symbol(beta), one_minus_gw_symbol(alpha), GRID)
+    oracle = gw_constant(alpha, beta, GRID).total
+    assert abs(wiener_norm(ratio, GRID).total - oracle) <= 1e-3 * oracle
+
+
+def test_ratio_multiplier_refuses_a_zero_without_a_probe_limit():
+    # the denominator vanishes on |y| < 1 off the construction grid's zero threshold
+    # and at both probes beside 0, so the ratio has no limit to take there
+    m = Multiplier("flat", lambda y: np.where(np.abs(y) < 1.0, 0.0, 1.0))
+    r = ratio_multiplier(m, m, GRID)
+    assert r(np.array([2.0]))[0] == 1.0
+    with pytest.raises(FillUndefinedError, match="both probes"):
+        r(np.array([0.0]))
 
 
 def test_ratio_multiplier_rejects_uncovered_zero():
@@ -111,7 +130,8 @@ def test_ratio_multiplier_boundary_run_needs_explicit_fill():
         ratio_multiplier(gaussian_ft(), gaussian_ft(), GRID)
 
 
-@pytest.mark.parametrize("m", [constant(1.0), exp_abs_ft(), one_minus_gw_symbol(1.0)])
+@pytest.mark.parametrize("m", [constant(1.0), exp_abs_ft(), one_minus_gw_symbol(1.0),
+                               one_minus_gw_symbol(20.0)])
 def test_reflexive_comparison_constant_is_one(m):
     report = verify_comparison(m, m, GRID)
     assert report.constant == pytest.approx(1.0, abs=1e-6)
@@ -124,7 +144,9 @@ def test_comparison_of_mean_symbols():
     report = verify_comparison(one_minus_gw_symbol(2.0), one_minus_gw_symbol(1.0), GRID)
     assert report.estimate.converged
     assert report.constant == report.estimate.total
-    assert report.constant == pytest.approx(1.9819737910923465, rel=1e-9)
+    # the exact norm is 2; the closed-form ratio's estimate is the reference
+    assert report.constant >= 2.0
+    assert abs(report.constant - gw_constant(1.0, 2.0, GRID).total) <= 1e-6
     assert report.passed
     assert report.worst_ratio == pytest.approx(1.0689040626101167, rel=1e-6)
     assert len(report.cases) == 18  # 6 functions x p in {1, 2, inf}

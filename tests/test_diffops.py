@@ -25,6 +25,7 @@ from subord.errors import (
     BandwidthExceededError,
     HypothesesViolatedError,
     InadmissibleExponentsError,
+    InvalidParameterError,
     MultiplicityObstructionError,
     NeighborhoodDegenerateError,
     VerificationFailureError,
@@ -216,6 +217,11 @@ def test_hypotheses_reject_degree_excess():
     violations = decomposition_hypotheses([0, 0, 0, 1], [0, 0, 1], [1])
     assert violations
     assert any(v.code == "degree" for v in violations)
+
+
+def test_hypotheses_refuse_values_beyond_a_double():
+    with pytest.raises(InvalidParameterError, match="overflow a double"):
+        decomposition_hypotheses([1], [0, 0, 1e308], [1])
 
 
 def test_construct_raises_named_violation():

@@ -129,6 +129,20 @@ def test_lp_norm_values():
             lp_norm(f, bad)
 
 
+@pytest.mark.parametrize("scale", [3.0, 1.0 / 3.0])
+def test_lp_norm_of_a_large_finite_exponent(scale):
+    # scale**p overflows or underflows for these p: the samples are divided by their max
+    # first, and a p whose max**p is a normal double keeps the plain formula bit for bit
+    g = GridSpec(40.0, 16384)
+    x = g.nodes()
+    f = SampledFunction(g, scale * np.exp(-x * x), SPACE)
+    # ||e^{-x^2}||_p = (pi/p)^{1/(2p)}
+    assert lp_norm(f, 2000.0) == pytest.approx(scale * (math.pi / 2000.0) ** (1 / 4000), rel=1e-9)
+    assert lp_norm(f, 1e308) == scale
+    for p in (1.0, 2.0, 3.5):
+        assert lp_norm(f, p) == float((g.dx * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+
+
 def test_plancherel():
     g = GridSpec(40.0, 16384)
     x = g.nodes()

@@ -30,7 +30,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: and 2, the edge cases of the estimator's window slice, exponents so large
 #: that |y|**alpha overflows where the symbol has reached its limit, a pair
 #: whose ratio has a |y|**0.5 cusp, a fine grid below one sampling block with a
-#: pinned constant term, and a pinned nonzero constant term
+#: pinned constant term, a pinned nonzero constant term, ratio symbols whose
+#: denominator vanishes inside the window or at its edge (exit 2), polynomial
+#: values beyond a double (exit 1), and finite exponents so large that max**p
+#: leaves the doubles
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -54,6 +57,15 @@ EXTRAS = (
     ("wiener-norm", "--multiplier", "exp_abs_ft", "--grid-N", "16", "--oversample", "1",
      "--const-at-infinity", "0"),
     ("wiener-norm", "--multiplier", "exp_abs_ft", "--const-at-infinity", "0.5"),
+    ("compare", "--m1", "one_minus_gw_symbol:alpha=1", "--m2", "one_minus_gw_symbol:alpha=0.5"),
+    ("compare", "--m1", "one_minus_gw_symbol:alpha=8", "--m2", "one_minus_gw_symbol:alpha=4"),
+    ("compare", "--m1", "gw_symbol:alpha=1", "--m2", "gw_symbol:alpha=1"),
+    ("lemma2", "--Q", "[1e308,1]", "--P1", "[0,0,1]", "--P2", "[1]"),
+    ("lemma2", "--Q", "[1e308,1]", "--P1", "[0,0,1e308]", "--P2", "[1]"),
+    ("compare", "--m1", "one_minus_gw_symbol:alpha=2", "--m2", "one_minus_gw_symbol:alpha=1",
+     "--p", "2000,inf"),
+    ("diffop-verify", "--grid-N", "262144", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]",
+     "--q", "1e6", "--p1", "1e6", "--p2", "1"),
 )
 
 
