@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -218,15 +219,7 @@ def _case_rows(report: comparison.Report) -> list[dict]:
 
 
 def _estimate_dict(est: measures.WienerEstimate) -> dict:
-    return {
-        "const_at_infinity": _jsonable(est.const_at_infinity),
-        "density_l1": est.density_l1,
-        "tail_bound": est.tail_bound,
-        "total": est.total,
-        "refined_total": est.refined_total,
-        "converged": est.converged,
-        "oversample": est.oversample,
-    }
+    return {key: _jsonable(value) for key, value in dataclasses.asdict(est).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,15 @@ are dominated by norms of the two operator images — including with different
 exponents on each side, via the convolution inequality for mixed exponents.
 
 Everything here works with ascending coefficient sequences (``c[k]`` is the
-coefficient of ``y^k``), which may be complex.
+coefficient of ``y^k``), which may be complex.  Root structure is decided
+exactly over Q (:func:`real_roots`), values on grids in doubles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,14 +58,6 @@ __all__ = [
     "diffop_subordination",
 ]
 
-#: imaginary parts below this (relative) level count as real roots
-_IMAG_TOL = 1e-7
-#: roots of two polynomials closer than this (relative) are one shared root (see _root_spread)
-_CLUSTER_TOL = 1e-7
-#: spread and lower Taylor terms allowed for the copies of one root, in rounding units (_one_root)
-_CLUSTER_SLACK = 10.0
-#: relative residual allowed when confirming a root location
-_ROOT_RESIDUAL = 1e-8
 #: relative level below which the second symbol counts as zero inside a neighborhood
 _DIVISION_GUARD = 1e-12
 #: identity residual allowed, relative to the sup of the target symbol
@@ -84,10 +78,7 @@ def _as_poly(coeffs) -> np.ndarray:
         raise InvalidParameterError("polynomial coefficients must be a nonempty 1-d sequence")
     if not np.isfinite(c).all():
         raise InvalidParameterError("polynomial coefficients must be finite")
-    last = c.size
-    while last > 1 and c[last - 1] == 0:
-        last -= 1
-    return c[:last].copy()
+    return npoly.polytrim(c)
 
 
 def poly_degree(coeffs) -> int:
@@ -126,55 +117,72 @@ def poly_label(coeffs) -> str:
     return "".join(terms) if terms else "0"
 
 
-def _poly_scale(coeffs: np.ndarray, y: float) -> float:
-    # magnitude scale of the evaluation, for relative residual thresholds
-    return float(np.abs(coeffs).max()) * max(1.0, abs(y)) ** (coeffs.size - 1)
+def _euclid(a: np.ndarray, b: np.ndarray) -> list:
+    """``a``, ``b`` and the negated remainders of Euclid's algorithm over Q down to the last
+    nonzero one, ``gcd(a, b)``; for square-free ``a`` and ``b = a'``, a Sturm sequence.  Each
+    remainder is divided by the size of its leading coefficient, which keeps its signs."""
+    seq = [npoly.polytrim(a), npoly.polytrim(b)]
+    while seq[-1].any():
+        r = npoly.polydiv(seq[-2], seq[-1])[1]
+        seq.append(-r / (abs(r[-1]) or 1))
+    return seq[:-1]
 
 
-def _root_spread(m: int) -> float:
-    # the m copies of a root of multiplicity m spread about eps^(1/m) (relative: 1.5e-8, 1e-5,
-    # 2e-4, 1e-3 for m = 2 .. 5), doubled from m = 3 on; at the degree, the widest imag part kept
-    return _CLUSTER_TOL if m <= 2 else 2.0 * _CLUSTER_TOL ** (2.0 / m)
+def _real_factor(coeffs) -> np.ndarray:
+    """The square-free polynomial over Q with the real roots of ``coeffs``: a real root of
+    ``a + ib`` is one of ``gcd(a, b)``, and ``p / gcd(p, p')`` has each root of ``p`` once."""
+    parts = zip(*((x, 0) if isinstance(x, (int, Fraction)) else (complex(x).real, complex(x).imag)
+                  for x in np.atleast_1d(np.asarray(coeffs, dtype=object))))
+    # an int or Fraction as it is; a float as its shortest decimal, the one that rounds to it
+    p = _euclid(*(np.array([Fraction(v if isinstance(v, (int, Fraction)) else repr(v))
+                            for v in part]) for part in parts))[-1]
+    return npoly.polydiv(p, _euclid(p, npoly.polyder(p))[-1])[0] if p.any() else p
 
 
-def _one_root(c: np.ndarray, group: np.ndarray) -> bool:
-    # whether group is the m copies of one root z, their mean: rounding at s = eps S(z) spreads
-    # it over r = (s / |a_m|)^(1/m), a_j = P^(j)(z) / j!, wide if a root nearby shrinks a_m; the
-    # copies lie within 10 r of z and each |a_j| r^j, j < m, below 10 s, as no run of simple roots
-    m, z = group.size, complex(np.mean(group))
-    s = np.finfo(float).eps * _poly_scale(c, abs(z))
-    a = [abs(npoly.polyval(z, npoly.polyder(c, j))) / math.factorial(j) for j in range(m + 1)]
-    r = (s / a[m]) ** (1.0 / m) if a[m] else math.inf
-    return (float(np.abs(group - z).max()) <= _CLUSTER_SLACK * r
-            and all(a[j] * r**j <= _CLUSTER_SLACK * s for j in range(m)))
+def _roots(p: np.ndarray) -> np.ndarray:
+    """Sorted real roots of square-free ``p`` over Q, each correctly rounded to a double.
+
+    Halves ``(lo, hi]`` from a power of two beyond Cauchy's bound until a Sturm sequence
+    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2) counts one root,
+    then bisects on the sign of ``p``, tested at every midpoint for a dyadic root such as one
+    halfway between two doubles, until both ends round to one double."""
+    sturm = [s * math.lcm(*(c.denominator for c in s)) for s in _euclid(p, npoly.polyder(p))]
+    sturm = [np.array([c.numerator for c in s], dtype=object) for s in sturm]  # integers
+
+    def value(s: np.ndarray, x: Fraction) -> int:  # den^deg s(num/den), in integers
+        powers = np.arange(s.size)[::-1].astype(object)
+        return npoly.polyval(x.numerator, s * x.denominator ** powers)
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (value(s, x) for s in sturm) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    bound = 2 ** math.ceil(1 + max((abs(c / p[-1]) for c in p[:-1]), default=0)).bit_length()
+    if bound > 2 ** 1023:
+        raise InvalidParameterError("polynomial roots may overflow a double")
+    found, stack = [], [(Fraction(-bound), Fraction(bound), variations(-bound), variations(bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi > 1:
+            mid = (lo + hi) / 2
+            vmid = variations(mid)
+            stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+        elif vlo > vhi:  # one root, where p changes sign
+            v = sign = value(sturm[0], hi)
+            while v and float(lo) != float(hi):
+                mid = (lo + hi) / 2
+                v = value(sturm[0], mid) * sign
+                lo, hi = (lo, mid) if v >= 0 else (mid, hi)
+            found.append(float(hi))
+    return np.sort(found)
 
 
 def real_roots(coeffs) -> np.ndarray:
-    """Sorted distinct real roots of the polynomial, each once whatever its multiplicity.
+    """Sorted distinct real roots, decided over Q and each rounded to the nearest double.
 
-    In order of real part, the companion-matrix roots are taken in runs, each the
-    longest that passes for one root of its multiplicity (:func:`_one_root`).
-    A run whose mean is real to ``1e-7`` is one root at the mean of its real parts, where the
-    spread cancels; :class:`VerificationFailureError` unless P vanishes at just the real runs.
-    """
-    c = _as_poly(coeffs)
-    roots = npoly.polyroots(c)
-    near = roots[np.abs(roots.imag) <= _root_spread(c.size - 1) * (1.0 + np.abs(roots.real))]
-    near = near[np.argsort(near.real)]
-    locations = []
-    while near.size:
-        size = next((k for k in range(near.size, 1, -1) if _one_root(c, near[:k])), 1)
-        group, near = near[:size], near[size:]
-        loc, imag = float(np.mean(group.real)), abs(float(np.mean(group.imag)))
-        real = imag <= _IMAG_TOL * (1.0 + abs(loc))
-        residual = abs(complex(npoly.polyval(loc, c)))
-        if real != (residual <= _ROOT_RESIDUAL * _poly_scale(c, loc)):  # none dropped silently
-            raise VerificationFailureError(
-                f"candidate real root y={loc:.9g} of {poly_label(c)} has residual {residual:.3g}, "
-                + ("beyond the accepted level" if real else f"yet lies {imag:.3g} off the axis"))
-        if real:
-            locations.append(loc)
-    return np.asarray(locations)
+    An int or ``Fraction`` coefficient is read as it is, a float as its shortest decimal."""
+    _as_poly(coeffs)  # nonempty, 1-d and finite
+    return _roots(_real_factor(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -191,34 +199,30 @@ def _refuse_overflow(kind: str, flag: int):  # numpy's error callback, not an in
     raise InvalidParameterError("polynomial values overflow a double")
 
 
-@np.errstate(over="call", call=_refuse_overflow)
-def _root_table(q: np.ndarray, p1: np.ndarray, p2: np.ndarray):
-    """``(violations, real roots of p1, real roots of p2 not shared with p1)``,
-    found once for :func:`decomposition_hypotheses` and :func:`construct_decomposition`."""
+def _root_table(target, op1, op2):
+    """``(violations, real roots of op1, real roots of op2 not shared with op1)``, decided over Q
+    once for :func:`decomposition_hypotheses` and :func:`construct_decomposition`."""
     violations = []
-    for name, poly in (("target", q), ("op1", p1), ("op2", p2)):
+    for name, poly in (("target", target), ("op1", op1), ("op2", op2)):
         if poly_degree(poly) < 0:
             violations.append(Violation(
                 code="zero_polynomial",
                 detail=f"{name} is the zero polynomial"))
     if violations:
         return tuple(violations), np.empty(0), np.empty(0)
-    if poly_degree(q) > poly_degree(p1):
+    if poly_degree(target) > poly_degree(op1):
         violations.append(Violation(
             code="degree",
-            detail=f"target degree {poly_degree(q)} exceeds op1 degree {poly_degree(p1)}; "
+            detail=f"target degree {poly_degree(target)} exceeds op1 degree {poly_degree(op1)}; "
                    "the outer cofactor would be unbounded"))
-    roots1 = real_roots(p1)
-    roots2 = real_roots(p2)
-    shared = np.abs(roots2[:, None] - roots1) <= _CLUSTER_TOL * (1.0 + np.abs(roots2[:, None]))
-    for r in roots1[shared.any(axis=0)]:
-        value = abs(complex(npoly.polyval(r, q)))
-        if value > _ROOT_RESIDUAL * _poly_scale(q, r):
-            violations.append(Violation(
-                code="common_root",
-                detail=f"op1 and op2 share the real root y={r:.9g} but "
-                       f"target({r:.9g}) = {value:.3g} does not vanish there"))
-    return tuple(violations), roots1, roots2[~shared.any(axis=1)]
+    q, r1, r2 = (_real_factor(c) for c in (target, op1, op2))
+    shared = _euclid(r1, r2)[-1]
+    # the shared real roots where the target does not vanish: exact division leaves them
+    for r in _roots(npoly.polydiv(shared, _euclid(shared, q)[-1])[0]):
+        violations.append(Violation(
+            code="common_root",
+            detail=f"op1 and op2 share the real root y={r:.9g}, where the target does not vanish"))
+    return tuple(violations), _roots(r1), _roots(npoly.polydiv(r2, shared)[0])
 
 
 def decomposition_hypotheses(target, op1, op2) -> tuple[Violation, ...]:
@@ -229,7 +233,7 @@ def decomposition_hypotheses(target, op1, op2) -> tuple[Violation, ...]:
     target (otherwise no bounded combination of the two symbols can
     reproduce the target near that point).
     """
-    return _root_table(_as_poly(target), _as_poly(op1), _as_poly(op2))[0]
+    return _root_table(target, op1, op2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +298,7 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     :class:`InvalidParameterError` when a value overflows a double.
     """
     q, p1, p2 = _as_poly(target), _as_poly(op1), _as_poly(op2)
-    violations, roots1, op2_only = _root_table(q, p1, p2)
+    violations, roots1, op2_only = _root_table(target, op1, op2)
     if violations:
         raise HypothesesViolatedError(violations)
 

@@ -102,4 +102,4 @@ class KernelUnresolvableError(NumericalError):
 
 
 class VerificationFailureError(NumericalError):
-    """An internal residual certificate failed (root or identity residual)."""
+    """The reconstructed symbol ``h1 op1 + h2 op2`` misses the target beyond rounding."""

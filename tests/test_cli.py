@@ -129,6 +129,23 @@ def test_a_large_partner_exponent_keeps_every_case(tmp_path, capsys):
     assert len(report["cases"]) == 5
 
 
+def test_lemma2_centres_neighborhoods_on_exact_roots(tmp_path, capsys):
+    # (y-1.5)^3 (y-1.501) from its decimal coefficients: a neighborhood on each root
+    out = tmp_path / "report.json"
+    assert run(["lemma2", "--Q", "[1]", "--P1", "[5.065875,-13.50675,13.5045,-6.001,1]",
+                "--P2", "[1]", "--grid-L", "131072", "--grid-N", "262144", "--out", str(out)],
+               capsys) == 0
+    assert [c for c, _ in json.loads(out.read_text())["neighborhoods"]] == [1.5, 1.501]
+
+
+def test_lemma2_roots_a_triple_root_beside_a_close_one(tmp_path, capsys):
+    # (y-1)^3 (y-1.001): a triple root 1e-3 from a simple one
+    out = tmp_path / "report.json"
+    assert run(["lemma2", "--Q", "[1]", "--P1", "[1.001,-4.003,6.003,-4.001,1]", "--P2", "[1]",
+                "--grid-L", "32768", "--grid-N", "32768", "--out", str(out)], capsys) == 0
+    assert [c for c, _ in json.loads(out.read_text())["neighborhoods"]] == [1.0, 1.001]
+
+
 # ---------------------------------------------------------------------------
 # exit code 1: hypothesis violations
 # ---------------------------------------------------------------------------
@@ -240,8 +257,8 @@ def test_an_overflowing_inversion_is_refused_in_a_report(tmp_path, capsys):
     ["lemma2", "--Q", "[1e308,1]", "--P1", "[0,0,1e308]", "--P2", "[1]"],
 ])
 def test_polynomial_values_beyond_a_double_are_refused_in_a_report(argv, tmp_path, capsys):
-    # the first overflows in the construction's diagnostics, the second while rooting op1:
-    # a report, not a RuntimeWarning, which this suite turns into an error
+    # both overflow where the construction evaluates the symbols on the grid (the roots are
+    # decided over Q): a report, not a RuntimeWarning, which this suite turns into an error
     out = tmp_path / "report.json"
     assert run(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == ""

@@ -2,7 +2,7 @@
 
 import math
 import sys
-from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +28,6 @@ from subord.errors import (
     InvalidParameterError,
     MultiplicityObstructionError,
     NeighborhoodDegenerateError,
-    VerificationFailureError,
 )
 from subord.fourier_core import (
     FREQUENCY,
@@ -49,73 +48,52 @@ FINE = GridSpec(40.0, 2 ** 18)
 # roots and labels
 # ---------------------------------------------------------------------------
 
+def _exact(roots):
+    # the polynomial with these roots over Q, each root read from its decimal text
+    return np.polynomial.polynomial.polyfromroots(
+        np.array([Fraction(str(r)) for r in roots], dtype=object))
+
+
 def test_real_roots():
-    assert real_roots([0, 0, 1]) == pytest.approx([0.0])         # double root clusters
-    assert real_roots([-1, 0, 1]) == pytest.approx([-1.0, 1.0])
-    assert list(real_roots([1, 0, 1])) == []                     # complex pair
+    assert real_roots([0, 0, 1]).tolist() == [0.0]                   # double root
+    assert real_roots([-1, 0, 1]).tolist() == [-1.0, 1.0]
+    assert list(real_roots([1, 0, 1])) == []                         # complex pair
     assert list(real_roots([5.0])) == []
-    assert real_roots([-1, 3, -3, 1]) == pytest.approx([1.0])    # triple root
-    assert real_roots([504, -492, -10, 115, -15, -7, 1]) == pytest.approx(  # (y-2)^3 (y+3)^2 (y-7)
-        [-3.0, 2.0, 7.0])
+    assert real_roots([-1, 3, -3, 1]).tolist() == [1.0]              # triple root
+    assert real_roots([504, -492, -10, 115, -15, -7, 1]).tolist() == [  # (y-2)^3 (y+3)^2 (y-7)
+        -3.0, 2.0, 7.0]
+    # a float is its shortest decimal, so 0.01 - 0.2 y + y^2 = (y - 1/10)^2; a Fraction is exact
+    assert real_roots([0.01, -0.2, 1]).tolist() == [0.1]
+    assert real_roots([Fraction(-1, 3), 1]).tolist() == [1 / 3]
+    assert real_roots([1j, 1]).tolist() == []                        # the root -1j
+    assert real_roots([-1j, 1j]).tolist() == [1.0]                   # i (y - 1)
     # close simple roots stay apart at any degree; a pair near the axis is not a real root
     poly = np.polynomial.polynomial
-    degree8 = poly.polymul(poly.polyfromroots([10, 10.15]), [1, 0, 0, 0, 0, 0, 1])
-    assert real_roots(degree8) == pytest.approx([10.0, 10.15])
-    degree4 = poly.polymul(poly.polyfromroots([1, 1.0005]), [1, 0, 1])
-    assert real_roots(degree4) == pytest.approx([1.0, 1.0005])
-    assert real_roots([0, 0, 0, 1.000001, -2, 1]) == pytest.approx([0.0])  # ((y-1)^2+1e-6) y^3
-    # a close root widens the spread of the copies of a multiple root: they stay one root
-    assert real_roots(poly.polyfromroots([1, 1, 1.5, 1.5, 1.5, 1.6])) == pytest.approx(
-        [1.0, 1.5, 1.6])
-    assert real_roots(poly.polyfromroots([1, 1, 1.001])) == pytest.approx([1.0, 1.001])
-
-
-def _clustered_roots_loop(coeffs):
-    # the per-root clustering loop real_roots replaced, kept as the reference
-    roots = np.polynomial.polynomial.polyroots(np.asarray(coeffs, dtype=complex))
-    real = sorted(r.real for r in roots if abs(r.imag) <= 1e-7 * (1.0 + abs(r.real)))
-    clusters = []
-    for r in real:
-        if clusters and r - clusters[-1][-1] <= 1e-7 * (1.0 + abs(r)):
-            clusters[-1].append(r)
-        else:
-            clusters.append([r])
-    return [float(np.mean(group)) for group in clusters]
+    degree8 = poly.polymul(_exact([10, 10.15]), [1, 0, 0, 0, 0, 0, 1])
+    assert real_roots(degree8).tolist() == [10.0, 10.15]
+    degree4 = poly.polymul(_exact([1, 1.0005]), [1, 0, 1])
+    assert real_roots(degree4).tolist() == [1.0, 1.0005]
+    assert real_roots([0, 0, 0, 1.000001, -2, 1]).tolist() == [0.0]  # ((y-1)^2+1e-6) y^3
+    # a close root beside a multiple root stays a root of its own
+    assert real_roots(_exact([1, 1, 1.5, 1.5, 1.5, 1.6])).tolist() == [1.0, 1.5, 1.6]
+    assert real_roots(_exact([1, 1, 1.001])).tolist() == [1.0, 1.001]
 
 
 _ROOTS = st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.5]), min_size=1, max_size=5)
 
 
 def _with_roots(roots, complex_pair):
-    coeffs = np.polynomial.polynomial.polyfromroots(roots)
+    coeffs = _exact(roots)
     if complex_pair:
         coeffs = np.polynomial.polynomial.polymul(coeffs, [1, 0, 1])
     return coeffs
 
 
 @settings(max_examples=100, deadline=None)
-@given(roots=_ROOTS.filter(lambda roots: max(Counter(roots).values()) <= 2),
-       complex_pair=st.booleans())
-def test_real_roots_cluster_like_the_loop(roots, complex_pair):
-    # the loop finds roots of multiplicity up to two
-    coeffs = _with_roots(roots, complex_pair)
-    assert real_roots(coeffs).tolist() == _clustered_roots_loop(coeffs)
-
-
-@settings(max_examples=100, deadline=None)
 @given(roots=_ROOTS, complex_pair=st.booleans())
 def test_real_roots_returns_each_root_once(roots, complex_pair):
-    """Every root once, whatever its multiplicity up to five.
-
-    The mean of the copies of a multiple root cancels their eps^(1/m)
-    spread: over every input this strategy can draw the largest error is
-    7.3e-15 relative to 1 + |r|, so 1e-12 is a margin of over 100 and still
-    a million times finer than the 7e-6 of one copy of a triple root.
-    """
-    expected = sorted(set(roots))
-    got = real_roots(_with_roots(roots, complex_pair))
-    assert len(got) == len(expected)
-    assert np.all(np.abs(got - expected) <= 1e-12 * (1.0 + np.abs(expected)))
+    """Every root once, bit for bit, whatever its multiplicity up to five."""
+    assert real_roots(_with_roots(roots, complex_pair)).tolist() == sorted(set(roots))
 
 
 @settings(max_examples=100, deadline=None)
@@ -124,45 +102,19 @@ def test_real_roots_returns_each_root_once(roots, complex_pair):
        complex_pair=st.booleans())
 def test_real_roots_returns_each_root_once_beside_a_close_root(roots, close, copies,
                                                                complex_pair):
-    """Every root once, of up to five, when another root lies 0.01 or 0.1 away.
-
-    The neighbour widens the spread of a multiple root's copies beyond eps^(1/m).
-    Each root is within 1e-6 relative to 1 + |r|: over every input this strategy
-    can draw the largest error is 5.4e-8, for (y-0.5)^3 (y-0.51)^2 (y^2+1).  At six
-    roots a real polynomial, rooted in complex arithmetic, can leave a cluster's
-    mean off the axis (see test_real_roots_known_misses).
-    """
+    """Every root once, bit for bit, of up to five, when another root lies 0.01 or 0.1 away."""
     roots = roots[:5 - copies] + [close] * copies
-    expected = sorted(set(roots))
-    got = real_roots(_with_roots(roots, complex_pair))
-    assert len(got) == len(expected)
-    assert np.all(np.abs(got - expected) <= 1e-6 * (1.0 + np.abs(expected)))
-
-
-def _known_miss(raises, reason):
-    return pytest.mark.xfail(strict=True, raises=raises, reason=reason)
+    assert real_roots(_with_roots(roots, complex_pair)).tolist() == sorted(set(roots))
 
 
 @pytest.mark.parametrize("roots", [
-    pytest.param([1, 1, 1, 1.001], marks=_known_miss(
-        VerificationFailureError, "the copies of the triple root average 7e-7 off the axis")),
-    pytest.param([0.5, 0.5, 0.5, 0.51, 0.51, 0.51], marks=_known_miss(
-        VerificationFailureError, "the copies of a triple root average 2e-6 off the axis")),
-    pytest.param([1.5, 1.5, 1.5, 1.501], marks=_known_miss(
-        AssertionError, "the four roots pass for one root at 1.50025")),
+    [1, 1, 1, 1.001],
+    [0.5, 0.5, 0.5, 0.51, 0.51, 0.51],
+    [1.5, 1.5, 1.5, 1.501],
 ])
-def test_real_roots_known_misses(roots):
-    """Roots that real_roots does not yet find, each a strict xfail, so a fix shows.
-
-    Rooted in complex arithmetic, a real polynomial loses conjugate symmetry: the
-    copies of a multiple root beside a close root can average off the axis, and
-    real_roots then raises rather than drop a root.  A simple root 1e-3 beside a
-    triple one is within the rounding spread of a quadruple root and is merged.
-    """
-    expected = sorted(set(roots))
-    got = real_roots(np.polynomial.polynomial.polyfromroots(roots))
-    assert len(got) == len(expected)
-    assert np.all(np.abs(got - expected) <= 1e-6 * (1.0 + np.abs(expected)))
+def test_real_roots_parts_a_multiple_root_from_a_close_one(roots):
+    """A simple or triple root 1e-3 or 1e-2 beside a triple one is a root of its own."""
+    assert real_roots(_exact(roots)).tolist() == sorted(set(roots))
 
 
 @settings(max_examples=100, deadline=None)
@@ -172,17 +124,43 @@ def test_real_roots_known_misses(roots):
 def test_real_roots_keeps_close_simple_roots_apart(roots, complex_factor):
     """Simple roots 5e-4 or 0.15 apart stay apart, at degrees up to eleven.
 
-    The loop agrees bit for bit.  Each root is within 1e-10 relative to
-    1 + |r|: over every input this strategy can draw the largest error is
-    7.2e-12, at the roots near 10 with the sixth-degree factor.
+    The coefficients are computed in floats, so their polynomial has roots
+    near, not at, the drawn ones.  Each root is within 1e-10 relative to
+    1 + |r|.
     """
     expected = np.sort(roots)
     coeffs = np.polynomial.polynomial.polymul(
         np.polynomial.polynomial.polyfromroots(roots), complex_factor)
     got = real_roots(coeffs)
-    assert got.tolist() == _clustered_roots_loop(coeffs)
     assert len(got) == len(expected)
     assert np.all(np.abs(got - expected) <= 1e-10 * (1.0 + np.abs(expected)))
+
+
+def test_real_roots_beyond_the_doubles_are_refused():
+    # the root -1e608 has no double; the Cauchy bound, which the search starts from, says so
+    with pytest.raises(InvalidParameterError, match="overflow a double"):
+        real_roots([1e308, 1e-300])
+
+
+def _exact_value(coeffs, y) -> Fraction:
+    return sum(Fraction(repr(float(c))) * Fraction(y) ** k for k, c in enumerate(coeffs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(roots=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=6, unique=True),
+       complex_pair=st.booleans())
+def test_real_roots_of_float_coefficients_are_correctly_rounded(roots, complex_pair):
+    """Each root is the double nearest to a root of the exact polynomial of the
+    coefficients' shortest decimals: that polynomial vanishes at it or changes
+    sign between the midpoints to its neighbouring doubles."""
+    coeffs = np.polynomial.polynomial.polyfromroots(roots)
+    if complex_pair:
+        coeffs = np.polynomial.polynomial.polymul(coeffs, [1, 0, 1])
+    for r in real_roots(coeffs):
+        below, above = ((Fraction(r) + Fraction(np.nextafter(r, side))) / 2
+                        for side in (-np.inf, np.inf))
+        assert (_exact_value(coeffs, r) == 0
+                or _exact_value(coeffs, below) * _exact_value(coeffs, above) <= 0)
 
 
 def test_poly_label():
@@ -220,8 +198,16 @@ def test_hypotheses_reject_degree_excess():
 
 
 def test_hypotheses_refuse_values_beyond_a_double():
+    """The hypotheses are decided over Q and evaluate no float, so 1e308 y^2 passes
+    them; the construction evaluates the symbols on the grid and refuses it."""
+    assert decomposition_hypotheses([1], [0, 0, 1e308], [1]) == ()
     with pytest.raises(InvalidParameterError, match="overflow a double"):
-        decomposition_hypotheses([1], [0, 0, 1e308], [1])
+        construct_decomposition([1], [0, 0, 1e308], [1], GRID)
+
+
+def test_hypotheses_share_only_exactly_common_roots():
+    # y - 1 and y - 1.0000001 have no common root, so the target need not vanish anywhere
+    assert decomposition_hypotheses([1], [-1, 1], [-1.0000001, 1]) == ()
 
 
 def test_construct_raises_named_violation():
@@ -309,6 +295,13 @@ def test_multiplicity_obstruction_detected():
     # Q = y simple zero, P2 = y^2 double zero: h2 ~ 1/y near 0
     with pytest.raises(MultiplicityObstructionError):
         construct_decomposition([0, 1], [0, 0, 1], [0, 0, 1], GRID)
+
+
+def test_a_root_of_higher_multiplicity_in_op2_can_still_cancel():
+    """Q = P1 = y^2, P2 = y^3: h1 = 1 everywhere and h2 = 0, a bounded decomposition,
+    although the multiplicity of 0 in P2 exceeds that in Q and P1.  So the obstruction
+    is decided by refinement, not by the rule m_P2(r) > min(m_Q(r), m_P1(r))."""
+    assert construct_decomposition([0, 0, 1], [0, 0, 1], [0, 0, 0, 1], GRID).cofactor2_sup == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: whose ratio has a |y|**0.5 cusp, a fine grid below one sampling block with a
 #: pinned constant term, a pinned nonzero constant term, ratio symbols whose
 #: denominator vanishes inside the window or at its edge (exit 2), polynomial
-#: values beyond a double (exit 1), and finite exponents so large that max**p
-#: leaves the doubles
+#: values beyond a double (exit 1), finite exponents so large that max**p
+#: leaves the doubles, a multiple root 1e-3 or 1e-2 beside another root on
+#: grids that resolve the pair, integer roots of multiplicity three, two and
+#: one, and two operators whose roots lie 1e-7 apart but are not shared
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -66,6 +68,14 @@ EXTRAS = (
      "--p", "2000,inf"),
     ("diffop-verify", "--grid-N", "262144", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]",
      "--q", "1e6", "--p1", "1e6", "--p2", "1"),
+    ("lemma2", "--Q", "[1]", "--P1", "[1.001,-4.003,6.003,-4.001,1]", "--P2", "[1]",
+     "--grid-L", "32768", "--grid-N", "32768"),
+    ("lemma2", "--Q", "[1]", "--P1", "[0.016581375,-0.19702575,0.9754515,-2.575601,3.8253,-3.03,1]",
+     "--P2", "[1]", "--grid-L", "4096", "--grid-N", "4096"),
+    ("lemma2", "--Q", "[1]", "--P1", "[5.065875,-13.50675,13.5045,-6.001,1]", "--P2", "[1]",
+     "--grid-L", "131072", "--grid-N", "262144"),
+    ("lemma2", "--Q", "[1]", "--P1", "[504,-492,-10,115,-15,-7,1]", "--P2", "[1]"),
+    ("lemma2", "--Q", "[1]", "--P1", "[-1,1]", "--P2", "[-1.0000001,1]"),
 )
 
 
