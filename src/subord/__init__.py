@@ -36,7 +36,6 @@ from .errors import (
     InconsistentLimitError,
     InvalidParameterError,
     KernelUnresolvableError,
-    MultiplicityObstructionError,
     NeighborhoodDegenerateError,
     NestedZerosViolatedError,
     NumericalError,
@@ -98,7 +97,6 @@ from .diffops import (
     partner_exponent,
     poly_label,
     real_roots,
-    verify_identity,
 )
 
 __version__ = "0.1.0"

@@ -51,7 +51,7 @@ __all__ = [
 ZERO_LEVEL = 1e-9
 #: relative slack of every pass rule ``ratio <= constant * (1 + TOLERANCE)``
 TOLERANCE = 1e-2
-#: relative step of the two probes that take the limit at a removable zero (_probe_limit)
+#: relative step of the two probes that take the limit at a removable zero (_fill_limits)
 _PROBE_STEP = 1e-6
 
 
@@ -169,15 +169,37 @@ def apply_multiplier(m: Multiplier, f: SampledFunction) -> SampledFunction:
     return apply_symbol(m(f.grid.dual_nodes()), forward_ft(f))
 
 
-def _probe_limit(direct: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(limit, undefined)`` at the 1-d points ``y``, the package's one rule for removable
-    zeros: the mean of the usable values of ``direct(y) -> (values, unusable)`` at the probes
-    ``y -+ _PROBE_STEP (1 + |y|)``, and where neither is usable, for the caller to decide."""
-    step = _PROBE_STEP * (1.0 + np.abs(y))
-    values, unusable = direct(np.stack([y - step, y + step]))
-    values = np.where(unusable, values[::-1], values)  # an unusable probe repeats the other
-    return (values[0] + values[1]) / 2.0, unusable.all(axis=0)
+def _quotient(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a / b`` where ``b`` is a normal double, 0 elsewhere, and the mask of the elsewhere:
+    a complex quotient by less overflows."""
+    unusable = np.abs(b) < np.finfo(float).tiny
+    return np.divide(a, b, out=np.zeros_like(a), where=~unusable), unusable
+
+
+def _fill_limits(direct: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                 y: np.ndarray, what: str) -> np.ndarray:
+    """``direct(y) -> (values, unusable)`` with each unusable value replaced by its limit, the
+    package's one rule for removable zeros: the mean of the usable values of ``direct`` at the
+    probes ``y -+ _PROBE_STEP (1 + |y|)``.  Where neither probe is usable, the probes step 16
+    times further out, three times at most; where none is usable then, ``what`` has no limit
+    there and :class:`FillUndefinedError` is raised."""
+    out, unusable = direct(y)
+    at = y[unusable]
+    step, limit = _PROBE_STEP * (1.0 + np.abs(at)), np.empty(at.shape, dtype=np.complex128)
+    todo = np.ones(at.shape, dtype=bool)
+    for _ in range(4):
+        if not todo.any():
+            break
+        values, bad = direct(np.stack([at[todo] - step[todo], at[todo] + step[todo]]))
+        values = np.where(bad, values[::-1], values)  # an unusable probe repeats the other
+        limit[todo] = (values[0] + values[1]) / 2.0
+        todo[todo] = bad.all(axis=0)
+        step *= 16.0
+    if todo.any():
+        raise FillUndefinedError(f"{what} vanishes at both probes beside y={at[todo][:5]}, "
+                                 f"out to {_PROBE_STEP * 16.0 ** 3:g} (1 + |y|); no limit exists")
+    out[unusable] = limit
+    return out
 
 
 def ratio_multiplier(numerator: Multiplier, denominator: Multiplier,
@@ -189,8 +211,8 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier,
     (:class:`NestedZerosViolatedError` otherwise) and away from the dual window's
     edge (:class:`FillUndefinedError` otherwise).  The returned symbol depends on
     ``y`` alone: the plain quotient where the denominator is a normal double, else
-    the limit of :func:`_probe_limit` (:class:`FillUndefinedError` where neither
-    probe is usable), the rule that also fills the second cofactor of diffops.
+    the limit of :func:`_fill_limits` (:class:`FillUndefinedError` where it has
+    none), the rule that also fills both cofactors of diffops.
     """
     y0 = grid.dual_nodes()
     v1 = numerator(y0)
@@ -210,19 +232,9 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier,
             f"zero run of {denominator.label} touches the dual window edge; "
             "no neighboring ratio values to fill from")
 
-    def direct(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a, b = numerator(y), denominator(y)
-        unusable = np.abs(b) < np.finfo(float).tiny  # a complex quotient by less overflows
-        return np.divide(a, b, out=np.zeros_like(a), where=~unusable), unusable
-
     def fn(y: np.ndarray) -> np.ndarray:
-        out, unusable = direct(y)
-        limit, undefined = _probe_limit(direct, y[unusable])
-        if undefined.any():
-            raise FillUndefinedError(f"{denominator.label} vanishes at both probes beside "
-                                     f"y={y[unusable][undefined][:5]}; the ratio has no limit")
-        out[unusable] = limit
-        return out
+        return _fill_limits(lambda z: _quotient(numerator(z), denominator(z)), y,
+                            denominator.label)
 
     return Multiplier(label=f"({numerator.label})/({denominator.label})", _fn=fn)
 
@@ -283,13 +295,13 @@ def _fmt_p(p: float) -> str:
 
 
 def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant: float,
-            what: str, slack: float = TOLERANCE, **extra) -> Report:
+            what: str, **extra) -> Report:
     """The loop shared by every verifier: sample and transform each function
     once, then check its rows.
 
     A row whose right side is below ``1e-12 * (1 + lhs)`` carries no
     information and is skipped; the others pass when ``lhs / rhs <=
-    constant * (1 + slack)``.  :class:`AllCasesSkippedError` is raised
+    constant * (1 + TOLERANCE)``.  :class:`AllCasesSkippedError` is raised
     when every row was skipped.
     """
     cases = []
@@ -300,7 +312,7 @@ def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant:
                 continue
             ratio = lhs / rhs
             cases.append(Case(label=fn.label, eps=eps, exponents=exponents, lhs=lhs, rhs=rhs,
-                              ratio=ratio, passed=ratio <= constant * (1.0 + slack)))
+                              ratio=ratio, passed=ratio <= constant * (1.0 + TOLERANCE)))
     if not cases:
         raise AllCasesSkippedError(f"no {what} case had a usable right-hand side")
     return Report(cases=tuple(cases), constant=constant,

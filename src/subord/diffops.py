@@ -2,17 +2,21 @@
 
 A polynomial ``P`` acts on functions as ``P(-i d/dx)``; on the frequency
 side this is plain multiplication by ``P(y)``.  Given three polynomials with
-``deg target <= deg op1`` and every common real root of ``op1`` and ``op2``
-also a root of ``target``, the symbol splits as
+``deg target <= deg op1`` and, at every common real root of ``op1`` and
+``op2``, a root of ``target`` of at least the lower of their multiplicities,
+the symbol splits as
 
     target(y) = h1(y) op1(y) + h2(y) op2(y)
 
-with bounded cofactors: ``h1`` is ``target / op1`` away from the real roots
-of ``op1`` and a linear interpolant across a neighborhood of each root, and
-``h2`` carries the remainder inside those neighborhoods.  When both
-cofactors are transforms of finite measures, norms of ``target(-i d/dx) f``
-are dominated by norms of the two operator images — including with different
-exponents on each side, via the convolution inequality for mixed exponents.
+with bounded cofactors, since near such a root the two operators generate the
+ideal of that power of ``y - r`` (Hörmander, *Linear Partial Differential
+Operators*, 1963, ch. III).  ``h1`` is ``target / op1`` away from its poles,
+the real roots of higher multiplicity in ``op1`` than in ``target``, and a
+linear interpolant across a neighborhood of each pole; ``h2`` carries the
+remainder inside those neighborhoods.  When both cofactors are transforms of
+finite measures, norms of ``target(-i d/dx) f`` are dominated by norms of the
+two operator images — including with different exponents on each side, via
+the convolution inequality for mixed exponents.
 
 Everything here works with ascending coefficient sequences (``c[k]`` is the
 coefficient of ``y^k``), which may be complex.  Root structure is decided
@@ -29,13 +33,12 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .comparison import Multiplier, Report, _fmt_p, _probe_limit, _verify
+from .comparison import Multiplier, Report, _fill_limits, _fmt_p, _quotient, _verify
 from .errors import (
     BandwidthExceededError,
     HypothesesViolatedError,
     InadmissibleExponentsError,
     InvalidParameterError,
-    MultiplicityObstructionError,
     NeighborhoodDegenerateError,
     VerificationFailureError,
 )
@@ -53,7 +56,6 @@ __all__ = [
     "SymbolDecomposition",
     "construct_decomposition",
     "apply_diffop",
-    "verify_identity",
     "partner_exponent",
     "diffop_subordination",
 ]
@@ -62,8 +64,6 @@ __all__ = [
 _DIVISION_GUARD = 1e-12
 #: identity residual allowed, relative to the sup of the target symbol
 _IDENTITY_TOL = 1e-10
-#: sup-norm defect allowed on functions, relative to 1 + sup |target f|
-_IDENTITY_DEFECT = 1e-6
 #: spectrum fraction allowed in the outer band of the dual window when applying an operator
 _BANDWIDTH_LEVEL = 1e-8
 
@@ -128,14 +128,18 @@ def _euclid(a: np.ndarray, b: np.ndarray) -> list:
     return seq[:-1]
 
 
-def _real_factor(coeffs) -> np.ndarray:
-    """The square-free polynomial over Q with the real roots of ``coeffs``: a real root of
-    ``a + ib`` is one of ``gcd(a, b)``, and ``p / gcd(p, p')`` has each root of ``p`` once."""
+def _real_part(coeffs) -> np.ndarray:
+    """A polynomial over Q with the real roots of ``coeffs``, each of the same multiplicity: a
+    real root of ``a + ib`` is one of ``gcd(a, b)``."""
     parts = zip(*((x, 0) if isinstance(x, (int, Fraction)) else (complex(x).real, complex(x).imag)
                   for x in np.atleast_1d(np.asarray(coeffs, dtype=object))))
     # an int or Fraction as it is; a float as its shortest decimal, the one that rounds to it
-    p = _euclid(*(np.array([Fraction(v if isinstance(v, (int, Fraction)) else repr(v))
-                            for v in part]) for part in parts))[-1]
+    return _euclid(*(np.array([Fraction(v if isinstance(v, (int, Fraction)) else repr(v))
+                               for v in part]) for part in parts))[-1]
+
+
+def _square_free(p: np.ndarray) -> np.ndarray:
+    """``p / gcd(p, p')``, with each root of ``p`` once."""
     return npoly.polydiv(p, _euclid(p, npoly.polyder(p))[-1])[0] if p.any() else p
 
 
@@ -182,7 +186,7 @@ def real_roots(coeffs) -> np.ndarray:
 
     An int or ``Fraction`` coefficient is read as it is, a float as its shortest decimal."""
     _as_poly(coeffs)  # nonempty, 1-d and finite
-    return _roots(_real_factor(coeffs))
+    return _roots(_square_free(_real_part(coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +204,8 @@ def _refuse_overflow(kind: str, flag: int):  # numpy's error callback, not an in
 
 
 def _root_table(target, op1, op2):
-    """``(violations, real roots of op1, real roots of op2 not shared with op1)``, decided over Q
-    once for :func:`decomposition_hypotheses` and :func:`construct_decomposition`."""
+    """``(violations, poles of target / op1, real roots of op1 or op2)``, decided over Q once for
+    :func:`decomposition_hypotheses` and :func:`construct_decomposition`."""
     violations = []
     for name, poly in (("target", target), ("op1", op1), ("op2", op2)):
         if poly_degree(poly) < 0:
@@ -215,23 +219,28 @@ def _root_table(target, op1, op2):
             code="degree",
             detail=f"target degree {poly_degree(target)} exceeds op1 degree {poly_degree(op1)}; "
                    "the outer cofactor would be unbounded"))
-    q, r1, r2 = (_real_factor(c) for c in (target, op1, op2))
-    shared = _euclid(r1, r2)[-1]
-    # the shared real roots where the target does not vanish: exact division leaves them
-    for r in _roots(npoly.polydiv(shared, _euclid(shared, q)[-1])[0]):
+    q, r1, r2 = (_real_part(c) for c in (target, op1, op2))
+    g1, g2 = _euclid(r1, q)[-1], _euclid(r2, q)[-1]
+    # each operator's real roots of higher multiplicity than in the target, that many times over
+    d1, d2 = npoly.polydiv(r1, g1)[0], npoly.polydiv(r2, g2)[0]
+    for r in _roots(_square_free(_euclid(d1, d2)[-1])):
         violations.append(Violation(
             code="common_root",
-            detail=f"op1 and op2 share the real root y={r:.9g}, where the target does not vanish"))
-    return tuple(violations), _roots(r1), _roots(npoly.polydiv(r2, shared)[0])
+            detail=f"op1 and op2 share the real root y={r:.9g}, where the target vanishes to "
+                   "lower order than both"))
+    poles = _roots(_square_free(d1))
+    # the other real roots of op1 = d1 g1 or op2 are those of g1 op2
+    return tuple(violations), poles, np.union1d(poles, _roots(_square_free(npoly.polymul(g1, r2))))
 
 
 def decomposition_hypotheses(target, op1, op2) -> tuple[Violation, ...]:
     """The violated structural conditions for a bounded decomposition, if any.
 
     Required: all three polynomials nonzero, ``deg target <= deg op1``, and
-    every common real root of the two operators is a real root of the
-    target (otherwise no bounded combination of the two symbols can
-    reproduce the target near that point).
+    at every common real root ``r`` of the two operators the multiplicities obey
+    ``m_target(r) >= min(m_op1(r), m_op2(r))`` (otherwise no bounded
+    combination of the two symbols can reproduce the target near that point).
+    A violation of the last is a ``common_root`` violation naming ``r``.
     """
     return _root_table(target, op1, op2)[0]
 
@@ -244,8 +253,9 @@ def decomposition_hypotheses(target, op1, op2) -> tuple[Violation, ...]:
 class SymbolDecomposition:
     """The constructed pair of cofactors plus diagnostics.
 
-    ``neighborhoods`` holds ``(center, halfwidth)`` for each real root of
-    ``op1``.  ``identity_residual`` is the largest pointwise defect of
+    ``neighborhoods`` holds ``(center, halfwidth)`` for each pole of
+    ``target / op1``: each real root of ``op1`` of higher multiplicity than in
+    ``target``.  ``identity_residual`` is the largest pointwise defect of
     ``target - (h1 op1 + h2 op2)`` over the dual grid and refined local
     grids; ``cofactor2_sup`` and the two Lipschitz numbers are measured on
     the same points.
@@ -279,33 +289,34 @@ def _max_slope(values: np.ndarray, points: np.ndarray) -> float:
 def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposition:
     """Build the two cofactors and verify the identity they must satisfy.
 
-    The neighborhood of each real root of ``op1`` has halfwidth
-    ``min(1, half the distance to the nearest other root of op1, half the
-    distance to the nearest root of op2 that is not shared)``.  Inside it
-    the first cofactor interpolates linearly between the two boundary
-    values of ``target / op1`` and the second cofactor carries the
-    remainder divided by ``op2`` (where ``op2`` nearly vanishes it takes the
-    limit of :func:`subord.comparison._probe_limit`, or 0 where that has none;
-    at a shared root the remainder vanishes with it).
+    The neighborhood of each pole of ``target / op1`` has halfwidth
+    ``min(1, half the distance to the nearest other real root of op1 or
+    op2)``, roots that ``target`` cancels included.  Inside it the first
+    cofactor interpolates linearly between the two boundary values of
+    ``target / op1`` and the second cofactor carries the remainder divided by
+    ``op2``; outside, the first cofactor is ``target / op1`` and the second
+    is 0.  Where ``op1`` or ``op2`` nearly vanishes, the cofactor takes the
+    limit of :func:`subord.comparison._fill_limits`, the rule of
+    :func:`subord.comparison.ratio_multiplier`.
 
     Raises :class:`HypothesesViolatedError` when the structural conditions
-    fail, :class:`NeighborhoodDegenerateError` when a neighborhood is too
-    narrow for the dual grid to see or leaves the dual window,
-    :class:`MultiplicityObstructionError` when the second cofactor grows
-    under local refinement (a shared root of higher multiplicity in ``op2``
-    than the remainder can cancel), :class:`VerificationFailureError`
-    when the reconstructed symbol misses the target beyond rounding, and
-    :class:`InvalidParameterError` when a value overflows a double.
+    fail (:func:`decomposition_hypotheses`),
+    :class:`NeighborhoodDegenerateError` when a neighborhood is too narrow
+    for the dual grid to see or leaves the dual window,
+    :class:`FillUndefinedError` where a cofactor has no limit to take,
+    :class:`VerificationFailureError` when the reconstructed symbol misses
+    the target beyond rounding, and :class:`InvalidParameterError` when a
+    value overflows a double.
     """
     q, p1, p2 = _as_poly(target), _as_poly(op1), _as_poly(op2)
-    violations, roots1, op2_only = _root_table(target, op1, op2)
+    violations, poles, roots = _root_table(target, op1, op2)
     if violations:
         raise HypothesesViolatedError(violations)
 
     segments = []
-    for r in roots1:
-        # half the distance to the nearest other root of op1 or unshared root of op2, at most 1
-        gaps = np.abs(np.concatenate([roots1[roots1 != r], op2_only]) - r)
+    for r in poles:
+        # half the distance to the nearest other real root of op1 or op2, at most 1
+        gaps = np.abs(roots[roots != r] - r)
         delta = min(1.0, float(gaps.min(initial=2.0)) / 2.0)
         if delta < 4.0 * grid.dy or abs(r) + delta >= grid.dual_half_length:
             raise NeighborhoodDegenerateError(
@@ -331,7 +342,8 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         masks, rest = held(y)
         for (center, delta, lval, slope), m in zip(segments, masks):
             out[m] = lval + (y[m] - (center - delta)) * slope
-        out[rest] = npoly.polyval(y[rest], q) / npoly.polyval(y[rest], p1)
+        out[rest] = _fill_limits(lambda z: _quotient(npoly.polyval(z, q), npoly.polyval(z, p1)),
+                                 y[rest], poly_label(p1))
         return out
 
     max_c2 = float(np.abs(p2).max())
@@ -348,12 +360,7 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     def h2_fn(y: np.ndarray) -> np.ndarray:
         out = np.zeros(y.shape, dtype=np.complex128)
         inside = ~held(y)[1]
-        ym = y[inside]
-        vals, bad = _h2_direct(ym)
-        # a point too close to a zero of op2 takes the probe limit, or 0 where it has none
-        limit, undefined = _probe_limit(_h2_direct, ym[bad])
-        vals[bad] = np.where(undefined, 0.0, limit)
-        out[inside] = vals
+        out[inside] = _fill_limits(_h2_direct, y[inside], poly_label(p2))
         return out
 
     label1 = f"cofactor1[{poly_label(q)}|{poly_label(p1)}]"
@@ -363,22 +370,12 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
 
     at_infinity = complex(q[-1] / p1[-1]) if poly_degree(q) == poly_degree(p1) else 0.0 + 0.0j
 
-    # diagnostics: dual grid plus refined local grids around each root
+    # diagnostics: dual grid plus refined local grids around each pole
     ydual = grid.dual_nodes()
-    locals16 = [_local_grid(c, d, grid.dy / 16.0) for c, d, _, _ in segments]
-    h2_16 = [h2_fn(pts) for pts in locals16]
-    sup16 = max((float(np.abs(v).max()) for v in h2_16), default=0.0)
-    sup32 = max((float(np.abs(h2_fn(_local_grid(c, d, grid.dy / 32.0))).max())
-                 for c, d, _, _ in segments), default=0.0)
-    if sup16 > 0.0 and sup32 >= 1.5 * sup16:
-        raise MultiplicityObstructionError(
-            f"second cofactor grows under refinement (sup {sup16:.4g} -> {sup32:.4g}); "
-            "a shared real root has higher multiplicity in op2 than the remainder cancels")
-
     sup_q = float(np.abs(npoly.polyval(ydual, q)).max())
     residual = sup_h2 = lip1 = lip2 = 0.0
-    for pts, v2 in zip([ydual] + locals16, [h2_fn(ydual)] + h2_16):
-        v1 = h1_fn(pts)
+    for pts in [ydual] + [_local_grid(c, d, grid.dy / 16.0) for c, d, _, _ in segments]:
+        v1, v2 = h1_fn(pts), h2_fn(pts)
         rebuilt = v1 * npoly.polyval(pts, p1) + v2 * npoly.polyval(pts, p2)
         defect = np.abs(npoly.polyval(pts, q) - rebuilt)
         residual = max(residual, float(defect.max()))
@@ -433,38 +430,6 @@ def _apply_poly(p: np.ndarray, pvals: np.ndarray, F: SampledFunction) -> Sampled
             f"spectrum of {poly_label(p)} applied to this function reaches {band / peak:.2e} "
             "of its peak in the outer 10% of the dual window; increase the grid size")
     return apply_symbol(pvals, F)
-
-
-# ---------------------------------------------------------------------------
-# identity verification on functions
-# ---------------------------------------------------------------------------
-
-def _required_order(decomp: SymbolDecomposition) -> int:
-    return max(poly_degree(decomp.target), poly_degree(decomp.op1), poly_degree(decomp.op2))
-
-
-def verify_identity(decomp: SymbolDecomposition) -> Report:
-    """Check ``target f = h1 (op1 f) + h2 (op2 f)`` on actual functions.
-
-    Each case is the sup-norm defect over ``1 + sup |target f|``, so the
-    report's ``constant`` is the allowed defect ``1e-6``, with no further
-    slack, and ``worst_ratio`` the largest relative error.  The corpus is
-    :func:`subord.testkit.diffop_suite` of the highest degree of the triple.
-    """
-    y = decomp.grid.dual_nodes()  # each polynomial and cofactor sampled once per call
-    target, op1, op2 = ((p, npoly.polyval(y, p)) for p in (decomp.target, decomp.op1, decomp.op2))
-    h1, h2 = decomp.cofactor1(y), decomp.cofactor2(y)
-
-    def rows(f, F):
-        direct = _apply_poly(*target, F)
-        # each image goes back through space before its cofactor applies
-        rebuilt = (apply_symbol(h1, forward_ft(_apply_poly(*op1, F)))
-                   + apply_symbol(h2, forward_ft(_apply_poly(*op2, F))))
-        yield (None, "p=inf", float(np.abs(direct.values - rebuilt.values).max()),
-               1.0 + float(np.abs(direct.values).max()))
-
-    return _verify(diffop_suite(_required_order(decomp)), decomp.grid, rows,
-                   _IDENTITY_DEFECT, "identity", slack=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +528,6 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
         yield None, exponents, lhs, rhs
 
     if suite is None:
-        suite = diffop_suite(_required_order(d))
+        suite = diffop_suite(max(poly_degree(p) for p in (d.target, d.op1, d.op2)))
     return _verify(suite, grid, rows, max(factor1, factor2), "subordination",
                    factor1=factor1, factor2=factor2, q=q_, p1=p1_, p2=p2_)

@@ -18,7 +18,6 @@ __all__ = [
     "FillUndefinedError",
     "AllCasesSkippedError",
     "HypothesesViolatedError",
-    "MultiplicityObstructionError",
     "NeighborhoodDegenerateError",
     "BandwidthExceededError",
     "InadmissibleExponentsError",
@@ -79,10 +78,6 @@ class HypothesesViolatedError(HypothesisError):
         self.violations = violations
         details = "; ".join(v.detail for v in violations)
         super().__init__(f"decomposition hypotheses violated: {details}")
-
-
-class MultiplicityObstructionError(NumericalError):
-    """The bounded-cofactor certificate failed: sup grows under refinement."""
 
 
 class NeighborhoodDegenerateError(NumericalError):

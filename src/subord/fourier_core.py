@@ -154,10 +154,6 @@ class SampledFunction:
         if self.side != other.side:
             raise GridMismatchError("operands live on different sides")
 
-    def __add__(self, other: "SampledFunction") -> "SampledFunction":
-        self._check_compatible(other)
-        return SampledFunction(self.grid, self.values + other.values, self.side)
-
     def __sub__(self, other: "SampledFunction") -> "SampledFunction":
         self._check_compatible(other)
         return SampledFunction(self.grid, self.values - other.values, self.side)

@@ -48,6 +48,13 @@ def test_compare_reflexive_run(tmp_path, capsys):
         assert len(row.split(",")) == len(CSV_COLUMNS)
 
 
+def test_compare_takes_a_limit_where_both_first_probes_underflow(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["compare", "--m1", "one_minus_gw_symbol:alpha=60",
+                "--m2", "one_minus_gw_symbol:alpha=60", "--out", str(out)], capsys) == 0
+    assert json.loads(out.read_text())["constant"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_gw_compare_default_run(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["gw-compare", "--alpha", "1", "--beta", "2", "--out", str(out)],

@@ -117,6 +117,12 @@ def test_ratio_multiplier_refuses_a_zero_without_a_probe_limit():
         r(np.array([0.0]))
 
 
+def test_ratio_multiplier_steps_out_where_both_probes_underflow():
+    # 1 - exp(-|y|^60) underflows to 0 at y = -+1e-6; 16 times further out it does not
+    m = one_minus_gw_symbol(60.0)
+    assert ratio_multiplier(m, m, GRID)(np.array([0.0]))[0] == 1.0
+
+
 def test_ratio_multiplier_rejects_uncovered_zero():
     # denominator vanishes at 0 where the numerator equals 1
     with pytest.raises(NestedZerosViolatedError):

@@ -1,6 +1,7 @@
 """Polynomial symbols: decomposition, spectral application, mixed-norm bounds."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from subord import diffops
 from subord.diffops import (
+    _local_grid,
     _operator_factor,
     apply_diffop,
     construct_decomposition,
@@ -19,14 +21,12 @@ from subord.diffops import (
     partner_exponent,
     poly_label,
     real_roots,
-    verify_identity,
 )
 from subord.errors import (
     BandwidthExceededError,
     HypothesesViolatedError,
     InadmissibleExponentsError,
     InvalidParameterError,
-    MultiplicityObstructionError,
     NeighborhoodDegenerateError,
 )
 from subord.fourier_core import (
@@ -286,22 +286,88 @@ def test_decomposition_around_a_triple_root():
 
 
 def test_degenerate_neighborhood_rejected():
-    # roots at +-1e-3 are separated but far below grid resolution
+    # poles of 1 / (y^2 - 1e-6) at +-1e-3 are separated but far below grid resolution
     with pytest.raises(NeighborhoodDegenerateError):
-        construct_decomposition([-1e-6, 0, 1], [-1e-6, 0, 1], [1], GRID)
+        construct_decomposition([1], [-1e-6, 0, 1], [1], GRID)
 
 
 def test_multiplicity_obstruction_detected():
-    # Q = y simple zero, P2 = y^2 double zero: h2 ~ 1/y near 0
-    with pytest.raises(MultiplicityObstructionError):
+    # Q = y vanishes once at 0, P1 = P2 = y^2 twice: h2 ~ 1/y near 0, no bounded split
+    violations = decomposition_hypotheses([0, 1], [0, 0, 1], [0, 0, 1])
+    assert [v.code for v in violations] == ["common_root"]
+    assert "y=0," in violations[0].detail
+    with pytest.raises(HypothesesViolatedError) as err:
         construct_decomposition([0, 1], [0, 0, 1], [0, 0, 1], GRID)
+    assert err.value.violations == violations
 
 
 def test_a_root_of_higher_multiplicity_in_op2_can_still_cancel():
     """Q = P1 = y^2, P2 = y^3: h1 = 1 everywhere and h2 = 0, a bounded decomposition,
-    although the multiplicity of 0 in P2 exceeds that in Q and P1.  So the obstruction
-    is decided by refinement, not by the rule m_P2(r) > min(m_Q(r), m_P1(r))."""
+    although the multiplicity of 0 in P2 exceeds that in Q.  The rule is
+    m_Q(r) >= min(m_P1(r), m_P2(r)) at each common real root r, here 2 >= min(2, 3)."""
+    assert decomposition_hypotheses([0, 0, 1], [0, 0, 1], [0, 0, 0, 1]) == ()
     assert construct_decomposition([0, 0, 1], [0, 0, 1], [0, 0, 0, 1], GRID).cofactor2_sup == 0.0
+
+
+def test_a_root_the_target_cancels_needs_no_neighborhood():
+    """(y(y+2), y(y-1), y^2): Q cancels the root 0 of P1, so only 1 is a pole of Q/P1.
+    Its neighborhood keeps half the distance to the cancelled root."""
+    d = construct_decomposition([0, 2, 1], [0, -1, 1], [0, 0, 1], GRID)
+    assert d.neighborhoods == ((1.0, 0.5),)
+    y = np.array([-3.0, 0.0, 0.25])
+    assert np.abs(d.cofactor1(y) - (y + 2.0) / (y - 1.0)).max() <= 1e-9  # a probe mean at 0
+
+
+def test_a_double_root_the_target_cancels_needs_no_neighborhood():
+    """(y^2(y^2+1), y^2(y^2+3), y^3): Q/P1 = (y^2+1)/(y^2+3) has no real pole, so h2 = 0
+    and h1 at the node y = 0 is the probe limit 1/3."""
+    d = construct_decomposition([0, 0, 1, 0, 1], [0, 0, 3, 0, 1], [0, 0, 0, 1], GRID)
+    assert d.neighborhoods == ()
+    assert d.cofactor2_sup == 0.0
+    assert d.cofactor1(np.array([0.0]))[0] == pytest.approx(1.0 / 3.0, rel=1e-9)
+
+
+def test_cofactor2_steps_out_where_both_probes_fall_under_the_guard():
+    """(y^3, y^4, y^3): h2 = 1 - y^2 on the neighborhood of 0, but y^3 falls under the
+    division guard at both probes y = -+1e-6, so the limit at 0 comes from further out."""
+    d = construct_decomposition([0, 0, 0, 1], [0, 0, 0, 0, 1], [0, 0, 0, 1], GRID)
+    assert d.cofactor2(0.0) == pytest.approx(1.0, abs=1e-6)
+
+
+def _integer_roots(multiplicities, pairs=0):
+    # the integer polynomial with root r of the given multiplicity, r = -2, ..., 2, times
+    # (y^2 + 1)^pairs
+    p = np.array([1], dtype=object)
+    for factor in [[-r, 1] for r, m in zip(range(-2, 3), multiplicities) for _ in range(m)]:
+        p = np.polynomial.polynomial.polymul(p, np.array(factor, dtype=object))
+    for _ in range(pairs):
+        p = np.polynomial.polynomial.polymul(p, np.array([1, 0, 1], dtype=object))
+    return [int(c) for c in p]
+
+
+_MULTIPLICITIES = st.lists(st.integers(0, 3), min_size=5, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MULTIPLICITIES, _MULTIPLICITIES, _MULTIPLICITIES)
+def test_the_obstruction_is_the_multiplicity_rule(mq, m1, m2):
+    """A common real root r is refused exactly where m_Q(r) < min(m_P1(r), m_P2(r)).  Every
+    accepted triple builds, and its h2 passes the refinement certificate that decided
+    the obstruction before: the sup on dy/32 local grids stays below 1.5 times the sup
+    on dy/16 ones."""
+    # complex pairs lift deg P1 to deg Q, so that only the root rule can refuse
+    polys = [_integer_roots(mq), _integer_roots(m1, max(0, sum(mq) - sum(m1) + 1) // 2),
+             _integer_roots(m2)]
+    violations = decomposition_hypotheses(*polys)
+    shared = [float(re.search(r"y=(\S+),", v.detail).group(1))
+              for v in violations if v.code == "common_root"]
+    assert shared == [r for r, q, a, b in zip(range(-2, 3), mq, m1, m2) if q < min(a, b)]
+    if violations:
+        return
+    d = construct_decomposition(*polys, GRID)
+    sup16, sup32 = (max((float(np.abs(d.cofactor2(_local_grid(c, w, GRID.dy / k))).max())
+                         for c, w in d.neighborhoods), default=0.0) for k in (16.0, 32.0))
+    assert sup16 == 0.0 or sup32 < 1.5 * sup16
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +400,6 @@ def test_apply_diffop_bandwidth_gate():
     with pytest.raises(BandwidthExceededError):
         apply_diffop([0, 0, 1], f)
     apply_diffop([0, 0, 1], materialize(bspline(4), FINE))
-
-
-# ---------------------------------------------------------------------------
-# identity verification
-# ---------------------------------------------------------------------------
-
-def test_verify_identity_on_functions():
-    d = construct_decomposition([0, 1], [0, 0, 1], [1], FINE)
-    report = verify_identity(d)
-    assert report.passed
-    assert report.worst_ratio <= 1e-6
-    assert len(report.cases) == 5  # diffop_suite(2)
 
 
 # ---------------------------------------------------------------------------

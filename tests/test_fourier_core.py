@@ -186,7 +186,7 @@ def test_grid_mismatch_rejected():
     f = SampledFunction(GridSpec(20.0, 4096), np.zeros(4096), SPACE)
     h = SampledFunction(GridSpec(20.0, 8192), np.zeros(8192), SPACE)
     with pytest.raises(GridMismatchError):
-        f + h
+        f - h
     with pytest.raises(GridMismatchError):
         convolve(f, h)
 

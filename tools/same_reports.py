@@ -35,7 +35,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: values beyond a double (exit 1), finite exponents so large that max**p
 #: leaves the doubles, a multiple root 1e-3 or 1e-2 beside another root on
 #: grids that resolve the pair, integer roots of multiplicity three, two and
-#: one, and two operators whose roots lie 1e-7 apart but are not shared
+#: one, two operators whose roots lie 1e-7 apart but are not shared, roots of
+#: P1 that Q cancels (no neighborhood there), a common root where Q vanishes to
+#: lower order than P1 and P2 (exit 1), and a ratio whose first two probes
+#: beside 0 underflow
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -76,6 +79,11 @@ EXTRAS = (
      "--grid-L", "131072", "--grid-N", "262144"),
     ("lemma2", "--Q", "[1]", "--P1", "[504,-492,-10,115,-15,-7,1]", "--P2", "[1]"),
     ("lemma2", "--Q", "[1]", "--P1", "[-1,1]", "--P2", "[-1.0000001,1]"),
+    ("lemma2", "--Q", "[0,2,1]", "--P1", "[0,-1,1]", "--P2", "[0,0,1]"),
+    ("lemma2", "--Q", "[0,0,1,0,1]", "--P1", "[0,0,3,0,1]", "--P2", "[0,0,0,1]"),
+    ("lemma2", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[0,0,1]"),
+    ("lemma2", "--Q", "[-1e-6,0,1]", "--P1", "[-1e-6,0,1]", "--P2", "[1]"),
+    ("compare", "--m1", "one_minus_gw_symbol:alpha=60", "--m2", "one_minus_gw_symbol:alpha=60"),
 )
 
 
