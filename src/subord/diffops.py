@@ -483,13 +483,13 @@ def _operator_factor(symbol: Multiplier, grid: GridSpec, q: float, p: float,
     mass + C/x^2 tail``, the ``total`` of :func:`measures.wiener_norm`.  No
     window-doubling test runs on it: no report ever read its outcome.  The
     refinement-drift check of acceptance criterion 07 is the guard."""
-    vals = _samples(symbol, grid.refined(oversample))
+    [vals] = _samples(symbol, grid.refined(oversample))
     if p == q:
-        return _wiener_components(vals, grid, oversample, const_at_infinity)[3]
+        return _wiener_components(*_window_density(vals, grid, oversample, const_at_infinity))[3]
     # p < q: the symbol has no constant at infinity, so the operator is
     # convolution with the density alone and its norm is bounded by the
     # partner-exponent norm of the density over the window.
-    _, _, absg, dx = _window_density(vals, grid, oversample, const_at_infinity)
+    _, absg, dx = _window_density(vals, grid, oversample, const_at_infinity)
     return _lp(absg, dx, partner_exponent(q, p))
 
 

@@ -82,6 +82,8 @@ class GridSpec:
             raise InvalidParameterError(f"size must be an integer, got {N!r}")
         if N < 16 or (N & (N - 1)) != 0:
             raise InvalidParameterError(f"size must be a power of two >= 16, got {N}")
+        if not (2.0 * L / N > 0 and math.isfinite(math.pi / (2.0 * L / N))):
+            raise InvalidParameterError(f"half_length {L!r} takes dx or pi / dx out of the doubles")
         object.__setattr__(self, "half_length", float(L))
 
     @property
@@ -183,12 +185,12 @@ class _FFTOrder:
             for k in range(first, first + h, size):
                 yield k % self.grid.size, np.arange(k, min(k + size, first + h)) * dy
 
-    def tails(self, values: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
-        """The samples at ``y >= level > 0`` and at ``y <= -level``, each in ascending ``y``."""
+    def tails(self, level: float) -> tuple[slice, slice]:
+        """The positions of the nodes at ``y >= level > 0`` and at ``y <= -level``, ascending."""
         h, dy = self.grid.size // 2, self.grid.dy
         k = math.ceil(level / dy)  # at most one off the least k with k dy >= level,
         k += (k * dy < level) - ((k - 1) * dy >= level)  # as both sides round
-        return values[k:h], values[h:2 * h + 1 - k]
+        return slice(k, h), slice(h, 2 * h + 1 - k)
 
     def inverse_window(self, values: np.ndarray, n: int) -> np.ndarray:
         """:func:`inverse_ft` at the nodes ``|j| < n``, bit for bit, from an inversion in place in

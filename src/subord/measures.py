@@ -18,37 +18,35 @@ window — the window integral would then match ``psi(0)`` exactly and the
 tail correction would double-count.  Oversampling pushes the aliasing images
 out to ``2 L * oversample`` where they are harmless.  A pass samples the symbol
 straight into FFT order (``fourier_core._FFTOrder``), subtracts the constant
-term and inverts that one array in place; only the caller's window is scaled and
-read.  :func:`wiener_norm` samples once, on its doubled window's grid: the single
-window's grid has the same ``dx`` and half the dual spacing, so its dual nodes are
-every other doubled node, in FFT order too, and a pointwise symbol's samples there
-are every other doubled sample, bit for bit.
+term and inverts in place; only the caller's window is scaled and read.
+
+:func:`wiener_norm` samples once, on its doubled window's grid, into an even and
+an odd half of ``M = oversample * N`` points.  The single window's dual nodes
+are every other doubled node, so its pass runs on the even half, bit for bit.
+A ``2 M``-point inverse DFT is half the even samples' ``M``-point one plus the
+odd samples', turned by a twiddle (decimation in time): the doubled window
+joins the two halves' inversions, and its ``refined_total`` is that of a
+direct doubled pass up to rounding.
 
 A symbol is called on consecutive blocks of the dual nodes, never on the
-whole grid at once, and its results are written into one array.  It must
-therefore be pointwise in ``y`` (its value at a node may not depend on the
+whole grid at once, and its results are written into preallocated arrays.  It
+must therefore be pointwise in ``y`` (its value at a node may not depend on the
 other nodes of the call) and return an array of ``y``'s shape; any other
 shape raises :class:`InvalidParameterError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    GridTooSmallError,
-    InconsistentLimitError,
-    InvalidParameterError,
-)
+from .errors import GridTooSmallError, InconsistentLimitError, InvalidParameterError
 from .fourier_core import GridSpec, _FFTOrder
 
-__all__ = [
-    "WienerEstimate",
-    "wiener_norm",
-]
+__all__ = ["WienerEstimate", "wiener_norm"]
 
 #: fraction of the dual window, per side, averaged to read off the constant term
 _LIMIT_BAND = 0.05
@@ -66,9 +64,9 @@ _BLOCK = 2 ** 14
 class WienerEstimate:
     """Result of :func:`wiener_norm`: numbers only, no sampled arrays.
 
-    ``total = |const_at_infinity| + density_l1 + tail_bound`` is the usable
-    upper estimate; ``converged`` records whether doubling the window keeps
-    the total within ``max(1e-3, 1e-2 * total)``.
+    ``total = |const_at_infinity| + density_l1 + tail_bound`` is the usable upper
+    estimate; ``converged`` records whether the doubled window's ``refined_total``, a
+    direct doubled pass's up to rounding, is within ``max(1e-3, 1e-2 * total)`` of it.
     """
 
     oversample: int
@@ -80,18 +78,25 @@ class WienerEstimate:
     converged: bool
 
 
-def _limit_at_infinity(values: np.ndarray, grid: GridSpec,
-                       const_at_infinity: Optional[complex]) -> complex:
-    # the pinned value when one is given, else the mean over the outer bands
-    if const_at_infinity is not None:
-        return complex(const_at_infinity)
+def _band_means(parts: list[np.ndarray], grid: GridSpec) -> list[complex]:
+    # the means over the outer band of each side of grid's samples, dealt into parts by _samples
     half_length = grid.dual_half_length
-    upper, lower = _FFTOrder(grid).tails(values, half_length - _LIMIT_BAND * half_length)
-    if upper.size == 0 or lower.size == 0:
-        raise GridTooSmallError(
-            f"the outer {_LIMIT_BAND:.0%} of one side of the dual window holds no node; "
-            "enlarge the grid size to read off the constant term")
-    m_plus, m_minus = complex(np.mean(upper)), complex(np.mean(lower))
+    means = []
+    for at in _FFTOrder(grid).tails(half_length - _LIMIT_BAND * half_length):
+        band = np.empty(at.stop - at.start, dtype=np.complex128)
+        if band.size == 0:
+            raise GridTooSmallError(
+                f"the outer {_LIMIT_BAND:.0%} of one side of the dual window holds no node; "
+                "enlarge the grid size to read off the constant term")
+        for first in range(len(parts)):  # band[first::len(parts)] lies in one part
+            run, p = band[first::len(parts)], at.start + first
+            run[:] = parts[p % len(parts)][p // len(parts):][:run.size]
+        means.append(complex(np.mean(band)))
+    return means
+
+
+def _limit_at_infinity(m_plus: complex, m_minus: complex) -> complex:
+    # the constant term read off the two band means, which must agree
     c = 0.5 * (m_plus + m_minus)
     if abs(m_plus - m_minus) > _LIMIT_CONSISTENCY * (1.0 + abs(c)):
         raise InconsistentLimitError(
@@ -99,10 +104,10 @@ def _limit_at_infinity(values: np.ndarray, grid: GridSpec,
     return c
 
 
-def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> np.ndarray:
-    # psi on the dual nodes in FFT order, filled block by block into one array, so a
-    # symbol's own temporaries never exceed one block whatever it does inside
-    vals = np.empty(grid.size, dtype=np.complex128)
+def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, parts: int = 1) -> list:
+    # psi on the dual nodes in FFT order, dealt into parts arrays (position p to index p // parts
+    # of array p % parts) block by block, so a symbol's temporaries never exceed one block
+    out = [np.empty(grid.size // parts, dtype=np.complex128) for _ in range(parts)]
     for start, part in _FFTOrder(grid).blocks(_BLOCK):
         block = np.asarray(psi(part), dtype=np.complex128)
         if block.shape != part.shape:
@@ -111,24 +116,27 @@ def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> np.ndar
                 "it must be pointwise and keep the shape of its argument")
         if not np.isfinite(block).all():
             raise InvalidParameterError("symbol evaluated to non-finite values on the dual grid")
-        vals[start:start + part.size] = block
-    return vals
+        for first in range(parts):
+            run, p = block[first::parts], start + first
+            out[p % parts][p // parts:][:run.size] = run
+    return out
 
 
 def _window_density(vals: np.ndarray, grid: GridSpec, oversample: int, const_at_infinity):
     """One pass over ``vals``, a symbol's :func:`_samples` on ``grid.refined(oversample)``,
-    inverted in place: the constant term ``c``, and the nodes ``x`` of ``grid``'s window
-    with ``|g(x)|`` there and ``dx``."""
+    inverted in place: the constant term ``c``, ``|g|`` on ``grid``'s window and ``dx``."""
     fine = grid.refined(oversample)
-    c = _limit_at_infinity(vals, fine, const_at_infinity)
+    c = (complex(const_at_infinity) if const_at_infinity is not None
+         else _limit_at_infinity(*_band_means([vals], fine)))
     n = grid.size // 2  # |x| < L: the nodes |j| < n of fine, dx being exact
     absg = np.abs(_FFTOrder(fine).inverse_window(np.subtract(vals, c, out=vals), n))
-    return c, np.arange(1 - n, n) * fine.dx, absg, fine.dx
+    return c, absg, fine.dx
 
 
-def _wiener_components(vals: np.ndarray, grid: GridSpec, oversample: int, const_at_infinity):
-    c, x, absg, dx = _window_density(vals, grid, oversample, const_at_infinity)
-    L = grid.half_length
+def _wiener_components(c: complex, absg: np.ndarray, dx: float):
+    # c, the window mass, the tail fit and the total, from |g| at the window's nodes |j| < n
+    n = (absg.size + 1) // 2
+    x, L = np.arange(1 - n, n) * dx, n * dx  # L exactly: dx = 2 L / N, n = N / 2
     density_l1 = dx * float(np.sum(absg))
     left = x <= -(1.0 - _TAIL_BAND) * L
     right = x >= (1.0 - _TAIL_BAND) * L
@@ -155,18 +163,38 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     tail fit on the outer 10% of each side is added.
 
     Convergence is assessed by repeating the computation on a doubled
-    window; the estimate is flagged converged when the totals agree within
-    ``max(1e-3, 1e-2 * total)``.  ``oversample`` must be a power of two
-    (:meth:`GridSpec.refined`); otherwise :class:`InvalidParameterError`.
+    window from the same samples (see the module notes); the estimate is
+    flagged converged when the totals agree within ``max(1e-3, 1e-2 * total)``.
+    ``oversample`` must be a power of two (:meth:`GridSpec.refined`) and
+    ``(2 L)^2``, the tail fit's largest square, a double; otherwise
+    :class:`InvalidParameterError`.
 
     ``psi`` is called on consecutive blocks of the dual nodes; it must be
     pointwise in ``y`` and return ``y``'s shape.  A result of another shape,
     or a non-finite value, raises :class:`InvalidParameterError`.
     """
-    doubled = _samples(psi, grid.refined(oversample).refined(2))
-    c, density_l1, tail, total = _wiener_components(  # its fine nodes are every other one
-        doubled[::2].copy(), grid, oversample, const_at_infinity)
-    refined_total = _wiener_components(doubled, grid.refined(2), oversample, const_at_infinity)[3]
+    fine = grid.refined(oversample)
+    if not math.isfinite(4.0 * grid.half_length * grid.half_length):  # x^2 in the tail fit
+        raise InvalidParameterError(f"half_length {grid.half_length!r} squares beyond a double")
+    m, n, dx = fine.size, grid.size, fine.dx  # the doubled window: |j| < N, 2M nodes
+    even, odd = halves = _samples(psi, fine.refined(2), parts=2)  # even: fine's, bit for bit
+    means = None if const_at_infinity is not None else _band_means(halves, fine.refined(2))
+    c, density_l1, tail, total = _wiener_components(
+        *_window_density(even, grid, oversample, const_at_infinity))
+    c_doubled = c if means is None else _limit_at_infinity(*means)
+    # even holds E, the inverse of its samples less c, unscaled.  A 2M-point inverse DFT is
+    # half E_j plus e^{i pi j / M} times the M-point inverse O_j of the odd samples, less
+    # c_doubled like E (Cooley and Tukey, 1965); j < 0 is position j + M of E and O
+    window = _FFTOrder(fine).inverse_window(np.subtract(odd, c_doubled, out=odd), n)  # O_j / dx
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+        window *= np.exp(np.arange(1 - n, n) * (1j * np.pi / m))
+        window[n - 1] += (c - c_doubled) / dx
+        window[:n - 1] += even[m - n + 1:] / dx
+        window[n - 1:] += even[:n] / dx
+        window *= 0.5
+    if not np.isfinite(window).all():
+        raise InvalidParameterError("values contain non-finite entries")
+    refined_total = _wiener_components(c_doubled, np.abs(window), dx)[3]
     converged = abs(total - refined_total) <= max(1e-3, 1e-2 * total)
     return WienerEstimate(
         oversample=oversample,

@@ -424,6 +424,37 @@ def test_any_json_grid_config_ends_in_an_exit_code(config):
     assert code in (0, 1, 2, 3)
 
 
+#: flag values no wiener-norm run accepts as they stand: zero, negatives, non-numbers,
+#: non-finite numbers and numbers beyond a double
+_BAD_VALUES = ["0", "-1", "-16", "nan", "inf", "-inf", "abc", "", "1e999", "0x10", "2.5"]
+
+
+def _flag(valid):
+    return st.one_of(valid, st.sampled_from(_BAD_VALUES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flags=st.fixed_dictionaries({}, optional={
+    "--grid-L": _flag(st.one_of(st.floats(1e-3, 1e4).map(repr),
+                                st.sampled_from(["1e-300", "1e300", "5e-324"]))),
+    "--grid-N": _flag(st.sampled_from(["16", "32", "1024", "4096", "4096.0", "48", "4095"])),
+    "--oversample": _flag(st.sampled_from(["1", "2", "3", "4", "6", "8", "8.0"])),
+    "--const-at-infinity": _flag(st.floats(-5.0, 5.0).map(repr)),
+}), multiplier=st.sampled_from(["gw_symbol:alpha=1", "exp_abs_ft", "constant:value=2",
+                                "gaussian_ft"]), joined=st.booleans())
+def test_any_wiener_norm_argv_ends_in_an_exit_code_without_a_traceback(flags, multiplier,
+                                                                        joined):
+    """Drawn grids stay at or below 4096 points oversampled 8 times, a few MB per run."""
+    argv = ["wiener-norm", "--multiplier", multiplier]
+    for flag, value in flags.items():
+        argv += [f"{flag}={value}"] if joined else [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
 def test_json_config_rejects_unknown_key(tmp_path, capsys):
     # lemma2 and selftest read no oversampling, so they do not take the key
     cfg = tmp_path / "cfg.json"

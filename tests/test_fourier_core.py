@@ -52,10 +52,18 @@ def test_grid_refined():
 
 
 @pytest.mark.parametrize("L,N", [(0.0, 4096), (-3.0, 4096), (math.inf, 4096),
-                                 (20.0, 1000), (20.0, 8), (20.0, 4095)])
+                                 (20.0, 1000), (20.0, 8), (20.0, 4095),
+                                 # dx underflows to 0, pi / dx overflows
+                                 (5e-324, 16), (1e-320, 16)])
 def test_grid_rejects_bad_parameters(L, N):
     with pytest.raises(InvalidParameterError):
         GridSpec(L, N)
+
+
+def test_grid_accepts_extreme_half_lengths_whose_geometry_is_finite():
+    for L in (1e-300, 1e300):
+        grid = GridSpec(L, 4096)
+        assert grid.dx > 0 and math.isfinite(grid.dual_half_length)
 
 
 def test_gaussian_transform_oracle():

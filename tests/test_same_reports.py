@@ -1,0 +1,31 @@
+"""The report comparison tool names the JSON fields in which two reports differ."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "same_reports.py"
+_SPEC = importlib.util.spec_from_file_location("same_reports", _PATH)
+same_reports = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_reports)
+changed_fields = same_reports.changed_fields
+
+
+def test_equal_reports_have_no_changed_field():
+    report = {"estimate": {"total": 1.5, "converged": True}, "cases": [{"ratio": math.nan}]}
+    assert changed_fields(report, report) == []
+
+
+def test_changed_fields_are_dotted_paths_with_list_indices():
+    old = {"estimate": {"total": 1.5, "refined_total": 1.0000000000000002},
+           "cases": [{"ratio": 0.5}, {"ratio": 0.25}], "passed": True}
+    new = {"estimate": {"total": 1.5, "refined_total": 1.0000000000000004},
+           "cases": [{"ratio": 0.5}, {"ratio": 0.125}], "passed": True}
+    assert changed_fields(old, new) == ["estimate.refined_total", "cases.1.ratio"]
+
+
+def test_added_removed_and_retyped_values_are_changed_where_they_stand():
+    old = {"a": 1, "b": [1, 2], "gone": 0, "kept": {"x": None}}
+    new = {"a": 1.0, "b": [1, 2, 3], "kept": {"x": None}, "new": "s"}
+    assert changed_fields(old, new) == ["a", "b", "gone", "new"]
+    assert changed_fields(1, 2) == ["."]

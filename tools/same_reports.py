@@ -7,7 +7,9 @@ this one, every command line of ``benchmarks/workloads.py`` and the extra
 ones below run as ``python -m subord.cli ARGS --out FILE --csv FILE``, each
 in its own subprocess and one at a time.  One line per command gives the
 exit codes (revision, then this tree) and names every report file, JSON or
-CSV, whose bytes differ.  A last line gives the line count of
+CSV, whose bytes differ; for a JSON report on both sides it also gives the
+dotted path of every field that differs, such as ``estimate.refined_total``
+(list items by index).  A last line gives the line count of
 ``src/subord/*.py`` in both trees, the total that ``wc -l`` prints.  The
 exit status is 1 when an exit code or a file differs, else 0.
 ``benchmarks/`` is read, never written.
@@ -15,6 +17,7 @@ exit status is 1 when an exit code or a file differs, else 0.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -108,6 +111,33 @@ def _bytes(path: Path):
     return path.read_bytes() if path.exists() else None
 
 
+def changed_fields(old, new, path: str = "") -> list[str]:
+    """The dotted paths at which two parsed JSON values differ, list items by index.
+
+    A key present on one side only, a list of another length and a leaf whose
+    JSON text differs (so ``1`` and ``1.0`` differ, two NaNs do not) count as
+    changed where they stand; an empty path is written ``.``."""
+    def at(key):
+        return f"{path}.{key}" if path else str(key)
+
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [p for key in dict.fromkeys([*old, *new])
+                for p in (changed_fields(old[key], new[key], at(key))
+                          if key in old and key in new else [at(key)])]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [p for k, pair in enumerate(zip(old, new)) for p in changed_fields(*pair, at(k))]
+    return [] if json.dumps(old) == json.dumps(new) else [path or "."]
+
+
+def _describe(outs: list[Path], name: str) -> str:
+    # the file's name, and for a JSON report written on both sides the fields that differ
+    old, new = (_bytes(out / name) for out in outs)
+    if not name.endswith(".json") or old is None or new is None:
+        return name
+    fields = changed_fields(json.loads(old), json.loads(new))
+    return f"{name} ({', '.join(fields) or 'layout only'})"
+
+
 def _source_lines(tree: Path) -> int:
     # newlines, as wc -l counts them
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "subord").glob("*.py"))
@@ -131,7 +161,8 @@ def main(argv: list[str]) -> int:
             changed = [name for name in ("report.json", "cases.csv")
                        if _bytes(outs[0] / name) != _bytes(outs[1] / name)]
             differences += (codes[0] != codes[1]) + len(changed)
-            note = f"  DIFFERS: {', '.join(changed)}" if changed else ""
+            described = ", ".join(_describe(outs, name) for name in changed)
+            note = f"  DIFFERS: {described}" if changed else ""
             print(f"{codes[0]} {codes[1]}  {' '.join(args)}{note}", flush=True)
         sizes = [_source_lines(tree) for tree in (base, ROOT)]
     print(f"{len(lines)} command lines, {differences} differences")
