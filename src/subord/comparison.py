@@ -113,13 +113,11 @@ def gw_ratio(alpha: float, beta: float) -> Multiplier:
             f"ratio symbol requires beta > alpha, got alpha={alpha}, beta={beta}")
 
     def fn(y: np.ndarray) -> np.ndarray:
-        # -expm1(-t) in place, so at least 1-d; ``**`` keeps numpy's exact paths for 2 and 0.5
-        num, den = (np.abs(np.atleast_1d(y)) ** e for e in (beta, alpha))
-        for t in (num, den):
-            np.negative(np.expm1(np.negative(t, out=t), out=t), out=t)
+        # ``**`` keeps numpy's exact paths for 2 and 0.5
+        num, den = (-np.expm1(-np.abs(y) ** e) for e in (beta, alpha))
         out = np.zeros(den.shape, dtype=np.complex128)
         np.divide(num, den, out=out.real, where=den != 0.0)
-        return out.reshape(np.shape(y))
+        return out
 
     return Multiplier(label=f"gw_ratio(alpha={alpha:g},beta={beta:g})", _fn=fn)
 

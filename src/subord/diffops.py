@@ -44,7 +44,7 @@ from .errors import (
 )
 from .fourier_core import (GridSpec, SampledFunction, _lp, _outer_band, apply_symbol, forward_ft,
                            lp_norm)
-from .measures import _samples, _wiener_components, _window_density
+from .measures import _abs_density, _samples, _wiener_components
 from .testkit import TestFunction, diffop_suite
 
 __all__ = [
@@ -483,14 +483,15 @@ def _operator_factor(symbol: Multiplier, grid: GridSpec, q: float, p: float,
     mass + C/x^2 tail``, the ``total`` of :func:`measures.wiener_norm`.  No
     window-doubling test runs on it: no report ever read its outcome.  The
     refinement-drift check of acceptance criterion 07 is the guard."""
-    [vals] = _samples(symbol, grid.refined(oversample))
+    fine = grid.refined(oversample)
+    [vals] = _samples(symbol, fine)
+    absg = _abs_density(vals, const_at_infinity, grid.size // 2, fine.dx)
     if p == q:
-        return _wiener_components(*_window_density(vals, grid, oversample, const_at_infinity))[3]
+        return _wiener_components(const_at_infinity, absg, fine.dx)[2]
     # p < q: the symbol has no constant at infinity, so the operator is
     # convolution with the density alone and its norm is bounded by the
     # partner-exponent norm of the density over the window.
-    _, absg, dx = _window_density(vals, grid, oversample, const_at_infinity)
-    return _lp(absg, dx, partner_exponent(q, p))
+    return _lp(absg, fine.dx, partner_exponent(q, p))
 
 
 def diffop_subordination(d: SymbolDecomposition, q: float,

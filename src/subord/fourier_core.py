@@ -12,6 +12,7 @@ node ``k`` at ``(k - N/2) dy``, the rectangle-rule approximation of the
 forward integral is an FFT conjugated by index shifts, and the discrete pair
 is exactly invertible.  For even ``N`` both shifts swap the halves of the array,
 so a transform copies its input once, halves swapped, and works in place on it.
+Only :mod:`subord.measures` samples straight into that swapped (FFT) order.
 
 All quadrature in this package is the rectangle rule on these grids; sums are
 evaluated with numpy's deterministic reducer, so repeated runs in one
@@ -150,14 +151,11 @@ class SampledFunction:
         f.__post_init__(owned=True)
         return f
 
-    def _check_compatible(self, other: "SampledFunction") -> None:
+    def __sub__(self, other: "SampledFunction") -> "SampledFunction":
         if self.grid != other.grid:
             raise GridMismatchError("operands live on different grids")
         if self.side != other.side:
             raise GridMismatchError("operands live on different sides")
-
-    def __sub__(self, other: "SampledFunction") -> "SampledFunction":
-        self._check_compatible(other)
         return SampledFunction(self.grid, self.values - other.values, self.side)
 
 
@@ -168,42 +166,6 @@ def _centered_fft(f: SampledFunction, fft, scale, side: str) -> SampledFunction:
     fft(out, out=out)
     out[:n], out[n:] = out[n:], out[:n].copy()  # the copy is the one half-length temporary
     return SampledFunction._owning(f.grid, scale(out, f.grid.dx, out=out), side)
-
-
-@dataclass(frozen=True)
-class _FFTOrder:
-    """Samples on the dual nodes of ``grid`` in FFT order, which an FFT inverts in place:
-    position ``p`` holds the node ``p dy`` for ``p < N/2`` and ``(p - N) dy`` after, the
-    ``ifftshift`` of the centred order."""
-
-    grid: GridSpec
-
-    def blocks(self, size: int):
-        """``(first position, nodes)`` in position order, at most ``size`` nodes each."""
-        h, dy = self.grid.size // 2, self.grid.dy
-        for first in (0, -h):  # a block never crosses from y >= 0 to y < 0
-            for k in range(first, first + h, size):
-                yield k % self.grid.size, np.arange(k, min(k + size, first + h)) * dy
-
-    def tails(self, level: float) -> tuple[slice, slice]:
-        """The positions of the nodes at ``y >= level > 0`` and at ``y <= -level``, ascending."""
-        h, dy = self.grid.size // 2, self.grid.dy
-        k = math.ceil(level / dy)  # at most one off the least k with k dy >= level,
-        k += (k * dy < level) - ((k - 1) * dy >= level)  # as both sides round
-        return slice(k, h), slice(h, 2 * h + 1 - k)
-
-    def inverse_window(self, values: np.ndarray, n: int) -> np.ndarray:
-        """:func:`inverse_ft` at the nodes ``|j| < n``, bit for bit, from an inversion in place in
-        ``values`` that scales only them.  Non-finite input or output raises as it does there."""
-        if not np.isfinite(values).all():
-            raise InvalidParameterError("values contain non-finite entries")
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
-            np.fft.ifft(values, out=values)
-            window = np.concatenate((values[values.size - n + 1:], values[:n]))
-            np.divide(window, self.grid.dx, out=window)
-        if not (np.isfinite(values).all() and np.isfinite(window).all()):
-            raise InvalidParameterError("values contain non-finite entries")
-        return window
 
 
 def forward_ft(f: SampledFunction) -> SampledFunction:

@@ -17,12 +17,13 @@ larger window).  Recovering it on the caller's own window would periodize
 window — the window integral would then match ``psi(0)`` exactly and the
 tail correction would double-count.  Oversampling pushes the aliasing images
 out to ``2 L * oversample`` where they are harmless.  A pass samples the symbol
-straight into FFT order (``fourier_core._FFTOrder``), subtracts the constant
-term and inverts in place; only the caller's window is scaled and read.
+straight into FFT order (the ``ifftshift`` of the centred order), subtracts the
+constant term and inverts in place; only the caller's window is scaled and read.
 
 :func:`wiener_norm` samples once, on its doubled window's grid, into an even and
-an odd half of ``M = oversample * N`` points.  The single window's dual nodes
-are every other doubled node, so its pass runs on the even half, bit for bit.
+an odd half of ``M = oversample * N`` points, and reads both windows' constant
+terms before the inversions overwrite them.  The single window's dual nodes are
+every other doubled node, so its pass runs on the even half, bit for bit.
 A ``2 M``-point inverse DFT is half the even samples' ``M``-point one plus the
 odd samples', turned by a twiddle (decimation in time): the doubled window
 joins the two halves' inversions, and its ``refined_total`` is that of a
@@ -44,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GridTooSmallError, InconsistentLimitError, InvalidParameterError
-from .fourier_core import GridSpec, _FFTOrder
+from .fourier_core import GridSpec, _finite
 
 __all__ = ["WienerEstimate", "wiener_norm"]
 
@@ -79,10 +80,13 @@ class WienerEstimate:
 
 
 def _band_means(parts: list[np.ndarray], grid: GridSpec) -> list[complex]:
-    # the means over the outer band of each side of grid's samples, dealt into parts by _samples
-    half_length = grid.dual_half_length
+    # the means of grid's samples, dealt into parts by _samples, at y >= level and y <= -level
+    h, dy = grid.size // 2, grid.dy
+    level = grid.dual_half_length - _LIMIT_BAND * grid.dual_half_length
+    k = math.ceil(level / dy)  # at most one off the least k with k dy >= level,
+    k += (k * dy < level) - ((k - 1) * dy >= level)  # as both sides round
     means = []
-    for at in _FFTOrder(grid).tails(half_length - _LIMIT_BAND * half_length):
+    for at in (slice(k, h), slice(h, 2 * h + 1 - k)):
         band = np.empty(at.stop - at.start, dtype=np.complex128)
         if band.size == 0:
             raise GridTooSmallError(
@@ -107,8 +111,10 @@ def _limit_at_infinity(m_plus: complex, m_minus: complex) -> complex:
 def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, parts: int = 1) -> list:
     # psi on the dual nodes in FFT order, dealt into parts arrays (position p to index p // parts
     # of array p % parts) block by block, so a symbol's temporaries never exceed one block
+    h, dy = grid.size // 2, grid.dy
     out = [np.empty(grid.size // parts, dtype=np.complex128) for _ in range(parts)]
-    for start, part in _FFTOrder(grid).blocks(_BLOCK):
+    for k in (*range(0, h, _BLOCK), *range(-h, 0, _BLOCK)):  # none crosses from y >= 0 to y < 0
+        part = np.arange(k, min(k + _BLOCK, h if k >= 0 else 0)) * dy
         block = np.asarray(psi(part), dtype=np.complex128)
         if block.shape != part.shape:
             raise InvalidParameterError(
@@ -117,24 +123,32 @@ def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, parts: int
         if not np.isfinite(block).all():
             raise InvalidParameterError("symbol evaluated to non-finite values on the dual grid")
         for first in range(parts):
-            run, p = block[first::parts], start + first
+            run, p = block[first::parts], k % grid.size + first
             out[p % parts][p // parts:][:run.size] = run
     return out
 
 
-def _window_density(vals: np.ndarray, grid: GridSpec, oversample: int, const_at_infinity):
-    """One pass over ``vals``, a symbol's :func:`_samples` on ``grid.refined(oversample)``,
-    inverted in place: the constant term ``c``, ``|g|`` on ``grid``'s window and ``dx``."""
-    fine = grid.refined(oversample)
-    c = (complex(const_at_infinity) if const_at_infinity is not None
-         else _limit_at_infinity(*_band_means([vals], fine)))
-    n = grid.size // 2  # |x| < L: the nodes |j| < n of fine, dx being exact
-    absg = np.abs(_FFTOrder(fine).inverse_window(np.subtract(vals, c, out=vals), n))
-    return c, absg, fine.dx
+def _inverse_window(values: np.ndarray, n: int, dx: float) -> np.ndarray:
+    """``inverse_ft`` at the nodes ``|j| < n``, bit for bit, from ``values`` in FFT order (spacing
+    ``dx``) inverted in place, which scales only them.  Non-finite input or output raises."""
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("values contain non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+        np.fft.ifft(values, out=values)
+        window = np.concatenate((values[values.size - n + 1:], values[:n]))
+        np.divide(window, dx, out=window)
+    if not (np.isfinite(values).all() and np.isfinite(window).all()):
+        raise InvalidParameterError("values contain non-finite entries")
+    return window
+
+
+def _abs_density(vals: np.ndarray, c: complex, n: int, dx: float) -> np.ndarray:
+    # one pass: |g| at the window's nodes |j| < n from a symbol's _samples, less c, in place
+    return np.abs(_inverse_window(np.subtract(vals, c, out=vals), n, dx))
 
 
 def _wiener_components(c: complex, absg: np.ndarray, dx: float):
-    # c, the window mass, the tail fit and the total, from |g| at the window's nodes |j| < n
+    # the window mass, the tail fit and the total, from |g| at the window's nodes |j| < n
     n = (absg.size + 1) // 2
     x, L = np.arange(1 - n, n) * dx, n * dx  # L exactly: dx = 2 L / N, n = N / 2
     density_l1 = dx * float(np.sum(absg))
@@ -143,8 +157,7 @@ def _wiener_components(c: complex, absg: np.ndarray, dx: float):
     c_left = float(np.max(absg[left] * x[left] ** 2)) if left.any() else 0.0
     c_right = float(np.max(absg[right] * x[right] ** 2)) if right.any() else 0.0
     tail = (c_left + c_right) / L
-    total = abs(c) + density_l1 + tail
-    return c, density_l1, tail, total
+    return density_l1, tail, abs(c) + density_l1 + tail
 
 
 def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
@@ -155,9 +168,9 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     The constant term is read off as the mean of ``psi`` over the outer 5%
     of each side of the dual window; disagreeing one-sided reads raise
     :class:`InconsistentLimitError`, a side band without nodes
-    :class:`GridTooSmallError` (pass ``const_at_infinity`` to pin the
-    value and skip the read, e.g. for odd symbols that decay in magnitude
-    but not pointwise).  The density is recovered on a window ``oversample``
+    :class:`GridTooSmallError` (pass ``const_at_infinity``, a finite value,
+    to pin the term and skip the read, e.g. for odd symbols that decay in
+    magnitude but not pointwise).  The density is recovered on a window ``oversample``
     times larger to keep aliasing images out of the reported mass, its
     absolute integral over the caller's window is taken, and a ``C / x^2``
     tail fit on the outer 10% of each side is added.
@@ -165,9 +178,9 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     Convergence is assessed by repeating the computation on a doubled
     window from the same samples (see the module notes); the estimate is
     flagged converged when the totals agree within ``max(1e-3, 1e-2 * total)``.
-    ``oversample`` must be a power of two (:meth:`GridSpec.refined`) and
-    ``(2 L)^2``, the tail fit's largest square, a double; otherwise
-    :class:`InvalidParameterError`.
+    ``oversample`` must be a power of two (:meth:`GridSpec.refined`),
+    ``(2 L)^2``, the tail fit's largest square, a double and both parts of a
+    pinned ``const_at_infinity`` finite; otherwise :class:`InvalidParameterError`.
 
     ``psi`` is called on consecutive blocks of the dual nodes; it must be
     pointwise in ``y`` and return ``y``'s shape.  A result of another shape,
@@ -176,16 +189,22 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     fine = grid.refined(oversample)
     if not math.isfinite(4.0 * grid.half_length * grid.half_length):  # x^2 in the tail fit
         raise InvalidParameterError(f"half_length {grid.half_length!r} squares beyond a double")
+    pinned = const_at_infinity is not None
+    if pinned:
+        c = complex(const_at_infinity)
+        for part in (c.real, c.imag):
+            _finite(part, "const_at_infinity", positive=False)
     m, n, dx = fine.size, grid.size, fine.dx  # the doubled window: |j| < N, 2M nodes
     even, odd = halves = _samples(psi, fine.refined(2), parts=2)  # even: fine's, bit for bit
-    means = None if const_at_infinity is not None else _band_means(halves, fine.refined(2))
-    c, density_l1, tail, total = _wiener_components(
-        *_window_density(even, grid, oversample, const_at_infinity))
-    c_doubled = c if means is None else _limit_at_infinity(*means)
+    if not pinned:  # both constant terms are read before the inversions overwrite the samples
+        means = _band_means(halves, fine.refined(2))
+        c = _limit_at_infinity(*_band_means([even], fine))
+    density_l1, tail, total = _wiener_components(c, _abs_density(even, c, n // 2, dx), dx)
+    c_doubled = c if pinned else _limit_at_infinity(*means)
     # even holds E, the inverse of its samples less c, unscaled.  A 2M-point inverse DFT is
     # half E_j plus e^{i pi j / M} times the M-point inverse O_j of the odd samples, less
     # c_doubled like E (Cooley and Tukey, 1965); j < 0 is position j + M of E and O
-    window = _FFTOrder(fine).inverse_window(np.subtract(odd, c_doubled, out=odd), n)  # O_j / dx
+    window = _inverse_window(np.subtract(odd, c_doubled, out=odd), n, dx)  # O_j / dx
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
         window *= np.exp(np.arange(1 - n, n) * (1j * np.pi / m))
         window[n - 1] += (c - c_doubled) / dx
@@ -194,7 +213,7 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
         window *= 0.5
     if not np.isfinite(window).all():
         raise InvalidParameterError("values contain non-finite entries")
-    refined_total = _wiener_components(c_doubled, np.abs(window), dx)[3]
+    refined_total = _wiener_components(c_doubled, np.abs(window), dx)[2]
     converged = abs(total - refined_total) <= max(1e-3, 1e-2 * total)
     return WienerEstimate(
         oversample=oversample,

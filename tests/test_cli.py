@@ -179,6 +179,15 @@ def test_unknown_multiplier_is_a_hypothesis_error(capsys):
     assert run(["wiener-norm", "--multiplier", "no_such_symbol"], capsys) == 1
 
 
+def test_a_vanishing_denominator_is_a_hypothesis_error(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["compare", "--m1", "constant:value=1", "--m2", "constant:value=0",
+                "--out", str(out)], capsys) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error == {"type": "InvalidParameterError",
+                     "message": "denominator symbol vanishes identically on the dual grid"}
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--m1", "exp_abs_ft", "--m2", "exp_abs_ft", "--p", "0.5"],
     ["compare", "--m1", "exp_abs_ft", "--m2", "exp_abs_ft", "--p=-inf"],
@@ -305,6 +314,9 @@ def test_a_non_finite_constant_symbol_is_refused_in_a_report(argv, tmp_path, cap
     ["wiener-norm", "--multiplier", "exp_abs_ft", "--oversample", "0"],
     ["selftest", "--oversample", "2"],
     ["lemma2", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]", "--oversample", "2"],
+    ["compare", "--m1", "exp_abs_ft", "--m2", "exp_abs_ft", "--p", ","],
+    ["wiener-norm", "--multiplier", "exp_abs_ft", "--json-config", __file__ + ".missing"],
+    ["wiener-norm", "--multiplier", "exp_abs_ft", "--json-config", __file__],  # not JSON
 ])
 def test_config_errors(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -347,10 +359,12 @@ def test_json_config_overrides_flags(tmp_path, capsys):
     {"multiplier": None},
     {"multiplier": 7},
     {"oversample": 3},
+    [{"grid-N": 1024}],
 ])
 def test_json_config_refuses_coercion(config, tmp_path, capsys):
-    """Booleans are not numbers, an integer key takes no fraction and an output
-    path is a string in an existing directory: exit 3, before any computation."""
+    """Booleans are not numbers, an integer key takes no fraction, an output
+    path is a string in an existing directory and a config is an object, not an
+    array: exit 3, before any computation."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "report.json"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from subord.comparison import (
     Multiplier,
+    _verify,
     apply_multiplier,
     constant,
     exp_abs_ft,
@@ -26,6 +27,7 @@ from subord.comparison import (
     verify_comparison,
 )
 from subord.errors import (
+    AllCasesSkippedError,
     FillUndefinedError,
     InvalidParameterError,
     NestedZerosViolatedError,
@@ -33,7 +35,7 @@ from subord.errors import (
 from subord.fourier_core import GridSpec, forward_ft, inverse_ft, lp_norm
 from subord.measures import wiener_norm
 from subord.summability import DEFAULT_PAIRS, gw_constant
-from subord.testkit import gaussian, materialize
+from subord.testkit import gaussian, materialize, means_suite
 
 GRID = GridSpec(40.0, 16384)
 
@@ -68,6 +70,10 @@ def test_gw_ratio_endpoint_values():
     vals = r(GRID.dual_nodes()).real
     assert r(np.array([0.0]))[0] == 0.0          # removable zero pinned
     assert r(0.0) == 0.0 and np.shape(r(2.0)) == ()  # a scalar in, a scalar out
+    for y in (0.0, np.array(0.0)):  # a Python float or a 0-d array: a 0-d complex array
+        v = r(y)
+        assert isinstance(v, np.ndarray) and v.shape == () and v.dtype == np.complex128
+        assert v == 0.0
     assert r(2.0) == pytest.approx((1.0 - np.exp(-4.0)) / (1.0 - np.exp(-2.0)), rel=1e-15)
     assert vals.max() == pytest.approx(1.1563747984508446, rel=1e-9)
     assert vals[0] == 1.0                        # saturates at the window edge
@@ -156,6 +162,15 @@ def test_comparison_of_mean_symbols():
     assert report.passed
     assert report.worst_ratio == pytest.approx(1.0689040626101167, rel=1e-6)
     assert len(report.cases) == 18  # 6 functions x p in {1, 2, inf}
+
+
+def test_verify_refuses_a_run_whose_every_case_is_skipped():
+    # a right-hand side of 0 carries no information, so no case is kept
+    def rows(f, F):
+        yield None, "p=1", 1.0, 0.0
+
+    with pytest.raises(AllCasesSkippedError, match="no comparison case"):
+        _verify(means_suite()[:2], GRID, rows, 1.0, "comparison")
 
 
 def test_comparison_cases_actually_bound_norms():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subord import diffops
+from subord import diffops, measures
 from subord.diffops import (
     _local_grid,
     _operator_factor,
@@ -33,7 +33,6 @@ from subord.fourier_core import (
     FREQUENCY,
     GridSpec,
     SampledFunction,
-    _FFTOrder,
     forward_ft,
     inverse_ft,
 )
@@ -483,17 +482,17 @@ def test_mixed_exponent_factor_inverts_once(q, p, monkeypatch):
         references = [float(absg.max() if math.isinf(s)
                             else (fine.dx * np.sum(absg**s)) ** (1.0 / s))]
     calls = []
-    inverse_window = _FFTOrder.inverse_window
+    inverse_window = measures._inverse_window
 
-    def counted(self, values, n):
-        calls.append(self.grid)
-        return inverse_window(self, values, n)
+    def counted(values, n, dx):
+        calls.append((values.size, dx))
+        return inverse_window(values, n, dx)
 
-    monkeypatch.setattr(_FFTOrder, "inverse_window", counted)
+    monkeypatch.setattr(measures, "_inverse_window", counted)
     for (symbol, c), reference in zip(cases, references):
         calls.clear()
         factor = _operator_factor(symbol, GRID, q, p, 4, c)
-        assert calls == [fine]
+        assert calls == [(fine.size, fine.dx)]
         assert factor == reference
 
 

@@ -28,13 +28,14 @@ from subord.comparison import (
 )
 from subord.diffops import _operator_factor, construct_decomposition
 from subord.errors import GridTooSmallError, InconsistentLimitError, InvalidParameterError
-from subord.fourier_core import FREQUENCY, GridSpec, SampledFunction, _FFTOrder, inverse_ft
+from subord.fourier_core import FREQUENCY, GridSpec, SampledFunction, inverse_ft
 from subord.measures import (
+    _abs_density,
     _band_means,
+    _inverse_window,
     _limit_at_infinity,
     _samples,
     _wiener_components,
-    _window_density,
     wiener_norm,
 )
 
@@ -71,6 +72,16 @@ def test_wiener_norm_pins_requested_limit():
     est = wiener_norm(exp_abs_ft(), GRID, const_at_infinity=0.0)
     assert est.const_at_infinity == 0.0
     assert est.total == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("pinned", [math.inf, math.nan, complex(0.0, math.inf)])
+def test_wiener_norm_refuses_a_non_finite_pinned_limit(pinned):
+    # refused by name before the symbol is sampled, not as a non-finite inversion
+    def unsampled(y):
+        raise AssertionError("the symbol was sampled")
+
+    with pytest.raises(InvalidParameterError, match="const_at_infinity must be finite"):
+        wiener_norm(unsampled, GRID, const_at_infinity=pinned)
 
 
 def test_wiener_norm_rejects_inconsistent_limits():
@@ -284,8 +295,10 @@ def test_blocked_sampling_matches_one_call_bit_for_bit(case, layout, parts):
 
 def _single_total(psi, grid, oversample, pinned):
     # one pass that samples its own grid, as diffop-verify's p == q factors run it
-    [vals] = _samples(psi, grid.refined(oversample))
-    return _wiener_components(*_window_density(vals, grid, oversample, pinned))[3]
+    fine = grid.refined(oversample)
+    [vals] = _samples(psi, fine)
+    c = complex(pinned) if pinned is not None else _limit_at_infinity(*_band_means([vals], fine))
+    return _wiener_components(c, _abs_density(vals, c, grid.size // 2, fine.dx), fine.dx)[2]
 
 
 #: (symbol, None): complex symbols that are not even, so neither ``psi`` nor its density ``g``
@@ -310,7 +323,7 @@ def test_window_read_and_shared_sampling_match_independent_passes(case, size, ov
     centred = np.asarray(psi(fine.dual_nodes()), dtype=np.complex128) - est.const_at_infinity
     mid, n = fine.size // 2, size // 2
     reference = inverse_ft(SampledFunction(fine, centred, FREQUENCY)).values[mid - n + 1:mid + n]
-    window = _FFTOrder(fine).inverse_window(np.fft.ifftshift(centred), n)
+    window = _inverse_window(np.fft.ifftshift(centred), n, fine.dx)
     assert window.tobytes() == reference.tobytes()
     assert est.total == _single_total(psi, grid, oversample, pinned)
     doubled = _single_total(psi, grid.refined(2), oversample, pinned)

@@ -40,8 +40,9 @@ ROOT = Path(__file__).resolve().parent.parent
 #: grids that resolve the pair, integer roots of multiplicity three, two and
 #: one, two operators whose roots lie 1e-7 apart but are not shared, roots of
 #: P1 that Q cancels (no neighborhood there), a common root where Q vanishes to
-#: lower order than P1 and P2 (exit 1), and a ratio whose first two probes
-#: beside 0 underflow
+#: lower order than P1 and P2 (exit 1), a ratio whose first two probes
+#: beside 0 underflow, a denominator that vanishes identically (exit 1) and
+#: two symbols so small that every case is skipped (exit 2)
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -87,6 +88,8 @@ EXTRAS = (
     ("lemma2", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[0,0,1]"),
     ("lemma2", "--Q", "[-1e-6,0,1]", "--P1", "[-1e-6,0,1]", "--P2", "[1]"),
     ("compare", "--m1", "one_minus_gw_symbol:alpha=60", "--m2", "one_minus_gw_symbol:alpha=60"),
+    ("compare", "--m1", "constant:value=1", "--m2", "constant:value=0"),
+    ("compare", "--m1", "constant:value=1e-13", "--m2", "constant:value=1e-13"),
 )
 
 
