@@ -271,8 +271,6 @@ def _run_lemma2(args, grid: GridSpec):
         "cofactor1_at_infinity": _jsonable(decomp.cofactor1_at_infinity),
         "identity_residual": decomp.identity_residual,
         "cofactor2_sup": decomp.cofactor2_sup,
-        "cofactor1_lipschitz": decomp.cofactor1_lipschitz,
-        "cofactor2_lipschitz": decomp.cofactor2_lipschitz,
         "cases": [],
         "passed": True,
     }

@@ -257,8 +257,7 @@ class SymbolDecomposition:
     ``target / op1``: each real root of ``op1`` of higher multiplicity than in
     ``target``.  ``identity_residual`` is the largest pointwise defect of
     ``target - (h1 op1 + h2 op2)`` over the dual grid and refined local
-    grids; ``cofactor2_sup`` and the two Lipschitz numbers are measured on
-    the same points.
+    grids; ``cofactor2_sup`` is measured on the same points.
     """
 
     target: np.ndarray
@@ -271,18 +270,12 @@ class SymbolDecomposition:
     cofactor1_at_infinity: complex
     identity_residual: float
     cofactor2_sup: float
-    cofactor1_lipschitz: float
-    cofactor2_lipschitz: float
 
 
 def _local_grid(center: float, halfwidth: float, spacing: float) -> np.ndarray:
     # an odd node count, so the center is a node, and at least 65
     n = max(int(round(2.0 * halfwidth / spacing)) + 1, 65) | 1
     return np.linspace(center - halfwidth, center + halfwidth, n)
-
-
-def _max_slope(values: np.ndarray, points: np.ndarray) -> float:
-    return float(np.max(np.abs(np.diff(values)) / np.diff(points)))
 
 
 @np.errstate(over="call", call=_refuse_overflow)
@@ -373,15 +366,13 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     # diagnostics: dual grid plus refined local grids around each pole
     ydual = grid.dual_nodes()
     sup_q = float(np.abs(npoly.polyval(ydual, q)).max())
-    residual = sup_h2 = lip1 = lip2 = 0.0
+    residual = sup_h2 = 0.0
     for pts in [ydual] + [_local_grid(c, d, grid.dy / 16.0) for c, d, _, _ in segments]:
         v1, v2 = h1_fn(pts), h2_fn(pts)
         rebuilt = v1 * npoly.polyval(pts, p1) + v2 * npoly.polyval(pts, p2)
         defect = np.abs(npoly.polyval(pts, q) - rebuilt)
         residual = max(residual, float(defect.max()))
         sup_h2 = max(sup_h2, float(np.abs(v2).max()))
-        lip1 = max(lip1, _max_slope(v1, pts))
-        lip2 = max(lip2, _max_slope(v2, pts))
     if residual > _IDENTITY_TOL * (1.0 + sup_q):
         raise VerificationFailureError(
             f"reconstructed symbol misses the target by {residual:.3g} "
@@ -394,8 +385,6 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         cofactor1_at_infinity=at_infinity,
         identity_residual=residual,
         cofactor2_sup=sup_h2,
-        cofactor1_lipschitz=lip1,
-        cofactor2_lipschitz=lip2,
     )
 
 
@@ -484,7 +473,7 @@ def _operator_factor(symbol: Multiplier, grid: GridSpec, q: float, p: float,
     window-doubling test runs on it: no report ever read its outcome.  The
     refinement-drift check of acceptance criterion 07 is the guard."""
     fine = grid.refined(oversample)
-    [vals] = _samples(symbol, fine)
+    vals = _samples(symbol, fine)
     absg = _abs_density(vals, const_at_infinity, grid.size // 2, fine.dx)
     if p == q:
         return _wiener_components(const_at_infinity, absg, fine.dx)[2]

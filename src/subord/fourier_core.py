@@ -163,9 +163,10 @@ def _centered_fft(f: SampledFunction, fft, scale, side: str) -> SampledFunction:
     # scale(fftshift(fft(ifftshift(v))), dx) bit for bit: one array, swapped back in place
     v, n = f.values, f.grid.size // 2
     out = np.concatenate((v[n:], v[:n]))
-    fft(out, out=out)
-    out[:n], out[n:] = out[n:], out[:n].copy()  # the copy is the one half-length temporary
-    return SampledFunction._owning(f.grid, scale(out, f.grid.dx, out=out), side)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _owning as non-finite
+        fft(out, out=out)
+        out[:n], out[n:] = out[n:], out[:n].copy()  # the copy is the one half-length temporary
+        return SampledFunction._owning(f.grid, scale(out, f.grid.dx, out=out), side)
 
 
 def forward_ft(f: SampledFunction) -> SampledFunction:
@@ -199,7 +200,8 @@ def apply_symbol(symbol: np.ndarray, F: SampledFunction) -> SampledFunction:
     """
     if F.side != FREQUENCY:
         raise InvalidParameterError("apply_symbol expects a frequency-side function")
-    return inverse_ft(SampledFunction._owning(F.grid, symbol * F.values, FREQUENCY))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _owning as non-finite
+        return inverse_ft(SampledFunction._owning(F.grid, symbol * F.values, FREQUENCY))
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:

@@ -20,14 +20,14 @@ out to ``2 L * oversample`` where they are harmless.  A pass samples the symbol
 straight into FFT order (the ``ifftshift`` of the centred order), subtracts the
 constant term and inverts in place; only the caller's window is scaled and read.
 
-:func:`wiener_norm` samples once, on its doubled window's grid, into an even and
-an odd half of ``M = oversample * N`` points, and reads both windows' constant
-terms before the inversions overwrite them.  The single window's dual nodes are
-every other doubled node, so its pass runs on the even half, bit for bit.
-A ``2 M``-point inverse DFT is half the even samples' ``M``-point one plus the
-odd samples', turned by a twiddle (decimation in time): the doubled window
-joins the two halves' inversions, and its ``refined_total`` is that of a
-direct doubled pass up to rounding.
+:func:`wiener_norm` reads the constant term once, off the caller's window's samples, and
+uses it for the doubled window too: doubling keeps ``dx``, so a second read would average
+``psi`` over the same band.  The doubled window's dual nodes are the single window's ``M =
+oversample * N`` nodes and the ``M`` midpoints between them, and a ``2 M``-point inverse DFT
+is half the nodes' ``M``-point one plus the midpoints', turned by a twiddle (decimation in
+time).  So the two halves are sampled and inverted one after the other; the first holds the
+single window's pass, bit for bit, and the doubled window's ``refined_total`` is that of a
+direct doubled pass with the same constant term, up to rounding.
 
 A symbol is called on consecutive blocks of the dual nodes, never on the
 whole grid at once, and its results are written into preallocated arrays.  It
@@ -65,9 +65,9 @@ _BLOCK = 2 ** 14
 class WienerEstimate:
     """Result of :func:`wiener_norm`: numbers only, no sampled arrays.
 
-    ``total = |const_at_infinity| + density_l1 + tail_bound`` is the usable upper
-    estimate; ``converged`` records whether the doubled window's ``refined_total``, a
-    direct doubled pass's up to rounding, is within ``max(1e-3, 1e-2 * total)`` of it.
+    ``total = |const_at_infinity| + density_l1 + tail_bound`` is the usable upper estimate.
+    ``converged`` is whether ``refined_total``, that of a direct doubled pass with the same
+    constant term up to rounding, lies within ``max(1e-3, 1e-2 * total)`` of it.
     """
 
     oversample: int
@@ -79,28 +79,19 @@ class WienerEstimate:
     converged: bool
 
 
-def _band_means(parts: list[np.ndarray], grid: GridSpec) -> list[complex]:
-    # the means of grid's samples, dealt into parts by _samples, at y >= level and y <= -level
+def _limit_at_infinity(values: np.ndarray, grid: GridSpec) -> complex:
+    # the constant term: the means of grid's samples in FFT order at y >= level and at
+    # y <= -level, which must agree
     h, dy = grid.size // 2, grid.dy
     level = grid.dual_half_length - _LIMIT_BAND * grid.dual_half_length
     k = math.ceil(level / dy)  # at most one off the least k with k dy >= level,
     k += (k * dy < level) - ((k - 1) * dy >= level)  # as both sides round
-    means = []
-    for at in (slice(k, h), slice(h, 2 * h + 1 - k)):
-        band = np.empty(at.stop - at.start, dtype=np.complex128)
-        if band.size == 0:
-            raise GridTooSmallError(
-                f"the outer {_LIMIT_BAND:.0%} of one side of the dual window holds no node; "
-                "enlarge the grid size to read off the constant term")
-        for first in range(len(parts)):  # band[first::len(parts)] lies in one part
-            run, p = band[first::len(parts)], at.start + first
-            run[:] = parts[p % len(parts)][p // len(parts):][:run.size]
-        means.append(complex(np.mean(band)))
-    return means
-
-
-def _limit_at_infinity(m_plus: complex, m_minus: complex) -> complex:
-    # the constant term read off the two band means, which must agree
+    if k >= h:
+        raise GridTooSmallError(
+            f"the outer {_LIMIT_BAND:.0%} of one side of the dual window holds no node; "
+            "enlarge the grid size to read off the constant term")
+    with np.errstate(over="ignore", invalid="ignore"):  # the inversion refuses a sum's overflow
+        m_plus, m_minus = complex(np.mean(values[k:h])), complex(np.mean(values[h:2 * h + 1 - k]))
     c = 0.5 * (m_plus + m_minus)
     if abs(m_plus - m_minus) > _LIMIT_CONSISTENCY * (1.0 + abs(c)):
         raise InconsistentLimitError(
@@ -108,13 +99,14 @@ def _limit_at_infinity(m_plus: complex, m_minus: complex) -> complex:
     return c
 
 
-def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, parts: int = 1) -> list:
-    # psi on the dual nodes in FFT order, dealt into parts arrays (position p to index p // parts
-    # of array p % parts) block by block, so a symbol's temporaries never exceed one block
+def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
+             offset: float = 0.0) -> np.ndarray:
+    # psi at (k + offset) dy for grid's dual nodes k dy in FFT order, block by block, so a
+    # symbol's temporaries never exceed one block
     h, dy = grid.size // 2, grid.dy
-    out = [np.empty(grid.size // parts, dtype=np.complex128) for _ in range(parts)]
+    out = np.empty(grid.size, dtype=np.complex128)
     for k in (*range(0, h, _BLOCK), *range(-h, 0, _BLOCK)):  # none crosses from y >= 0 to y < 0
-        part = np.arange(k, min(k + _BLOCK, h if k >= 0 else 0)) * dy
+        part = (np.arange(k, min(k + _BLOCK, h if k >= 0 else 0)) + offset) * dy
         block = np.asarray(psi(part), dtype=np.complex128)
         if block.shape != part.shape:
             raise InvalidParameterError(
@@ -122,9 +114,7 @@ def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, parts: int
                 "it must be pointwise and keep the shape of its argument")
         if not np.isfinite(block).all():
             raise InvalidParameterError("symbol evaluated to non-finite values on the dual grid")
-        for first in range(parts):
-            run, p = block[first::parts], k % grid.size + first
-            out[p % parts][p // parts:][:run.size] = run
+        out[k % grid.size:][:block.size] = block
     return out
 
 
@@ -176,7 +166,7 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     tail fit on the outer 10% of each side is added.
 
     Convergence is assessed by repeating the computation on a doubled
-    window from the same samples (see the module notes); the estimate is
+    window with the same constant term (see the module notes); the estimate is
     flagged converged when the totals agree within ``max(1e-3, 1e-2 * total)``.
     ``oversample`` must be a power of two (:meth:`GridSpec.refined`),
     ``(2 L)^2``, the tail fit's largest square, a double and both parts of a
@@ -195,25 +185,24 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
         for part in (c.real, c.imag):
             _finite(part, "const_at_infinity", positive=False)
     m, n, dx = fine.size, grid.size, fine.dx  # the doubled window: |j| < N, 2M nodes
-    even, odd = halves = _samples(psi, fine.refined(2), parts=2)  # even: fine's, bit for bit
-    if not pinned:  # both constant terms are read before the inversions overwrite the samples
-        means = _band_means(halves, fine.refined(2))
-        c = _limit_at_infinity(*_band_means([even], fine))
-    density_l1, tail, total = _wiener_components(c, _abs_density(even, c, n // 2, dx), dx)
-    c_doubled = c if pinned else _limit_at_infinity(*means)
-    # even holds E, the inverse of its samples less c, unscaled.  A 2M-point inverse DFT is
-    # half E_j plus e^{i pi j / M} times the M-point inverse O_j of the odd samples, less
-    # c_doubled like E (Cooley and Tukey, 1965); j < 0 is position j + M of E and O
-    window = _inverse_window(np.subtract(odd, c_doubled, out=odd), n, dx)  # O_j / dx
+    even = _samples(psi, fine)  # the doubled grid's even nodes, k dy
+    if not pinned:
+        c = _limit_at_infinity(even, fine)
+    # E_j / dx and O_j / dx at |j| < N, the M-point inverses of the even and the odd samples
+    # less c.  Half E_j plus e^{i pi j / M} O_j is the 2M-point inverse (Cooley and Tukey,
+    # 1965); the middle |j| < N / 2 of E_j / dx is the single window's pass
+    e = _inverse_window(np.subtract(even, c, out=even), n, dx)
+    del even  # so the two halves are never held at once
+    density_l1, tail, total = _wiener_components(c, np.abs(e[n // 2:n // 2 + n - 1]), dx)
+    odd = _samples(psi, fine, 0.5)  # the odd nodes, (k + 1/2) dy
+    window = _inverse_window(np.subtract(odd, c, out=odd), n, dx)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
         window *= np.exp(np.arange(1 - n, n) * (1j * np.pi / m))
-        window[n - 1] += (c - c_doubled) / dx
-        window[:n - 1] += even[m - n + 1:] / dx
-        window[n - 1:] += even[:n] / dx
+        window += e
         window *= 0.5
     if not np.isfinite(window).all():
         raise InvalidParameterError("values contain non-finite entries")
-    refined_total = _wiener_components(c_doubled, np.abs(window), dx)[2]
+    refined_total = _wiener_components(c, np.abs(window), dx)[2]
     converged = abs(total - refined_total) <= max(1e-3, 1e-2 * total)
     return WienerEstimate(
         oversample=oversample,

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report files, determinism."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subord import summability
+from subord.comparison import REGISTRY
 from subord.cli import CSV_COLUMNS, main
 
 
@@ -269,18 +271,40 @@ def test_an_overflowing_inversion_is_refused_in_a_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["lemma2", "--Q", "[1e308,1]", "--P1", "[0,0,1]", "--P2", "[1]"],
-    ["lemma2", "--Q", "[1e308,1]", "--P1", "[0,0,1e308]", "--P2", "[1]"],
+    ["compare", "--m1", "exp_abs_ft", "--m2", "constant:value=1e308", "--grid-N", "64"],
+    ["compare", "--m1", "constant:value=1e308", "--m2", "constant", "--grid-N", "16"],
 ])
-def test_polynomial_values_beyond_a_double_are_refused_in_a_report(argv, tmp_path, capsys):
-    # both overflow where the construction evaluates the symbols on the grid (the roots are
-    # decided over Q): a report, not a RuntimeWarning, which this suite turns into an error
+def test_an_overflowing_operator_is_refused_in_a_report(argv, tmp_path, capsys):
+    # 1e308 times a test function's transform overflows in the inverse FFT of apply_symbol,
+    # and the sum of a band of 1e308s in the constant-term read: a report of the non-finite
+    # result, not a RuntimeWarning
     out = tmp_path / "report.json"
     assert run(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == ""
     error = json.loads(out.read_text())["error"]
     assert error == {"type": "InvalidParameterError",
-                     "message": "polynomial values overflow a double"}
+                     "message": "values contain non-finite entries"}
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["lemma2", "--Q", "[1e308,1]", "--P1", "[0,0,1]", "--P2", "[1]"], False),
+    (["lemma2", "--Q", "[1e308,1]", "--P1", "[0,0,1e308]", "--P2", "[1]"], True),
+], ids=["argv0", "argv1"])
+def test_polynomial_values_beyond_a_double_are_refused_in_a_report(argv, refused, tmp_path,
+                                                                   capsys):
+    # the second overflows where the construction evaluates the symbols on the grid (the
+    # roots are decided over Q): a report, not a RuntimeWarning, which this suite turns into
+    # an error.  The first's values stay doubles: P1 and P2 share no root, and the second
+    # cofactor's sup is |Q(0) / P2(0)|
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) == (1 if refused else 0)
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    if refused:
+        assert report["error"] == {"type": "InvalidParameterError",
+                                   "message": "polynomial values overflow a double"}
+    else:
+        assert report["cofactor2_sup"] == 1e308
 
 
 @pytest.mark.parametrize("argv", [
@@ -447,6 +471,14 @@ def _flag(valid):
     return st.one_of(valid, st.sampled_from(_BAD_VALUES))
 
 
+def _ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
 @settings(max_examples=150, deadline=None)
 @given(flags=st.fixed_dictionaries({}, optional={
     "--grid-L": _flag(st.one_of(st.floats(1e-3, 1e4).map(repr),
@@ -462,11 +494,59 @@ def test_any_wiener_norm_argv_ends_in_an_exit_code_without_a_traceback(flags, mu
     argv = ["wiener-norm", "--multiplier", multiplier]
     for flag, value in flags.items():
         argv += [f"{flag}={value}"] if joined else [flag, value]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
+    _ends_in_an_exit_code(argv)
+
+
+#: numbers for symbol parameters, exponents and step sizes: usable ones, drawn a third of
+#: the time, and any from -4 to 4, zero, negatives, non-finite ones and one near the top of
+#: the doubles
+_NUMBERS = st.one_of(st.sampled_from(["0.5", "1", "2", "inf"]), st.floats(-4.0, 4.0).map(repr),
+                     st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e308"]))
+
+
+def _spec(name):
+    # a registry symbol with numeric values for its own parameters, some of them left out
+    params = st.fixed_dictionaries({}, optional={
+        key: _NUMBERS for key in inspect.signature(REGISTRY[name]).parameters})
+    return params.map(lambda kw: f"{name}:{','.join(f'{k}={v}' for k, v in kw.items())}")
+
+
+_SPECS = st.sampled_from(sorted(REGISTRY)).flatmap(_spec)
+_LISTS = st.lists(_NUMBERS, min_size=1, max_size=3).map(",".join)
+#: ascending coefficients of degree at most 4, as JSON (which reads NaN and Infinity)
+_POLYS_DRAWN = st.lists(st.one_of(st.integers(-3, 3).map(str), st.sampled_from(
+    ["0.5", "1e308", "-1e308", "1e-300", "NaN", "Infinity"])), min_size=1, max_size=5).map(
+    lambda coeffs: f"[{','.join(coeffs)}]")
+#: grids of at most 4096 points, oversampled at most 8 times
+_GRIDS = st.fixed_dictionaries({"--grid-N": st.sampled_from(["16", "64", "256", "1024", "4096"])},
+                               optional={"--grid-L": st.sampled_from(["0.5", "40", "200"])})
+
+
+def _argv(command, flags, grid):
+    # joined, so a negative value is not read as a flag
+    return [command] + [f"{flag}={value}" for flag, value in {**flags, **grid}.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=st.fixed_dictionaries({"--m1": _SPECS, "--m2": _SPECS}, optional={
+    "--p": _LISTS, "--oversample": st.sampled_from(["1", "2", "8"])}), grid=_GRIDS)
+def test_any_compare_argv_ends_in_an_exit_code_without_a_traceback(flags, grid):
+    _ends_in_an_exit_code(_argv("compare", flags, grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=st.fixed_dictionaries({"--alpha": _NUMBERS, "--beta": _NUMBERS}, optional={
+    "--p": _LISTS, "--eps": _LISTS, "--oversample": st.sampled_from(["1", "2", "8"])}),
+    grid=_GRIDS)
+def test_any_gw_compare_argv_ends_in_an_exit_code_without_a_traceback(flags, grid):
+    _ends_in_an_exit_code(_argv("gw-compare", flags, grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=st.fixed_dictionaries({"--Q": _POLYS_DRAWN, "--P1": _POLYS_DRAWN,
+                                    "--P2": _POLYS_DRAWN}), grid=_GRIDS)
+def test_any_lemma2_argv_ends_in_an_exit_code_without_a_traceback(flags, grid):
+    _ends_in_an_exit_code(_argv("lemma2", flags, grid))
 
 
 def test_json_config_rejects_unknown_key(tmp_path, capsys):

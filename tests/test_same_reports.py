@@ -1,4 +1,5 @@
-"""The report comparison tool names the JSON fields in which two reports differ."""
+"""The report comparison tool names the JSON fields in which two reports differ, and
+says how far each number moved."""
 
 import importlib.util
 import math
@@ -9,6 +10,7 @@ _SPEC = importlib.util.spec_from_file_location("same_reports", _PATH)
 same_reports = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(same_reports)
 changed_fields = same_reports.changed_fields
+moved_fields = same_reports.moved_fields
 
 
 def test_equal_reports_have_no_changed_field():
@@ -29,3 +31,21 @@ def test_added_removed_and_retyped_values_are_changed_where_they_stand():
     new = {"a": 1.0, "b": [1, 2, 3], "kept": {"x": None}, "new": "s"}
     assert changed_fields(old, new) == ["a", "b", "gone", "new"]
     assert changed_fields(1, 2) == ["."]
+
+
+def test_moved_numbers_show_both_values_and_their_relative_difference():
+    old = {"estimate": {"refined_total": 2.0, "converged": True}, "n": 0, "m": 4, "x": -0.0,
+           "cases": [{"ratio": 0.5}], "gone": 1.5}
+    new = {"estimate": {"refined_total": 2.5, "converged": False}, "n": 3, "m": 4.0, "x": 0.0,
+           "cases": [{"ratio": "nan"}], "added": 2}
+    assert moved_fields(old, new) == [
+        "estimate.refined_total 2.0 -> 2.5 (2.0e-01)",
+        "estimate.converged",
+        "n 0 -> 3 (1.0e+00)",
+        "m 4 -> 4.0 (0.0e+00)",
+        "x -0.0 -> 0.0 (0.0e+00)",
+        "cases.0.ratio",
+        "gone",
+        "added",
+    ]
+    assert [field.split()[0] for field in moved_fields(old, new)] == changed_fields(old, new)

@@ -9,7 +9,8 @@ in its own subprocess and one at a time.  One line per command gives the
 exit codes (revision, then this tree) and names every report file, JSON or
 CSV, whose bytes differ; for a JSON report on both sides it also gives the
 dotted path of every field that differs, such as ``estimate.refined_total``
-(list items by index).  A last line gives the line count of
+(list items by index), and for a number on both sides how far it moved:
+``old -> new (relative difference)``.  A last line gives the line count of
 ``src/subord/*.py`` in both trees, the total that ``wc -l`` prints.  The
 exit status is 1 when an exit code or a file differs, else 0.
 ``benchmarks/`` is read, never written.
@@ -42,7 +43,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: P1 that Q cancels (no neighborhood there), a common root where Q vanishes to
 #: lower order than P1 and P2 (exit 1), a ratio whose first two probes
 #: beside 0 underflow, a denominator that vanishes identically (exit 1) and
-#: two symbols so small that every case is skipped (exit 2)
+#: two symbols so small that every case is skipped (exit 2), and the two
+#: estimates whose constant term moves most when read at the doubled window's
+#: dual edge: a 256-point grid, whose edge the symbol has not settled at, and a
+#: symbol with a |y|**0.3 cusp
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -90,6 +94,9 @@ EXTRAS = (
     ("compare", "--m1", "one_minus_gw_symbol:alpha=60", "--m2", "one_minus_gw_symbol:alpha=60"),
     ("compare", "--m1", "constant:value=1", "--m2", "constant:value=0"),
     ("compare", "--m1", "constant:value=1e-13", "--m2", "constant:value=1e-13"),
+    ("wiener-norm", "--multiplier", "gw_ratio:alpha=1,beta=2", "--grid-N", "256",
+     "--oversample", "1"),
+    ("wiener-norm", "--multiplier", "gw_symbol:alpha=0.3"),
 )
 
 
@@ -114,22 +121,47 @@ def _bytes(path: Path):
     return path.read_bytes() if path.exists() else None
 
 
+def _differences(old, new, path: str = ""):
+    # (path, old leaf, new leaf) wherever two parsed JSON values differ; a missing key is None
+    def at(key):
+        return f"{path}.{key}" if path else str(key)
+
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in dict.fromkeys([*old, *new]):
+            if key in old and key in new:
+                yield from _differences(old[key], new[key], at(key))
+            else:
+                yield at(key), old.get(key), new.get(key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for k, pair in enumerate(zip(old, new)):
+            yield from _differences(*pair, at(k))
+    elif json.dumps(old) != json.dumps(new):
+        yield path or ".", old, new
+
+
 def changed_fields(old, new, path: str = "") -> list[str]:
     """The dotted paths at which two parsed JSON values differ, list items by index.
 
     A key present on one side only, a list of another length and a leaf whose
     JSON text differs (so ``1`` and ``1.0`` differ, two NaNs do not) count as
     changed where they stand; an empty path is written ``.``."""
-    def at(key):
-        return f"{path}.{key}" if path else str(key)
+    return [p for p, _, _ in _differences(old, new, path)]
 
-    if isinstance(old, dict) and isinstance(new, dict):
-        return [p for key in dict.fromkeys([*old, *new])
-                for p in (changed_fields(old[key], new[key], at(key))
-                          if key in old and key in new else [at(key)])]
-    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        return [p for k, pair in enumerate(zip(old, new)) for p in changed_fields(*pair, at(k))]
-    return [] if json.dumps(old) == json.dumps(new) else [path or "."]
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def moved_fields(old, new) -> list[str]:
+    """:func:`changed_fields`, each followed by ``old -> new (relative difference)`` where
+    both sides hold a number; the difference is relative to the larger magnitude."""
+    def moved(path, a, b):
+        if not (_is_number(a) and _is_number(b)):
+            return path
+        scale = max(abs(a), abs(b))
+        return f"{path} {a!r} -> {b!r} ({abs(b - a) / scale if scale else 0.0:.1e})"
+
+    return [moved(*d) for d in _differences(old, new)]
 
 
 def _describe(outs: list[Path], name: str) -> str:
@@ -137,7 +169,7 @@ def _describe(outs: list[Path], name: str) -> str:
     old, new = (_bytes(out / name) for out in outs)
     if not name.endswith(".json") or old is None or new is None:
         return name
-    fields = changed_fields(json.loads(old), json.loads(new))
+    fields = moved_fields(json.loads(old), json.loads(new))
     return f"{name} ({', '.join(fields) or 'layout only'})"
 
 
