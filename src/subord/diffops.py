@@ -66,6 +66,9 @@ _DIVISION_GUARD = 1e-12
 _IDENTITY_TOL = 1e-10
 #: spectrum fraction allowed in the outer band of the dual window when applying an operator
 _BANDWIDTH_LEVEL = 1e-8
+#: node count of the finer of the two grids a cofactor's factor is extrapolated from, unless
+#: the caller's grid is smaller or a neighborhood needs a wider dual window
+_FACTOR_SIZE = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -464,23 +467,39 @@ def _validate_exponents(q: float, p1: float, p2: float,
     return q, p1, p2
 
 
-def _operator_factor(symbol: Multiplier, grid: GridSpec, q: float, p: float,
+def _operator_factor(symbol: Multiplier, grid: GridSpec,
+                     neighborhoods: Sequence[tuple[float, float]], q: float, p: float,
                      oversample: int, const_at_infinity: complex) -> float:
     """Norm bound for the convolution operator with this symbol, L^p -> L^q.
 
-    For ``p == q`` it is the measure norm's single-window total ``|c| + window
-    mass + C/x^2 tail``, the ``total`` of :func:`measures.wiener_norm`.  No
-    window-doubling test runs on it: no report ever read its outcome.  The
-    refinement-drift check of acceptance criterion 07 is the guard."""
-    fine = grid.refined(oversample)
-    vals = _samples(symbol, fine)
-    absg = _abs_density(vals, const_at_infinity, grid.size // 2, fine.dx)
-    if p == q:
-        return _wiener_components(const_at_infinity, absg, fine.dx)[2]
-    # p < q: the symbol has no constant at infinity, so the operator is
-    # convolution with the density alone and its norm is bounded by the
-    # partner-exponent norm of the density over the window.
-    return _lp(absg, fine.dx, partner_exponent(q, p))
+    One pass on a grid with the caller's half-length ``L`` and ``size`` nodes, refined by
+    ``oversample``, gives ``F_size``: for ``p == q`` the measure norm's single-window total
+    ``|c| + window mass + C/x^2 tail``, the ``total`` of :func:`measures.wiener_norm`, and for
+    ``p < q`` the window partner norm of the density.  Its error falls like ``dx = 2 L /
+    size``, so the factor is ``max(F_n, 2 F_n - F_{n/2})`` over the passes on ``(L, n/2)``
+    and ``(L, n)``: first-order Richardson extrapolation in ``dx``, never below the finer
+    pass.  ``n`` is ``_FACTOR_SIZE``, or the caller's ``N`` if smaller, at least 32, and
+    doubled while a neighborhood ``(r, delta)`` leaves the dual window of ``(L, n/2)``, as
+    :func:`construct_decomposition` tests it.  No window-doubling test runs: acceptance
+    criterion 07 compares the constant with a single pass on a finer grid."""
+    n = max(min(grid.size, _FACTOR_SIZE), 32)
+    while any(abs(r) + delta >= GridSpec(grid.half_length, n // 2).dual_half_length
+              for r, delta in neighborhoods):
+        n *= 2
+
+    def one_pass(size: int) -> float:
+        fine = GridSpec(grid.half_length, size).refined(oversample)
+        absg = _abs_density(_samples(symbol, fine), const_at_infinity, size // 2, fine.dx)
+        if p == q:
+            return _wiener_components(const_at_infinity, absg, fine.dx)[2]
+        # p < q: the symbol has no constant at infinity, so the operator is convolution with
+        # the density alone and its norm is bounded by the partner-exponent norm of the
+        # density over the window
+        return _lp(absg, fine.dx, partner_exponent(q, p))
+
+    coarse = one_pass(n // 2)  # its arrays are freed before the finer pass allocates
+    finer = one_pass(n)
+    return max(finer, 2.0 * finer - coarse)
 
 
 def diffop_subordination(d: SymbolDecomposition, q: float,
@@ -496,18 +515,21 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
     ``deg target < deg op1``; the second cofactor is always compactly
     supported, so any ``p2 <= q`` works.  The constant is the larger of the
     two per-operator factors (measure norm for ``p = q``, window partner
-    norm of the cofactor density otherwise).  A measure-norm factor is the
-    single-window total ``|c| + window mass + C/x^2 tail``, one estimator
-    pass with no window-doubling test, so no factor is flagged unconverged;
-    acceptance criterion 07's refinement-drift check is the guard.
+    norm of the cofactor density otherwise).  Each factor is extrapolated from
+    single-window passes on a pair of grids with ``d.grid``'s half-length, sized
+    for the cofactor rather than for the corpus (:func:`_operator_factor`), with
+    no window-doubling test, so no factor is flagged unconverged; acceptance
+    criterion 07 compares the constant with a single pass on a finer grid.  The
+    corpus is checked on ``d.grid`` itself.
     """
     grid = d.grid
     q_, p1_, p2_ = _validate_exponents(
         q, q if p1 is None else p1, q if p2 is None else p2,
         poly_degree(d.target), poly_degree(d.op1))
 
-    factor1 = _operator_factor(d.cofactor1, grid, q_, p1_, oversample, d.cofactor1_at_infinity)
-    factor2 = _operator_factor(d.cofactor2, grid, q_, p2_, oversample, 0.0)
+    factor1 = _operator_factor(d.cofactor1, grid, d.neighborhoods, q_, p1_, oversample,
+                               d.cofactor1_at_infinity)
+    factor2 = _operator_factor(d.cofactor2, grid, d.neighborhoods, q_, p2_, oversample, 0.0)
     exponents = f"q={_fmt_p(q_)};p1={_fmt_p(p1_)};p2={_fmt_p(p2_)}"
     y = grid.dual_nodes()  # each polynomial sampled once per call
     target, op1, op2 = ((p, npoly.polyval(y, p)) for p in (d.target, d.op1, d.op2))

@@ -38,6 +38,7 @@ shape raises :class:`InvalidParameterError`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -90,13 +91,20 @@ def _limit_at_infinity(values: np.ndarray, grid: GridSpec) -> complex:
         raise GridTooSmallError(
             f"the outer {_LIMIT_BAND:.0%} of one side of the dual window holds no node; "
             "enlarge the grid size to read off the constant term")
-    with np.errstate(over="ignore", invalid="ignore"):  # the inversion refuses a sum's overflow
-        m_plus, m_minus = complex(np.mean(values[k:h])), complex(np.mean(values[h:2 * h + 1 - k]))
+    bands = values[k:h], values[h:2 * h + 1 - k]
+    # the means scaled by s, a power of two and so exact: 1, or, where a band's sum or the
+    # sum of the two means leaves the doubles, one over a bound on the band's node count
+    s = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_plus, m_minus = (complex(np.mean(band)) for band in bands)
+        if not cmath.isfinite(m_plus + m_minus):
+            s = 2.0 ** -h.bit_length()
+            m_plus, m_minus = (complex(np.mean(band * s)) for band in bands)
     c = 0.5 * (m_plus + m_minus)
-    if abs(m_plus - m_minus) > _LIMIT_CONSISTENCY * (1.0 + abs(c)):
+    if abs(m_plus - m_minus) > _LIMIT_CONSISTENCY * (s + abs(c)):
         raise InconsistentLimitError(
-            f"one-sided symbol limits disagree: {m_plus:.6g} vs {m_minus:.6g}")
-    return c
+            f"one-sided symbol limits disagree: {m_plus / s:.6g} vs {m_minus / s:.6g}")
+    return c / s
 
 
 def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,

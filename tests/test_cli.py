@@ -102,7 +102,7 @@ def test_diffop_verify_full_run(tmp_path, capsys):
                 "--out", str(out), "--csv", str(csv_path)], capsys)
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["constant"] == pytest.approx(1.5894533544400302, rel=1e-6)
+    assert report["constant"] == pytest.approx(1.5895043621557547, rel=1e-6)
     # exponent triples are ;-separated to stay CSV-safe
     row = csv_path.read_text().splitlines()[1]
     assert "q=2;p1=2;p2=2" in row
@@ -275,15 +275,26 @@ def test_an_overflowing_inversion_is_refused_in_a_report(tmp_path, capsys):
     ["compare", "--m1", "constant:value=1e308", "--m2", "constant", "--grid-N", "16"],
 ])
 def test_an_overflowing_operator_is_refused_in_a_report(argv, tmp_path, capsys):
-    # 1e308 times a test function's transform overflows in the inverse FFT of apply_symbol,
-    # and the sum of a band of 1e308s in the constant-term read: a report of the non-finite
-    # result, not a RuntimeWarning
+    # 1e308 times a test function's transform overflows in apply_symbol: a report of the
+    # non-finite result, not a RuntimeWarning
     out = tmp_path / "report.json"
     assert run(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == ""
     error = json.loads(out.read_text())["error"]
     assert error == {"type": "InvalidParameterError",
                      "message": "values contain non-finite entries"}
+
+
+def test_a_constant_term_near_the_top_of_the_doubles_is_read_without_overflow(tmp_path,
+                                                                             capsys):
+    # a band of 1e308s sums beyond the doubles, so its mean is taken of the band scaled by a
+    # power of two
+    out = tmp_path / "report.json"
+    assert run(["wiener-norm", "--multiplier", "constant:value=1e308", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    estimate = json.loads(out.read_text())["estimate"]
+    assert estimate["const_at_infinity"] == [1e308, 0.0]
+    assert estimate["total"] == 1e308
 
 
 @pytest.mark.parametrize("argv, refused", [
@@ -547,6 +558,33 @@ def test_any_gw_compare_argv_ends_in_an_exit_code_without_a_traceback(flags, gri
                                     "--P2": _POLYS_DRAWN}), grid=_GRIDS)
 def test_any_lemma2_argv_ends_in_an_exit_code_without_a_traceback(flags, grid):
     _ends_in_an_exit_code(_argv("lemma2", flags, grid))
+
+
+#: polynomials that pass the hypotheses, with roots at 0, at -1 and 1, and at 3, or any drawn
+_DIFFOP_POLYS = st.one_of(st.sampled_from([
+    {"--Q": "[0,1]", "--P1": "[0,0,1]", "--P2": "[1]"},
+    {"--Q": "[0,1]", "--P1": "[-1,0,1]", "--P2": "[1]"},
+    {"--Q": "[1,1]", "--P1": "[-1,0,1]", "--P2": "[1,1]"},
+    {"--Q": "[-3,1]", "--P1": "[9,-6,1]", "--P2": "[1]"},
+]), st.fixed_dictionaries({"--Q": _POLYS_DRAWN, "--P1": _POLYS_DRAWN, "--P2": _POLYS_DRAWN}))
+
+
+#: the exponents 1, 2 and inf, or any of _NUMBERS
+_EXPONENTS = st.one_of(st.sampled_from(["1", "2", "inf"]), _NUMBERS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys=_DIFFOP_POLYS, flags=st.fixed_dictionaries({}, optional={
+    "--q": _EXPONENTS, "--p1": _EXPONENTS, "--p2": _EXPONENTS,
+    "--oversample": st.sampled_from(["1", "2", "4"])}),
+    grid=st.fixed_dictionaries({"--grid-N": st.sampled_from(["16", "32", "64", "256", "4096"])},
+                               optional={"--grid-L": st.sampled_from(
+                                   ["0.5", "40", "2500", "1e6", "1e300"])}))
+def test_any_diffop_verify_argv_ends_in_an_exit_code_without_a_traceback(polys, flags, grid):
+    """Grids of 16 and 32 nodes, where a factor's grid pair has at least 16 and 32 nodes, and
+    grids so coarse that a root's neighborhood leaves the dual window of the pair's coarse
+    grid, which grows the pair, or the caller's, which is refused."""
+    _ends_in_an_exit_code(_argv("diffop-verify", {**polys, **flags}, grid))
 
 
 def test_json_config_rejects_unknown_key(tmp_path, capsys):

@@ -434,9 +434,9 @@ def test_subordination_rejects_inadmissible_exponents():
 def test_subordination_first_order_under_second():
     sub = diffop_subordination(construct_decomposition([0, 1], [0, 0, 1], [1], FINE), q=2.0)
     assert sub.passed
-    assert sub.factor1 == pytest.approx(1.5894533544400302, rel=1e-6)
-    assert sub.factor2 == pytest.approx(0.6152227976225431, rel=1e-6)
-    assert sub.constant == pytest.approx(1.5894533544400302, rel=1e-6)
+    assert sub.factor1 == pytest.approx(1.5895043621557547, rel=1e-6)
+    assert sub.factor2 == pytest.approx(0.615222866811223, rel=1e-6)
+    assert sub.constant == pytest.approx(1.5895043621557547, rel=1e-6)
     assert sub.worst_ratio == pytest.approx(0.36602540378, rel=1e-6)
     # degenerate right-hand sides are dropped, so every recorded case is real
     for case in sub.cases:
@@ -463,23 +463,27 @@ def test_subordination_reuses_decomposition(monkeypatch):
     pytest.param(math.inf, math.inf, id="p=q=inf"),
 ])
 def test_mixed_exponent_factor_inverts_once(q, p, monkeypatch):
-    """Every factor is one pass: one in-place inversion of the cofactor's samples on
-    grid.refined(oversample).  For p < q the window part of it gives the norm;
-    for p == q the factor is wiener_norm's total, bit for bit, without the
-    doubled-window pass."""
+    """Every factor inverts the cofactor's samples once on each grid of its pair, (L, n/2) and
+    (L, n) refined by oversample, here n = N.  For p < q the window part of a pass gives the
+    partner norm; for p == q a pass is wiener_norm's total, bit for bit, without the
+    doubled-window pass.  The factor is max(F_n, 2 F_n - F_{n/2})."""
     d = construct_decomposition([0, 1], [0, 0, 1], [1], GRID)
-    fine = GRID.refined(4)
+    grids = [GridSpec(GRID.half_length, GRID.size // 2), GRID]
     if p == q:
         cases = [(d.cofactor1, d.cofactor1_at_infinity), (d.cofactor2, 0.0)]
-        references = [wiener_norm(symbol, GRID, oversample=4, const_at_infinity=c).total
-                      for symbol, c in cases]
     else:
         cases = [(d.cofactor2, 0.0)]
-        g = inverse_ft(SampledFunction(fine, d.cofactor2(fine.dual_nodes()), FREQUENCY))
-        absg = np.abs(g.values[np.abs(fine.nodes()) < GRID.half_length])
-        s = partner_exponent(q, p)
-        references = [float(absg.max() if math.isinf(s)
-                            else (fine.dx * np.sum(absg**s)) ** (1.0 / s))]
+    s = partner_exponent(q, p)
+
+    def single_pass(symbol, c, grid):
+        if p == q:
+            return wiener_norm(symbol, grid, oversample=4, const_at_infinity=c).total
+        fine = grid.refined(4)
+        g = inverse_ft(SampledFunction(fine, symbol(fine.dual_nodes()), FREQUENCY))
+        absg = np.abs(g.values[np.abs(fine.nodes()) < grid.half_length])
+        return float(absg.max() if math.isinf(s) else (fine.dx * np.sum(absg**s)) ** (1.0 / s))
+
+    references = [[single_pass(symbol, c, grid) for grid in grids] for symbol, c in cases]
     calls = []
     inverse_window = measures._inverse_window
 
@@ -488,11 +492,70 @@ def test_mixed_exponent_factor_inverts_once(q, p, monkeypatch):
         return inverse_window(values, n, dx)
 
     monkeypatch.setattr(measures, "_inverse_window", counted)
-    for (symbol, c), reference in zip(cases, references):
+    for (symbol, c), (coarse, finer) in zip(cases, references):
         calls.clear()
-        factor = _operator_factor(symbol, GRID, q, p, 4, c)
-        assert calls == [(fine.size, fine.dx)]
-        assert factor == reference
+        factor = _operator_factor(symbol, GRID, d.neighborhoods, q, p, 4, c)
+        assert calls == [(grid.refined(4).size, grid.dx) for grid in grids]
+        assert factor == max(finer, 2.0 * finer - coarse)
+
+
+def test_a_factor_is_estimated_on_one_grid_pair_above_its_size():
+    # the caller's N sets neither pass once it reaches the factor grid's 2^15 nodes
+    factors = []
+    for size in (2 ** 15, 2 ** 18):
+        d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, size))
+        factors.append([_operator_factor(d.cofactor1, d.grid, d.neighborhoods, 2.0, 2.0, 4,
+                                         d.cofactor1_at_infinity),
+                        _operator_factor(d.cofactor2, d.grid, d.neighborhoods, 2.0, 1.0, 4, 0.0)])
+    assert factors[0] == factors[1]
+
+
+def test_a_factor_grid_grows_until_every_neighborhood_fits(monkeypatch):
+    # (y-r, (y-r)^2, 1) with r = 1000: the neighborhood [999, 1001] lies outside the dual
+    # window |y| < 643 of (40, 2^14), the coarse grid of the default pair, but inside that of
+    # (40, 2^15), so the pair is (40, 2^15) and (40, 2^16) on a caller's grid of 2^17 nodes
+    r = 1000.0
+    grid = GridSpec(40.0, 2 ** 17)
+    d = construct_decomposition([-r, 1], [r * r, -2 * r, 1], [1], grid)
+    assert d.neighborhoods == ((r, 1.0),)
+    sizes = []
+    inverse_window = measures._inverse_window
+
+    def counted(values, n, dx):
+        sizes.append(values.size)
+        return inverse_window(values, n, dx)
+
+    for symbol, c in ((d.cofactor1, d.cofactor1_at_infinity), (d.cofactor2, 0.0)):
+        reference = wiener_norm(symbol, grid, oversample=4, const_at_infinity=c).total
+        sizes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "_inverse_window", counted)
+            factor = _operator_factor(symbol, grid, d.neighborhoods, 2.0, 2.0, 4, c)
+        assert sizes == [4 * 2 ** 15, 4 * 2 ** 16]
+        assert factor == pytest.approx(reference, rel=1e-3)
+
+
+#: the Richardson limits over single passes at N = 2^18 and 2^19 (L = 40, oversample 4) of
+#: the factors of the diffop_fine benchmark triples with p = q: (Q, P1, P2), q, factor1, factor2
+_FACTOR_LIMITS = [
+    (([0, 1], [0, 0, 1], [1]), 2.0, 1.58951163, 0.61522289),
+    (([0, 1], [-1, 0, 1], [1]), 2.0, 1.01662139, 1.62148565),
+    (([1, 1], [-1, 0, 1], [1, 1]), math.inf, 1.58959251, 1.24553210),
+]
+
+
+@pytest.mark.parametrize("polys, q, limit1, limit2", _FACTOR_LIMITS)
+def test_extrapolated_factors_lie_near_their_limits(polys, q, limit1, limit2):
+    # and no lower than the single pass on the caller's grid, which a factor once was
+    d = construct_decomposition(*polys, FINE)
+    for symbol, c, limit in ((d.cofactor1, d.cofactor1_at_infinity, limit1),
+                             (d.cofactor2, 0.0, limit2)):
+        factor = _operator_factor(symbol, FINE, d.neighborhoods, q, q, 4, c)
+        fine = FINE.refined(4)
+        single = measures._wiener_components(c, measures._abs_density(
+            measures._samples(symbol, fine), c, FINE.size // 2, fine.dx), fine.dx)[2]
+        assert factor >= single
+        assert factor == pytest.approx(limit, rel=3e-5)
 
 
 def test_subordination_transforms_each_function_once(monkeypatch):

@@ -1,5 +1,6 @@
 """The Wiener-norm estimator of a symbol's measure norm."""
 
+import cmath
 import dataclasses
 import math
 import os
@@ -156,14 +157,36 @@ def test_wiener_norm_peak_memory_of_a_cofactor():
 
 
 def test_operator_factor_peak_memory_of_a_cofactor():
-    # in complex arrays of the one estimator window's fine grid: a p == q factor of
-    # diffop-verify is one pass, where wiener_norm's doubled-window pass peaked at 5 of them;
-    # the shift copy of the samples took it to 3.16, an inversion in place takes 2.78
+    # in complex arrays of the finer pass's fine grid: a p == q factor of diffop-verify is
+    # a single-window pass on each grid of a pair, one at a time, where wiener_norm's
+    # doubled-window pass peaked at 5 of them; the shift copy of the samples took it to
+    # 3.16, an inversion in place takes 2.78
     d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 14))
     fine_array = 16 * d.grid.refined(4).size
 
     def factor():
-        _operator_factor(d.cofactor1, d.grid, 2.0, 2.0, 4, d.cofactor1_at_infinity)
+        _operator_factor(d.cofactor1, d.grid, d.neighborhoods, 2.0, 2.0, 4,
+                         d.cofactor1_at_infinity)
+
+    factor()  # warm
+    tracemalloc.start()
+    try:
+        factor()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * fine_array
+
+
+def test_operator_factor_peak_memory_on_a_fine_grid():
+    # in complex arrays of the finer factor grid, (40, 2^15) refined 4 times: the caller's
+    # 2^18 nodes set no array, and the coarse pass is freed before the finer one samples
+    d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 18))
+    fine_array = 16 * 4 * 2 ** 15
+
+    def factor():
+        _operator_factor(d.cofactor1, d.grid, d.neighborhoods, 2.0, 2.0, 4,
+                         d.cofactor1_at_infinity)
 
     factor()  # warm
     tracemalloc.start()
@@ -294,6 +317,24 @@ def test_blocked_sampling_matches_one_call_bit_for_bit(case, layout, offset):
         assert vals.tobytes() == np.fft.ifftshift(whole).tobytes()
         c = complex(pinned) if pinned is not None else _limit_at_infinity(vals, grid)
         assert c == _centred_limit(whole, y, grid, pinned)
+
+
+@settings(max_examples=80, deadline=None)
+@given(value=st.floats(-1.7e308, 1.7e308), ripple=st.floats(0.0, 1e-4),
+       size=st.sampled_from([2 ** 6, 2 ** 10]))
+def test_the_constant_term_is_read_bit_for_bit_or_scaled_past_an_overflow(value, ripple, size):
+    # samples about a constant, up to near the top of the doubles: where the means of the
+    # centred order are finite the read is theirs, bit for bit, and otherwise the constant
+    grid = GridSpec(40.0, size)
+    y = grid.dual_nodes()
+    whole = (value * (1.0 + ripple * np.cos(y)) + 0j).astype(np.complex128)
+    c = _limit_at_infinity(np.fft.ifftshift(whole), grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = _centred_limit(whole, y, grid, None)
+    if cmath.isfinite(direct):
+        assert c == direct
+    else:
+        assert c == pytest.approx(value, rel=2e-4)
 
 
 def _single_total(psi, grid, oversample, pinned):

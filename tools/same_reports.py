@@ -46,7 +46,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: two symbols so small that every case is skipped (exit 2), and the two
 #: estimates whose constant term moves most when read at the doubled window's
 #: dual edge: a 256-point grid, whose edge the symbol has not settled at, and a
-#: symbol with a |y|**0.3 cusp
+#: symbol with a |y|**0.3 cusp; a constant term whose band sums leave the doubles;
+#: and diffop-verify's cofactor factors from a grid of 2^15 nodes, the finer of its
+#: factor grid pair, and from a window so wide that a neighborhood leaves the dual
+#: window of the pair's default coarse grid (exit 2 in the corpus)
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -97,6 +100,10 @@ EXTRAS = (
     ("wiener-norm", "--multiplier", "gw_ratio:alpha=1,beta=2", "--grid-N", "256",
      "--oversample", "1"),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=0.3"),
+    ("wiener-norm", "--multiplier", "constant:value=1e308"),
+    ("diffop-verify", "--Q", "[1]", "--P1", "[0,1]", "--P2", "[1]", "--grid-N", "32768"),
+    ("diffop-verify", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]", "--grid-N", "262144",
+     "--grid-L", "40000"),
 )
 
 
