@@ -25,6 +25,7 @@ exactly over Q (:func:`real_roots`), values on grids in doubles.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -322,7 +323,10 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         left, right = r - delta, r + delta
         lval = complex(npoly.polyval(left, q) / npoly.polyval(left, p1))
         rval = complex(npoly.polyval(right, q) / npoly.polyval(right, p1))
-        segments.append((float(r), delta, lval, (rval - lval) / (2.0 * delta)))
+        slope = (rval - lval) / (2.0 * delta)  # complex arithmetic, which overflows silently
+        if not cmath.isfinite(slope):
+            raise InvalidParameterError("polynomial values overflow a double")
+        segments.append((float(r), delta, lval, slope))
 
     def held(y: np.ndarray):
         # a mask per neighborhood of the y it holds (a shared edge goes to the first), and the rest
@@ -333,6 +337,9 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
             free &= ~masks[-1]
         return masks, free
 
+    # each cofactor refuses an overflow wherever it is sampled, not only on this grid: a
+    # Multiplier call ignores overflows, which would reach a factor as inf or nan
+    @np.errstate(over="call", call=_refuse_overflow)
     def h1_fn(y: np.ndarray) -> np.ndarray:
         out = np.empty(y.shape, dtype=np.complex128)
         masks, rest = held(y)
@@ -353,6 +360,7 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         bad = np.abs(den) < guard
         return np.divide(num, den, out=np.zeros(y.shape, dtype=np.complex128), where=~bad), bad
 
+    @np.errstate(over="call", call=_refuse_overflow)
     def h2_fn(y: np.ndarray) -> np.ndarray:
         out = np.zeros(y.shape, dtype=np.complex128)
         inside = ~held(y)[1]
@@ -409,7 +417,8 @@ def apply_diffop(coeffs, f: SampledFunction) -> SampledFunction:
 
 def _apply_poly(p: np.ndarray, pvals: np.ndarray, F: SampledFunction) -> SampledFunction:
     """:func:`apply_diffop` for trimmed ``p``, its dual-node values ``pvals`` and ``F`` of ``f``."""
-    band, peak = _outer_band(pvals * F.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by apply_symbol as non-finite
+        band, peak = _outer_band(pvals * F.values)
     # The transform of the input carries rounding residue of order eps at the
     # window edge even when the true spectrum has long underflowed, and the
     # symbol amplifies it by |P(edge)|.  Band content below that floor is
@@ -481,7 +490,12 @@ def _operator_factor(symbol: Multiplier, grid: GridSpec,
     pass.  ``n`` is ``_FACTOR_SIZE``, or the caller's ``N`` if smaller, at least 32, and
     doubled while a neighborhood ``(r, delta)`` leaves the dual window of ``(L, n/2)``, as
     :func:`construct_decomposition` tests it.  No window-doubling test runs: acceptance
-    criterion 07 compares the constant with a single pass on a finer grid."""
+    criterion 07 compares the constant with a single pass on a finer grid.  For ``p == q``,
+    ``(2 L)^2``, the tail fit's largest square, must be a double, as for
+    :func:`measures.wiener_norm`; otherwise :class:`InvalidParameterError`, which a cofactor
+    raises too where it overflows a double on a dual window wider than the caller's."""
+    if p == q and not math.isfinite(4.0 * grid.half_length * grid.half_length):
+        raise InvalidParameterError(f"half_length {grid.half_length!r} squares beyond a double")
     n = max(min(grid.size, _FACTOR_SIZE), 32)
     while any(abs(r) + delta >= GridSpec(grid.half_length, n // 2).dual_half_length
               for r, delta in neighborhoods):

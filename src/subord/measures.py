@@ -149,13 +149,17 @@ def _wiener_components(c: complex, absg: np.ndarray, dx: float):
     # the window mass, the tail fit and the total, from |g| at the window's nodes |j| < n
     n = (absg.size + 1) // 2
     x, L = np.arange(1 - n, n) * dx, n * dx  # L exactly: dx = 2 L / N, n = N / 2
-    density_l1 = dx * float(np.sum(absg))
     left = x <= -(1.0 - _TAIL_BAND) * L
     right = x >= (1.0 - _TAIL_BAND) * L
-    c_left = float(np.max(absg[left] * x[left] ** 2)) if left.any() else 0.0
-    c_right = float(np.max(absg[right] * x[right] ** 2)) if right.any() else 0.0
+    with np.errstate(over="ignore"):  # an overflow makes the total inf, refused below
+        density_l1 = dx * float(np.sum(absg))
+        c_left = float(np.max(absg[left] * x[left] ** 2)) if left.any() else 0.0
+        c_right = float(np.max(absg[right] * x[right] ** 2)) if right.any() else 0.0
     tail = (c_left + c_right) / L
-    return density_l1, tail, abs(c) + density_l1 + tail
+    total = abs(c) + density_l1 + tail
+    if not math.isfinite(total):
+        raise InvalidParameterError("the measure norm's estimate overflows a double")
+    return density_l1, tail, total
 
 
 def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
@@ -178,7 +182,8 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     flagged converged when the totals agree within ``max(1e-3, 1e-2 * total)``.
     ``oversample`` must be a power of two (:meth:`GridSpec.refined`),
     ``(2 L)^2``, the tail fit's largest square, a double and both parts of a
-    pinned ``const_at_infinity`` finite; otherwise :class:`InvalidParameterError`.
+    pinned ``const_at_infinity`` finite; otherwise :class:`InvalidParameterError`, also
+    raised for a total beyond the doubles.
 
     ``psi`` is called on consecutive blocks of the dual nodes; it must be
     pointwise in ``y`` and return ``y``'s shape.  A result of another shape,

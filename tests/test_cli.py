@@ -244,6 +244,16 @@ def test_lemma2_refuses_a_neighborhood_beyond_the_dual_window(argv, tmp_path, ca
     assert "dual window" in error["message"]
 
 
+def test_diffop_verify_refuses_a_half_length_whose_square_overflows(tmp_path, capsys):
+    # the measure-norm factor's tail fit squares x up to 2 L, as in wiener-norm
+    out = tmp_path / "report.json"
+    assert run(["diffop-verify", "--Q", "[1]", "--P1", "[1]", "--P2", "[1]", "--grid-N", "16",
+                "--grid-L", "1e300", "--out", str(out)], capsys) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error == {"type": "InvalidParameterError",
+                     "message": "half_length 1e+300 squares beyond a double"}
+
+
 @pytest.mark.parametrize("argv", [
     ["wiener-norm", "--multiplier", "gw_symbol:alpha=400"],
     ["gw-compare", "--alpha", "1", "--beta", "400"],

@@ -204,6 +204,20 @@ def test_hypotheses_refuse_values_beyond_a_double():
         construct_decomposition([1], [0, 0, 1e308], [1], GRID)
 
 
+def test_an_overflowing_interpolant_slope_is_refused():
+    # 1e308 / (2 y) is -+1e308 at the neighborhood's edges y = -+1/2: the difference overflows
+    with pytest.raises(InvalidParameterError, match="overflow a double"):
+        construct_decomposition([1e308], [0, 2], [1, 1], GridSpec(40.0, 16))
+
+
+def test_a_cofactor_refuses_an_overflow_beyond_the_callers_dual_window():
+    # 1e308 y^4 stays a double on the dual window |y| < 0.63 of (40, 16), not on the twice
+    # wider window of (40, 32), where the factor's finer pass samples the cofactor
+    d = construct_decomposition([1], [1, 0, 0, 0, 1e308], [1], GridSpec(40.0, 16))
+    with pytest.raises(InvalidParameterError, match="overflow a double"):
+        diffop_subordination(d, 2.0)
+
+
 def test_hypotheses_share_only_exactly_common_roots():
     # y - 1 and y - 1.0000001 have no common root, so the target need not vanish anywhere
     assert decomposition_hypotheses([1], [-1, 1], [-1.0000001, 1]) == ()

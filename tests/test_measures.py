@@ -115,6 +115,13 @@ def test_wiener_norm_rejects_bad_oversample():
         wiener_norm(gw_symbol(1.0), GRID, oversample=3)
 
 
+@pytest.mark.parametrize("absg", [np.full(31, 1e308), np.full(31, 1e305)])
+def test_a_total_beyond_the_doubles_is_refused_without_a_warning(absg):
+    # at dx = 5 the window mass of 1e308s overflows, and 1e305 (75)^2 in the tail fit
+    with pytest.raises(InvalidParameterError, match="overflows a double"):
+        _wiener_components(0.0, absg, 5.0)
+
+
 def test_wiener_norm_peak_memory():
     # in complex arrays of the doubled window's fine grid; the shift copies, the full-window
     # node array and mask and the copied samples took 3.5, two sampled passes with a shift
