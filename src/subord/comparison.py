@@ -295,7 +295,7 @@ def _fmt_p(p: float) -> str:
 def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant: float,
             what: str, **extra) -> Report:
     """The loop shared by every verifier: sample and transform each function
-    once, then check its rows.
+    once, then check its rows; ``rows`` holds the only reference to the samples.
 
     A row whose right side is below ``1e-12 * (1 + lhs)`` carries no
     information and is skipped; the others pass when ``lhs / rhs <=
@@ -305,7 +305,9 @@ def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant:
     cases = []
     for fn in suite:
         f = materialize(fn, grid)
-        for eps, exponents, lhs, rhs in rows(f, forward_ft(f)):
+        found = rows(f, forward_ft(f))
+        del f  # held by rows alone, which may release it
+        for eps, exponents, lhs, rhs in found:
             if rhs <= 1e-12 * (1.0 + lhs):
                 continue
             ratio = lhs / rhs
@@ -338,6 +340,7 @@ def verify_comparison(multiplier1: Multiplier, multiplier2: Multiplier, grid: Gr
     symbol1, symbol2 = multiplier1(y), multiplier2(y)
 
     def rows(f, F):
+        del f  # only the spectrum is read
         out1 = apply_symbol(symbol1, F)
         out2 = apply_symbol(symbol2, F)
         for p in p_values:

@@ -412,7 +412,13 @@ def apply_diffop(coeffs, f: SampledFunction) -> SampledFunction:
     the dual window).
     """
     p = _as_poly(coeffs)
-    return _apply_poly(p, npoly.polyval(f.grid.dual_nodes(), p), forward_ft(f))
+    return _apply_poly(p, _poly_values(p, f.grid), forward_ft(f))
+
+
+def _poly_values(p: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """``p`` on the dual nodes, as doubles for real ``p``: the complex values' real part, bit
+    for bit, and their imaginary part is +0, as in numpy's cast of a double to complex."""
+    return npoly.polyval(grid.dual_nodes(), p if p.imag.any() else p.real)
 
 
 def _apply_poly(p: np.ndarray, pvals: np.ndarray, F: SampledFunction) -> SampledFunction:
@@ -534,7 +540,8 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
     for the cofactor rather than for the corpus (:func:`_operator_factor`), with
     no window-doubling test, so no factor is flagged unconverged; acceptance
     criterion 07 compares the constant with a single pass on a finer grid.  The
-    corpus is checked on ``d.grid`` itself.
+    corpus is checked on ``d.grid`` itself, with each polynomial sampled once, as doubles
+    if real, and of each test function only the spectrum held while operators apply.
     """
     grid = d.grid
     q_, p1_, p2_ = _validate_exponents(
@@ -545,10 +552,10 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
                                d.cofactor1_at_infinity)
     factor2 = _operator_factor(d.cofactor2, grid, d.neighborhoods, q_, p2_, oversample, 0.0)
     exponents = f"q={_fmt_p(q_)};p1={_fmt_p(p1_)};p2={_fmt_p(p2_)}"
-    y = grid.dual_nodes()  # each polynomial sampled once per call
-    target, op1, op2 = ((p, npoly.polyval(y, p)) for p in (d.target, d.op1, d.op2))
+    target, op1, op2 = ((p, _poly_values(p, grid)) for p in (d.target, d.op1, d.op2))
 
     def rows(f, F):
+        del f  # only the spectrum is read
         lhs = lp_norm(_apply_poly(*target, F), q_)
         rhs = lp_norm(_apply_poly(*op1, F), p1_) + lp_norm(_apply_poly(*op2, F), p2_)
         yield None, exponents, lhs, rhs

@@ -177,7 +177,7 @@ def materialize(fn: TestFunction, grid: GridSpec) -> SampledFunction:
         raise GridTooSmallError(
             f"{fn.label} reaches {band / peak:.2e} of its peak in the outer 10% of "
             f"[-{grid.half_length}, {grid.half_length}); enlarge the window")
-    return SampledFunction(grid, values, SPACE)
+    return SampledFunction._owning(grid, values, SPACE)
 
 
 def means_suite() -> list[TestFunction]:

@@ -3,17 +3,22 @@
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from subord import diffops, measures
 from subord.diffops import (
+    _apply_poly,
+    _as_poly,
     _local_grid,
     _operator_factor,
+    _poly_values,
     apply_diffop,
     construct_decomposition,
     decomposition_hypotheses,
@@ -414,6 +419,73 @@ def test_apply_diffop_bandwidth_gate():
     apply_diffop([0, 0, 1], materialize(bspline(4), FINE))
 
 
+def _outer_band_node(size: int, k: int) -> int:
+    """The ``k``-th of the ``2 floor(size / 20) + 1`` nodes of the outer 10% band."""
+    band = size // 20
+    return k if k <= band else size - (k - band)
+
+
+def _gate(p, pvals, F):
+    """``_apply_poly``'s output bytes, or the message of the bandwidth gate that refused it."""
+    try:
+        return _apply_poly(p, pvals, F).values.tobytes()
+    except BandwidthExceededError as refused:
+        return str(refused)
+
+
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(_SIGNED, min_size=1, max_size=5), n=st.integers(4, 8),
+       half_length=st.floats(0.5, 100.0), quiet_band=st.booleans(), data=st.data())
+def test_real_polynomial_values_apply_bit_for_bit_as_complex(coeffs, n, half_length,
+                                                             quiet_band, data):
+    # a real polynomial is sampled as doubles; numpy casts each to complex with a +0
+    # imaginary part, which the complex values have too, so every product is the same
+    grid = GridSpec(half_length, 2 ** n)
+    parts = np.array(data.draw(st.lists(_SIGNED, min_size=2 * grid.size,
+                                        max_size=2 * grid.size)))
+    if quiet_band:  # signed zeros across the outer band, so the gate passes
+        for k in range(2 * (grid.size // 20) + 1):
+            node = _outer_band_node(grid.size, k)
+            parts[2 * node:2 * node + 2] = np.copysign(0.0, parts[2 * node:2 * node + 2])
+    F = SampledFunction(grid, parts.view(np.complex128), FREQUENCY)
+    p = _as_poly(coeffs)
+    real, cplx = _poly_values(p, grid), npoly.polyval(grid.dual_nodes(), p)
+    assert real.dtype == np.float64
+    assert real.astype(np.complex128).tobytes() == cplx.tobytes()
+    assert _gate(p, real, F) == _gate(p, cplx, F)
+    if quiet_band:
+        assert isinstance(_gate(p, real, F), bytes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(half_length=st.floats(1.0, 1e3), n=st.integers(4, 12),
+       coeffs=st.sampled_from([[1], [0, 1], [0, 0, 1], [2, 0, 1]]),
+       log_level=st.floats(-10.0, 0.0), data=st.data())
+def test_a_spike_anywhere_in_the_outer_band_of_a_product_spectrum_is_refused(
+        half_length, n, coeffs, log_level, data):
+    grid = GridSpec(half_length, 2 ** n)
+    p = _as_poly(coeffs)
+    pvals = _poly_values(p, grid)
+    values = np.exp(-(grid.dual_nodes() / (0.1 * grid.dual_half_length)) ** 2) + 0j
+    clean = SampledFunction(grid, values, FREQUENCY)
+    assert isinstance(_gate(p, pvals, clean), bytes)
+    peak = float(np.abs(pvals * values).max())
+    node = _outer_band_node(grid.size, data.draw(st.integers(0, 2 * (grid.size // 20))))
+    spike = 10.0 ** log_level * peak  # of the product, at most its peak
+    values[node] = spike / pvals[node]
+    noise_floor = 32.0 * np.finfo(float).eps * float(np.abs(pvals).max() * np.abs(values).max())
+    assume(spike > 2.0 * noise_floor)
+    F = SampledFunction(grid, values, FREQUENCY)
+    if spike > 2.0 * diffops._BANDWIDTH_LEVEL * peak:
+        with pytest.raises(BandwidthExceededError):
+            _apply_poly(p, pvals, F)
+    elif spike < 0.5 * diffops._BANDWIDTH_LEVEL * peak:
+        _apply_poly(p, pvals, F)
+
+
 # ---------------------------------------------------------------------------
 # exponents
 # ---------------------------------------------------------------------------
@@ -455,6 +527,25 @@ def test_subordination_first_order_under_second():
     # degenerate right-hand sides are dropped, so every recorded case is real
     for case in sub.cases:
         assert case.lhs <= sub.constant * case.rhs * (1.0 + 1e-2)
+
+
+@pytest.mark.parametrize("polys, q", [
+    pytest.param(([0, 1], [0, 0, 1], [1]), 2.0, id="y,y^2,1-q2"),
+    pytest.param(([1, 1], [-1, 0, 1], [1, 1]), math.inf, id="1+y,y^2-1,1+y-qinf"),
+])
+def test_subordination_holds_five_arrays_of_the_grid(polys, q):
+    # in complex arrays of the caller's grid, the corpus loop's peak: with the three
+    # polynomials' complex values, the dual nodes and each function's space samples kept
+    # through its operators, 8.0; with real values as doubles and neither kept, 5.0
+    d = construct_decomposition(*polys, FINE)
+    diffop_subordination(d, q)  # warm
+    tracemalloc.start()
+    try:
+        diffop_subordination(d, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 16 * FINE.size
 
 
 def test_subordination_reuses_decomposition(monkeypatch):

@@ -14,6 +14,8 @@ import subord
 from subord.errors import GridTooSmallError, InvalidParameterError
 from subord.fourier_core import GridSpec, forward_ft
 from subord.testkit import (
+    _BOUNDARY_LEVEL,
+    RAPID_DECAY,
     bspline,
     bump,
     diffop_suite,
@@ -160,6 +162,26 @@ def test_materialize_rejects_undersized_window():
     parabola = subord.TestFunction("parabola", lambda x: (x + L) * (L - dx - x), None, 0)
     with pytest.raises(GridTooSmallError):
         materialize(parabola, grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(half_length=st.floats(1.0, 1e3), n=st.integers(4, 12), log_level=st.floats(-14.0, 0.0),
+       data=st.data())
+def test_a_spike_anywhere_in_the_outer_band_of_the_window_is_refused(half_length, n,
+                                                                     log_level, data):
+    # the outer band is the first floor(N / 20) + 1 and the last floor(N / 20) nodes
+    grid = GridSpec(half_length, 2 ** n)
+    band = grid.size // 20
+    k = data.draw(st.integers(0, 2 * band))
+    spike = np.zeros(grid.size)
+    spike[k if k <= band else grid.size - (k - band)] = 10.0 ** log_level  # peak 1 at x = 0
+    fn = subord.TestFunction("spiked", lambda x: np.exp(-(x / (0.1 * half_length)) ** 2) + spike,
+                             None, RAPID_DECAY)
+    if spike.max() > 2.0 * _BOUNDARY_LEVEL:
+        with pytest.raises(GridTooSmallError):
+            materialize(fn, grid)
+    elif spike.max() < 0.5 * _BOUNDARY_LEVEL:
+        materialize(fn, grid)
 
 
 def test_modulated_gaussian_is_shifted_gaussian_transform():

@@ -49,7 +49,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: symbol with a |y|**0.3 cusp; a constant term whose band sums leave the doubles;
 #: and diffop-verify's cofactor factors from a grid of 2^15 nodes, the finer of its
 #: factor grid pair, and from a window so wide that a neighborhood leaves the dual
-#: window of the pair's default coarse grid (exit 2 in the corpus)
+#: window of the pair's default coarse grid (exit 2 in the corpus); and an operator with a
+#: complex coefficient, whose values on the dual nodes stay complex in the corpus
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -104,6 +105,8 @@ EXTRAS = (
     ("diffop-verify", "--Q", "[1]", "--P1", "[0,1]", "--P2", "[1]", "--grid-N", "32768"),
     ("diffop-verify", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]", "--grid-N", "262144",
      "--grid-L", "40000"),
+    ("diffop-verify", "--Q", "[0,1]", "--P1", "[[0,1],0,1]", "--P2", "[1]", "--grid-N", "262144",
+     "--q", "2"),
 )
 
 
