@@ -86,7 +86,6 @@ from .summability import (
     gw_error,
     gw_mean,
     gw_verify,
-    pinned_constant,
 )
 from .diffops import (
     SymbolDecomposition,

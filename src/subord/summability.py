@@ -18,14 +18,12 @@ estimates the constant and verifies the inequality on a corpus.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, KernelUnresolvableError
+from .errors import KernelUnresolvableError
 from .comparison import Report, _fmt_p, _verify, gw_ratio
 from .fourier_core import GridSpec, SampledFunction, _finite, apply_symbol, forward_ft, lp_norm
 from .measures import WienerEstimate, wiener_norm
@@ -36,19 +34,7 @@ __all__ = [
     "gw_error",
     "gw_constant",
     "gw_verify",
-    "DEFAULT_PAIRS",
-    "ORACLE_GRID",
-    "ORACLE_OVERSAMPLE",
-    "pinned_constant",
-    "seed_pinned_constants",
 ]
-
-#: exponent pairs with pinned reference constants
-DEFAULT_PAIRS: tuple[tuple[float, float], ...] = ((0.5, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 4.0))
-
-#: reference grid the pinned constants were computed on
-ORACLE_GRID = GridSpec(160.0, 2**18)
-ORACLE_OVERSAMPLE = 8
 
 #: a kernel narrower than this many nodes is pure aliasing, not a kernel
 _MIN_NODES_PER_WIDTH = 4
@@ -124,56 +110,3 @@ def gw_verify(alpha: float, beta: float, grid: GridSpec,
 
     return _verify(means_suite(), grid, rows, estimate.total, "verification",
                    estimate=estimate)
-
-
-# ---------------------------------------------------------------------------
-# pinned reference constants
-# ---------------------------------------------------------------------------
-
-def _fixture_path() -> str:
-    return os.path.join(os.path.dirname(__file__), "_fixtures", "gw_constants.json")
-
-
-def _pair_key(alpha: float, beta: float) -> str:
-    return f"{alpha:g},{beta:g}"
-
-
-def pinned_constant(alpha: float, beta: float) -> float:
-    """Reference constant for one exponent pair.
-
-    Raises :class:`InvalidParameterError` for pairs without a pinned value.
-    """
-    with open(_fixture_path(), "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    key = _pair_key(float(alpha), float(beta))
-    try:
-        return float(data["constants"][key])
-    except KeyError:
-        known = ", ".join(sorted(data["constants"]))
-        raise InvalidParameterError(
-            f"no pinned constant for pair ({alpha}, {beta}); known pairs: {known}") from None
-
-
-def seed_pinned_constants(path: Optional[str] = None) -> dict:
-    """Recompute the constants of :data:`DEFAULT_PAIRS` on the oracle grid and write
-    them to ``path``, by default the shipped fixture.
-
-    This is the only way the shipped values change: no test or command
-    calls it, because they are the baseline that future runs are compared
-    against.
-    """
-    constants = {}
-    for alpha, beta in DEFAULT_PAIRS:
-        est = gw_constant(alpha, beta, ORACLE_GRID, oversample=ORACLE_OVERSAMPLE)
-        constants[_pair_key(alpha, beta)] = est.total
-    data = {
-        "grid": {"half_length": ORACLE_GRID.half_length, "size": ORACLE_GRID.size},
-        "oversample": ORACLE_OVERSAMPLE,
-        "constants": constants,
-    }
-    out = path or _fixture_path()
-    os.makedirs(os.path.dirname(out), exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return data

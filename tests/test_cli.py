@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subord import summability
+import subord
 from subord.comparison import REGISTRY
 from subord.cli import CSV_COLUMNS, main
 
@@ -613,14 +613,24 @@ def test_json_config_rejects_unknown_key(tmp_path, capsys):
 # determinism
 # ---------------------------------------------------------------------------
 
-def test_seed_variable_leaves_shipped_constants_alone(tmp_path, capsys, monkeypatch):
-    """Only an explicit seed_pinned_constants() call rewrites the baseline."""
-    fixture = Path(summability.__file__).parent / "_fixtures" / "gw_constants.json"
-    before = fixture.read_bytes()
+def _package_files():
+    root = Path(subord.__file__).parent
+    return {str(path.relative_to(root)): (path.stat().st_size, path.read_bytes())
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and "__pycache__" not in path.parts}
+
+
+def test_a_cli_run_writes_no_file_under_the_package(tmp_path, capsys, monkeypatch):
+    """A run writes only its reports: nothing under the package is added, changed or
+    removed, whatever the environment says (SUBORD_SEED_FIXTURES once made a run
+    rewrite a shipped file)."""
+    before = _package_files()
     monkeypatch.setenv("SUBORD_SEED_FIXTURES", "1")
+    assert run(["gw-compare", "--alpha", "1", "--beta", "2",
+                "--out", str(tmp_path / "gw.json")], capsys) == 0
     assert run(["lemma2", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]",
-                "--out", str(tmp_path / "report.json")], capsys) == 0
-    assert fixture.read_bytes() == before
+                "--out", str(tmp_path / "lemma2.json")], capsys) == 0
+    assert _package_files() == before
 
 
 def test_selftest_passes_and_is_deterministic(tmp_path, capsys):

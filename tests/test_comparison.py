@@ -34,7 +34,7 @@ from subord.errors import (
 )
 from subord.fourier_core import GridSpec, forward_ft, inverse_ft, lp_norm
 from subord.measures import wiener_norm
-from subord.summability import DEFAULT_PAIRS, gw_constant
+from subord.summability import gw_constant
 from subord.testkit import gaussian, materialize, means_suite
 
 GRID = GridSpec(40.0, 16384)
@@ -106,7 +106,7 @@ def test_ratio_multiplier_is_the_closed_form_ratio_on_any_grid(alpha, gap):
     assert abs(r(np.array([0.0]))[0]) <= 2.0 * 1e-6 ** gap
 
 
-@pytest.mark.parametrize("alpha,beta", DEFAULT_PAIRS)
+@pytest.mark.parametrize("alpha,beta", ((0.5, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 4.0)))
 def test_ratio_norm_matches_the_closed_form_constant(alpha, beta):
     ratio = ratio_multiplier(one_minus_gw_symbol(beta), one_minus_gw_symbol(alpha), GRID)
     oracle = gw_constant(alpha, beta, GRID).total

@@ -1,15 +1,20 @@
-"""The demos import only names the package still has.
+"""The demos import only names the package still has, and run to the end.
 
-Running them takes about ten seconds, so they are only parsed here.
+Together they run in a few seconds, most of it in demo 05, so each is also
+run as its own process: it must exit 0 and write nothing to stderr.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -23,3 +28,12 @@ def test_demo_imports_exist(path):
         module = importlib.import_module(node.module)
         missing = [a.name for a in node.names if not hasattr(module, a.name)]
         assert not missing, f"{path.name}: {node.module} has no {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs_clean(path, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
