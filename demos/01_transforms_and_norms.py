@@ -11,7 +11,7 @@ from subord import (
     SPACE,
     GridSpec,
     SampledFunction,
-    convolve,
+    apply_symbol,
     forward_ft,
     inverse_ft,
     lp_norm,
@@ -49,9 +49,10 @@ print(f"||f||_inf = {lp_norm(f, math.inf):.10f}")
 print(f"\nPlancherel ratio ||F||_2^2 / ||f||_2^2 = "
       f"{lp_norm(F, 2)**2 / lp_norm(f, 2)**2:.10f}  (2 pi = {2*math.pi:.10f})")
 
-# Convolution is computed through the transform domain and reproduces the
-# Gaussian semigroup: e^{-x^2} * e^{-x^2} = sqrt(pi/2) e^{-x^2/2}.
-conv = convolve(f, f)
+# Convolution with f is the multiplier operator whose symbol is F, so it is
+# computed through the transform domain and reproduces the Gaussian semigroup:
+# e^{-x^2} * e^{-x^2} = sqrt(pi/2) e^{-x^2/2}.
+conv = apply_symbol(F.values, F)
 target = np.sqrt(math.pi / 2.0) * np.exp(-x * x / 2.0)
 print(f"\nself-convolution vs closed form: max abs err "
       f"{np.abs(conv.values - target).max():.2e}")

@@ -5,8 +5,7 @@ discrete transform pair and verifies, numerically and with explicit
 constants, three layers of domination between them:
 
 ``fourier_core``
-    symmetric grids, the transform pair, symbol application, norms,
-    convolution.
+    symmetric grids, the transform pair, symbol application, norms.
 ``testkit``
     named test functions with known transforms and smoothness metadata.
 ``measures``
@@ -47,9 +46,7 @@ from .fourier_core import (
     SPACE,
     GridSpec,
     SampledFunction,
-    WraparoundWarning,
     apply_symbol,
-    convolve,
     forward_ft,
     inverse_ft,
     lp_norm,

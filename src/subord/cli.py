@@ -14,8 +14,8 @@ impossible (violated hypotheses, nested zeros, inadmissible exponents, bad
 mathematical parameters); 2 a numerical verification failed or could not be
 completed on this grid; 3 the invocation itself was invalid (unparseable
 flags, malformed JSON, bad grid, an ``--oversample`` that is not a power of
-two, an output path outside an existing directory).  Codes 1 and 2 are the
-``exit_code`` of the error class.
+two, an output path outside an existing directory or naming the same file as
+another output or the config).  Codes 1 and 2 are the ``exit_code`` of the error class.
 Reports are still written for exits 1 and 2; nothing is written for exit 3.
 
 ``--oversample`` belongs only to the commands whose estimate reads it
@@ -99,15 +99,12 @@ def _finite_float(text: str) -> float:
 
 
 def _float_list(text: str) -> list[float]:
-    """Comma-separated numbers such as ``1,2,inf``, bare or as a JSON array."""
+    """Comma-separated numbers such as ``1,2,inf``, bare or as a JSON array; no item is empty."""
     text = text.strip()
     if text[:1] == "[" and text[-1:] == "]":
         text = text[1:-1]
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise ConfigError("empty list")
     try:
-        return [float(item) for item in items]
+        return [float(item) for item in text.split(",")]
     except ValueError:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
@@ -132,13 +129,11 @@ def _poly(text: str) -> list[complex]:
 
 
 def _multiplier_spec(text: str) -> tuple[str, dict]:
-    """``name`` or ``name:key=val,key=val`` with numeric values."""
+    """``name`` or ``name:key=val,key=val`` with numeric values; no item is empty."""
     name, _, tail = text.partition(":")
     params = {}
-    for piece in tail.split(","):
+    for piece in tail.split(",") if tail else ():
         piece = piece.strip()
-        if not piece:
-            continue
         key, sep, val = piece.partition("=")
         key = key.strip()
         if not sep:
@@ -452,6 +447,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.json_config:
             args = parser.parse_args(argv + _config_tokens(args.json_config, args))
+        paths = [os.path.realpath(path) for path in (args.out, args.csv, args.json_config) if path]
+        if len(set(paths)) < len(paths):
+            raise ConfigError("--out, --csv and --json-config must name different files")
         grid = GridSpec(args.grid_L, args.grid_N)
         grid.refined(getattr(args, "oversample", 1))  # --oversample obeys the refinement rule
     except (ConfigError, InvalidParameterError) as exc:

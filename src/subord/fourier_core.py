@@ -22,7 +22,6 @@ environment are bit-reproducible.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +33,10 @@ __all__ = [
     "FREQUENCY",
     "GridSpec",
     "SampledFunction",
-    "WraparoundWarning",
     "forward_ft",
     "inverse_ft",
     "apply_symbol",
     "lp_norm",
-    "convolve",
 ]
 
 SPACE = "space"
@@ -47,16 +44,6 @@ FREQUENCY = "frequency"
 
 #: fraction of the window counted as the "outer" band in decay checks
 _OUTER_BAND = 0.10
-#: decay level (relative to the peak) required inside the outer band
-_DECAY_LEVEL = 1e-8
-
-
-class WraparoundWarning(UserWarning):
-    """A convolution input has not decayed inside the outer band of its grid.
-
-    Circular convolution will fold the tails back into the window; the
-    result is still returned and the caller decides whether that matters.
-    """
 
 
 @dataclass(frozen=True)
@@ -249,29 +236,3 @@ def _outer_band(values: np.ndarray) -> tuple[float, float]:
     band = max(absv[:k + 1].max(), absv[absv.size - k:].max(initial=0.0))
     return float(band), float(absv.max())
 
-
-def _warn_if_not_decayed(f: SampledFunction, name: str) -> None:
-    band, peak = _outer_band(f.values)
-    if band > _DECAY_LEVEL * peak:
-        warnings.warn(
-            f"convolution input {name} exceeds {_DECAY_LEVEL:g} of its peak in the outer "
-            f"{int(100 * _OUTER_BAND)}% of the window; circular wraparound may pollute the result",
-            WraparoundWarning,
-            stacklevel=3,
-        )
-
-
-def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    """Grid convolution ``(f * g)(x) = dx * sum_m f(x_m) g(x - x_m)`` (circular).
-
-    Computed through the transform pair, so the convolution theorem holds to
-    rounding.  Inputs that have not decayed below ``1e-8`` of their peak in
-    the outer 10% of the window trigger a :class:`WraparoundWarning`.
-    """
-    if f.grid != g.grid:
-        raise GridMismatchError("convolution operands live on different grids")
-    if f.side != SPACE or g.side != SPACE:
-        raise InvalidParameterError("convolve expects space-side functions")
-    _warn_if_not_decayed(f, "f")
-    _warn_if_not_decayed(g, "g")
-    return apply_symbol(forward_ft(f).values, forward_ft(g))

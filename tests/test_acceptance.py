@@ -30,7 +30,7 @@ from subord.fourier_core import (
     SPACE,
     GridSpec,
     SampledFunction,
-    convolve,
+    apply_symbol,
     forward_ft,
     inverse_ft,
     lp_norm,
@@ -200,7 +200,7 @@ def test_criterion_09_young_inequality():
     count = 0
     for fn, gn in pairs_f:
         f, h = materialize(fn, DESK), materialize(gn, DESK)
-        conv = convolve(f, h)
+        conv = apply_symbol(forward_ft(f).values, forward_ft(h))  # f * h
         for p, s in pairs_e:
             inv_q = 1.0 / p + (0.0 if s == math.inf else 1.0 / s) - 1.0
             q = math.inf if inv_q == 0.0 else 1.0 / inv_q

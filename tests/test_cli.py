@@ -360,6 +360,11 @@ def test_a_non_finite_constant_symbol_is_refused_in_a_report(argv, tmp_path, cap
     ["selftest", "--oversample", "2"],
     ["lemma2", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]", "--oversample", "2"],
     ["compare", "--m1", "exp_abs_ft", "--m2", "exp_abs_ft", "--p", ","],
+    ["compare", "--m1", "exp_abs_ft", "--m2", "exp_abs_ft", "--p", "1,,2"],
+    ["compare", "--m1", "exp_abs_ft", "--m2", "exp_abs_ft", "--p", "1,2,"],
+    ["compare", "--m1", "exp_abs_ft", "--m2", "exp_abs_ft", "--p", "[1,2,]"],
+    ["wiener-norm", "--multiplier", "gw_ratio:alpha=1,,beta=2"],
+    ["wiener-norm", "--multiplier", "gw_symbol:alpha=1,"],
     ["wiener-norm", "--multiplier", "exp_abs_ft", "--json-config", __file__ + ".missing"],
     ["wiener-norm", "--multiplier", "exp_abs_ft", "--json-config", __file__],  # not JSON
 ])
@@ -417,6 +422,28 @@ def test_json_config_refuses_coercion(config, tmp_path, capsys):
             else ["wiener-norm", "--multiplier", "gw_symbol:alpha=1"])
     assert run(argv + ["--json-config", str(cfg), "--out", str(out)], capsys) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", ["report", "./report", "sub/../report"])
+def test_a_report_and_its_case_table_may_not_share_a_file(spelling, tmp_path, capsys,
+                                                          monkeypatch):
+    """One file named twice, however spelled, would end holding only the CSV."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    argv = ["gw-compare", "--alpha", "1", "--beta", "2", "--out", "report", "--csv", spelling]
+    assert run(argv, capsys) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_a_report_may_not_overwrite_its_config(flag, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"grid-N": 1024}')
+    argv = ["wiener-norm", "--multiplier", "exp_abs_ft", "--json-config", str(cfg),
+            flag, str(tmp_path / "." / "cfg.json")]
+    assert run(argv, capsys) == 3
+    assert cfg.read_text() == '{"grid-N": 1024}'
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 _WIENER = ["wiener-norm", "--multiplier", "gw_symbol:alpha=1"]

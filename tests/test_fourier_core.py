@@ -1,4 +1,4 @@
-"""Grid construction, transform pair, norms, and convolution."""
+"""Grid construction, transform pair, symbol application and norms."""
 
 import math
 import tracemalloc
@@ -14,9 +14,7 @@ from subord.fourier_core import (
     SPACE,
     GridSpec,
     SampledFunction,
-    WraparoundWarning,
     apply_symbol,
-    convolve,
     forward_ft,
     inverse_ft,
     lp_norm,
@@ -161,33 +159,25 @@ def test_plancherel():
 
 
 def test_gaussian_self_convolution():
-    """(e^{-x^2} * e^{-x^2})(x) = sqrt(pi/2) e^{-x^2/2}."""
+    """(e^{-x^2} * e^{-x^2})(x) = sqrt(pi/2) e^{-x^2/2}: the operator with symbol F applied to f."""
     g = GridSpec(40.0, 16384)
     x = g.nodes()
-    f = SampledFunction(g, np.exp(-x * x), SPACE)
-    conv = convolve(f, f)
+    F = forward_ft(SampledFunction(g, np.exp(-x * x), SPACE))
+    conv = apply_symbol(F.values, F)
     exact = np.sqrt(math.pi / 2.0) * np.exp(-x * x / 2.0)
     assert np.abs(conv.values - exact).max() <= 1e-10
 
 
 def test_convolution_matches_transform_product():
+    """With the transform of f as symbol, ``apply_symbol`` inverts the product of transforms."""
     g = GridSpec(40.0, 16384)
     x = g.nodes()
     f = SampledFunction(g, np.exp(-x * x), SPACE)
     h = SampledFunction(g, np.exp(-np.abs(x)), SPACE)
-    conv = convolve(f, h)
+    conv = apply_symbol(forward_ft(f).values, forward_ft(h))
     prod = forward_ft(f).values * forward_ft(h).values
     direct = inverse_ft(SampledFunction(g, prod, FREQUENCY))
     assert np.abs(conv.values - direct.values).max() <= 1e-12
-
-
-def test_convolution_warns_on_wraparound():
-    # a window far too small for e^{-|x|/4}: visible mass at the boundary
-    g = GridSpec(10.0, 1024)
-    x = g.nodes()
-    f = SampledFunction(g, np.exp(-np.abs(x) / 4.0), SPACE)
-    with pytest.warns(WraparoundWarning):
-        convolve(f, f)
 
 
 def test_grid_mismatch_rejected():
@@ -195,8 +185,6 @@ def test_grid_mismatch_rejected():
     h = SampledFunction(GridSpec(20.0, 8192), np.zeros(8192), SPACE)
     with pytest.raises(GridMismatchError):
         f - h
-    with pytest.raises(GridMismatchError):
-        convolve(f, h)
 
 
 def test_sampled_function_rejects_nonfinite():
