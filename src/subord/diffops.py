@@ -43,9 +43,8 @@ from .errors import (
     NeighborhoodDegenerateError,
     VerificationFailureError,
 )
-from .fourier_core import (GridSpec, SampledFunction, _lp, _outer_band, apply_symbol, forward_ft,
-                           lp_norm)
-from .measures import _abs_density, _samples, _wiener_components
+from .fourier_core import GridSpec, SampledFunction, _outer_band, apply_symbol, forward_ft, lp_norm
+from .measures import factor_norm
 from .testkit import TestFunction, diffop_suite
 
 __all__ = [
@@ -67,9 +66,6 @@ _DIVISION_GUARD = 1e-12
 _IDENTITY_TOL = 1e-10
 #: spectrum fraction allowed in the outer band of the dual window when applying an operator
 _BANDWIDTH_LEVEL = 1e-8
-#: node count of the finer of the two grids a cofactor's factor is extrapolated from, unless
-#: the caller's grid is smaller or a neighborhood needs a wider dual window
-_FACTOR_SIZE = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +445,8 @@ def _inv(p: float) -> float:
 
 def partner_exponent(q: float, p: float) -> float:
     """The ``s`` with ``1/s = 1 + 1/q - 1/p``, as in the convolution inequality."""
+    if p == q:  # exactly 1, which 1 + 1/q - 1/p need not round to
+        return 1.0
     inv_s = 1.0 + _inv(q) - _inv(p)
     if inv_s < 0 or inv_s > 1:
         raise InadmissibleExponentsError(
@@ -482,46 +480,6 @@ def _validate_exponents(q: float, p1: float, p2: float,
     return q, p1, p2
 
 
-def _operator_factor(symbol: Multiplier, grid: GridSpec,
-                     neighborhoods: Sequence[tuple[float, float]], q: float, p: float,
-                     oversample: int, const_at_infinity: complex) -> float:
-    """Norm bound for the convolution operator with this symbol, L^p -> L^q.
-
-    One pass on a grid with the caller's half-length ``L`` and ``size`` nodes, refined by
-    ``oversample``, gives ``F_size``: for ``p == q`` the measure norm's single-window total
-    ``|c| + window mass + C/x^2 tail``, the ``total`` of :func:`measures.wiener_norm`, and for
-    ``p < q`` the window partner norm of the density.  Its error falls like ``dx = 2 L /
-    size``, so the factor is ``max(F_n, 2 F_n - F_{n/2})`` over the passes on ``(L, n/2)``
-    and ``(L, n)``: first-order Richardson extrapolation in ``dx``, never below the finer
-    pass.  ``n`` is ``_FACTOR_SIZE``, or the caller's ``N`` if smaller, at least 32, and
-    doubled while a neighborhood ``(r, delta)`` leaves the dual window of ``(L, n/2)``, as
-    :func:`construct_decomposition` tests it.  No window-doubling test runs: acceptance
-    criterion 07 compares the constant with a single pass on a finer grid.  For ``p == q``,
-    ``(2 L)^2``, the tail fit's largest square, must be a double, as for
-    :func:`measures.wiener_norm`; otherwise :class:`InvalidParameterError`, which a cofactor
-    raises too where it overflows a double on a dual window wider than the caller's."""
-    if p == q and not math.isfinite(4.0 * grid.half_length * grid.half_length):
-        raise InvalidParameterError(f"half_length {grid.half_length!r} squares beyond a double")
-    n = max(min(grid.size, _FACTOR_SIZE), 32)
-    while any(abs(r) + delta >= GridSpec(grid.half_length, n // 2).dual_half_length
-              for r, delta in neighborhoods):
-        n *= 2
-
-    def one_pass(size: int) -> float:
-        fine = GridSpec(grid.half_length, size).refined(oversample)
-        absg = _abs_density(_samples(symbol, fine), const_at_infinity, size // 2, fine.dx)
-        if p == q:
-            return _wiener_components(const_at_infinity, absg, fine.dx)[2]
-        # p < q: the symbol has no constant at infinity, so the operator is convolution with
-        # the density alone and its norm is bounded by the partner-exponent norm of the
-        # density over the window
-        return _lp(absg, fine.dx, partner_exponent(q, p))
-
-    coarse = one_pass(n // 2)  # its arrays are freed before the finer pass allocates
-    finer = one_pass(n)
-    return max(finer, 2.0 * finer - coarse)
-
-
 def diffop_subordination(d: SymbolDecomposition, q: float,
                          p1: Optional[float] = None, p2: Optional[float] = None,
                          oversample: int = 4,
@@ -533,13 +491,12 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
     ``p1 = p2 = q``.  Lower exponents are admissible only where the
     corresponding cofactor decays: ``p1 < q`` needs
     ``deg target < deg op1``; the second cofactor is always compactly
-    supported, so any ``p2 <= q`` works.  The constant is the larger of the
-    two per-operator factors (measure norm for ``p = q``, window partner
-    norm of the cofactor density otherwise).  Each factor is extrapolated from
-    single-window passes on a pair of grids with ``d.grid``'s half-length, sized
-    for the cofactor rather than for the corpus (:func:`_operator_factor`), with
-    no window-doubling test, so no factor is flagged unconverged; acceptance
-    criterion 07 compares the constant with a single pass on a finer grid.  The
+    supported, so any ``p2 <= q`` works.  The constant is the larger of the two
+    per-operator factors of :func:`subord.measures.factor_norm`, passed each cofactor,
+    its constant term, the partner exponent if ``p < q`` and the neighborhoods'
+    extent (the :mod:`subord.measures` notes give the grid pair and the extrapolation);
+    no factor is flagged unconverged, and acceptance criterion 07 compares the
+    constant with a single pass on a finer grid.  The
     corpus is checked on ``d.grid`` itself, with each polynomial sampled once, as doubles
     if real, and of each test function only the spectrum held while operators apply.
     """
@@ -548,9 +505,10 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
         q, q if p1 is None else p1, q if p2 is None else p2,
         poly_degree(d.target), poly_degree(d.op1))
 
-    factor1 = _operator_factor(d.cofactor1, grid, d.neighborhoods, q_, p1_, oversample,
-                               d.cofactor1_at_infinity)
-    factor2 = _operator_factor(d.cofactor2, grid, d.neighborhoods, q_, p2_, oversample, 0.0)
+    extent = max((abs(r) + delta for r, delta in d.neighborhoods), default=0.0)
+    cases = (d.cofactor1, d.cofactor1_at_infinity, p1_), (d.cofactor2, 0.0, p2_)
+    factor1, factor2 = (factor_norm(h, grid, c, None if p == q_ else partner_exponent(q_, p),
+                                    extent, oversample) for h, c, p in cases)
     exponents = f"q={_fmt_p(q_)};p1={_fmt_p(p1_)};p2={_fmt_p(p2_)}"
     target, op1, op2 = ((p, _poly_values(p, grid)) for p in (d.target, d.op1, d.op2))
 

@@ -29,6 +29,20 @@ time).  So the two halves are sampled and inverted one after the other; the firs
 single window's pass, bit for bit, and the doubled window's ``refined_total`` is that of a
 direct doubled pass with the same constant term, up to rounding.
 
+:func:`factor_norm` bounds a convolution operator ``L^p -> L^q`` by its symbol, for the
+factors of ``diffop-verify``.  One pass on a grid with the caller's half-length ``L`` and
+``size`` nodes, refined by ``oversample``, gives ``F_size``: for ``p == q`` (no ``partner``) the
+measure norm's single-window total ``|c| + window mass + C/x^2 tail``, the ``total`` of
+:func:`wiener_norm` with ``c`` pinned, and for ``p < q`` the window ``L^s`` norm of the density,
+``s`` the ``partner`` exponent: a symbol with no constant at infinity is convolution with its
+density alone.  The error falls like ``dx = 2 L / size``, so the factor is ``max(F_n, 2 F_n -
+F_{n/2})`` over the passes on ``(L, n/2)`` and ``(L, n)``: first-order Richardson extrapolation
+in ``dx``, never below the finer pass.  ``n`` is ``_FACTOR_SIZE``, or the caller's ``N`` if
+smaller, at least 32, and doubled while the ``extent`` of the symbol's features, such as
+``|r| + delta`` of a cofactor's neighborhood, leaves the dual window of ``(L, n/2)``.  No
+window-doubling test runs.  For ``p == q``, ``(2 L)^2`` must be a double, as for
+:func:`wiener_norm`.
+
 A symbol is called on consecutive blocks of the dual nodes, never on the
 whole grid at once, and its results are written into preallocated arrays.  It
 must therefore be pointwise in ``y`` (its value at a node may not depend on the
@@ -46,9 +60,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GridTooSmallError, InconsistentLimitError, InvalidParameterError
-from .fourier_core import GridSpec, _finite
+from .fourier_core import GridSpec, _finite, _lp
 
-__all__ = ["WienerEstimate", "wiener_norm"]
+__all__ = ["WienerEstimate", "factor_norm", "wiener_norm"]
 
 #: fraction of the dual window, per side, averaged to read off the constant term
 _LIMIT_BAND = 0.05
@@ -60,6 +74,8 @@ _LIMIT_CONSISTENCY = 1e-3
 #: (256 KB each) stay in cache.  2^13 and 2^14 timed alike on the first cofactor of
 #: ``diffop-verify`` and 2^14 faster on the second; 2^15 lifts the estimator's traced peak
 _BLOCK = 2 ** 14
+#: node count of the finer grid of a factor's pair, as a rule (see the module notes)
+_FACTOR_SIZE = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -140,9 +156,19 @@ def _inverse_window(values: np.ndarray, n: int, dx: float) -> np.ndarray:
     return window
 
 
-def _abs_density(vals: np.ndarray, c: complex, n: int, dx: float) -> np.ndarray:
-    # one pass: |g| at the window's nodes |j| < n from a symbol's _samples, less c, in place
-    return np.abs(_inverse_window(np.subtract(vals, c, out=vals), n, dx))
+def _window(psi: Callable[[np.ndarray], np.ndarray], fine: GridSpec, c: Optional[complex],
+            n: int, offset: float = 0.0) -> tuple[complex, np.ndarray]:
+    # one pass: c, read off psi's samples on fine if None, and g at |j| < n from them less c
+    vals = _samples(psi, fine, offset)
+    if c is None:
+        c = _limit_at_infinity(vals, fine)
+    return c, _inverse_window(np.subtract(vals, c, out=vals), n, fine.dx)
+
+
+def _check_squares(half_length: float) -> None:
+    # (2 L)^2, the tail fit's largest square, must be a double
+    if not math.isfinite(4.0 * half_length * half_length):
+        raise InvalidParameterError(f"half_length {half_length!r} squares beyond a double")
 
 
 def _wiener_components(c: complex, absg: np.ndarray, dx: float):
@@ -190,25 +216,18 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     or a non-finite value, raises :class:`InvalidParameterError`.
     """
     fine = grid.refined(oversample)
-    if not math.isfinite(4.0 * grid.half_length * grid.half_length):  # x^2 in the tail fit
-        raise InvalidParameterError(f"half_length {grid.half_length!r} squares beyond a double")
-    pinned = const_at_infinity is not None
-    if pinned:
-        c = complex(const_at_infinity)
+    _check_squares(grid.half_length)
+    c = None if const_at_infinity is None else complex(const_at_infinity)
+    if c is not None:
         for part in (c.real, c.imag):
             _finite(part, "const_at_infinity", positive=False)
     m, n, dx = fine.size, grid.size, fine.dx  # the doubled window: |j| < N, 2M nodes
-    even = _samples(psi, fine)  # the doubled grid's even nodes, k dy
-    if not pinned:
-        c = _limit_at_infinity(even, fine)
-    # E_j / dx and O_j / dx at |j| < N, the M-point inverses of the even and the odd samples
-    # less c.  Half E_j plus e^{i pi j / M} O_j is the 2M-point inverse (Cooley and Tukey,
-    # 1965); the middle |j| < N / 2 of E_j / dx is the single window's pass
-    e = _inverse_window(np.subtract(even, c, out=even), n, dx)
-    del even  # so the two halves are never held at once
+    # E_j / dx and O_j / dx at |j| < N, the M-point inverses of the even nodes k dy and, next,
+    # the odd nodes (k + 1/2) dy less c.  Half E_j plus e^{i pi j / M} O_j is the 2M-point inverse
+    # (Cooley and Tukey, 1965); the middle |j| < N / 2 of E_j / dx is the single window's pass
+    c, e = _window(psi, fine, c, n)
     density_l1, tail, total = _wiener_components(c, np.abs(e[n // 2:n // 2 + n - 1]), dx)
-    odd = _samples(psi, fine, 0.5)  # the odd nodes, (k + 1/2) dy
-    window = _inverse_window(np.subtract(odd, c, out=odd), n, dx)
+    window = _window(psi, fine, c, n, 0.5)[1]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
         window *= np.exp(np.arange(1 - n, n) * (1j * np.pi / m))
         window += e
@@ -227,3 +246,25 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
         converged=converged,
     )
 
+
+def factor_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, const_at_infinity: complex,
+                partner: Optional[float], extent: float, oversample: int) -> float:
+    """The norm bound of the convolution operator with symbol ``psi``, ``L^p -> L^p`` for
+    ``partner`` None, else ``L^p -> L^q`` with ``partner`` the exponent ``s`` of ``p < q``; see
+    the module notes.  A ``(2 L)^2`` beyond the doubles raises :class:`InvalidParameterError`."""
+    if partner is None:
+        _check_squares(grid.half_length)
+    n = max(min(grid.size, _FACTOR_SIZE), 32)
+    while extent >= GridSpec(grid.half_length, n // 2).dual_half_length:
+        n *= 2
+
+    def one_pass(size: int) -> float:
+        fine = GridSpec(grid.half_length, size).refined(oversample)
+        absg = np.abs(_window(psi, fine, const_at_infinity, size // 2)[1])
+        if partner is None:
+            return _wiener_components(const_at_infinity, absg, fine.dx)[2]
+        return _lp(absg, fine.dx, partner)
+
+    coarse = one_pass(n // 2)  # its arrays are freed before the finer pass allocates
+    finer = one_pass(n)
+    return max(finer, 2.0 * finer - coarse)

@@ -1,5 +1,6 @@
 """The Wiener-norm estimator of a symbol's measure norm."""
 
+import ast
 import cmath
 import dataclasses
 import math
@@ -27,15 +28,16 @@ from subord.comparison import (
     one_minus_gw_symbol,
     ratio_multiplier,
 )
-from subord.diffops import _operator_factor, construct_decomposition
+from subord.diffops import construct_decomposition
 from subord.errors import GridTooSmallError, InconsistentLimitError, InvalidParameterError
 from subord.fourier_core import FREQUENCY, GridSpec, SampledFunction, inverse_ft
 from subord.measures import (
-    _abs_density,
     _inverse_window,
     _limit_at_infinity,
     _samples,
     _wiener_components,
+    _window,
+    factor_norm,
     wiener_norm,
 )
 
@@ -104,6 +106,19 @@ def test_constant_term_needs_a_node_in_each_outer_band(oversample):
                        const_at_infinity=0.0).total > 0.0
 
 
+def test_no_other_module_imports_a_private_name_of_measures():
+    # measures alone turns a symbol into a norm number; the others call its public functions
+    package = Path(subord.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "measures":
+            continue
+        private = [(node.lineno, alias.name) for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module == "measures"
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == [], path.name
+
+
 def test_wiener_estimate_holds_numbers_only():
     est = wiener_norm(gw_symbol(1.0), GRID)
     for field in dataclasses.fields(est):
@@ -167,13 +182,12 @@ def test_operator_factor_peak_memory_of_a_cofactor():
     # in complex arrays of the finer pass's fine grid: a p == q factor of diffop-verify is
     # a single-window pass on each grid of a pair, one at a time, where wiener_norm's
     # doubled-window pass peaked at 5 of them; the shift copy of the samples took it to
-    # 3.16, an inversion in place takes 2.78
+    # 3.16, an inversion in place takes 2.78.  The pole's neighborhood reaches |y| = 1
     d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 14))
     fine_array = 16 * d.grid.refined(4).size
 
     def factor():
-        _operator_factor(d.cofactor1, d.grid, d.neighborhoods, 2.0, 2.0, 4,
-                         d.cofactor1_at_infinity)
+        factor_norm(d.cofactor1, d.grid, d.cofactor1_at_infinity, None, 1.0, 4)
 
     factor()  # warm
     tracemalloc.start()
@@ -192,8 +206,7 @@ def test_operator_factor_peak_memory_on_a_fine_grid():
     fine_array = 16 * 4 * 2 ** 15
 
     def factor():
-        _operator_factor(d.cofactor1, d.grid, d.neighborhoods, 2.0, 2.0, 4,
-                         d.cofactor1_at_infinity)
+        factor_norm(d.cofactor1, d.grid, d.cofactor1_at_infinity, None, 1.0, 4)
 
     factor()  # warm
     tracemalloc.start()
@@ -347,9 +360,8 @@ def test_the_constant_term_is_read_bit_for_bit_or_scaled_past_an_overflow(value,
 def _single_total(psi, grid, oversample, pinned):
     # one pass that samples its own grid, as diffop-verify's p == q factors run it
     fine = grid.refined(oversample)
-    vals = _samples(psi, fine)
-    c = complex(pinned) if pinned is not None else _limit_at_infinity(vals, fine)
-    return _wiener_components(c, _abs_density(vals, c, grid.size // 2, fine.dx), fine.dx)[2]
+    c, g = _window(psi, fine, None if pinned is None else complex(pinned), grid.size // 2)
+    return _wiener_components(c, np.abs(g), fine.dx)[2]
 
 
 #: (symbol, None): complex symbols that are not even, so neither ``psi`` nor its density ``g``

@@ -1,5 +1,5 @@
-"""The report comparison tool names the JSON fields in which two reports differ, and
-says how far each number moved."""
+"""The report comparison tool names the JSON fields in which two reports differ, says
+how far each number moved and which modules changed size."""
 
 import importlib.util
 import math
@@ -11,6 +11,7 @@ same_reports = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(same_reports)
 changed_fields = same_reports.changed_fields
 moved_fields = same_reports.moved_fields
+size_line = same_reports.size_line
 
 
 def test_equal_reports_have_no_changed_field():
@@ -49,3 +50,11 @@ def test_moved_numbers_show_both_values_and_their_relative_difference():
         "added",
     ]
     assert [field.split()[0] for field in moved_fields(old, new)] == changed_fields(old, new)
+
+
+def test_the_size_line_names_each_module_whose_count_changed():
+    old = {"cli.py": 478, "diffops.py": 566, "measures.py": 229, "gone.py": 7}
+    new = {"cli.py": 478, "diffops.py": 520, "measures.py": 270, "new.py": 3}
+    assert size_line(old, new) == ("src/subord/*.py: 1280 -> 1271 lines (diffops.py 566 -> 520, "
+                                   "gone.py 7 -> 0, measures.py 229 -> 270, new.py 0 -> 3)")
+    assert size_line(old, old) == "src/subord/*.py: 1280 -> 1280 lines"

@@ -11,8 +11,8 @@ CSV, whose bytes differ; for a JSON report on both sides it also gives the
 dotted path of every field that differs, such as ``estimate.refined_total``
 (list items by index), and for a number on both sides how far it moved:
 ``old -> new (relative difference)``.  A last line gives the line count of
-``src/subord/*.py`` in both trees, the total that ``wc -l`` prints.  The
-exit status is 1 when an exit code or a file differs, else 0.
+``src/subord/*.py`` in both trees, the total that ``wc -l`` prints, and that of
+each module whose count changed.  The exit status is 1 when an exit code or a file differs, else 0.
 ``benchmarks/`` is read, never written.
 """
 
@@ -49,8 +49,9 @@ ROOT = Path(__file__).resolve().parent.parent
 #: symbol with a |y|**0.3 cusp; a constant term whose band sums leave the doubles;
 #: and diffop-verify's cofactor factors from a grid of 2^15 nodes, the finer of its
 #: factor grid pair, and from a window so wide that a neighborhood leaves the dual
-#: window of the pair's default coarse grid (exit 2 in the corpus); and an operator with a
-#: complex coefficient, whose values on the dual nodes stay complex in the corpus
+#: window of the pair's default coarse grid (exit 2 in the corpus); an operator with a
+#: complex coefficient, whose values on the dual nodes stay complex in the corpus; and the
+#: factors at the oversample factors 1 and 8, which no other line runs
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -107,6 +108,10 @@ EXTRAS = (
      "--grid-L", "40000"),
     ("diffop-verify", "--Q", "[0,1]", "--P1", "[[0,1],0,1]", "--P2", "[1]", "--grid-N", "262144",
      "--q", "2"),
+    ("diffop-verify", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]", "--grid-N", "262144",
+     "--oversample", "1"),
+    ("diffop-verify", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]", "--grid-N", "262144",
+     "--oversample", "8", "--q", "2", "--p2", "1.5"),
 )
 
 
@@ -183,9 +188,19 @@ def _describe(outs: list[Path], name: str) -> str:
     return f"{name} ({', '.join(fields) or 'layout only'})"
 
 
-def _source_lines(tree: Path) -> int:
-    # newlines, as wc -l counts them
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "subord").glob("*.py"))
+def _module_lines(tree: Path) -> dict[str, int]:
+    # newlines per module of src/subord, as wc -l counts them
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in (tree / "src" / "subord").glob("*.py")}
+
+
+def size_line(old: dict[str, int], new: dict[str, int]) -> str:
+    """The total line count of two trees' modules, then ``name old -> new`` for each module
+    whose count changed, in name order; a module in one tree only counts 0 lines in the other."""
+    changed = [f"{name} {old.get(name, 0)} -> {new.get(name, 0)}"
+               for name in sorted({*old, *new}) if old.get(name, 0) != new.get(name, 0)]
+    note = f" ({', '.join(changed)})" if changed else ""
+    return f"src/subord/*.py: {sum(old.values())} -> {sum(new.values())} lines{note}"
 
 
 def main(argv: list[str]) -> int:
@@ -209,9 +224,9 @@ def main(argv: list[str]) -> int:
             described = ", ".join(_describe(outs, name) for name in changed)
             note = f"  DIFFERS: {described}" if changed else ""
             print(f"{codes[0]} {codes[1]}  {' '.join(args)}{note}", flush=True)
-        sizes = [_source_lines(tree) for tree in (base, ROOT)]
+        sizes = [_module_lines(tree) for tree in (base, ROOT)]
     print(f"{len(lines)} command lines, {differences} differences")
-    print(f"src/subord/*.py: {sizes[0]} -> {sizes[1]} lines")
+    print(size_line(*sizes))
     return 1 if differences else 0
 
 
