@@ -506,9 +506,9 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
         poly_degree(d.target), poly_degree(d.op1))
 
     extent = max((abs(r) + delta for r, delta in d.neighborhoods), default=0.0)
-    cases = (d.cofactor1, d.cofactor1_at_infinity, p1_), (d.cofactor2, 0.0, p2_)
+    cofactors = (d.cofactor1, d.cofactor1_at_infinity, p1_), (d.cofactor2, 0.0, p2_)
     factor1, factor2 = (factor_norm(h, grid, c, None if p == q_ else partner_exponent(q_, p),
-                                    extent, oversample) for h, c, p in cases)
+                                    extent, oversample) for h, c, p in cofactors)
     exponents = f"q={_fmt_p(q_)};p1={_fmt_p(p1_)};p2={_fmt_p(p2_)}"
     target, op1, op2 = ((p, _poly_values(p, grid)) for p in (d.target, d.op1, d.op2))
 

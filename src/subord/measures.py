@@ -249,9 +249,9 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
 
 def factor_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, const_at_infinity: complex,
                 partner: Optional[float], extent: float, oversample: int) -> float:
-    """The norm bound of the convolution operator with symbol ``psi``, ``L^p -> L^p`` for
-    ``partner`` None, else ``L^p -> L^q`` with ``partner`` the exponent ``s`` of ``p < q``; see
-    the module notes.  A ``(2 L)^2`` beyond the doubles raises :class:`InvalidParameterError`."""
+    """The norm bound of the convolution operator with symbol ``psi`` (see the module notes):
+    ``L^p -> L^p`` for ``partner`` None, where a ``(2 L)^2`` beyond the doubles raises
+    :class:`InvalidParameterError`, else ``L^p -> L^q`` for ``partner`` the ``s`` of ``p < q``."""
     if partner is None:
         _check_squares(grid.half_length)
     n = max(min(grid.size, _FACTOR_SIZE), 32)
