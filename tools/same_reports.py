@@ -12,8 +12,8 @@ dotted path of every field that differs, such as ``estimate.refined_total``
 (list items by index), and for a number on both sides how far it moved:
 ``old -> new (relative difference)``.  A last line gives the line count of
 ``src/subord/*.py`` in both trees, the total that ``wc -l`` prints, and that of
-each module whose count changed.  The exit status is 1 when an exit code or a file differs, else 0.
-``benchmarks/`` is read, never written.
+each module whose count changed.  The exit status is 1 when an exit code or a
+file differs, else 0.  ``benchmarks/`` is read, never written.
 """
 
 from __future__ import annotations
