@@ -51,7 +51,7 @@ except HypothesesViolatedError as err:
 d = construct_decomposition([0, 1], [0, 0, 1], [1], grid)
 print(f"\nneighborhoods: {d.neighborhoods}")
 print(f"identity residual: {d.identity_residual:.2e}")
-print(f"sup|h2| = {d.cofactor2_sup:.6f}   h1 -> {d.cofactor1_at_infinity} at infinity")
+print(f"sup|h2| = {d.cofactor2_sup:.6f}   h1 -> {d.cofactor1.const_at_infinity} at infinity")
 
 # The inequality, with constants from the measure norms of h1 and h2.
 for q in (1.0, 2.0, math.inf):

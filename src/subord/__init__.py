@@ -21,78 +21,16 @@ constants, three layers of domination between them:
     mixed-exponent norm domination.
 ``cli``
     the ``subord`` command-line front end.
+
+Every name in a library module's ``__all__`` is a name of the package too.
 """
 
-from .errors import (
-    AllCasesSkippedError,
-    BandwidthExceededError,
-    FillUndefinedError,
-    GridMismatchError,
-    GridTooSmallError,
-    HypothesesViolatedError,
-    HypothesisError,
-    InadmissibleExponentsError,
-    InconsistentLimitError,
-    InvalidParameterError,
-    KernelUnresolvableError,
-    NeighborhoodDegenerateError,
-    NestedZerosViolatedError,
-    NumericalError,
-    SubordinationError,
-    VerificationFailureError,
-)
-from .fourier_core import (
-    FREQUENCY,
-    SPACE,
-    GridSpec,
-    SampledFunction,
-    apply_symbol,
-    forward_ft,
-    inverse_ft,
-    lp_norm,
-)
-from .testkit import (
-    TestFunction,
-    bspline,
-    bump,
-    diffop_suite,
-    exp_abs,
-    gaussian,
-    materialize,
-    means_suite,
-    modulated_gaussian,
-)
-from .measures import WienerEstimate, wiener_norm
-from .comparison import (
-    Case,
-    Multiplier,
-    Report,
-    apply_multiplier,
-    constant,
-    exp_abs_ft,
-    gaussian_ft,
-    gw_ratio,
-    gw_symbol,
-    named_multiplier,
-    one_minus_gw_symbol,
-    ratio_multiplier,
-    verify_comparison,
-)
-from .summability import (
-    gw_constant,
-    gw_error,
-    gw_mean,
-    gw_verify,
-)
-from .diffops import (
-    SymbolDecomposition,
-    apply_diffop,
-    construct_decomposition,
-    decomposition_hypotheses,
-    diffop_subordination,
-    partner_exponent,
-    poly_label,
-    real_roots,
-)
+from .errors import *
+from .fourier_core import *
+from .testkit import *
+from .measures import *
+from .comparison import *
+from .summability import *
+from .diffops import *
 
 __version__ = "0.1.0"

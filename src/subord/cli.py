@@ -91,7 +91,7 @@ def _integer(text: str) -> int:
 
 
 def _finite_float(text: str) -> float:
-    """A finite number, such as a pinned constant term."""
+    """A finite number, such as a declared constant term."""
     try:
         return _finite(text, "value", positive=False)
     except (ValueError, InvalidParameterError) as exc:
@@ -224,8 +224,9 @@ def _estimate_dict(est: measures.WienerEstimate) -> dict:
 def _run_wiener_norm(args, grid: GridSpec):
     name, params = args.multiplier
     mult = comparison.named_multiplier(name, **params)
-    est = measures.wiener_norm(mult, grid, oversample=args.oversample,
-                               const_at_infinity=args.const_at_infinity)
+    if args.const_at_infinity is not None:
+        mult = dataclasses.replace(mult, const_at_infinity=args.const_at_infinity)
+    est = measures.wiener_norm(mult, grid, oversample=args.oversample)
     return {
         "multiplier": mult.label,
         "estimate": _estimate_dict(est),
@@ -263,7 +264,7 @@ def _run_lemma2(args, grid: GridSpec):
     return {
         **{key: diffops.poly_label(getattr(decomp, key)) for key in ("target", "op1", "op2")},
         "neighborhoods": [[c, d] for c, d in decomp.neighborhoods],
-        "cofactor1_at_infinity": _jsonable(decomp.cofactor1_at_infinity),
+        "cofactor1_at_infinity": _jsonable(decomp.cofactor1.const_at_infinity),
         "identity_residual": decomp.identity_residual,
         "cofactor2_sup": decomp.cofactor2_sup,
         "cases": [],
@@ -374,7 +375,7 @@ def _build_parser() -> _Parser:
                    help="registry symbol, e.g. 'gw_ratio:alpha=1,beta=2'")
     p.add_argument("--const-at-infinity", type=_finite_float, default=None,
                    dest="const_at_infinity",
-                   help="pin the constant term instead of reading it off the tails")
+                   help="declare the symbol's constant term, e.g. --const-at-infinity=-0.5")
 
     p = sub.add_parser("compare", help="two-multiplier domination on a corpus")
     common(p, _run_compare, oversample=8)

@@ -55,12 +55,26 @@ TOLERANCE = 1e-2
 _PROBE_STEP = 1e-6
 
 
+def _finite_complex(value: complex, what: str) -> complex:
+    """``value`` as a complex number; both parts must be finite."""
+    c = complex(value)
+    return complex(*(_finite(part, what, positive=False) for part in (c.real, c.imag)))
+
+
 @dataclass(frozen=True, eq=False)
 class Multiplier:
-    """A frequency symbol ``y -> m(y)``, callable on float arrays."""
+    """A frequency symbol ``y -> m(y)``, callable on float arrays.  ``const_at_infinity``, if
+    not None, declares its constant term, the atom at 0 of its measure, with finite parts:
+    :mod:`subord.measures` takes it instead of reading it off the samples."""
 
     label: str
     _fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    const_at_infinity: Optional[complex] = None
+
+    def __post_init__(self):
+        if self.const_at_infinity is not None:  # checked and made complex once, when built
+            c = _finite_complex(self.const_at_infinity, "const_at_infinity")
+            object.__setattr__(self, "const_at_infinity", c)
 
     def __call__(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -75,9 +89,7 @@ class Multiplier:
 
 def constant(value: complex = 1.0) -> Multiplier:
     """The constant symbol ``m(y) = value``; both parts must be finite."""
-    c = complex(value)
-    for part in (c.real, c.imag):
-        _finite(part, "constant value", positive=False)
+    c = _finite_complex(value, "constant value")
     return Multiplier(
         label=f"constant({c.real:g})" if c.imag == 0 else f"constant({c})",
         _fn=lambda y: np.full(y.shape, c))

@@ -60,8 +60,6 @@ __all__ = [
     "diffop_subordination",
 ]
 
-#: relative level below which the second symbol counts as zero inside a neighborhood
-_DIVISION_GUARD = 1e-12
 #: identity residual allowed, relative to the sup of the target symbol
 _IDENTITY_TOL = 1e-10
 #: spectrum fraction allowed in the outer band of the dual window when applying an operator
@@ -257,7 +255,8 @@ class SymbolDecomposition:
     ``target / op1``: each real root of ``op1`` of higher multiplicity than in
     ``target``.  ``identity_residual`` is the largest pointwise defect of
     ``target - (h1 op1 + h2 op2)`` over the dual grid and refined local
-    grids; ``cofactor2_sup`` is measured on the same points.
+    grids; ``cofactor2_sup`` is measured on the same points.  Each cofactor declares its
+    constant term (:attr:`Multiplier.const_at_infinity`).
     """
 
     target: np.ndarray
@@ -267,7 +266,6 @@ class SymbolDecomposition:
     neighborhoods: tuple[tuple[float, float], ...]
     cofactor1: Multiplier
     cofactor2: Multiplier
-    cofactor1_at_infinity: complex
     identity_residual: float
     cofactor2_sup: float
 
@@ -288,9 +286,12 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     cofactor interpolates linearly between the two boundary values of
     ``target / op1`` and the second cofactor carries the remainder divided by
     ``op2``; outside, the first cofactor is ``target / op1`` and the second
-    is 0.  Where ``op1`` or ``op2`` nearly vanishes, the cofactor takes the
-    limit of :func:`subord.comparison._fill_limits`, the rule of
-    :func:`subord.comparison.ratio_multiplier`.
+    is 0.  Where ``op1`` or ``op2`` is below the normal doubles, the cofactor
+    takes the limit of :func:`subord.comparison._fill_limits`, the rule of
+    :func:`subord.comparison.ratio_multiplier`.  Both cofactors declare their
+    constant term (:class:`Multiplier`'s ``const_at_infinity``): the ratio of
+    the leading coefficients of ``target`` and ``op1`` for the first if their
+    degrees agree, else 0, and 0 for the second.
 
     Raises :class:`HypothesesViolatedError` when the structural conditions
     fail (:func:`decomposition_hypotheses`),
@@ -345,30 +346,20 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
                                  y[rest], poly_label(p1))
         return out
 
-    max_c2 = float(np.abs(p2).max())
-    deg_p2 = p2.size - 1
-
-    def _h2_direct(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # remainder / op2 with a mask of points where op2 is too small to divide
-        num = npoly.polyval(y, q) - h1_fn(y) * npoly.polyval(y, p1)
-        den = npoly.polyval(y, p2)
-        guard = _DIVISION_GUARD * max_c2 * np.maximum(1.0, np.abs(y)) ** deg_p2
-        bad = np.abs(den) < guard
-        return np.divide(num, den, out=np.zeros(y.shape, dtype=np.complex128), where=~bad), bad
-
     @np.errstate(over="call", call=_refuse_overflow)
     def h2_fn(y: np.ndarray) -> np.ndarray:
         out = np.zeros(y.shape, dtype=np.complex128)
         inside = ~held(y)[1]
-        out[inside] = _fill_limits(_h2_direct, y[inside], poly_label(p2))
+        out[inside] = _fill_limits(
+            lambda z: _quotient(npoly.polyval(z, q) - h1_fn(z) * npoly.polyval(z, p1),
+                                npoly.polyval(z, p2)), y[inside], poly_label(p2))
         return out
 
     label1 = f"cofactor1[{poly_label(q)}|{poly_label(p1)}]"
     label2 = f"cofactor2[{poly_label(q)}|{poly_label(p1)}|{poly_label(p2)}]"
-    cofactor1 = Multiplier(label=label1, _fn=h1_fn)
-    cofactor2 = Multiplier(label=label2, _fn=h2_fn)
-
-    at_infinity = complex(q[-1] / p1[-1]) if poly_degree(q) == poly_degree(p1) else 0.0 + 0.0j
+    at_infinity = q[-1] / p1[-1] if poly_degree(q) == poly_degree(p1) else 0.0
+    cofactor1 = Multiplier(label=label1, _fn=h1_fn, const_at_infinity=at_infinity)
+    cofactor2 = Multiplier(label=label2, _fn=h2_fn, const_at_infinity=0.0)
 
     # diagnostics: dual grid plus refined local grids around each pole
     ydual = grid.dual_nodes()
@@ -389,7 +380,6 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
         target=q, op1=p1, op2=p2, grid=grid,
         neighborhoods=tuple((c, d) for c, d, _, _ in segments),
         cofactor1=cofactor1, cofactor2=cofactor2,
-        cofactor1_at_infinity=at_infinity,
         identity_residual=residual,
         cofactor2_sup=sup_h2,
     )
@@ -493,12 +483,12 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
     ``deg target < deg op1``; the second cofactor is always compactly
     supported, so any ``p2 <= q`` works.  The constant is the larger of the two
     per-operator factors of :func:`subord.measures.factor_norm`, passed each cofactor,
-    its constant term, the partner exponent if ``p < q`` and the neighborhoods'
-    extent (the :mod:`subord.measures` notes give the grid pair and the extrapolation);
-    no factor is flagged unconverged, and acceptance criterion 07 compares the
-    constant with a single pass on a finer grid.  The
-    corpus is checked on ``d.grid`` itself, with each polynomial sampled once, as doubles
-    if real, and of each test function only the spectrum held while operators apply.
+    which declares its constant term, the partner exponent if ``p < q`` and the
+    neighborhoods' extent (the :mod:`subord.measures` notes give the grid pair and the
+    extrapolation); no factor is flagged unconverged, and acceptance criterion 07 compares
+    the constant with a single pass on a finer grid.  The corpus is checked on ``d.grid``
+    itself, with each polynomial sampled once, as doubles if real, and of each test function
+    only the spectrum held while operators apply.
     """
     grid = d.grid
     q_, p1_, p2_ = _validate_exponents(
@@ -506,9 +496,9 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
         poly_degree(d.target), poly_degree(d.op1))
 
     extent = max((abs(r) + delta for r, delta in d.neighborhoods), default=0.0)
-    cofactors = (d.cofactor1, d.cofactor1_at_infinity, p1_), (d.cofactor2, 0.0, p2_)
-    factor1, factor2 = (factor_norm(h, grid, c, None if p == q_ else partner_exponent(q_, p),
-                                    extent, oversample) for h, c, p in cofactors)
+    factor1, factor2 = (factor_norm(h, grid, None if p == q_ else partner_exponent(q_, p),
+                                    extent, oversample)
+                        for h, p in ((d.cofactor1, p1_), (d.cofactor2, p2_)))
     exponents = f"q={_fmt_p(q_)};p1={_fmt_p(p1_)};p2={_fmt_p(p2_)}"
     target, op1, op2 = ((p, _poly_values(p, grid)) for p in (d.target, d.op1, d.op2))
 

@@ -20,28 +20,31 @@ out to ``2 L * oversample`` where they are harmless.  A pass samples the symbol
 straight into FFT order (the ``ifftshift`` of the centred order), subtracts the
 constant term and inverts in place; only the caller's window is scaled and read.
 
-:func:`wiener_norm` reads the constant term once, off the caller's window's samples, and
-uses it for the doubled window too: doubling keeps ``dx``, so a second read would average
-``psi`` over the same band.  The doubled window's dual nodes are the single window's ``M =
-oversample * N`` nodes and the ``M`` midpoints between them, and a ``2 M``-point inverse DFT
-is half the nodes' ``M``-point one plus the midpoints', turned by a twiddle (decimation in
-time).  So the two halves are sampled and inverted one after the other; the first holds the
-single window's pass, bit for bit, and the doubled window's ``refined_total`` is that of a
-direct doubled pass with the same constant term, up to rounding.
+The constant term is the one the symbol declares, its ``const_at_infinity`` (see
+:class:`subord.comparison.Multiplier`) if not None; any other callable declares none.  Else
+it is read off the samples: :func:`wiener_norm` reads it once, off the caller's window's
+samples, and uses it for the doubled window too: doubling keeps ``dx``, so a second read
+would average ``psi`` over the same band.  The doubled window's dual nodes are the single
+window's ``M = oversample * N`` nodes and the ``M`` midpoints between them, and a
+``2 M``-point inverse DFT is half the nodes' ``M``-point one plus the midpoints', turned by a
+twiddle (decimation in time).  So the two halves are sampled and inverted one after the
+other; the first holds the single window's pass, bit for bit, and the doubled window's
+``refined_total`` is that of a direct doubled pass with the same constant term, up to
+rounding.
 
 :func:`factor_norm` bounds a convolution operator ``L^p -> L^q`` by its symbol, for the
 factors of ``diffop-verify``.  One pass on a grid with the caller's half-length ``L`` and
 ``size`` nodes, refined by ``oversample``, gives ``F_size``: for ``p == q`` (no ``partner``) the
 measure norm's single-window total ``|c| + window mass + C/x^2 tail``, the ``total`` of
-:func:`wiener_norm` with ``c`` pinned, and for ``p < q`` the window ``L^s`` norm of the density,
-``s`` the ``partner`` exponent: a symbol with no constant at infinity is convolution with its
-density alone.  The error falls like ``dx = 2 L / size``, so the factor is ``max(F_n, 2 F_n -
-F_{n/2})`` over the passes on ``(L, n/2)`` and ``(L, n)``: first-order Richardson extrapolation
-in ``dx``, never below the finer pass.  ``n`` is ``_FACTOR_SIZE``, or the caller's ``N`` if
-smaller, at least 32, and doubled while the ``extent`` of the symbol's features, such as
-``|r| + delta`` of a cofactor's neighborhood, leaves the dual window of ``(L, n/2)``.  No
-window-doubling test runs.  For ``p == q``, ``(2 L)^2`` must be a double, as for
-:func:`wiener_norm`.
+:func:`wiener_norm` on that grid (``c`` declared or read off the pass's samples), and for
+``p < q`` the window ``L^s`` norm of the density, ``s`` the ``partner`` exponent: a symbol
+with no constant at infinity is convolution with its density alone.  The error falls like
+``dx = 2 L / size``, so the factor is ``max(F_n, 2 F_n - F_{n/2})`` over the passes on
+``(L, n/2)`` and ``(L, n)``: first-order Richardson extrapolation in ``dx``, never below the
+finer pass.  ``n`` is ``_FACTOR_SIZE``, or the caller's ``N`` if smaller, at least 32, and
+doubled while the ``extent`` of the symbol's features, such as ``|r| + delta`` of a
+cofactor's neighborhood, leaves the dual window of ``(L, n/2)``.  No window-doubling test
+runs.  For ``p == q``, ``(2 L)^2`` must be a double, as for :func:`wiener_norm`.
 
 A symbol is called on consecutive blocks of the dual nodes, never on the
 whole grid at once, and its results are written into preallocated arrays.  It
@@ -60,7 +63,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GridTooSmallError, InconsistentLimitError, InvalidParameterError
-from .fourier_core import GridSpec, _finite, _lp
+from .fourier_core import GridSpec, _lp
 
 __all__ = ["WienerEstimate", "factor_norm", "wiener_norm"]
 
@@ -162,7 +165,9 @@ def _window(psi: Callable[[np.ndarray], np.ndarray], fine: GridSpec, c: Optional
     vals = _samples(psi, fine, offset)
     if c is None:
         c = _limit_at_infinity(vals, fine)
-    return c, _inverse_window(np.subtract(vals, c, out=vals), n, fine.dx)
+    with np.errstate(over="ignore"):  # refused by _inverse_window as non-finite
+        np.subtract(vals, c, out=vals)
+    return c, _inverse_window(vals, n, fine.dx)
 
 
 def _check_squares(half_length: float) -> None:
@@ -189,16 +194,14 @@ def _wiener_components(c: complex, absg: np.ndarray, dx: float):
 
 
 def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
-                oversample: int = 8, const_at_infinity: Optional[complex] = None,
-                ) -> WienerEstimate:
+                oversample: int = 8) -> WienerEstimate:
     """Estimate ``|c| + ||g||_1`` for a symbol ``psi = c + ft[g]``.
 
-    The constant term is read off as the mean of ``psi`` over the outer 5%
-    of each side of the dual window; disagreeing one-sided reads raise
-    :class:`InconsistentLimitError`, a side band without nodes
-    :class:`GridTooSmallError` (pass ``const_at_infinity``, a finite value,
-    to pin the term and skip the read, e.g. for odd symbols that decay in
-    magnitude but not pointwise).  The density is recovered on a window ``oversample``
+    The constant term is the one ``psi`` declares (``psi.const_at_infinity``), else the
+    mean of ``psi`` over the outer 5% of each side of the dual window; disagreeing one-sided
+    reads raise :class:`InconsistentLimitError`, a side band without nodes
+    :class:`GridTooSmallError` (a declared term skips the read, e.g. for odd symbols that
+    decay in magnitude but not pointwise).  The density is recovered on a window ``oversample``
     times larger to keep aliasing images out of the reported mass, its
     absolute integral over the caller's window is taken, and a ``C / x^2``
     tail fit on the outer 10% of each side is added.
@@ -207,9 +210,8 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     window with the same constant term (see the module notes); the estimate is
     flagged converged when the totals agree within ``max(1e-3, 1e-2 * total)``.
     ``oversample`` must be a power of two (:meth:`GridSpec.refined`),
-    ``(2 L)^2``, the tail fit's largest square, a double and both parts of a
-    pinned ``const_at_infinity`` finite; otherwise :class:`InvalidParameterError`, also
-    raised for a total beyond the doubles.
+    and ``(2 L)^2``, the tail fit's largest square, a double; otherwise
+    :class:`InvalidParameterError`, also raised for a total beyond the doubles.
 
     ``psi`` is called on consecutive blocks of the dual nodes; it must be
     pointwise in ``y`` and return ``y``'s shape.  A result of another shape,
@@ -217,15 +219,11 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     """
     fine = grid.refined(oversample)
     _check_squares(grid.half_length)
-    c = None if const_at_infinity is None else complex(const_at_infinity)
-    if c is not None:
-        for part in (c.real, c.imag):
-            _finite(part, "const_at_infinity", positive=False)
     m, n, dx = fine.size, grid.size, fine.dx  # the doubled window: |j| < N, 2M nodes
     # E_j / dx and O_j / dx at |j| < N, the M-point inverses of the even nodes k dy and, next,
     # the odd nodes (k + 1/2) dy less c.  Half E_j plus e^{i pi j / M} O_j is the 2M-point inverse
     # (Cooley and Tukey, 1965); the middle |j| < N / 2 of E_j / dx is the single window's pass
-    c, e = _window(psi, fine, c, n)
+    c, e = _window(psi, fine, getattr(psi, "const_at_infinity", None), n)
     density_l1, tail, total = _wiener_components(c, np.abs(e[n // 2:n // 2 + n - 1]), dx)
     window = _window(psi, fine, c, n, 0.5)[1]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
@@ -247,7 +245,7 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     )
 
 
-def factor_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, const_at_infinity: complex,
+def factor_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
                 partner: Optional[float], extent: float, oversample: int) -> float:
     """The norm bound of the convolution operator with symbol ``psi`` (see the module notes):
     ``L^p -> L^p`` for ``partner`` None, where a ``(2 L)^2`` beyond the doubles raises
@@ -260,10 +258,11 @@ def factor_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, const_a
 
     def one_pass(size: int) -> float:
         fine = GridSpec(grid.half_length, size).refined(oversample)
-        absg = np.abs(_window(psi, fine, const_at_infinity, size // 2)[1])
+        c, g = _window(psi, fine, getattr(psi, "const_at_infinity", None), size // 2)
+        g = np.abs(g)  # and the complex window is dropped
         if partner is None:
-            return _wiener_components(const_at_infinity, absg, fine.dx)[2]
-        return _lp(absg, fine.dx, partner)
+            return _wiener_components(c, g, fine.dx)[2]
+        return _lp(g, fine.dx, partner)
 
     coarse = one_pass(n // 2)  # its arrays are freed before the finer pass allocates
     finer = one_pass(n)

@@ -164,8 +164,8 @@ def test_criterion_07_mixed_norm_inequality_and_stability():
     for grid, bound, name in ((FINE.refined(2), 1e-2, "L"),
                               (GridSpec(FINE.half_length, 2 * FINE.size), 1e-3, "dx")):
         r = construct_decomposition([0, 1], [0, 0, 1], [1], grid)
-        single = max(wiener_norm(h, r.grid, oversample=4, const_at_infinity=c).total
-                     for h, c in ((r.cofactor1, r.cofactor1_at_infinity), (r.cofactor2, 0.0)))
+        single = max(wiener_norm(h, r.grid, oversample=4).total  # h declares its constant term
+                     for h in (r.cofactor1, r.cofactor2))
         drift = abs(coarse.constant - single)
         ok = ok and drift <= bound * max(1.0, coarse.constant)
         details.append(f"drift in {name} {drift:.2e} (<={bound:g})")

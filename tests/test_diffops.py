@@ -170,6 +170,15 @@ def test_poly_label():
     assert poly_label([0, 1]) == "y"
     assert poly_label([-1, 0, 1]) == "y^2-1"
     assert poly_label([1]) == "1"
+    assert poly_label([1j, 1]) == "y+(0+1j)"
+    assert poly_label([0, 2 - 0.5j, 0, -1]) == "-y^3+(2-0.5j)y"
+    assert poly_label([0, complex(0.0, -1.0)]) == "(0-1j)y"
+
+
+@pytest.mark.parametrize("coeffs", [[], [[1, 2], [3, 4]], [[]]], ids=["empty", "2-d", "2-d empty"])
+def test_coefficients_must_be_a_nonempty_1d_sequence(coeffs):
+    with pytest.raises(InvalidParameterError, match="nonempty 1-d sequence"):
+        _as_poly(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +254,8 @@ def test_decomposition_of_first_order_under_second():
     assert d.identity_residual <= 1e-10
     # sup of h2 = y - y^2 * interp(1/y) on [-1, 1]: max of y(1 - y^2)-ish
     assert d.cofactor2_sup == pytest.approx(0.3848981538020821, abs=1e-5)
-    assert d.cofactor1_at_infinity == 0.0
+    assert d.cofactor1.const_at_infinity == 0.0
+    assert d.cofactor2.const_at_infinity == 0.0
     # h1 matches 1/y away from the neighborhood
     y = np.array([2.0, -3.0, 10.0])
     assert np.abs(d.cofactor1(y) - 1.0 / y).max() <= 1e-12
@@ -254,7 +264,7 @@ def test_decomposition_of_first_order_under_second():
 def test_decomposition_identical_symbols():
     d = construct_decomposition([1, 0, 1], [1, 0, 1], [1], GRID)
     assert d.neighborhoods == ()
-    assert d.cofactor1_at_infinity == 1.0
+    assert d.cofactor1.const_at_infinity == 1.0
     assert d.cofactor2_sup == 0.0
     y = GRID.dual_nodes()[::512]
     assert np.abs(d.cofactor1(y) - 1.0).max() <= 1e-12
@@ -562,10 +572,10 @@ def test_subordination_reuses_decomposition(monkeypatch):
     assert sub.passed
 
 
-def _factor(d, symbol, grid, q, p, c):
+def _factor(d, symbol, grid, q, p):
     # the factor of diffop_subordination for a cofactor of d, L^p -> L^q, at oversample 4
     extent = max((abs(r) + delta for r, delta in d.neighborhoods), default=0.0)
-    return factor_norm(symbol, grid, c, None if p == q else partner_exponent(q, p), extent, 4)
+    return factor_norm(symbol, grid, None if p == q else partner_exponent(q, p), extent, 4)
 
 
 @pytest.mark.parametrize("q, p", [
@@ -582,21 +592,18 @@ def test_mixed_exponent_factor_inverts_once(q, p, monkeypatch):
     doubled-window pass.  The factor is max(F_n, 2 F_n - F_{n/2})."""
     d = construct_decomposition([0, 1], [0, 0, 1], [1], GRID)
     grids = [GridSpec(GRID.half_length, GRID.size // 2), GRID]
-    if p == q:
-        cases = [(d.cofactor1, d.cofactor1_at_infinity), (d.cofactor2, 0.0)]
-    else:
-        cases = [(d.cofactor2, 0.0)]
+    cases = [d.cofactor1, d.cofactor2] if p == q else [d.cofactor2]
     s = partner_exponent(q, p)
 
-    def single_pass(symbol, c, grid):
-        if p == q:
-            return wiener_norm(symbol, grid, oversample=4, const_at_infinity=c).total
+    def single_pass(symbol, grid):
+        if p == q:  # each cofactor declares its constant term
+            return wiener_norm(symbol, grid, oversample=4).total
         fine = grid.refined(4)
         g = inverse_ft(SampledFunction(fine, symbol(fine.dual_nodes()), FREQUENCY))
         absg = np.abs(g.values[np.abs(fine.nodes()) < grid.half_length])
         return float(absg.max() if math.isinf(s) else (fine.dx * np.sum(absg**s)) ** (1.0 / s))
 
-    references = [[single_pass(symbol, c, grid) for grid in grids] for symbol, c in cases]
+    references = [[single_pass(symbol, grid) for grid in grids] for symbol in cases]
     calls = []
     inverse_window = measures._inverse_window
 
@@ -605,9 +612,9 @@ def test_mixed_exponent_factor_inverts_once(q, p, monkeypatch):
         return inverse_window(values, n, dx)
 
     monkeypatch.setattr(measures, "_inverse_window", counted)
-    for (symbol, c), (coarse, finer) in zip(cases, references):
+    for symbol, (coarse, finer) in zip(cases, references):
         calls.clear()
-        factor = _factor(d, symbol, GRID, q, p, c)
+        factor = _factor(d, symbol, GRID, q, p)
         assert calls == [(grid.refined(4).size, grid.dx) for grid in grids]
         assert factor == max(finer, 2.0 * finer - coarse)
 
@@ -617,8 +624,8 @@ def test_a_factor_is_estimated_on_one_grid_pair_above_its_size():
     factors = []
     for size in (2 ** 15, 2 ** 18):
         d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, size))
-        factors.append([_factor(d, d.cofactor1, d.grid, 2.0, 2.0, d.cofactor1_at_infinity),
-                        _factor(d, d.cofactor2, d.grid, 2.0, 1.0, 0.0)])
+        factors.append([_factor(d, d.cofactor1, d.grid, 2.0, 2.0),
+                        _factor(d, d.cofactor2, d.grid, 2.0, 1.0)])
     assert factors[0] == factors[1]
 
 
@@ -637,14 +644,23 @@ def test_a_factor_grid_grows_until_every_neighborhood_fits(monkeypatch):
         sizes.append(values.size)
         return inverse_window(values, n, dx)
 
-    for symbol, c in ((d.cofactor1, d.cofactor1_at_infinity), (d.cofactor2, 0.0)):
-        reference = wiener_norm(symbol, grid, oversample=4, const_at_infinity=c).total
+    for symbol in (d.cofactor1, d.cofactor2):
+        reference = wiener_norm(symbol, grid, oversample=4).total
         sizes.clear()
         with monkeypatch.context() as patch:
             patch.setattr(measures, "_inverse_window", counted)
-            factor = _factor(d, symbol, grid, 2.0, 2.0, c)
+            factor = _factor(d, symbol, grid, 2.0, 2.0)
         assert sizes == [4 * 2 ** 15, 4 * 2 ** 16]
         assert factor == pytest.approx(reference, rel=1e-3)
+
+
+def test_a_declared_constant_term_enters_the_factor_as_its_atom():
+    # (1+y^2, 2+y^2, 1): the first cofactor is 1 - 1/(2+y^2), the atom 1 at 0 plus the
+    # density -e^{-sqrt(2)|x|}/(2 sqrt(2)) of mass 1/2, so factor1 is exactly 3/2
+    d = construct_decomposition([1, 0, 1], [2, 0, 1], [1], GridSpec(40.0, 2 ** 15))
+    assert d.neighborhoods == ()
+    assert d.cofactor1.const_at_infinity == 1.0
+    assert abs(_factor(d, d.cofactor1, d.grid, 2.0, 2.0) - 1.5) <= 1e-8
 
 
 #: the Richardson limits over single passes at N = 2^18 and 2^19 (L = 40, oversample 4) of
@@ -660,10 +676,10 @@ _FACTOR_LIMITS = [
 def test_extrapolated_factors_lie_near_their_limits(polys, q, limit1, limit2):
     # and no lower than the single pass on the caller's grid, which a factor once was
     d = construct_decomposition(*polys, FINE)
-    for symbol, c, limit in ((d.cofactor1, d.cofactor1_at_infinity, limit1),
-                             (d.cofactor2, 0.0, limit2)):
-        factor = _factor(d, symbol, FINE, q, q, c)
+    for symbol, limit in ((d.cofactor1, limit1), (d.cofactor2, limit2)):
+        factor = _factor(d, symbol, FINE, q, q)
         fine = FINE.refined(4)
+        c = symbol.const_at_infinity
         absg = np.abs(measures._window(symbol, fine, c, FINE.size // 2)[1])
         single = measures._wiener_components(c, absg, fine.dx)[2]
         assert factor >= single

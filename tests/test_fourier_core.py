@@ -52,7 +52,9 @@ def test_grid_refined():
 @pytest.mark.parametrize("L,N", [(0.0, 4096), (-3.0, 4096), (math.inf, 4096),
                                  (20.0, 1000), (20.0, 8), (20.0, 4095),
                                  # dx underflows to 0, pi / dx overflows
-                                 (5e-324, 16), (1e-320, 16)])
+                                 (5e-324, 16), (1e-320, 16),
+                                 # a size that is not an integer
+                                 (40.0, 16384.0), (40.0, True)])
 def test_grid_rejects_bad_parameters(L, N):
     with pytest.raises(InvalidParameterError):
         GridSpec(L, N)
@@ -185,6 +187,21 @@ def test_grid_mismatch_rejected():
     h = SampledFunction(GridSpec(20.0, 8192), np.zeros(8192), SPACE)
     with pytest.raises(GridMismatchError):
         f - h
+    F = SampledFunction(f.grid, np.zeros(4096), FREQUENCY)
+    with pytest.raises(GridMismatchError, match="different sides"):
+        f - F
+
+
+@pytest.mark.parametrize("side", ["spatial", "", None])
+def test_sampled_function_rejects_an_unknown_side(side):
+    with pytest.raises(InvalidParameterError, match="side must be"):
+        SampledFunction(GridSpec(20.0, 16), np.zeros(16), side)
+
+
+@pytest.mark.parametrize("shape", [(15,), (17,), (16, 1), (2, 16), ()])
+def test_sampled_function_rejects_values_of_the_wrong_shape(shape):
+    with pytest.raises(InvalidParameterError, match=r"values must have shape \(16,\)"):
+        SampledFunction(GridSpec(20.0, 16), np.zeros(shape), SPACE)
 
 
 def test_sampled_function_rejects_nonfinite():

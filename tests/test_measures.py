@@ -44,6 +44,15 @@ from subord.measures import (
 GRID = GridSpec(40.0, 16384)
 
 
+def _declaring(psi, c):
+    """``psi`` declaring the constant term ``c``; for ``c`` None, ``psi`` as it is."""
+    if c is None:
+        return psi
+    if isinstance(psi, Multiplier):
+        return dataclasses.replace(psi, const_at_infinity=c)
+    return Multiplier(label="declared", _fn=psi, const_at_infinity=c)
+
+
 # ---------------------------------------------------------------------------
 # Wiener-norm estimation
 # ---------------------------------------------------------------------------
@@ -71,19 +80,20 @@ def test_wiener_norm_of_gaussian_symbol():
 
 
 def test_wiener_norm_pins_requested_limit():
-    est = wiener_norm(exp_abs_ft(), GRID, const_at_infinity=0.0)
+    est = wiener_norm(_declaring(exp_abs_ft(), 0.0), GRID)
     assert est.const_at_infinity == 0.0
     assert est.total == pytest.approx(2.0, abs=1e-3)
 
 
 @pytest.mark.parametrize("pinned", [math.inf, math.nan, complex(0.0, math.inf)])
 def test_wiener_norm_refuses_a_non_finite_pinned_limit(pinned):
-    # refused by name before the symbol is sampled, not as a non-finite inversion
+    # refused by name when the symbol is built, before it is sampled, not as a non-finite
+    # inversion
     def unsampled(y):
         raise AssertionError("the symbol was sampled")
 
     with pytest.raises(InvalidParameterError, match="const_at_infinity must be finite"):
-        wiener_norm(unsampled, GRID, const_at_infinity=pinned)
+        wiener_norm(_declaring(unsampled, pinned), GRID)
 
 
 def test_wiener_norm_rejects_inconsistent_limits():
@@ -91,7 +101,7 @@ def test_wiener_norm_rejects_inconsistent_limits():
     with pytest.raises(InconsistentLimitError):
         wiener_norm(odd, GRID)
     # pinning a limit bypasses the two-sided consistency requirement
-    est = wiener_norm(odd, GRID, const_at_infinity=0.0)
+    est = wiener_norm(_declaring(odd, 0.0), GRID)
     assert est.total > 0.0
 
 
@@ -102,8 +112,7 @@ def test_constant_term_needs_a_node_in_each_outer_band(oversample):
     with pytest.raises(GridTooSmallError):
         wiener_norm(gw_symbol(1.0), tiny, oversample=oversample)
     # a pinned constant term reads no band
-    assert wiener_norm(gw_symbol(1.0), tiny, oversample=oversample,
-                       const_at_infinity=0.0).total > 0.0
+    assert wiener_norm(_declaring(gw_symbol(1.0), 0.0), tiny, oversample=oversample).total > 0.0
 
 
 def test_no_other_module_imports_a_private_name_of_measures():
@@ -166,7 +175,7 @@ def test_wiener_norm_peak_memory_of_a_cofactor():
     fine_array = 16 * d.grid.refined(2).refined(4).size
 
     def norm():
-        wiener_norm(d.cofactor1, d.grid, oversample=4, const_at_infinity=d.cofactor1_at_infinity)
+        wiener_norm(d.cofactor1, d.grid, oversample=4)
 
     norm()  # warm
     tracemalloc.start()
@@ -187,7 +196,7 @@ def test_operator_factor_peak_memory_of_a_cofactor():
     fine_array = 16 * d.grid.refined(4).size
 
     def factor():
-        factor_norm(d.cofactor1, d.grid, d.cofactor1_at_infinity, None, 1.0, 4)
+        factor_norm(d.cofactor1, d.grid, None, 1.0, 4)
 
     factor()  # warm
     tracemalloc.start()
@@ -206,7 +215,7 @@ def test_operator_factor_peak_memory_on_a_fine_grid():
     fine_array = 16 * 4 * 2 ** 15
 
     def factor():
-        factor_norm(d.cofactor1, d.grid, d.cofactor1_at_infinity, None, 1.0, 4)
+        factor_norm(d.cofactor1, d.grid, None, 1.0, 4)
 
     factor()  # warm
     tracemalloc.start()
@@ -218,6 +227,21 @@ def test_operator_factor_peak_memory_on_a_fine_grid():
     assert peak <= 3.0 * fine_array
 
 
+@pytest.mark.parametrize("declared", [None, 1.0])
+def test_a_factor_reads_or_takes_the_constant_term_as_wiener_norm_does(declared):
+    # a registry symbol, which declares nothing, and the same symbol declaring its limit: each
+    # p == q pass of the pair is wiener_norm's total on its grid, bit for bit
+    m = _declaring(one_minus_gw_symbol(1.0), declared)
+    assert m.const_at_infinity == declared
+
+    def total(size):
+        return wiener_norm(m, GridSpec(40.0, size), 4).total
+
+    n = 2 ** 14
+    factor = factor_norm(m, GridSpec(40.0, n), None, 0.0, 4)
+    assert factor == max(total(n), 2.0 * total(n) - total(n // 2))
+
+
 #: prints the growth of the peak RSS over one first-cofactor norm at N = 2^18, in complex
 #: arrays of the doubled window's 2^21-point fine grid
 _RSS_PROBE = """
@@ -227,7 +251,7 @@ from subord.fourier_core import GridSpec
 from subord.measures import wiener_norm
 d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 18))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-wiener_norm(d.cofactor1, d.grid, oversample=4, const_at_infinity=d.cofactor1_at_infinity)
+wiener_norm(d.cofactor1, d.grid, oversample=4)
 growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
 print(growth * (1 if sys.platform == "darwin" else 1024) / (16 * 2 ** 21))
 """
@@ -277,7 +301,7 @@ _WRONG_SHAPES = {
 def test_both_estimators_reject_a_symbol_of_the_wrong_shape(shape, pinned):
     psi = _WRONG_SHAPES[shape]
     with pytest.raises(InvalidParameterError, match="shape"):
-        wiener_norm(psi, GRID, const_at_infinity=pinned)
+        wiener_norm(_declaring(psi, pinned), GRID)
 
 
 _EXPONENT = st.floats(0.25, 3.0)
@@ -301,8 +325,8 @@ _SYMBOLS = st.one_of(
     st.sampled_from([
         # zero-filled at y = 0, a node of every grid
         (ratio_multiplier(one_minus_gw_symbol(2.0), one_minus_gw_symbol(1.0), _SMALL), None),
-        (_DECOMPOSITION.cofactor1, _DECOMPOSITION.cofactor1_at_infinity),
-        (_DECOMPOSITION.cofactor2, 0.0),
+        (_DECOMPOSITION.cofactor1, _DECOMPOSITION.cofactor1.const_at_infinity),
+        (_DECOMPOSITION.cofactor2, _DECOMPOSITION.cofactor2.const_at_infinity),
     ]),
 )
 #: (fine size, block): below one block, exactly one, whole blocks, a partial last block
@@ -381,7 +405,7 @@ def test_window_read_and_shared_sampling_match_independent_passes(case, size, ov
     sequence of half-length transforms rounds as the full-length one does."""
     psi, pinned = case
     grid = GridSpec(40.0, size)
-    est = wiener_norm(psi, grid, oversample=oversample, const_at_infinity=pinned)
+    est = wiener_norm(_declaring(psi, pinned), grid, oversample=oversample)
     fine = grid.refined(oversample)
     centred = np.asarray(psi(fine.dual_nodes()), dtype=np.complex128) - est.const_at_infinity
     mid, n = fine.size // 2, size // 2

@@ -50,8 +50,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: and diffop-verify's cofactor factors from a grid of 2^15 nodes, the finer of its
 #: factor grid pair, and from a window so wide that a neighborhood leaves the dual
 #: window of the pair's default coarse grid (exit 2 in the corpus); an operator with a
-#: complex coefficient, whose values on the dual nodes stay complex in the corpus; and the
-#: factors at the oversample factors 1 and 8, which no other line runs
+#: complex coefficient, whose values on the dual nodes stay complex in the corpus; the
+#: factors at the oversample factors 1 and 8, which no other line runs; a first cofactor with
+#: a nonzero constant term (deg Q = deg P1), the one factor that declares one; and a
+#: declared constant term whose subtraction overflows (exit 1)
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -112,6 +114,8 @@ EXTRAS = (
      "--oversample", "1"),
     ("diffop-verify", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]", "--grid-N", "262144",
      "--oversample", "8", "--q", "2", "--p2", "1.5"),
+    ("diffop-verify", "--Q", "[1,0,1]", "--P1", "[2,0,1]", "--P2", "[1]", "--grid-N", "262144"),
+    ("wiener-norm", "--multiplier", "constant:value=1e308", "--const-at-infinity=-1e308"),
 )
 
 
