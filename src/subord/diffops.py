@@ -88,9 +88,9 @@ def poly_degree(coeffs) -> int:
 
 
 def _coeff_str(value: complex) -> str:
-    if value.imag == 0:
-        return f"{value.real:g}"
-    return f"({value.real:g}{value.imag:+g}j)"
+    if value.imag == 0:  # + 0.0 drops a signed zero, as in the real part of -1j
+        return f"{value.real + 0.0:g}"
+    return f"({value.real + 0.0:g}{value.imag:+g}j)"
 
 
 def poly_label(coeffs) -> str:

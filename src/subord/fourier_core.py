@@ -22,6 +22,7 @@ environment are bit-reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +65,17 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         L, N = self.half_length, self.size
-        if not (isinstance(L, (int, float)) and math.isfinite(L) and L > 0):
+        if not (isinstance(L, numbers.Real) and math.isfinite(L) and L > 0):
             raise InvalidParameterError(f"half_length must be finite and positive, got {L!r}")
-        if not isinstance(N, int) or isinstance(N, bool):
+        if not isinstance(N, numbers.Integral) or isinstance(N, bool):
             raise InvalidParameterError(f"size must be an integer, got {N!r}")
+        L, N = float(L), int(N)  # a numpy scalar is stored as a Python number
         if N < 16 or (N & (N - 1)) != 0:
             raise InvalidParameterError(f"size must be a power of two >= 16, got {N}")
         if not (2.0 * L / N > 0 and math.isfinite(math.pi / (2.0 * L / N))):
             raise InvalidParameterError(f"half_length {L!r} takes dx or pi / dx out of the doubles")
-        object.__setattr__(self, "half_length", float(L))
+        object.__setattr__(self, "half_length", L)
+        object.__setattr__(self, "size", N)
 
     @property
     def dx(self) -> float:

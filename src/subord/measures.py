@@ -16,9 +16,10 @@ larger window).  Recovering it on the caller's own window would periodize
 ``g`` with period ``2 L`` and silently fold the tail mass back into the
 window — the window integral would then match ``psi(0)`` exactly and the
 tail correction would double-count.  Oversampling pushes the aliasing images
-out to ``2 L * oversample`` where they are harmless.  A pass samples the symbol
-straight into FFT order (the ``ifftshift`` of the centred order), subtracts the
-constant term and inverts in place; only the caller's window is scaled and read.
+out to ``2 L * oversample`` where they are harmless.  A pass samples the symbol's real
+part, and its imaginary part only if some block has one, straight into FFT order (the
+``ifftshift`` of the centred order), less the constant term's parts, inverts each part
+with a real-input FFT and reads, joins as ``re + i im`` and scales only the caller's window.
 
 The constant term is the one the symbol declares, its ``const_at_infinity`` (see
 :class:`subord.comparison.Multiplier`) if not None; any other callable declares none.  Else
@@ -99,9 +100,9 @@ class WienerEstimate:
     converged: bool
 
 
-def _limit_at_infinity(values: np.ndarray, grid: GridSpec) -> complex:
-    # the constant term: the means of grid's samples in FFT order at y >= level and at
-    # y <= -level, which must agree
+def _limit_at_infinity(re: np.ndarray, im: Optional[np.ndarray], grid: GridSpec) -> complex:
+    # the constant term: the means of grid's samples in FFT order, real part re and imaginary
+    # part im (None for 0), at y >= level and at y <= -level, which must agree
     h, dy = grid.size // 2, grid.dy
     level = grid.dual_half_length - _LIMIT_BAND * grid.dual_half_length
     k = math.ceil(level / dy)  # at most one off the least k with k dy >= level,
@@ -110,7 +111,9 @@ def _limit_at_infinity(values: np.ndarray, grid: GridSpec) -> complex:
         raise GridTooSmallError(
             f"the outer {_LIMIT_BAND:.0%} of one side of the dual window holds no node; "
             "enlarge the grid size to read off the constant term")
-    bands = values[k:h], values[h:2 * h + 1 - k]
+    # complex, so the means are bit for bit those of the complex samples
+    bands = [re[a:b] + 1j * (0.0 if im is None else im[a:b])
+             for a, b in ((k, h), (h, 2 * h + 1 - k))]
     # the means scaled by s, a power of two and so exact: 1, or, where a band's sum or the
     # sum of the two means leaves the doubles, one over a bound on the band's node count
     s = 1.0
@@ -127,11 +130,12 @@ def _limit_at_infinity(values: np.ndarray, grid: GridSpec) -> complex:
 
 
 def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
-             offset: float = 0.0) -> np.ndarray:
-    # psi at (k + offset) dy for grid's dual nodes k dy in FFT order, block by block, so a
-    # symbol's temporaries never exceed one block
+             offset: float = 0.0) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    # the real and imaginary parts of psi at (k + offset) dy for grid's dual nodes k dy in FFT
+    # order, block by block, so a symbol's temporaries never exceed one block; the imaginary
+    # part is None while every block is real
     h, dy = grid.size // 2, grid.dy
-    out = np.empty(grid.size, dtype=np.complex128)
+    re, im = np.empty(grid.size), None
     for k in (*range(0, h, _BLOCK), *range(-h, 0, _BLOCK)):  # none crosses from y >= 0 to y < 0
         part = (np.arange(k, min(k + _BLOCK, h if k >= 0 else 0)) + offset) * dy
         block = np.asarray(psi(part), dtype=np.complex128)
@@ -141,33 +145,55 @@ def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
                 "it must be pointwise and keep the shape of its argument")
         if not np.isfinite(block).all():
             raise InvalidParameterError("symbol evaluated to non-finite values on the dual grid")
-        out[k % grid.size:][:block.size] = block
-    return out
+        re[k % grid.size:][:block.size] = block.real
+        if im is None and block.imag.any():
+            im = np.zeros(grid.size)
+        if im is not None:
+            im[k % grid.size:][:block.size] = block.imag
+    return re, im
 
 
-def _inverse_window(values: np.ndarray, n: int, dx: float) -> np.ndarray:
-    """``inverse_ft`` at the nodes ``|j| < n``, bit for bit, from ``values`` in FFT order (spacing
-    ``dx``) inverted in place, which scales only them.  Non-finite input or output raises."""
+def _inverse_window(values: np.ndarray, n: int) -> np.ndarray:
+    """``ifft(values)`` at the nodes ``|j| < n <= M`` of ``M`` real ``values`` in FFT order, up to
+    rounding, from their real-input transform ``R = rfft(values) / M``: the inverse is
+    ``conj(R_j)`` at ``0 <= j <= M/2`` and ``R_{M-j}`` above, and at ``-j`` the conjugate of that
+    at ``j``.  Non-finite input or output raises."""
     if not np.isfinite(values).all():
         raise InvalidParameterError("values contain non-finite entries")
+    h = values.size // 2
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
-        np.fft.ifft(values, out=values)
-        window = np.concatenate((values[values.size - n + 1:], values[:n]))
-        np.divide(window, dx, out=window)
-    if not (np.isfinite(values).all() and np.isfinite(window).all()):
+        r = np.fft.rfft(values, norm="forward")
+    if not np.isfinite(r).all():
         raise InvalidParameterError("values contain non-finite entries")
+    window = np.empty(2 * n - 1, dtype=np.complex128)  # allocated before r, it lifts the peak
+    upper = window[n - 1:]  # the nodes 0 <= j < n
+    np.conjugate(r[:n], out=upper[:h + 1])
+    upper[h + 1:] = r[h - 1:values.size - n:-1]  # j > M/2: the doubled window at oversample 1
+    del r  # freed before the next part's transform
+    np.conjugate(upper[:0:-1], out=window[:n - 1])
     return window
 
 
 def _window(psi: Callable[[np.ndarray], np.ndarray], fine: GridSpec, c: Optional[complex],
             n: int, offset: float = 0.0) -> tuple[complex, np.ndarray]:
-    # one pass: c, read off psi's samples on fine if None, and g at |j| < n from them less c
-    vals = _samples(psi, fine, offset)
+    # one pass: c, read off psi's samples on fine if None, and g at |j| < n from them less c,
+    # the inverse of the real part plus i times that of the imaginary part, if any
+    re, im = _samples(psi, fine, offset)
     if c is None:
-        c = _limit_at_infinity(vals, fine)
-    with np.errstate(over="ignore"):  # refused by _inverse_window as non-finite
-        np.subtract(vals, c, out=vals)
-    return c, _inverse_window(vals, n, fine.dx)
+        c = _limit_at_infinity(re, im, fine)
+    if im is None and c.imag != 0:
+        im = np.zeros(fine.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+        np.subtract(re, c.real, out=re)
+        window = _inverse_window(re, n)
+        del re  # freed before the imaginary part's transform
+        if im is not None:
+            np.subtract(im, c.imag, out=im)
+            window += 1j * _inverse_window(im, n)
+        np.divide(window, fine.dx, out=window)
+    if not np.isfinite(window).all():
+        raise InvalidParameterError("values contain non-finite entries")
+    return c, window
 
 
 def _check_squares(half_length: float) -> None:

@@ -38,7 +38,6 @@ from subord.fourier_core import (
     GridSpec,
     SampledFunction,
     forward_ft,
-    inverse_ft,
 )
 from subord.measures import factor_norm, wiener_norm
 from subord.testkit import bspline, bump, gaussian, materialize, modulated_gaussian
@@ -173,6 +172,7 @@ def test_poly_label():
     assert poly_label([1j, 1]) == "y+(0+1j)"
     assert poly_label([0, 2 - 0.5j, 0, -1]) == "-y^3+(2-0.5j)y"
     assert poly_label([0, complex(0.0, -1.0)]) == "(0-1j)y"
+    assert poly_label([0, -1j]) == "(0-1j)y"  # the real part of -1j is -0.0
 
 
 @pytest.mark.parametrize("coeffs", [[], [[1, 2], [3, 4]], [[]]], ids=["empty", "2-d", "2-d empty"])
@@ -586,10 +586,10 @@ def _factor(d, symbol, grid, q, p):
     pytest.param(math.inf, math.inf, id="p=q=inf"),
 ])
 def test_mixed_exponent_factor_inverts_once(q, p, monkeypatch):
-    """Every factor inverts the cofactor's samples once on each grid of its pair, (L, n/2) and
-    (L, n) refined by oversample, here n = N.  For p < q the window part of a pass gives the
-    partner norm; for p == q a pass is wiener_norm's total, bit for bit, without the
-    doubled-window pass.  The factor is max(F_n, 2 F_n - F_{n/2})."""
+    """Every factor inverts the real cofactor's samples once on each grid of its pair, (L, n/2)
+    and (L, n) refined by oversample, here n = N.  For p < q the window part of a pass, the
+    estimator's window read, gives the partner norm; for p == q a pass is wiener_norm's total,
+    bit for bit, without the doubled-window pass.  The factor is max(F_n, 2 F_n - F_{n/2})."""
     d = construct_decomposition([0, 1], [0, 0, 1], [1], GRID)
     grids = [GridSpec(GRID.half_length, GRID.size // 2), GRID]
     cases = [d.cofactor1, d.cofactor2] if p == q else [d.cofactor2]
@@ -599,23 +599,23 @@ def test_mixed_exponent_factor_inverts_once(q, p, monkeypatch):
         if p == q:  # each cofactor declares its constant term
             return wiener_norm(symbol, grid, oversample=4).total
         fine = grid.refined(4)
-        g = inverse_ft(SampledFunction(fine, symbol(fine.dual_nodes()), FREQUENCY))
-        absg = np.abs(g.values[np.abs(fine.nodes()) < grid.half_length])
+        g = measures._window(symbol, fine, symbol.const_at_infinity, grid.size // 2)[1]
+        absg = np.abs(g)
         return float(absg.max() if math.isinf(s) else (fine.dx * np.sum(absg**s)) ** (1.0 / s))
 
     references = [[single_pass(symbol, grid) for grid in grids] for symbol in cases]
     calls = []
     inverse_window = measures._inverse_window
 
-    def counted(values, n, dx):
-        calls.append((values.size, dx))
-        return inverse_window(values, n, dx)
+    def counted(values, n):
+        calls.append(values.size)
+        return inverse_window(values, n)
 
     monkeypatch.setattr(measures, "_inverse_window", counted)
     for symbol, (coarse, finer) in zip(cases, references):
         calls.clear()
         factor = _factor(d, symbol, GRID, q, p)
-        assert calls == [(grid.refined(4).size, grid.dx) for grid in grids]
+        assert calls == [grid.refined(4).size for grid in grids]
         assert factor == max(finer, 2.0 * finer - coarse)
 
 
@@ -640,9 +640,9 @@ def test_a_factor_grid_grows_until_every_neighborhood_fits(monkeypatch):
     sizes = []
     inverse_window = measures._inverse_window
 
-    def counted(values, n, dx):
+    def counted(values, n):
         sizes.append(values.size)
-        return inverse_window(values, n, dx)
+        return inverse_window(values, n)
 
     for symbol in (d.cofactor1, d.cofactor2):
         reference = wiener_norm(symbol, grid, oversample=4).total

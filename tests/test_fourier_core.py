@@ -54,10 +54,21 @@ def test_grid_refined():
                                  # dx underflows to 0, pi / dx overflows
                                  (5e-324, 16), (1e-320, 16),
                                  # a size that is not an integer
-                                 (40.0, 16384.0), (40.0, True)])
+                                 (40.0, 16384.0), (40.0, True),
+                                 pytest.param(40.0, np.float64(16384), id="numpy-float-size"),
+                                 pytest.param(40.0, np.bool_(True), id="numpy-bool-size"),
+                                 pytest.param("40", 16384, id="string-half-length")])
 def test_grid_rejects_bad_parameters(L, N):
     with pytest.raises(InvalidParameterError):
         GridSpec(L, N)
+
+
+@pytest.mark.parametrize("L, N", [(40.0, np.int64(16384)), (np.float32(40), 16384),
+                                  (np.float64(40), np.uint16(16384)), (40, np.int32(16384))])
+def test_grid_accepts_numpy_numbers_and_stores_python_ones(L, N):
+    grid = GridSpec(L, N)
+    assert grid == GridSpec(40.0, 16384)
+    assert type(grid.half_length) is float and type(grid.size) is int
 
 
 def test_grid_accepts_extreme_half_lengths_whose_geometry_is_finite():

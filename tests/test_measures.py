@@ -24,6 +24,7 @@ from subord.comparison import (
     constant,
     exp_abs_ft,
     gaussian_ft,
+    gw_ratio,
     gw_symbol,
     one_minus_gw_symbol,
     ratio_multiplier,
@@ -262,17 +263,52 @@ print(growth * (1 if sys.platform == "darwin" else 1024) / (16 * 2 ** 21))
 _LAUNCHER = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
 
 
+def _probe_output(probe: str) -> float:
+    # what the probe prints, run in a child of a small process
+    src = str(Path(subord.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _LAUNCHER, probe],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True)
+    return float(out.stdout)
+
+
 def test_wiener_norm_process_peak_of_a_cofactor():
     # unlike tracemalloc, ru_maxrss counts numpy's FFT work memory too.  Sampling the
     # cofactor in one call grew it by 5.2 arrays, sampling it in blocks by 3.1, sampling it
     # once in FFT order and inverting in place by 2.38, inverting its even and odd halves
     # instead of the doubled array (no 2^21-point transform and its work memory) by 1.25 to
     # 1.33, and sampling and inverting one half at a time by 0.94
-    src = str(Path(subord.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _LAUNCHER, _RSS_PROBE],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         check=True, capture_output=True, text=True)
-    assert float(out.stdout) <= 1.2
+    assert _probe_output(_RSS_PROBE) <= 1.2
+
+
+#: prints the growth of the peak RSS over one norm on (160, 2^18) at oversample 8, in arrays
+#: of the 2^21 doubles of a pass's fine grid, of the symbol the format argument builds
+_PARTS_PROBE = """
+import resource, sys
+import numpy as np
+from subord.comparison import Multiplier, gw_ratio
+from subord.fourier_core import GridSpec
+from subord.measures import wiener_norm
+psi = %s
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+wiener_norm(psi, GridSpec(160.0, 2 ** 18))
+growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(growth * (1 if sys.platform == "darwin" else 1024) / (8 * 2 ** 21))
+"""
+
+
+@pytest.mark.parametrize("symbol, bound", [
+    pytest.param("gw_ratio(1.0, 2.0)", 5.0, id="real"),
+    pytest.param("Multiplier(label='complex', _fn=lambda y: gw_ratio(1.0, 2.0)(y)"
+                 " + 1j * y * np.exp(-y * y))", 6.1, id="complex"),
+])
+def test_real_input_transforms_lower_the_process_peak(symbol, bound):
+    # a complex transform per pass grew ru_maxrss by 6.66 arrays for the real symbol and by
+    # 6.70 for the complex one.  A real-input transform's pass holds the real part, its half
+    # spectrum, numpy's work memory of about two arrays and, in the second pass, the first
+    # pass's window: 4.54.  The complex symbol's real part is freed before the imaginary
+    # part's transform: 5.60
+    assert _probe_output(_PARTS_PROBE % symbol) <= bound
 
 
 @pytest.mark.parametrize("at_origin", [math.nan, math.inf])
@@ -342,24 +378,34 @@ def _centred_limit(whole, y, grid, pinned):
     return 0.5 * (complex(np.mean(whole[y >= level])) + complex(np.mean(whole[y <= -level])))
 
 
+def _assert_parts(re, im, values):
+    # re and im are the real and imaginary parts of values, bit for bit; im None for a zero part
+    assert re.tobytes() == values.real.tobytes()
+    if im is None:
+        assert not values.imag.any()
+    else:
+        assert im.tobytes() == values.imag.tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=_SYMBOLS, layout=st.sampled_from(_LAYOUTS), offset=st.sampled_from([0.0, 0.5]))
 def test_blocked_sampling_matches_one_call_bit_for_bit(case, layout, offset):
     """Samples at the dual nodes or at the midpoints between them, with blocks of odd length
-    too, are the even or the odd nodes of the doubled grid in FFT order, and the constant
-    term read off the nodes' samples is the whole grid's."""
+    too, are the real and imaginary parts of the even or the odd nodes of the doubled grid in
+    FFT order, the imaginary part None where it is zero, and the constant term read off the
+    nodes' samples is the whole grid's."""
     psi, pinned = case
     size, block = layout
     grid = GridSpec(40.0, size)
     doubled = np.fft.ifftshift(np.asarray(psi(grid.refined(2).dual_nodes()), dtype=np.complex128))
     with mock.patch.object(measures, "_BLOCK", block):
-        vals = _samples(psi, grid, offset)
-    assert vals.tobytes() == doubled[int(2 * offset)::2].tobytes()
+        re, im = _samples(psi, grid, offset)
+    _assert_parts(re, im, doubled[int(2 * offset)::2])
     if offset == 0.0:
         y = grid.dual_nodes()
         whole = np.asarray(psi(y), dtype=np.complex128)
-        assert vals.tobytes() == np.fft.ifftshift(whole).tobytes()
-        c = complex(pinned) if pinned is not None else _limit_at_infinity(vals, grid)
+        _assert_parts(re, im, np.fft.ifftshift(whole))
+        c = complex(pinned) if pinned is not None else _limit_at_infinity(re, im, grid)
         assert c == _centred_limit(whole, y, grid, pinned)
 
 
@@ -372,7 +418,7 @@ def test_the_constant_term_is_read_bit_for_bit_or_scaled_past_an_overflow(value,
     grid = GridSpec(40.0, size)
     y = grid.dual_nodes()
     whole = (value * (1.0 + ripple * np.cos(y)) + 0j).astype(np.complex128)
-    c = _limit_at_infinity(np.fft.ifftshift(whole), grid)
+    c = _limit_at_infinity(np.fft.ifftshift(whole.real), None, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         direct = _centred_limit(whole, y, grid, None)
     if cmath.isfinite(direct):
@@ -398,11 +444,12 @@ _SHIFTED = st.floats(-2.0, 2.0).map(lambda a: (
 @given(case=st.one_of(_SYMBOLS, _SHIFTED), size=st.sampled_from([2 ** 8, 2 ** 10]),
        oversample=st.sampled_from([1, 2, 4, 8]))
 def test_window_read_and_shared_sampling_match_independent_passes(case, size, oversample):
-    """The in-place window read is inverse_ft's window.  ``total``, from the even half of the
-    doubled samples, is bit for bit that of a pass that samples its own grid.  The doubled
-    window, joined from the even and odd halves' inversions, gives the ``refined_total`` of
-    a direct pass on the doubled grid with the same constant term up to rounding: no
-    sequence of half-length transforms rounds as the full-length one does."""
+    """The window read, from the real-input transforms of the samples' parts, is inverse_ft's
+    window up to rounding.  ``total``, from the even half of the doubled samples, is bit for
+    bit that of a pass that samples its own grid.  The doubled window, joined from the even
+    and odd halves' inversions, gives the ``refined_total`` of a direct pass on the doubled
+    grid with the same constant term up to rounding: no sequence of half-length transforms
+    rounds as the full-length one does."""
     psi, pinned = case
     grid = GridSpec(40.0, size)
     est = wiener_norm(_declaring(psi, pinned), grid, oversample=oversample)
@@ -410,8 +457,60 @@ def test_window_read_and_shared_sampling_match_independent_passes(case, size, ov
     centred = np.asarray(psi(fine.dual_nodes()), dtype=np.complex128) - est.const_at_infinity
     mid, n = fine.size // 2, size // 2
     reference = inverse_ft(SampledFunction(fine, centred, FREQUENCY)).values[mid - n + 1:mid + n]
-    window = _inverse_window(np.fft.ifftshift(centred), n, fine.dx)
-    assert window.tobytes() == reference.tobytes()
+    window = _window(psi, fine, est.const_at_infinity, n)[1]
+    assert np.max(np.abs(window - reference)) <= 1e-14 * np.max(np.abs(reference))
     assert est.total == _single_total(psi, grid, oversample, pinned)
     doubled = _single_total(psi, grid.refined(2), oversample, est.const_at_infinity)
     assert est.refined_total == pytest.approx(doubled, rel=1e-13)
+
+
+#: (symbol, constant term): a real symbol and a complex one, neither of them even, so that
+#: neither density is real
+_UNEVEN = [
+    pytest.param(Multiplier(label="real", _fn=lambda y: np.exp(-(y - 0.5) ** 2)), 0.0, id="real"),
+    pytest.param(Multiplier(label="complex", _fn=lambda y: 1.0 + np.exp(-(y - 0.5) ** 2 + 1j * y)),
+                 1.0, id="complex"),
+]
+
+
+@pytest.mark.parametrize("oversample", [1, 2])
+@pytest.mark.parametrize("psi, c", _UNEVEN)
+def test_the_doubled_window_is_the_periodic_inverse(psi, c, oversample):
+    """The window |j| < N of an M = oversample * N point pass, as the doubled window reads it,
+    is the M-periodic inverse DFT of the samples less c, scaled by 1 / dx, up to rounding,
+    both as a pass reads it and as the parts' real-input windows joined.  At oversample 1 it
+    wraps past M / 2, where a window sliced off the half spectrum would not broadcast."""
+    grid = GridSpec(40.0, 2 ** 10)
+    fine, n = grid.refined(oversample), grid.size
+    values = np.fft.ifftshift(np.asarray(psi(fine.dual_nodes()), dtype=np.complex128)) - c
+    reference = np.fft.ifft(values)[np.arange(1 - n, n) % fine.size] / fine.dx
+    joined = (_inverse_window(values.real, n) + 1j * _inverse_window(values.imag, n)) / fine.dx
+    for window in (_window(psi, fine, c, n)[1], joined):
+        assert window.shape == reference.shape
+        assert np.max(np.abs(window - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+def test_a_pass_makes_one_real_input_transform_per_part(monkeypatch):
+    # a real symbol's pass makes one rfft of its fine grid, a complex symbol's two, and no
+    # complex transform runs, in wiener_norm's two passes and in those of factor_norm's pair
+    calls = []
+
+    def counted(name):
+        transform = getattr(np.fft, name)
+
+        def call(a, *args, **kwargs):
+            calls.append((name, len(a)))
+            return transform(a, *args, **kwargs)
+        return call
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    grid = GridSpec(40.0, 2 ** 10)
+    shifted = Multiplier(label="complex", _fn=lambda y: np.exp(-(y - 0.5) ** 2 + 1j * y))
+    for psi, parts in ((gw_ratio(1.0, 2.0), 1), (shifted, 2)):
+        calls.clear()
+        wiener_norm(psi, grid)
+        assert calls == [("rfft", 8 * grid.size)] * (2 * parts)
+        calls.clear()
+        factor_norm(psi, grid, None, 0.0, 4)
+        assert calls == [("rfft", 2 * grid.size)] * parts + [("rfft", 4 * grid.size)] * parts

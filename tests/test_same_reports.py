@@ -12,6 +12,7 @@ _SPEC.loader.exec_module(same_reports)
 changed_fields = same_reports.changed_fields
 moved_fields = same_reports.moved_fields
 size_line = same_reports.size_line
+summary = same_reports.summary
 
 
 def test_equal_reports_have_no_changed_field():
@@ -58,3 +59,25 @@ def test_the_size_line_names_each_module_whose_count_changed():
     assert size_line(old, new) == ("src/subord/*.py: 1280 -> 1271 lines (diffops.py 566 -> 520, "
                                    "gone.py 7 -> 0, measures.py 229 -> 270, new.py 0 -> 3)")
     assert size_line(old, old) == "src/subord/*.py: 1280 -> 1280 lines"
+
+
+def test_the_summary_counts_non_numbers_and_names_each_fields_largest_move():
+    # by the last key that is not a list index, the largest relative move and its command line
+    # (the first on a tie); a key on one side only, a string and a bool are not numbers
+    a, b = ("wiener-norm", "--multiplier", "exp_abs_ft"), ("diffop-verify", "--q", "2")
+    leaves = [
+        (a, "estimate.total", 2.0, 2.5),
+        (b, "estimate.total", 1.0, 1.25),
+        (b, "cases.0.ratio", 0.5, 0.75),
+        (b, "cases.3.ratio", 0.25, 0.5),
+        (a, "cases.4.ratio", 1.0, 0.5),
+        (a, "estimate.converged", True, False),
+        (b, "label", "y", "y^2"),
+        (b, "gone", 1.5, None),
+    ]
+    assert summary(leaves) == [
+        "3 differing fields are not numbers on both sides",
+        "largest move of ratio: 0.25 -> 0.5 (5.0e-01) in diffop-verify --q 2",
+        "largest move of total: 2.0 -> 2.5 (2.0e-01) in wiener-norm --multiplier exp_abs_ft",
+    ]
+    assert summary([]) == ["0 differing fields are not numbers on both sides"]

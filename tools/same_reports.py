@@ -10,9 +10,14 @@ exit codes (revision, then this tree) and names every report file, JSON or
 CSV, whose bytes differ; for a JSON report on both sides it also gives the
 dotted path of every field that differs, such as ``estimate.refined_total``
 (list items by index), and for a number on both sides how far it moved:
-``old -> new (relative difference)``.  A last line gives the line count of
-``src/subord/*.py`` in both trees, the total that ``wc -l`` prints, and that of
-each module whose count changed.  The exit status is 1 when an exit code or a
+``old -> new (relative difference)``.  A summary of the JSON reports' differing
+fields follows: how many of them are not numbers on both sides, and for each
+field name (the last key of a path that is not a list index) the largest
+relative move, with the command line that gave it.  So a change that moves
+numbers by rounding only reads as no non-numeric field and small moves.  Then
+the count of command lines and differences, and a last line with the line count
+of ``src/subord/*.py`` in both trees, the total that ``wc -l`` prints, and that
+of each module whose count changed.  The exit status is 1 when an exit code or a
 file differs, else 0.  ``benchmarks/`` is read, never written.
 """
 
@@ -171,25 +176,55 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _relative(a, b) -> float:
+    # how far a number moved, relative to the larger magnitude
+    scale = max(abs(a), abs(b))
+    return abs(b - a) / scale if scale else 0.0
+
+
+def _moved(path: str, a, b) -> str:
+    if not (_is_number(a) and _is_number(b)):
+        return path
+    return f"{path} {a!r} -> {b!r} ({_relative(a, b):.1e})"
+
+
 def moved_fields(old, new) -> list[str]:
     """:func:`changed_fields`, each followed by ``old -> new (relative difference)`` where
     both sides hold a number; the difference is relative to the larger magnitude."""
-    def moved(path, a, b):
+    return [_moved(*d) for d in _differences(old, new)]
+
+
+def summary(leaves) -> list[str]:
+    """From ``(command line, path, old, new)`` for every differing leaf of the JSON reports: the
+    count of leaves that are not numbers on both sides, then for each field name, the last key
+    of its path that is not a list index, in name order, the largest relative move and the
+    command line that gave it (the first such line on a tie)."""
+    other, largest = 0, {}
+    for argv, path, a, b in leaves:
         if not (_is_number(a) and _is_number(b)):
-            return path
-        scale = max(abs(a), abs(b))
-        return f"{path} {a!r} -> {b!r} ({abs(b - a) / scale if scale else 0.0:.1e})"
+            other += 1
+            continue
+        name = next((key for key in reversed(path.split(".")) if not key.isdigit()), path)
+        if name not in largest or _relative(a, b) > _relative(*largest[name][1:]):
+            largest[name] = (argv, a, b)
+    return [f"{other} differing fields are not numbers on both sides"] + [
+        f"largest move of {name}: {a!r} -> {b!r} ({_relative(a, b):.1e}) in {' '.join(argv)}"
+        for name, (argv, a, b) in sorted(largest.items())]
 
-    return [moved(*d) for d in _differences(old, new)]
 
-
-def _describe(outs: list[Path], name: str) -> str:
-    # the file's name, and for a JSON report written on both sides the fields that differ
+def _report_differences(outs: list[Path], name: str):
+    # (path, old, new) of every differing leaf of a JSON report written on both sides, else None
     old, new = (_bytes(out / name) for out in outs)
     if not name.endswith(".json") or old is None or new is None:
+        return None
+    return list(_differences(json.loads(old), json.loads(new)))
+
+
+def _describe(name: str, leaves) -> str:
+    # the file's name, and for a JSON report written on both sides the fields that differ
+    if leaves is None:
         return name
-    fields = moved_fields(json.loads(old), json.loads(new))
-    return f"{name} ({', '.join(fields) or 'layout only'})"
+    return f"{name} ({', '.join(_moved(*d) for d in leaves) or 'layout only'})"
 
 
 def _module_lines(tree: Path) -> dict[str, int]:
@@ -212,7 +247,7 @@ def main(argv: list[str]) -> int:
         print("usage: python3 tools/same_reports.py <git-rev>", file=sys.stderr)
         return 2
     lines = _command_lines()
-    differences = 0
+    differences, leaves = 0, []
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         base.mkdir()
@@ -225,10 +260,13 @@ def main(argv: list[str]) -> int:
             changed = [name for name in ("report.json", "cases.csv")
                        if _bytes(outs[0] / name) != _bytes(outs[1] / name)]
             differences += (codes[0] != codes[1]) + len(changed)
-            described = ", ".join(_describe(outs, name) for name in changed)
+            reports = {name: _report_differences(outs, name) for name in changed}
+            leaves += [(args, *d) for d in reports.get("report.json") or ()]
+            described = ", ".join(_describe(name, reports[name]) for name in changed)
             note = f"  DIFFERS: {described}" if changed else ""
             print(f"{codes[0]} {codes[1]}  {' '.join(args)}{note}", flush=True)
         sizes = [_module_lines(tree) for tree in (base, ROOT)]
+    print("\n".join(summary(leaves)))
     print(f"{len(lines)} command lines, {differences} differences")
     print(size_line(*sizes))
     return 1 if differences else 0
