@@ -26,6 +26,7 @@ exactly over Q (:func:`real_roots`), values on grids in doubles.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,8 @@ __all__ = [
 _IDENTITY_TOL = 1e-10
 #: spectrum fraction allowed in the outer band of the dual window when applying an operator
 _BANDWIDTH_LEVEL = 1e-8
+#: dual nodes per block of the identity check: its temporaries stay a block's, not the grid's
+_CHECK_BLOCK = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +364,15 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     cofactor1 = Multiplier(label=label1, _fn=h1_fn, const_at_infinity=at_infinity)
     cofactor2 = Multiplier(label=label2, _fn=h2_fn, const_at_infinity=0.0)
 
-    # diagnostics: dual grid plus refined local grids around each pole
-    ydual = grid.dual_nodes()
-    sup_q = float(np.abs(npoly.polyval(ydual, q)).max())
+    # diagnostics: the dual nodes k dy, -N/2 <= k < N/2, block by block, plus refined local
+    # grids around each pole; maxima, so the same as over the whole grid at once
+    h = grid.size // 2
+    blocks = [(k, min(k + _CHECK_BLOCK, h)) for k in range(-h, h, _CHECK_BLOCK)]
+    sup_q = max(float(np.abs(npoly.polyval(np.arange(a, b) * grid.dy, q)).max())
+                for a, b in blocks)
     residual = sup_h2 = 0.0
-    for pts in [ydual] + [_local_grid(c, d, grid.dy / 16.0) for c, d, _, _ in segments]:
+    for pts in itertools.chain((np.arange(a, b) * grid.dy for a, b in blocks),
+                               (_local_grid(c, d, grid.dy / 16.0) for c, d, _, _ in segments)):
         v1, v2 = h1_fn(pts), h2_fn(pts)
         rebuilt = v1 * npoly.polyval(pts, p1) + v2 * npoly.polyval(pts, p2)
         defect = np.abs(npoly.polyval(pts, q) - rebuilt)

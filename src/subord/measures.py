@@ -16,36 +16,44 @@ larger window).  Recovering it on the caller's own window would periodize
 ``g`` with period ``2 L`` and silently fold the tail mass back into the
 window — the window integral would then match ``psi(0)`` exactly and the
 tail correction would double-count.  Oversampling pushes the aliasing images
-out to ``2 L * oversample`` where they are harmless.  A pass samples the symbol's real
-part, and its imaginary part only if some block has one, straight into FFT order (the
-``ifftshift`` of the centred order), less the constant term's parts, inverts each part
-with a real-input FFT and reads, joins as ``re + i im`` and scales only the caller's window.
+out to ``2 L * oversample`` where they are harmless.
 
 The constant term is the one the symbol declares, its ``const_at_infinity`` (see
 :class:`subord.comparison.Multiplier`) if not None; any other callable declares none.  Else
-it is read off the samples: :func:`wiener_norm` reads it once, off the caller's window's
-samples, and uses it for the doubled window too: doubling keeps ``dx``, so a second read
-would average ``psi`` over the same band.  The doubled window's dual nodes are the single
-window's ``M = oversample * N`` nodes and the ``M`` midpoints between them, and a
-``2 M``-point inverse DFT is half the nodes' ``M``-point one plus the midpoints', turned by a
-twiddle (decimation in time).  So the two halves are sampled and inverted one after the
-other; the first holds the single window's pass, bit for bit, and the doubled window's
-``refined_total`` is that of a direct doubled pass with the same constant term, up to
-rounding.
+it is read once, before any inversion, off the symbol's values on the outer 5% of each side
+of the refined grid's dual window, and :func:`wiener_norm` uses it for the doubled window
+too: doubling keeps ``dx``, so a second read would average ``psi`` over the same band.
+
+The doubled window's dual grid has the ``2 M`` nodes ``k dy / 2``, ``M = oversample * N``:
+the refined grid's nodes and the midpoints between them.  It is sampled and inverted in
+``P = 2 M / K`` phases of ``K = min(2 N, M)`` nodes, phase ``q`` holding the nodes
+``(P r + q) dy / 2`` (decimation in time, Cooley and Tukey 1965, pruned to the nodes the
+window reads, Markel 1971).  A phase samples the symbol's real part, and its imaginary part
+only if some block has one, straight into FFT order, less the constant term's parts, and
+inverts each part with one real-input FFT, read at ``0 <= j < N`` only: each part's window is
+Hermitian.  With ``A_q`` the ``K``-point inverse of phase ``q`` and the twiddle
+``w = e^{i pi j / M}``, the ``2 M``-point inverse is ``(E + w O) / P`` and the refined grid's
+``M``-point one ``2 E / P``, ``E`` and ``O`` the sums of ``w^(q - q mod 2) A_q`` over the even
+and the odd phases, each accumulated by Horner's rule in ``w^2``.  So the even phases give
+the single window, ``|j| < N / 2``, and all phases the doubled one, ``|j| < N``; no array of
+``M`` or ``2 M`` points is allocated.  The single window's ``total`` is bit for bit that of the
+even phases alone, a pass on the caller's grid, and ``refined_total`` that of a direct
+doubled pass with the same constant term, up to rounding.
 
 :func:`factor_norm` bounds a convolution operator ``L^p -> L^q`` by its symbol, for the
-factors of ``diffop-verify``.  One pass on a grid with the caller's half-length ``L`` and
-``size`` nodes, refined by ``oversample``, gives ``F_size``: for ``p == q`` (no ``partner``) the
-measure norm's single-window total ``|c| + window mass + C/x^2 tail``, the ``total`` of
-:func:`wiener_norm` on that grid (``c`` declared or read off the pass's samples), and for
-``p < q`` the window ``L^s`` norm of the density, ``s`` the ``partner`` exponent: a symbol
-with no constant at infinity is convolution with its density alone.  The error falls like
-``dx = 2 L / size``, so the factor is ``max(F_n, 2 F_n - F_{n/2})`` over the passes on
-``(L, n/2)`` and ``(L, n)``: first-order Richardson extrapolation in ``dx``, never below the
-finer pass.  ``n`` is ``_FACTOR_SIZE``, or the caller's ``N`` if smaller, at least 32, and
-doubled while the ``extent`` of the symbol's features, such as ``|r| + delta`` of a
-cofactor's neighborhood, leaves the dual window of ``(L, n/2)``.  No window-doubling test
-runs.  For ``p == q``, ``(2 L)^2`` must be a double, as for :func:`wiener_norm`.
+factors of ``diffop-verify``.  One pass, the even phases on a grid with the caller's
+half-length ``L`` and ``size`` nodes refined by ``oversample``, gives ``F_size``: for
+``p == q`` (no ``partner``) the measure norm's single-window total
+``|c| + window mass + C/x^2 tail``, the ``total`` of :func:`wiener_norm` on that grid (``c``
+declared or read off that grid's outer bands), and for ``p < q`` the window ``L^s`` norm of
+the density, ``s`` the ``partner`` exponent: a symbol with no constant at infinity is
+convolution with its density alone.  The error falls like ``dx = 2 L / size``, so the factor
+is ``max(F_n, 2 F_n - F_{n/2})`` over the passes on ``(L, n/2)`` and ``(L, n)``: first-order
+Richardson extrapolation in ``dx``, never below the finer pass.  ``n`` is ``_FACTOR_SIZE``,
+or the caller's ``N`` if smaller, at least 32, and doubled while the ``extent`` of the
+symbol's features, such as ``|r| + delta`` of a cofactor's neighborhood, leaves the dual
+window of ``(L, n/2)``.  No window-doubling test runs.  For ``p == q``, ``(2 L)^2`` must be a
+double, as for :func:`wiener_norm`.
 
 A symbol is called on consecutive blocks of the dual nodes, never on the
 whole grid at once, and its results are written into preallocated arrays.  It
@@ -59,7 +67,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -100,9 +108,21 @@ class WienerEstimate:
     converged: bool
 
 
-def _limit_at_infinity(re: np.ndarray, im: Optional[np.ndarray], grid: GridSpec) -> complex:
-    # the constant term: the means of grid's samples in FFT order, real part re and imaginary
-    # part im (None for 0), at y >= level and at y <= -level, which must agree
+def _evaluate(psi: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.ndarray:
+    # psi at the nodes y, refused unless of y's shape and finite
+    block = np.asarray(psi(y), dtype=np.complex128)
+    if block.shape != y.shape:
+        raise InvalidParameterError(
+            f"symbol returned shape {block.shape} for {y.shape[0]} dual nodes; "
+            "it must be pointwise and keep the shape of its argument")
+    if not np.isfinite(block).all():
+        raise InvalidParameterError("symbol evaluated to non-finite values on the dual grid")
+    return block
+
+
+def _limit_at_infinity(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> complex:
+    # the constant term: the means of psi over grid's dual nodes at y >= level and at
+    # y <= -level, sampled block by block, which must agree
     h, dy = grid.size // 2, grid.dy
     level = grid.dual_half_length - _LIMIT_BAND * grid.dual_half_length
     k = math.ceil(level / dy)  # at most one off the least k with k dy >= level,
@@ -111,9 +131,11 @@ def _limit_at_infinity(re: np.ndarray, im: Optional[np.ndarray], grid: GridSpec)
         raise GridTooSmallError(
             f"the outer {_LIMIT_BAND:.0%} of one side of the dual window holds no node; "
             "enlarge the grid size to read off the constant term")
-    # complex, so the means are bit for bit those of the complex samples
-    bands = [re[a:b] + 1j * (0.0 if im is None else im[a:b])
-             for a, b in ((k, h), (h, 2 * h + 1 - k))]
+    values = [np.concatenate([_evaluate(psi, np.arange(a, min(a + _BLOCK, b)) * dy)
+                              for a in range(lo, b, _BLOCK)]) for lo, b in ((k, h), (-h, 1 - k))]
+    # joined as re + i im, the parts a pass inverts, with im 0.0 where no band node has one
+    imaginary = any(v.imag.any() for v in values)
+    bands = [v.real + 1j * (v.imag if imaginary else 0.0) for v in values]
     # the means scaled by s, a power of two and so exact: 1, or, where a band's sum or the
     # sum of the two means leaves the doubles, one over a bound on the band's node count
     s = 1.0
@@ -129,71 +151,137 @@ def _limit_at_infinity(re: np.ndarray, im: Optional[np.ndarray], grid: GridSpec)
     return c / s
 
 
-def _samples(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
-             offset: float = 0.0) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    # the real and imaginary parts of psi at (k + offset) dy for grid's dual nodes k dy in FFT
-    # order, block by block, so a symbol's temporaries never exceed one block; the imaginary
-    # part is None while every block is real
-    h, dy = grid.size // 2, grid.dy
-    re, im = np.empty(grid.size), None
+def _samples(psi: Callable[[np.ndarray], np.ndarray], size: int, phases: int, phase: int,
+             step: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    # the real and imaginary parts of psi at the nodes (phases r + phase) step for r < size in
+    # FFT order (r - size for r >= size / 2), block by block, so a symbol's temporaries never
+    # exceed one block; the imaginary part is None while every block is real
+    h = size // 2
+    re, im = np.empty(size), None
     for k in (*range(0, h, _BLOCK), *range(-h, 0, _BLOCK)):  # none crosses from y >= 0 to y < 0
-        part = (np.arange(k, min(k + _BLOCK, h if k >= 0 else 0)) + offset) * dy
-        block = np.asarray(psi(part), dtype=np.complex128)
-        if block.shape != part.shape:
-            raise InvalidParameterError(
-                f"symbol returned shape {block.shape} for {part.shape[0]} dual nodes; "
-                "it must be pointwise and keep the shape of its argument")
-        if not np.isfinite(block).all():
-            raise InvalidParameterError("symbol evaluated to non-finite values on the dual grid")
-        re[k % grid.size:][:block.size] = block.real
+        block = _evaluate(psi, (np.arange(k, min(k + _BLOCK, h if k >= 0 else 0)) * phases
+                                + phase) * step)
+        re[k % size:][:block.size] = block.real
         if im is None and block.imag.any():
-            im = np.zeros(grid.size)
+            im = np.zeros(size)
         if im is not None:
-            im[k % grid.size:][:block.size] = block.imag
+            im[k % size:][:block.size] = block.imag
     return re, im
 
 
-def _inverse_window(values: np.ndarray, n: int) -> np.ndarray:
-    """``ifft(values)`` at the nodes ``|j| < n <= M`` of ``M`` real ``values`` in FFT order, up to
-    rounding, from their real-input transform ``R = rfft(values) / M``: the inverse is
-    ``conj(R_j)`` at ``0 <= j <= M/2`` and ``R_{M-j}`` above, and at ``-j`` the conjugate of that
-    at ``j``.  Non-finite input or output raises."""
+#: the estimator's arithmetic on samples and windows: an overflow is refused where the array
+#: is checked for non-finite entries, not warned of
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
+def _add_inverse(acc: np.ndarray, values: np.ndarray) -> None:
+    """Add to ``acc`` the inverse DFT of the ``K`` real ``values`` in FFT order at the nodes
+    ``0 <= j < acc.size <= K``, from their real-input transform ``R = rfft(values) / K``: the
+    inverse is ``conj(R_j)`` at ``j <= K/2`` and ``R_{K-j}`` above.  Non-finite input or output
+    raises."""
     if not np.isfinite(values).all():
         raise InvalidParameterError("values contain non-finite entries")
     h = values.size // 2
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
-        r = np.fft.rfft(values, norm="forward")
+    r = np.fft.rfft(values, norm="forward")
     if not np.isfinite(r).all():
         raise InvalidParameterError("values contain non-finite entries")
-    window = np.empty(2 * n - 1, dtype=np.complex128)  # allocated before r, it lifts the peak
-    upper = window[n - 1:]  # the nodes 0 <= j < n
-    np.conjugate(r[:n], out=upper[:h + 1])
-    upper[h + 1:] = r[h - 1:values.size - n:-1]  # j > M/2: the doubled window at oversample 1
-    del r  # freed before the next part's transform
-    np.conjugate(upper[:0:-1], out=window[:n - 1])
-    return window
+    np.conjugate(r, out=r)
+    acc[:h + 1] += r[:acc.size]
+    acc[h + 1:] += np.conjugate(r[h - 1:values.size - acc.size:-1])  # only at oversample 1
 
 
-def _window(psi: Callable[[np.ndarray], np.ndarray], fine: GridSpec, c: Optional[complex],
-            n: int, offset: float = 0.0) -> tuple[complex, np.ndarray]:
-    # one pass: c, read off psi's samples on fine if None, and g at |j| < n from them less c,
-    # the inverse of the real part plus i times that of the imaginary part, if any
-    re, im = _samples(psi, fine, offset)
-    if c is None:
-        c = _limit_at_infinity(re, im, fine)
-    if im is None and c.imag != 0:
-        im = np.zeros(fine.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
-        np.subtract(re, c.real, out=re)
-        window = _inverse_window(re, n)
+@_QUIET
+def _horner_step(acc: Optional[np.ndarray], values: Optional[np.ndarray], term: float,
+                 twiddle: np.ndarray) -> Optional[np.ndarray]:
+    # acc twiddle plus the inverse of values less term, at 0 <= j < twiddle.size; None for 0
+    if acc is not None:
+        acc *= twiddle
+    if values is None:
+        return acc
+    np.subtract(values, term, out=values)
+    if acc is None:
+        acc = np.zeros(twiddle.size, dtype=np.complex128)
+    _add_inverse(acc, values)
+    return acc
+
+
+def _accumulate(psi: Callable[[np.ndarray], np.ndarray], c: complex, size: int, phases: int,
+                order: range, step: float, twiddle: np.ndarray):
+    # the real part's and the imaginary part's (None for 0) sum over the phases q of order, taken
+    # from the highest down by 2, of twiddle^((q - order[-1]) / 2) times the inverse of phase
+    # q's samples less c, at 0 <= j < twiddle.size (Horner's rule)
+    re_acc = im_acc = None
+    for q in order:
+        re, im = _samples(psi, size, phases, q, step)
+        if im is None and c.imag != 0:
+            im = np.zeros(size)
+        re_acc = _horner_step(re_acc, re, c.real, twiddle)
         del re  # freed before the imaginary part's transform
-        if im is not None:
-            np.subtract(im, c.imag, out=im)
-            window += 1j * _inverse_window(im, n)
-        np.divide(window, fine.dx, out=window)
-    if not np.isfinite(window).all():
-        raise InvalidParameterError("values contain non-finite entries")
-    return c, window
+        im_acc = _horner_step(im_acc, im, c.imag, twiddle)
+        del im  # and before the next phase is sampled
+    return re_acc, im_acc
+
+
+@_QUIET
+def _twiddled_sum(e: Optional[np.ndarray], o: Optional[np.ndarray],
+                  w: np.ndarray) -> Optional[np.ndarray]:
+    # e + w o, in o's array, with None for 0
+    if o is not None:
+        o *= w
+        if e is not None:
+            o += e
+    return e if o is None else o
+
+
+@_QUIET
+def _abs_window(re: np.ndarray, im: Optional[np.ndarray], n: int, scale: float) -> np.ndarray:
+    # |g| at |j| < n, g = (re + i im) / scale at j >= 0 and (conj(re) + i conj(im)) / scale at
+    # -j, from a real part's and an imaginary part's (None for 0) inverses at 0 <= j < n; each
+    # part's window is Hermitian.  A non-finite g raises
+    absg = np.empty(2 * n - 1)
+    halves = [(re[:n], None if im is None else im[:n], absg[n - 1:])]
+    if im is not None:
+        halves.append((np.conjugate(re[n - 1:0:-1]), np.conjugate(im[n - 1:0:-1]), absg[:n - 1]))
+    for a, b, out in halves:
+        g = (a if b is None else a + 1j * b) / scale
+        if not np.isfinite(g).all():
+            raise InvalidParameterError("values contain non-finite entries")
+        np.abs(g, out=out)
+    if im is None:
+        absg[:n - 1] = absg[:n - 1:-1]
+    return absg
+
+
+def _windows(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, oversample: int,
+             doubled: bool) -> Iterator[tuple[complex, np.ndarray]]:
+    """Yield the constant term and ``|g|`` on the window ``|j| < N/2`` of ``grid`` refined by
+    ``oversample``, then, if ``doubled``, on the doubled window ``|j| < N`` (see the module
+    notes)."""
+    fine = grid.refined(oversample)
+    n, m = grid.size, fine.size
+    size = min(2 * n, m)  # nodes per phase
+    phases = 2 * m // size
+    step = 0.5 * fine.dy
+    c = getattr(psi, "const_at_infinity", None)
+    if c is None:
+        try:
+            c = _limit_at_infinity(psi, fine)
+        except (GridTooSmallError, InconsistentLimitError):
+            for q in range(phases):  # a fault of the symbol's values elsewhere comes first
+                _samples(psi, size, phases, q, step)
+            raise
+    index = np.arange(n if doubled else n // 2)
+    squared = np.exp(index * (2j * np.pi / m))  # w^2, for the twiddle w = e^{i pi j / M}
+    even = _accumulate(psi, c, size, phases, range(phases - 2, -1, -2), step, squared)
+    yield c, _abs_window(*even, n // 2, fine.dx * (phases // 2))
+    if doubled:
+        odd = _accumulate(psi, c, size, phases, range(phases - 1, 0, -2), step, squared)
+        del squared
+        w = np.exp(index * (1j * np.pi / m))
+        parts = [_twiddled_sum(e, o, w) for e, o in zip(even, odd)]
+        del even, odd, w
+        yield c, _abs_window(*parts, n, fine.dx * phases)
 
 
 def _check_squares(half_length: float) -> None:
@@ -243,22 +331,13 @@ def wiener_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
     pointwise in ``y`` and return ``y``'s shape.  A result of another shape,
     or a non-finite value, raises :class:`InvalidParameterError`.
     """
-    fine = grid.refined(oversample)
+    dx = grid.refined(oversample).dx  # oversample is checked first
     _check_squares(grid.half_length)
-    m, n, dx = fine.size, grid.size, fine.dx  # the doubled window: |j| < N, 2M nodes
-    # E_j / dx and O_j / dx at |j| < N, the M-point inverses of the even nodes k dy and, next,
-    # the odd nodes (k + 1/2) dy less c.  Half E_j plus e^{i pi j / M} O_j is the 2M-point inverse
-    # (Cooley and Tukey, 1965); the middle |j| < N / 2 of E_j / dx is the single window's pass
-    c, e = _window(psi, fine, getattr(psi, "const_at_infinity", None), n)
-    density_l1, tail, total = _wiener_components(c, np.abs(e[n // 2:n // 2 + n - 1]), dx)
-    window = _window(psi, fine, c, n, 0.5)[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
-        window *= np.exp(np.arange(1 - n, n) * (1j * np.pi / m))
-        window += e
-        window *= 0.5
-    if not np.isfinite(window).all():
-        raise InvalidParameterError("values contain non-finite entries")
-    refined_total = _wiener_components(c, np.abs(window), dx)[2]
+    windows = _windows(psi, grid, oversample, doubled=True)
+    c, absg = next(windows)
+    density_l1, tail, total = _wiener_components(c, absg, dx)
+    del absg  # freed before the odd phases are sampled
+    refined_total = _wiener_components(c, next(windows)[1], dx)[2]
     converged = abs(total - refined_total) <= max(1e-3, 1e-2 * total)
     return WienerEstimate(
         oversample=oversample,
@@ -283,12 +362,12 @@ def factor_norm(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
         n *= 2
 
     def one_pass(size: int) -> float:
-        fine = GridSpec(grid.half_length, size).refined(oversample)
-        c, g = _window(psi, fine, getattr(psi, "const_at_infinity", None), size // 2)
-        g = np.abs(g)  # and the complex window is dropped
+        pair_grid = GridSpec(grid.half_length, size)
+        dx = pair_grid.refined(oversample).dx
+        c, g = next(_windows(psi, pair_grid, oversample, doubled=False))
         if partner is None:
-            return _wiener_components(c, g, fine.dx)[2]
-        return _lp(g, fine.dx, partner)
+            return _wiener_components(c, g, dx)[2]
+        return _lp(g, dx, partner)
 
     coarse = one_pass(n // 2)  # its arrays are freed before the finer pass allocates
     finer = one_pass(n)

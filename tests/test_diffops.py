@@ -270,6 +270,24 @@ def test_decomposition_identical_symbols():
     assert np.abs(d.cofactor1(y) - 1.0).max() <= 1e-12
 
 
+@pytest.mark.parametrize("polys", [([0, 1], [-1, 0, 1], [1]), ([1, 1], [-1, 0, 1], [1, 1])])
+def test_the_identity_check_in_blocks_reads_the_whole_grids_maxima(polys):
+    # at 2^16 dual nodes, four blocks of the check: the residual and the sup of |h2| are those
+    # of one call on the whole dual grid and one on each pole's local grid, bit for bit
+    grid = GridSpec(40.0, 2 ** 16)
+    d = construct_decomposition(*polys, grid)
+    q, p1, p2 = (np.asarray(p, dtype=float) for p in polys)
+    residual = sup_h2 = 0.0
+    for pts in [grid.dual_nodes()] + [diffops._local_grid(c, r, grid.dy / 16.0)
+                                      for c, r in d.neighborhoods]:
+        v1, v2 = d.cofactor1(pts), d.cofactor2(pts)
+        rebuilt = v1 * npoly.polyval(pts, p1) + v2 * npoly.polyval(pts, p2)
+        residual = max(residual, float(np.abs(npoly.polyval(pts, q) - rebuilt).max()))
+        sup_h2 = max(sup_h2, float(np.abs(v2).max()))
+    assert d.neighborhoods
+    assert (d.identity_residual, d.cofactor2_sup) == (residual, sup_h2)
+
+
 def test_decomposition_odd_triple_division_guard():
     """(y, y^3, y): h2 = (y - h1 y^3)/y needs the removable-singularity
     guard at the origin, where both probes stay regular."""
@@ -587,9 +605,10 @@ def _factor(d, symbol, grid, q, p):
 ])
 def test_mixed_exponent_factor_inverts_once(q, p, monkeypatch):
     """Every factor inverts the real cofactor's samples once on each grid of its pair, (L, n/2)
-    and (L, n) refined by oversample, here n = N.  For p < q the window part of a pass, the
-    estimator's window read, gives the partner norm; for p == q a pass is wiener_norm's total,
-    bit for bit, without the doubled-window pass.  The factor is max(F_n, 2 F_n - F_{n/2})."""
+    and (L, n) refined by oversample, here n = N: the doubled grid's even phases, two of 2 n
+    nodes each on (L, n).  For p < q the window part of a pass, the estimator's window read,
+    gives the partner norm; for p == q a pass is wiener_norm's total, bit for bit, without the
+    odd phases.  The factor is max(F_n, 2 F_n - F_{n/2})."""
     d = construct_decomposition([0, 1], [0, 0, 1], [1], GRID)
     grids = [GridSpec(GRID.half_length, GRID.size // 2), GRID]
     cases = [d.cofactor1, d.cofactor2] if p == q else [d.cofactor2]
@@ -599,23 +618,22 @@ def test_mixed_exponent_factor_inverts_once(q, p, monkeypatch):
         if p == q:  # each cofactor declares its constant term
             return wiener_norm(symbol, grid, oversample=4).total
         fine = grid.refined(4)
-        g = measures._window(symbol, fine, symbol.const_at_infinity, grid.size // 2)[1]
-        absg = np.abs(g)
+        absg = next(measures._windows(symbol, grid, 4, doubled=False))[1]
         return float(absg.max() if math.isinf(s) else (fine.dx * np.sum(absg**s)) ** (1.0 / s))
 
     references = [[single_pass(symbol, grid) for grid in grids] for symbol in cases]
     calls = []
-    inverse_window = measures._inverse_window
+    add_inverse = measures._add_inverse
 
-    def counted(values, n):
+    def counted(acc, values):
         calls.append(values.size)
-        return inverse_window(values, n)
+        return add_inverse(acc, values)
 
-    monkeypatch.setattr(measures, "_inverse_window", counted)
+    monkeypatch.setattr(measures, "_add_inverse", counted)
     for symbol, (coarse, finer) in zip(cases, references):
         calls.clear()
         factor = _factor(d, symbol, GRID, q, p)
-        assert calls == [grid.refined(4).size for grid in grids]
+        assert calls == [2 * grid.size for grid in grids for _ in range(2)]
         assert factor == max(finer, 2.0 * finer - coarse)
 
 
@@ -638,19 +656,20 @@ def test_a_factor_grid_grows_until_every_neighborhood_fits(monkeypatch):
     d = construct_decomposition([-r, 1], [r * r, -2 * r, 1], [1], grid)
     assert d.neighborhoods == ((r, 1.0),)
     sizes = []
-    inverse_window = measures._inverse_window
+    add_inverse = measures._add_inverse
 
-    def counted(values, n):
+    def counted(acc, values):
         sizes.append(values.size)
-        return inverse_window(values, n)
+        return add_inverse(acc, values)
 
     for symbol in (d.cofactor1, d.cofactor2):
         reference = wiener_norm(symbol, grid, oversample=4).total
         sizes.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(measures, "_inverse_window", counted)
+            patch.setattr(measures, "_add_inverse", counted)
             factor = _factor(d, symbol, grid, 2.0, 2.0)
-        assert sizes == [4 * 2 ** 15, 4 * 2 ** 16]
+        # the two even phases of each pass's doubled grid, 2 n nodes each
+        assert sizes == [2 * 2 ** 15] * 2 + [2 * 2 ** 16] * 2
         assert factor == pytest.approx(reference, rel=1e-3)
 
 
@@ -678,10 +697,8 @@ def test_extrapolated_factors_lie_near_their_limits(polys, q, limit1, limit2):
     d = construct_decomposition(*polys, FINE)
     for symbol, limit in ((d.cofactor1, limit1), (d.cofactor2, limit2)):
         factor = _factor(d, symbol, FINE, q, q)
-        fine = FINE.refined(4)
-        c = symbol.const_at_infinity
-        absg = np.abs(measures._window(symbol, fine, c, FINE.size // 2)[1])
-        single = measures._wiener_components(c, absg, fine.dx)[2]
+        c, absg = next(measures._windows(symbol, FINE, 4, doubled=False))
+        single = measures._wiener_components(c, absg, FINE.refined(4).dx)[2]
         assert factor >= single
         assert factor == pytest.approx(limit, rel=3e-5)
 

@@ -33,11 +33,12 @@ from subord.diffops import construct_decomposition
 from subord.errors import GridTooSmallError, InconsistentLimitError, InvalidParameterError
 from subord.fourier_core import FREQUENCY, GridSpec, SampledFunction, inverse_ft
 from subord.measures import (
-    _inverse_window,
+    _abs_window,
+    _add_inverse,
     _limit_at_infinity,
     _samples,
     _wiener_components,
-    _window,
+    _windows,
     factor_norm,
     wiener_norm,
 )
@@ -244,15 +245,16 @@ def test_a_factor_reads_or_takes_the_constant_term_as_wiener_norm_does(declared)
 
 
 #: prints the growth of the peak RSS over one first-cofactor norm at N = 2^18, in complex
-#: arrays of the doubled window's 2^21-point fine grid
+#: arrays of the doubled window's 2^21-point fine grid.  The decomposition is built on a
+#: small grid, so that its identity check leaves no high-water mark for the norm to fill
 _RSS_PROBE = """
 import resource, sys
 from subord.diffops import construct_decomposition
 from subord.fourier_core import GridSpec
 from subord.measures import wiener_norm
-d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 18))
+d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 14))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-wiener_norm(d.cofactor1, d.grid, oversample=4)
+wiener_norm(d.cofactor1, GridSpec(40.0, 2 ** 18), oversample=4)
 growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
 print(growth * (1 if sys.platform == "darwin" else 1024) / (16 * 2 ** 21))
 """
@@ -273,12 +275,15 @@ def _probe_output(probe: str) -> float:
 
 
 def test_wiener_norm_process_peak_of_a_cofactor():
-    # unlike tracemalloc, ru_maxrss counts numpy's FFT work memory too.  Sampling the
-    # cofactor in one call grew it by 5.2 arrays, sampling it in blocks by 3.1, sampling it
-    # once in FFT order and inverting in place by 2.38, inverting its even and odd halves
-    # instead of the doubled array (no 2^21-point transform and its work memory) by 1.25 to
-    # 1.33, and sampling and inverting one half at a time by 0.94
-    assert _probe_output(_RSS_PROBE) <= 1.2
+    # unlike tracemalloc, ru_maxrss counts numpy's FFT work memory too.  With the
+    # decomposition built on the norm's own grid, sampling the cofactor in one call grew it by
+    # 5.2 arrays, sampling it in blocks by 3.1, sampling it once in FFT order and inverting in
+    # place by 2.38, inverting its even and odd halves instead of the doubled array by 1.25
+    # to 1.33, and sampling and inverting one half at a time by 0.94; but that growth is
+    # above the high-water mark of the decomposition's own checks.  Built on (40, 2^14), two
+    # real-input transforms of 2^20 points per part grow it by 1.21, the doubled grid's
+    # phases of 2^19 points, accumulated on the window's nodes j >= 0, by 0.90
+    assert _probe_output(_RSS_PROBE) <= 1.05
 
 
 #: prints the growth of the peak RSS over one norm on (160, 2^18) at oversample 8, in arrays
@@ -298,16 +303,16 @@ print(growth * (1 if sys.platform == "darwin" else 1024) / (8 * 2 ** 21))
 
 
 @pytest.mark.parametrize("symbol, bound", [
-    pytest.param("gw_ratio(1.0, 2.0)", 5.0, id="real"),
+    pytest.param("gw_ratio(1.0, 2.0)", 2.2, id="real"),
     pytest.param("Multiplier(label='complex', _fn=lambda y: gw_ratio(1.0, 2.0)(y)"
-                 " + 1j * y * np.exp(-y * y))", 6.1, id="complex"),
+                 " + 1j * y * np.exp(-y * y))", 3.0, id="complex"),
 ])
 def test_real_input_transforms_lower_the_process_peak(symbol, bound):
     # a complex transform per pass grew ru_maxrss by 6.66 arrays for the real symbol and by
-    # 6.70 for the complex one.  A real-input transform's pass holds the real part, its half
-    # spectrum, numpy's work memory of about two arrays and, in the second pass, the first
-    # pass's window: 4.54.  The complex symbol's real part is freed before the imaginary
-    # part's transform: 5.60
+    # 6.70 for the complex one.  A real-input transform per part of two passes of 2^21 points
+    # held the real part, its half spectrum, numpy's work memory of about two arrays and, in
+    # the second pass, the first pass's window: 4.56, and 5.62 for the complex symbol.  In
+    # eight phases of 2^19 points, accumulated on the window's nodes j >= 0: 1.95 and 2.76
     assert _probe_output(_PARTS_PROBE % symbol) <= bound
 
 
@@ -318,6 +323,16 @@ def test_both_estimators_reject_a_non_finite_symbol(at_origin):
                      _fn=lambda y: np.where(y == 0.0, at_origin, np.exp(-np.abs(y))) + 0j)
     with pytest.raises(InvalidParameterError):
         wiener_norm(bad, GRID)
+
+
+@pytest.mark.parametrize("size", [16, 2 ** 10])
+def test_a_fault_of_the_symbols_values_is_reported_before_its_constant_term(size):
+    # tanh has no constant term (its one-sided limits disagree) and at 16 nodes no node lies in
+    # the outer band; its value at y = 0, away from the bands, is nan: refused as a symbol
+    # fault (exit 1), not as a grid or limit fault (exit 2), as when a pass sampled first
+    odd = Multiplier(label="tanh", _fn=lambda y: np.where(y == 0.0, np.nan, np.tanh(y)) + 0j)
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        wiener_norm(odd, GridSpec(40.0, size), oversample=1)
 
 
 # ---------------------------------------------------------------------------
@@ -388,25 +403,28 @@ def _assert_parts(re, im, values):
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=_SYMBOLS, layout=st.sampled_from(_LAYOUTS), offset=st.sampled_from([0.0, 0.5]))
-def test_blocked_sampling_matches_one_call_bit_for_bit(case, layout, offset):
-    """Samples at the dual nodes or at the midpoints between them, with blocks of odd length
-    too, are the real and imaginary parts of the even or the odd nodes of the doubled grid in
-    FFT order, the imaginary part None where it is zero, and the constant term read off the
-    nodes' samples is the whole grid's."""
+@given(case=_SYMBOLS, layout=st.sampled_from(_LAYOUTS), phases=st.sampled_from([2, 4]),
+       data=st.data())
+def test_blocked_sampling_matches_one_call_bit_for_bit(case, layout, phases, data):
+    """Samples on one phase of the doubled grid, the nodes phase, phase + phases, ... of its
+    2 N in FFT order, with blocks of odd length too, are the real and imaginary parts of those
+    nodes' samples in one call, the imaginary part None where it is zero.  Phase 0 of 2 is the
+    grid's own dual nodes, and the constant term read off their outer bands, block by block,
+    is the whole grid's."""
     psi, pinned = case
     size, block = layout
+    phase = data.draw(st.integers(0, phases - 1), label="phase")
     grid = GridSpec(40.0, size)
     doubled = np.fft.ifftshift(np.asarray(psi(grid.refined(2).dual_nodes()), dtype=np.complex128))
     with mock.patch.object(measures, "_BLOCK", block):
-        re, im = _samples(psi, grid, offset)
-    _assert_parts(re, im, doubled[int(2 * offset)::2])
-    if offset == 0.0:
-        y = grid.dual_nodes()
-        whole = np.asarray(psi(y), dtype=np.complex128)
+        re, im = _samples(psi, 2 * size // phases, phases, phase, 0.5 * grid.dy)
+        c = complex(pinned) if pinned is not None else _limit_at_infinity(psi, grid)
+    _assert_parts(re, im, doubled[phase::phases])
+    y = grid.dual_nodes()
+    whole = np.asarray(psi(y), dtype=np.complex128)
+    if (phases, phase) == (2, 0):
         _assert_parts(re, im, np.fft.ifftshift(whole))
-        c = complex(pinned) if pinned is not None else _limit_at_infinity(re, im, grid)
-        assert c == _centred_limit(whole, y, grid, pinned)
+    assert c == _centred_limit(whole, y, grid, pinned)
 
 
 @settings(max_examples=80, deadline=None)
@@ -418,7 +436,7 @@ def test_the_constant_term_is_read_bit_for_bit_or_scaled_past_an_overflow(value,
     grid = GridSpec(40.0, size)
     y = grid.dual_nodes()
     whole = (value * (1.0 + ripple * np.cos(y)) + 0j).astype(np.complex128)
-    c = _limit_at_infinity(np.fft.ifftshift(whole.real), None, grid)
+    c = _limit_at_infinity(lambda y: value * (1.0 + ripple * np.cos(y)) + 0j, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         direct = _centred_limit(whole, y, grid, None)
     if cmath.isfinite(direct):
@@ -429,9 +447,29 @@ def test_the_constant_term_is_read_bit_for_bit_or_scaled_past_an_overflow(value,
 
 def _single_total(psi, grid, oversample, pinned):
     # one pass that samples its own grid, as diffop-verify's p == q factors run it
-    fine = grid.refined(oversample)
-    c, g = _window(psi, fine, None if pinned is None else complex(pinned), grid.size // 2)
-    return _wiener_components(c, np.abs(g), fine.dx)[2]
+    c, absg = next(_windows(_declaring(psi, pinned), grid, oversample, doubled=False))
+    return _wiener_components(c, absg, grid.refined(oversample).dx)[2]
+
+
+def _joined(re, im, n, scale):
+    # the window g at |j| < n that _abs_window takes the modulus of, in the same operations
+    if im is None:
+        im = np.zeros(n)
+    lower = np.conjugate(re[n - 1:0:-1]) + 1j * np.conjugate(im[n - 1:0:-1])
+    return np.concatenate([lower, re[:n] + 1j * im[:n]]) / scale
+
+
+def _read_windows(psi, grid, oversample):
+    # wiener_norm's estimate and the windows it reads, the single one and the doubled one
+    windows = []
+
+    def joining(re, im, n, scale):
+        windows.append(_joined(re, im, n, scale))
+        return _abs_window(re, im, n, scale)
+
+    with mock.patch.object(measures, "_abs_window", joining):
+        est = wiener_norm(psi, grid, oversample=oversample)
+    return est, windows
 
 
 #: (symbol, None): complex symbols that are not even, so neither ``psi`` nor its density ``g``
@@ -444,21 +482,20 @@ _SHIFTED = st.floats(-2.0, 2.0).map(lambda a: (
 @given(case=st.one_of(_SYMBOLS, _SHIFTED), size=st.sampled_from([2 ** 8, 2 ** 10]),
        oversample=st.sampled_from([1, 2, 4, 8]))
 def test_window_read_and_shared_sampling_match_independent_passes(case, size, oversample):
-    """The window read, from the real-input transforms of the samples' parts, is inverse_ft's
-    window up to rounding.  ``total``, from the even half of the doubled samples, is bit for
-    bit that of a pass that samples its own grid.  The doubled window, joined from the even
-    and odd halves' inversions, gives the ``refined_total`` of a direct pass on the doubled
-    grid with the same constant term up to rounding: no sequence of half-length transforms
+    """The single window read, from the real-input transforms of the even phases' parts, is
+    inverse_ft's window up to rounding.  ``total``, from the even phases of the doubled
+    samples, is bit for bit that of a pass that samples its own grid.  The doubled window,
+    joined from all phases' inversions, gives the ``refined_total`` of a direct pass on the
+    doubled grid with the same constant term up to rounding: no sequence of short transforms
     rounds as the full-length one does."""
     psi, pinned = case
     grid = GridSpec(40.0, size)
-    est = wiener_norm(_declaring(psi, pinned), grid, oversample=oversample)
+    est, windows = _read_windows(_declaring(psi, pinned), grid, oversample)
     fine = grid.refined(oversample)
     centred = np.asarray(psi(fine.dual_nodes()), dtype=np.complex128) - est.const_at_infinity
     mid, n = fine.size // 2, size // 2
     reference = inverse_ft(SampledFunction(fine, centred, FREQUENCY)).values[mid - n + 1:mid + n]
-    window = _window(psi, fine, est.const_at_infinity, n)[1]
-    assert np.max(np.abs(window - reference)) <= 1e-14 * np.max(np.abs(reference))
+    assert np.max(np.abs(windows[0] - reference)) <= 1e-14 * np.max(np.abs(reference))
     assert est.total == _single_total(psi, grid, oversample, pinned)
     doubled = _single_total(psi, grid.refined(2), oversample, est.const_at_infinity)
     assert est.refined_total == pytest.approx(doubled, rel=1e-13)
@@ -476,23 +513,54 @@ _UNEVEN = [
 @pytest.mark.parametrize("oversample", [1, 2])
 @pytest.mark.parametrize("psi, c", _UNEVEN)
 def test_the_doubled_window_is_the_periodic_inverse(psi, c, oversample):
-    """The window |j| < N of an M = oversample * N point pass, as the doubled window reads it,
-    is the M-periodic inverse DFT of the samples less c, scaled by 1 / dx, up to rounding,
-    both as a pass reads it and as the parts' real-input windows joined.  At oversample 1 it
-    wraps past M / 2, where a window sliced off the half spectrum would not broadcast."""
+    """The window |j| < N of the inverse of K = oversample * N samples, as the doubled window
+    accumulates a phase's (K = N at oversample 1, the doubled grid's two phases), is the
+    K-periodic inverse DFT of the samples less c, scaled by 1 / dx, up to rounding, as the
+    parts' real-input inverses joined, and its modulus is _abs_window's bit for bit.  At
+    oversample 1 it wraps past K / 2, where a window sliced off the half spectrum would not
+    broadcast."""
     grid = GridSpec(40.0, 2 ** 10)
     fine, n = grid.refined(oversample), grid.size
     values = np.fft.ifftshift(np.asarray(psi(fine.dual_nodes()), dtype=np.complex128)) - c
     reference = np.fft.ifft(values)[np.arange(1 - n, n) % fine.size] / fine.dx
-    joined = (_inverse_window(values.real, n) + 1j * _inverse_window(values.imag, n)) / fine.dx
-    for window in (_window(psi, fine, c, n)[1], joined):
-        assert window.shape == reference.shape
-        assert np.max(np.abs(window - reference)) <= 1e-14 * np.max(np.abs(reference))
+    parts = [np.zeros(n, dtype=np.complex128) for _ in range(2)]
+    for acc, part in zip(parts, (values.real, values.imag)):
+        _add_inverse(acc, part.copy())
+    window = _joined(*parts, n, fine.dx)
+    assert window.shape == reference.shape
+    assert np.max(np.abs(window - reference)) <= 1e-14 * np.max(np.abs(reference))
+    assert _abs_window(*parts, n, fine.dx).tobytes() == np.abs(window).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(shift=st.floats(-2.0, 2.0), imaginary=st.booleans(),
+       oversample=st.sampled_from([1, 2, 4, 8, 16]), size=st.sampled_from([2 ** 6, 2 ** 8]))
+def test_phase_split_windows_are_the_direct_inverse_of_the_doubled_sampling(
+        shift, imaginary, oversample, size):
+    """The single window, from the even phases of the doubled grid, and the doubled window,
+    from all its phases, are one np.fft.ifft of the even nodes' samples and of all 2 M nodes'
+    samples less c, scaled by 1 / dx, within 1e-14 of their maximum: for a real symbol and for
+    a complex one with a complex constant term, neither even, at oversample 1 to 16."""
+    c = complex(0.5, 0.25 if imaginary else 0.0)
+    psi = Multiplier(label="uneven", const_at_infinity=c, _fn=lambda y: c + np.exp(
+        -(y - shift) ** 2 + (1j * y if imaginary else 0.0)))
+    grid = GridSpec(40.0, size)
+    fine, n = grid.refined(oversample), size
+    doubled = fine.refined(2)
+    samples = np.fft.ifftshift(np.asarray(psi(doubled.dual_nodes()), dtype=np.complex128)) - c
+    directs = [np.fft.ifft(samples[::2])[np.arange(1 - n // 2, n // 2) % fine.size] / fine.dx,
+               np.fft.ifft(samples)[np.arange(1 - n, n) % doubled.size] / fine.dx]
+    windows = _read_windows(psi, grid, oversample)[1]
+    assert len(windows) == len(directs)
+    for window, direct in zip(windows, directs):
+        assert window.shape == direct.shape
+        assert np.max(np.abs(window - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 def test_a_pass_makes_one_real_input_transform_per_part(monkeypatch):
-    # a real symbol's pass makes one rfft of its fine grid, a complex symbol's two, and no
-    # complex transform runs, in wiener_norm's two passes and in those of factor_norm's pair
+    # a real symbol's pass makes one rfft per phase of the doubled grid, of 2 N nodes each, a
+    # complex symbol's two, and no complex transform runs: eight phases of wiener_norm's
+    # doubled grid at oversample 8, and the two even phases of each pass of factor_norm's pair
     calls = []
 
     def counted(name):
@@ -510,7 +578,8 @@ def test_a_pass_makes_one_real_input_transform_per_part(monkeypatch):
     for psi, parts in ((gw_ratio(1.0, 2.0), 1), (shifted, 2)):
         calls.clear()
         wiener_norm(psi, grid)
-        assert calls == [("rfft", 8 * grid.size)] * (2 * parts)
+        assert calls == [("rfft", 2 * grid.size)] * (8 * parts)
         calls.clear()
         factor_norm(psi, grid, None, 0.0, 4)
-        assert calls == [("rfft", 2 * grid.size)] * parts + [("rfft", 4 * grid.size)] * parts
+        assert calls == ([("rfft", grid.size)] * (2 * parts)
+                         + [("rfft", 2 * grid.size)] * (2 * parts))
