@@ -207,12 +207,12 @@ def _horner_step(acc: Optional[np.ndarray], values: Optional[np.ndarray], term: 
 
 
 def _accumulate(psi: Callable[[np.ndarray], np.ndarray], c: complex, size: int, phases: int,
-                order: range, step: float, twiddle: np.ndarray):
-    # the real part's and the imaginary part's (None for 0) sum over the phases q of order, taken
-    # from the highest down by 2, of twiddle^((q - order[-1]) / 2) times the inverse of phase
-    # q's samples less c, at 0 <= j < twiddle.size (Horner's rule)
+                parity: int, step: float, twiddle: np.ndarray):
+    # the real part's and the imaginary part's (None for 0) sum over the phases q of the parity
+    # of twiddle^((q - parity) / 2) times the inverse of phase q's samples less c, at
+    # 0 <= j < twiddle.size, by Horner's rule from the highest q down
     re_acc = im_acc = None
-    for q in order:
+    for q in range(phases - 2 + parity, -1, -2):
         re, im = _samples(psi, size, phases, q, step)
         if im is None and c.imag != 0:
             im = np.zeros(size)
@@ -273,10 +273,10 @@ def _windows(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, oversample
             raise
     index = np.arange(n if doubled else n // 2)
     squared = np.exp(index * (2j * np.pi / m))  # w^2, for the twiddle w = e^{i pi j / M}
-    even = _accumulate(psi, c, size, phases, range(phases - 2, -1, -2), step, squared)
+    even = _accumulate(psi, c, size, phases, 0, step, squared)
     yield c, _abs_window(*even, n // 2, fine.dx * (phases // 2))
     if doubled:
-        odd = _accumulate(psi, c, size, phases, range(phases - 1, 0, -2), step, squared)
+        odd = _accumulate(psi, c, size, phases, 1, step, squared)
         del squared
         w = np.exp(index * (1j * np.pi / m))
         parts = [_twiddled_sum(e, o, w) for e, o in zip(even, odd)]
