@@ -65,11 +65,15 @@ def _finite_complex(value: complex, what: str) -> complex:
 class Multiplier:
     """A frequency symbol ``y -> m(y)``, callable on float arrays.  ``const_at_infinity``, if
     not None, declares its constant term, the atom at 0 of its measure, with finite parts:
-    :mod:`subord.measures` takes it instead of reading it off the samples."""
+    :mod:`subord.measures` takes it instead of reading it off the samples.  ``even`` declares
+    ``m(-y) == m(y)`` bit for bit at every ``y``: :mod:`subord.measures` then samples and
+    inverts only the phases that are not the mirror image of another.  A false declaration is
+    not detected; it silently corrupts the estimated norm."""
 
     label: str
     _fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     const_at_infinity: Optional[complex] = None
+    even: bool = False
 
     def __post_init__(self):
         if self.const_at_infinity is not None:  # checked and made complex once, when built
@@ -92,7 +96,7 @@ def constant(value: complex = 1.0) -> Multiplier:
     c = _finite_complex(value, "constant value")
     return Multiplier(
         label=f"constant({c.real:g})" if c.imag == 0 else f"constant({c})",
-        _fn=lambda y: np.full(y.shape, c))
+        _fn=lambda y: np.full(y.shape, c), even=True)
 
 
 def gw_symbol(alpha: float) -> Multiplier:
@@ -100,7 +104,7 @@ def gw_symbol(alpha: float) -> Multiplier:
     alpha = _finite(alpha, "exponent")
     return Multiplier(
         label=f"gw_symbol(alpha={alpha:g})",
-        _fn=lambda y: np.exp(-np.abs(y) ** alpha))
+        _fn=lambda y: np.exp(-np.abs(y) ** alpha), even=True)
 
 
 def one_minus_gw_symbol(alpha: float) -> Multiplier:
@@ -108,7 +112,7 @@ def one_minus_gw_symbol(alpha: float) -> Multiplier:
     alpha = _finite(alpha, "exponent")
     return Multiplier(
         label=f"one_minus_gw_symbol(alpha={alpha:g})",
-        _fn=lambda y: -np.expm1(-np.abs(y) ** alpha))
+        _fn=lambda y: -np.expm1(-np.abs(y) ** alpha), even=True)
 
 
 def gw_ratio(alpha: float, beta: float) -> Multiplier:
@@ -131,21 +135,21 @@ def gw_ratio(alpha: float, beta: float) -> Multiplier:
         np.divide(num, den, out=out.real, where=den != 0.0)
         return out
 
-    return Multiplier(label=f"gw_ratio(alpha={alpha:g},beta={beta:g})", _fn=fn)
+    return Multiplier(label=f"gw_ratio(alpha={alpha:g},beta={beta:g})", _fn=fn, even=True)
 
 
 def gaussian_ft() -> Multiplier:
     """``sqrt(pi) exp(-y^2/4)``: transform of the unit gaussian."""
     return Multiplier(
         label="gaussian_ft",
-        _fn=lambda y: np.sqrt(np.pi) * np.exp(-(y ** 2) / 4.0))
+        _fn=lambda y: np.sqrt(np.pi) * np.exp(-(y ** 2) / 4.0), even=True)
 
 
 def exp_abs_ft() -> Multiplier:
     """``2 / (1 + y^2)``: transform of ``exp(-|x|)``."""
     return Multiplier(
         label="exp_abs_ft",
-        _fn=lambda y: 2.0 / (1.0 + y ** 2))
+        _fn=lambda y: 2.0 / (1.0 + y ** 2), even=True)
 
 
 REGISTRY: dict[str, Callable[..., Multiplier]] = {
@@ -222,7 +226,8 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier,
     edge (:class:`FillUndefinedError` otherwise).  The returned symbol depends on
     ``y`` alone: the plain quotient where the denominator is a normal double, else
     the limit of :func:`_fill_limits` (:class:`FillUndefinedError` where it has
-    none), the rule that also fills both cofactors of diffops.
+    none), the rule that also fills both cofactors of diffops.  It is ``even`` when both
+    symbols are: the probes beside ``-y`` are those beside ``y`` negated and swapped.
     """
     y0 = grid.dual_nodes()
     v1 = numerator(y0)
@@ -246,7 +251,8 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier,
         return _fill_limits(lambda z: _quotient(numerator(z), denominator(z)), y,
                             denominator.label)
 
-    return Multiplier(label=f"({numerator.label})/({denominator.label})", _fn=fn)
+    return Multiplier(label=f"({numerator.label})/({denominator.label})", _fn=fn,
+                      even=numerator.even and denominator.even)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,15 @@ the single window, ``|j| < N / 2``, and all phases the doubled one, ``|j| < N``;
 even phases alone, a pass on the caller's grid, and ``refined_total`` that of a direct
 doubled pass with the same constant term, up to rounding.
 
+A symbol that declares itself ``even``, ``psi(-y) == psi(y)`` bit for bit (see
+:class:`subord.comparison.Multiplier`), has in phase ``P - q`` phase ``q``'s samples reversed,
+so each part's ``A_(P - q)`` is ``e^{-2 pi i j / K} conj(A_q)`` and a mirrored pair adds
+``w^q A_q + conj(w^q A_q) = 2 Re(w^q A_q)`` (the real-even fold of Cooley, Lewis and Welch
+1970).  Its pass samples and inverts the phases ``q <= P / 2`` only, each weighted 2 but ``0``
+and ``P / 2``, which mirror themselves, and takes the real part of each part's ``E`` and
+``E + w O``: 5 of 8 phases at oversample 8, 3 of 4 at 4, 9 of 16 at 16, all at 1 and 2.  Any
+other callable, the cofactors of :mod:`subord.diffops` among them, has every phase inverted.
+
 :func:`factor_norm` bounds a convolution operator ``L^p -> L^q`` by its symbol, for the
 factors of ``diffop-verify``.  One pass, the even phases on a grid with the caller's
 half-length ``L`` and ``size`` nodes refined by ``oversample``, gives ``F_size``: for
@@ -193,13 +202,16 @@ def _add_inverse(acc: np.ndarray, values: np.ndarray) -> None:
 
 @_QUIET
 def _horner_step(acc: Optional[np.ndarray], values: Optional[np.ndarray], term: float,
-                 twiddle: np.ndarray) -> Optional[np.ndarray]:
-    # acc twiddle plus the inverse of values less term, at 0 <= j < twiddle.size; None for 0
+                 twiddle: np.ndarray, weight: float) -> Optional[np.ndarray]:
+    # acc twiddle plus weight times the inverse of values less term, at 0 <= j < twiddle.size;
+    # None for 0
     if acc is not None:
         acc *= twiddle
     if values is None:
         return acc
     np.subtract(values, term, out=values)
+    if weight != 1.0:
+        values *= weight  # exact, or inf, which _add_inverse refuses
     if acc is None:
         acc = np.zeros(twiddle.size, dtype=np.complex128)
     _add_inverse(acc, values)
@@ -207,18 +219,22 @@ def _horner_step(acc: Optional[np.ndarray], values: Optional[np.ndarray], term: 
 
 
 def _accumulate(psi: Callable[[np.ndarray], np.ndarray], c: complex, size: int, phases: int,
-                parity: int, step: float, twiddle: np.ndarray):
+                parity: int, step: float, twiddle: np.ndarray, fold: bool):
     # the real part's and the imaginary part's (None for 0) sum over the phases q of the parity
     # of twiddle^((q - parity) / 2) times the inverse of phase q's samples less c, at
-    # 0 <= j < twiddle.size, by Horner's rule from the highest q down
+    # 0 <= j < twiddle.size, by Horner's rule from the highest q down; with fold, for an even
+    # psi, over q <= phases / 2 only, weighted 2 but for 0 and phases / 2 (see the module notes)
     re_acc = im_acc = None
     for q in range(phases - 2 + parity, -1, -2):
+        if fold and q > phases // 2:  # phase phases - q reversed
+            continue
+        weight = 2.0 if fold and 0 < q < phases // 2 else 1.0
         re, im = _samples(psi, size, phases, q, step)
         if im is None and c.imag != 0:
             im = np.zeros(size)
-        re_acc = _horner_step(re_acc, re, c.real, twiddle)
+        re_acc = _horner_step(re_acc, re, c.real, twiddle, weight)
         del re  # freed before the imaginary part's transform
-        im_acc = _horner_step(im_acc, im, c.imag, twiddle)
+        im_acc = _horner_step(im_acc, im, c.imag, twiddle, weight)
         del im  # and before the next phase is sampled
     return re_acc, im_acc
 
@@ -271,16 +287,21 @@ def _windows(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, oversample
             for q in range(phases):  # a fault of the symbol's values elsewhere comes first
                 _samples(psi, size, phases, q, step)
             raise
+    fold = getattr(psi, "even", False)
     index = np.arange(n if doubled else n // 2)
     squared = np.exp(index * (2j * np.pi / m))  # w^2, for the twiddle w = e^{i pi j / M}
-    even = _accumulate(psi, c, size, phases, 0, step, squared)
+    even = _accumulate(psi, c, size, phases, 0, step, squared, fold)
+    if fold:  # each part's window is real; copied, the complex sums are freed
+        even = [None if e is None else e.real.copy() for e in even]
     yield c, _abs_window(*even, n // 2, fine.dx * (phases // 2))
     if doubled:
-        odd = _accumulate(psi, c, size, phases, 1, step, squared)
+        odd = _accumulate(psi, c, size, phases, 1, step, squared, fold)
         del squared
         w = np.exp(index * (1j * np.pi / m))
         parts = [_twiddled_sum(e, o, w) for e, o in zip(even, odd)]
         del even, odd, w
+        if fold:
+            parts = [None if p is None else p.real for p in parts]
         yield c, _abs_window(*parts, n, fine.dx * phases)
 
 

@@ -532,18 +532,24 @@ def test_the_doubled_window_is_the_periodic_inverse(psi, c, oversample):
     assert _abs_window(*parts, n, fine.dx).tobytes() == np.abs(window).tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(shift=st.floats(-2.0, 2.0), imaginary=st.booleans(),
+@settings(max_examples=60, deadline=None)
+@given(shift=st.floats(-2.0, 2.0), imaginary=st.booleans(), even=st.booleans(),
        oversample=st.sampled_from([1, 2, 4, 8, 16]), size=st.sampled_from([2 ** 6, 2 ** 8]))
 def test_phase_split_windows_are_the_direct_inverse_of_the_doubled_sampling(
-        shift, imaginary, oversample, size):
+        shift, imaginary, even, oversample, size):
     """The single window, from the even phases of the doubled grid, and the doubled window,
     from all its phases, are one np.fft.ifft of the even nodes' samples and of all 2 M nodes'
     samples less c, scaled by 1 / dx, within 1e-14 of their maximum: for a real symbol and for
-    a complex one with a complex constant term, neither even, at oversample 1 to 16."""
+    a complex one with a complex constant term, at oversample 1 to 16.  An uneven symbol's
+    pass inverts every phase, and one that declares itself even those that are not the mirror
+    image of another."""
     c = complex(0.5, 0.25 if imaginary else 0.0)
-    psi = Multiplier(label="uneven", const_at_infinity=c, _fn=lambda y: c + np.exp(
-        -(y - shift) ** 2 + (1j * y if imaginary else 0.0)))
+    if even:  # even bit for bit: |y| and y * y
+        fn = lambda y: c + np.exp(-(np.abs(y) - shift) ** 2) + (
+            1j * np.exp(-y * y) if imaginary else 0.0)
+    else:
+        fn = lambda y: c + np.exp(-(y - shift) ** 2 + (1j * y if imaginary else 0.0))
+    psi = Multiplier(label="even" if even else "uneven", const_at_infinity=c, _fn=fn, even=even)
     grid = GridSpec(40.0, size)
     fine, n = grid.refined(oversample), size
     doubled = fine.refined(2)
@@ -559,8 +565,11 @@ def test_phase_split_windows_are_the_direct_inverse_of_the_doubled_sampling(
 
 def test_a_pass_makes_one_real_input_transform_per_part(monkeypatch):
     # a real symbol's pass makes one rfft per phase of the doubled grid, of 2 N nodes each, a
-    # complex symbol's two, and no complex transform runs: eight phases of wiener_norm's
-    # doubled grid at oversample 8, and the two even phases of each pass of factor_norm's pair
+    # complex symbol's two, and no complex transform runs: at oversample 8, the five phases
+    # 0 ... 4 of wiener_norm's doubled grid for an even symbol, whose phases 5 ... 7 mirror
+    # 3 ... 1, and all eight for an undeclared one; and the two even phases of each pass of
+    # factor_norm's pair, at oversample 4 the phases 0 and 2 of 4, which mirror themselves,
+    # so the fold skips none of them
     calls = []
 
     def counted(name):
@@ -575,11 +584,88 @@ def test_a_pass_makes_one_real_input_transform_per_part(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted(name))
     grid = GridSpec(40.0, 2 ** 10)
     shifted = Multiplier(label="complex", _fn=lambda y: np.exp(-(y - 0.5) ** 2 + 1j * y))
-    for psi, parts in ((gw_ratio(1.0, 2.0), 1), (shifted, 2)):
+    for psi, phases, parts in ((gw_ratio(1.0, 2.0), 5, 1), (shifted, 8, 2)):
         calls.clear()
         wiener_norm(psi, grid)
-        assert calls == [("rfft", 2 * grid.size)] * (8 * parts)
+        assert calls == [("rfft", 2 * grid.size)] * (phases * parts)
         calls.clear()
         factor_norm(psi, grid, None, 0.0, 4)
         assert calls == ([("rfft", grid.size)] * (2 * parts)
                          + [("rfft", 2 * grid.size)] * (2 * parts))
+
+
+# ---------------------------------------------------------------------------
+# Even symbols: the declaration and the fold
+# ---------------------------------------------------------------------------
+
+_FIXED_NODES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-160, 1e300, 1.7976931348623157e308]
+
+
+@settings(max_examples=80, deadline=None)
+@given(psi=st.one_of(
+    st.sampled_from(sorted(REGISTRY)).flatmap(
+        lambda name: _PARAMS[name].map(lambda kw: REGISTRY[name](**kw))),
+    # its fill runs at y = 0, where the denominator vanishes
+    st.just(ratio_multiplier(one_minus_gw_symbol(2.0), one_minus_gw_symbol(1.0), _SMALL))),
+    y=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+def test_every_registry_symbol_and_their_ratio_are_even_bit_for_bit(psi, y):
+    """Each registry symbol, with drawn parameters, and a ratio of two of them declare
+    ``even``, and return the same bytes at y and -y: at drawn y, at 0, at subnormals and
+    where the symbol has saturated (|y|**alpha or y * y beyond the doubles)."""
+    y = np.array(y + _FIXED_NODES)
+    assert psi.even
+    assert psi(y).tobytes() == psi(-y).tobytes()
+
+
+def test_the_cofactors_declare_no_evenness():
+    # neither cofactor declares itself even, so each factor of diffop-verify and each norm of a
+    # cofactor inverts every phase
+    assert not _DECOMPOSITION.cofactor1.even
+    assert not _DECOMPOSITION.cofactor2.even
+
+
+def _folded_and_general(psi, pinned, oversample):
+    # wiener_norm's estimate and windows for psi as declared even, and for psi undeclared
+    declared = _declaring(psi, pinned)
+    return [_read_windows(m, _SMALL, oversample)
+            for m in (declared, dataclasses.replace(declared, even=False))]
+
+
+@pytest.mark.parametrize("oversample", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("name", sorted(REGISTRY) + ["complex constant"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data(), pinned=st.sampled_from([None, 0.0]))
+def test_the_fold_of_an_even_symbol_agrees_with_the_general_path(name, oversample, data,
+                                                                 pinned):
+    """For each registry symbol, and a constant with an imaginary part, the estimate from the
+    phases q <= P / 2 alone, a mirrored pair weighted 2, matches that of every phase: windows
+    within 1e-14 of their maximum, totals within 1e-13, the same constant term and verdict."""
+    if name == "complex constant":
+        psi = constant(data.draw(st.complex_numbers(max_magnitude=10.0).filter(
+            lambda v: v.imag != 0.0), label="value"))
+    else:
+        psi = REGISTRY[name](**data.draw(_PARAMS[name], label="params"))
+    assert psi.even
+    (folded, folded_windows), (general, general_windows) = _folded_and_general(
+        psi, pinned, oversample)
+    assert len(folded_windows) == len(general_windows) == 2
+    for window, reference in zip(folded_windows, general_windows):
+        assert np.max(np.abs(window - reference)) <= 1e-14 * np.max(np.abs(reference))
+    assert folded.total == pytest.approx(general.total, rel=1e-13)
+    assert folded.refined_total == pytest.approx(general.refined_total, rel=1e-13)
+    assert folded.const_at_infinity == general.const_at_infinity
+    assert folded.converged == general.converged
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_an_overflow_of_a_mirrored_pairs_weight_is_refused(even):
+    # 1.7e308 at the one node of phase 3 of 8 at r = 0, and at its mirror image in phase 5: its
+    # inverse is finite, and twice its samples are not.  Folded, the weighted samples are
+    # refused; undeclared, the total is.  Either way InvalidParameterError, with no warning,
+    # which this suite turns into an error
+    grid = GridSpec(40.0, 64)
+    node = 3 * 0.5 * grid.refined(8).dy
+    spike = Multiplier(label="spike", _fn=lambda y: np.where(np.abs(y) == node, 1.7e308, 0.0),
+                       const_at_infinity=0.0, even=even)
+    with pytest.raises(InvalidParameterError):
+        wiener_norm(spike, grid)

@@ -57,8 +57,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: window of the pair's default coarse grid (exit 2 in the corpus); an operator with a
 #: complex coefficient, whose values on the dual nodes stay complex in the corpus; the
 #: factors at the oversample factors 1 and 8, which no other line runs; a first cofactor with
-#: a nonzero constant term (deg Q = deg P1), the one factor that declares one; and a
-#: declared constant term whose subtraction overflows (exit 1)
+#: a nonzero constant term (deg Q = deg P1), the one factor that declares one; a
+#: declared constant term whose subtraction overflows (exit 1); and the phase counts of an
+#: even symbol's fold that no other line runs: a norm at oversample 4 (3 of 4 phases) and
+#: at 16 (9 of 16), and a ratio of two even symbols at oversample 4
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -121,6 +123,10 @@ EXTRAS = (
      "--oversample", "8", "--q", "2", "--p2", "1.5"),
     ("diffop-verify", "--Q", "[1,0,1]", "--P1", "[2,0,1]", "--P2", "[1]", "--grid-N", "262144"),
     ("wiener-norm", "--multiplier", "constant:value=1e308", "--const-at-infinity=-1e308"),
+    ("wiener-norm", "--multiplier", "gw_ratio:alpha=1,beta=2", "--oversample", "4"),
+    ("wiener-norm", "--multiplier", "gw_ratio:alpha=1,beta=2", "--oversample", "16"),
+    ("compare", "--m1", "one_minus_gw_symbol:alpha=2", "--m2", "one_minus_gw_symbol:alpha=1",
+     "--oversample", "4"),
 )
 
 
