@@ -300,10 +300,9 @@ class Report:
     p2: Optional[float] = None
 
 
-#: a verifier's rows for one sampled function ``f`` and its transform ``F``:
+#: a verifier's rows for one sampled function ``f``, which it transforms as it needs:
 #: ``(eps or None, exponents, lhs, rhs)``
-Rows = Callable[[SampledFunction, SampledFunction],
-                Iterable[tuple[Optional[float], str, float, float]]]
+Rows = Callable[[SampledFunction], Iterable[tuple[Optional[float], str, float, float]]]
 
 
 def _fmt_p(p: float) -> str:
@@ -312,8 +311,10 @@ def _fmt_p(p: float) -> str:
 
 def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant: float,
             what: str, **extra) -> Report:
-    """The loop shared by every verifier: sample and transform each function
-    once, then check its rows; ``rows`` holds the only reference to the samples.
+    """The loop shared by every verifier: sample each function once and check its
+    rows; ``rows`` gets the samples alone, holds the only reference to them and
+    transforms them itself, with :func:`subord.fourier_core.forward_ft` or, in
+    :func:`subord.diffops.diffop_subordination`, with a real-input FFT per part.
 
     A row whose right side is below ``1e-12 * (1 + lhs)`` carries no
     information and is skipped; the others pass when ``lhs / rhs <=
@@ -323,7 +324,7 @@ def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant:
     cases = []
     for fn in suite:
         f = materialize(fn, grid)
-        found = rows(f, forward_ft(f))
+        found = rows(f)
         del f  # held by rows alone, which may release it
         for eps, exponents, lhs, rhs in found:
             if rhs <= 1e-12 * (1.0 + lhs):
@@ -357,7 +358,8 @@ def verify_comparison(multiplier1: Multiplier, multiplier2: Multiplier, grid: Gr
     y = grid.dual_nodes()
     symbol1, symbol2 = multiplier1(y), multiplier2(y)
 
-    def rows(f, F):
+    def rows(f):
+        F = forward_ft(f)
         del f  # only the spectrum is read
         out1 = apply_symbol(symbol1, F)
         out2 = apply_symbol(symbol2, F)

@@ -21,6 +21,13 @@ the convolution inequality for mixed exponents.
 Everything here works with ascending coefficient sequences (``c[k]`` is the
 coefficient of ``y^k``), which may be complex.  Root structure is decided
 exactly over Q (:func:`real_roots`), values on grids in doubles.
+
+An operator applies through real-input FFTs (Sorensen, Jones, Heideman and Burrus,
+*IEEE Trans. ASSP* 35, 1987).  Each part of a test function, ``Re f`` and ``Im f`` where it is
+nonzero, has a Hermitian spectrum, and so has each part of ``P = A + iB`` with
+``A(-y) = conj A(y)`` and ``B(-y) = conj B(y)``; the image's parts are then the inverses of
+the Hermitian spectra ``A R_re - B R_im`` and ``B R_re + A R_im``, each held and inverted on the
+``N/2 + 1`` nodes ``y >= 0`` in FFT order, none of them where it is 0 (:func:`_image`).
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .errors import (
     NeighborhoodDegenerateError,
     VerificationFailureError,
 )
-from .fourier_core import GridSpec, SampledFunction, _outer_band, apply_symbol, forward_ft, lp_norm
+from .fourier_core import _OUTER_BAND, SPACE, GridSpec, SampledFunction, _lp
 from .measures import factor_norm
 from .testkit import TestFunction, diffop_suite
 
@@ -396,40 +403,161 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
 # applying operators
 # ---------------------------------------------------------------------------
 
+def _split(p: np.ndarray, grid: GridSpec):
+    """Trimmed ``p`` split as ``A + iB``, each Hermitian (``A(-y) = conj A(y)``), from its
+    coefficients ``c_k``: ``a_k = Re c_k`` and ``b_k = Im c_k`` for even ``k``, ``a_k = i Im c_k``
+    and ``b_k = -i Re c_k`` for odd ``k``.  Returns ``(p, (A, B), sup)``: each of ``A`` and ``B``
+    as its real and imaginary part on the nodes ``j dy``, ``0 <= j <= N/2``, two float64 arrays,
+    each None where its coefficients are all zero; and ``sup``, the largest ``|p|`` on the dual
+    grid's nodes."""
+    y = np.arange(grid.size // 2 + 1) * grid.dy
+    even = np.arange(p.size) % 2 == 0
+    pieces = [npoly.polyval(y, c) if c.any() else None
+              for c in (np.where(even, p.real, 0.0), np.where(even, 0.0, p.imag),
+                        np.where(even, p.imag, 0.0), np.where(even, 0.0, -p.real))]
+    sup = float(np.abs(npoly.polyval(grid.dual_nodes(), p if p.imag.any() else p.real)).max())
+    return p, (tuple(pieces[:2]), tuple(pieces[2:])), sup
+
+
+def _abs_pair(re: Optional[np.ndarray], im: Optional[np.ndarray]):
+    """``|re + i im|`` at ``+j dy`` and ``|conj re + i conj im|`` at ``-j dy``, ``0 <= j <= N/2``,
+    from two half spectra, not both None (for 0): the join of :func:`subord.measures._abs_window`.
+    With one part the two are one array."""
+    if re is None or im is None:
+        absv = np.abs(im if re is None else re)
+        return absv, absv
+    return np.abs(re + 1j * im), np.abs(np.conjugate(re) + 1j * np.conjugate(im))
+
+
+def _band_and_peak(pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:
+    """:func:`subord.fourier_core._outer_band`'s ``(band, peak)`` for the magnitudes ``pos`` at
+    ``+j dy`` and ``neg`` at ``-j dy``, ``0 <= j <= N/2``: the dual grid's nodes are ``pos[:N/2]``
+    and ``neg[1:]``, the Nyquist node ``-N/2 dy`` once, and the band those with
+    ``|j| >= N/2 - floor(N / 20)``."""
+    h = pos.size - 1
+    k = int(_OUTER_BAND / 2 * (2 * h))
+    band = max(pos[h - k:h].max(initial=0.0), neg[h - k:].max())
+    return float(band), float(max(pos[:h].max(), neg[1:].max()))
+
+
+def _spectra(f: SampledFunction):
+    """``(R_re, R_im, sup)`` of ``f``: the real-input FFT of each part of ``f``, ``Re f`` and
+    ``Im f`` (``R_im`` None where ``Im f`` is 0), in FFT order, times ``dx``, so the spectrum is
+    ``R_re + i R_im`` at ``+j dy`` and ``conj R_re + i conj R_im`` at ``-j dy``; and ``sup``, its
+    largest magnitude over the dual grid.  Non-finite output raises."""
+    if f.side != SPACE:
+        raise InvalidParameterError("an operator applies to a space-side function")
+    v, h = f.values, f.grid.size // 2
+    spectra = []
+    for part in (v.real, v.imag if v.imag.any() else None):
+        if part is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+                part = np.fft.rfft(np.concatenate((part[h:], part[:h])))
+                part *= f.grid.dx
+            _refuse_non_finite(part)
+        spectra.append(part)
+    return (*spectra, _band_and_peak(*_abs_pair(*spectra))[1])
+
+
+def _refuse_non_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("values contain non-finite entries")
+
+
+def _product(terms) -> Optional[np.ndarray]:
+    """The sum of ``sign x r`` over ``terms = (sign, (Re x, Im x), r)``, None for 0: each part of
+    ``x`` and ``r`` may be None, for 0."""
+    sums = [None, None]  # of sign Re x r and of sign Im x r
+    for sign, parts, r in terms:
+        for k, x in enumerate(parts):
+            if x is None or r is None:
+                continue
+            t = x * r
+            if sums[k] is None:
+                sums[k] = t if sign > 0 else np.negative(t, out=t)
+            elif sign > 0:
+                sums[k] += t
+            else:
+                sums[k] -= t
+    real, imag = sums
+    if imag is None:
+        return real
+    if real is None:
+        real = np.zeros_like(imag)
+    real.real -= imag.imag  # plus i imag, exactly
+    real.imag += imag.real
+    return real
+
+
+def _image(split, spectra, grid: GridSpec):
+    """``P(-i d/dx) f``, for ``split = _split(p, grid)`` of trimmed ``p`` and ``spectra =
+    _spectra(f)``, as its real part and its imaginary part, each the inverse real-input FFT of a
+    half spectrum, in FFT order, None for 0: ``irfft(A R_re - B R_im) + i irfft(B R_re + A R_im)``
+    divided by ``dx``.  The product spectrum, ``S_re + i S_im`` at ``+j dy`` and
+    ``conj S_re + i conj S_im`` at ``-j dy``, must have decayed in the outer 10% of the dual
+    window; else :class:`BandwidthExceededError` is raised.  A non-finite image raises.
+
+    At the Nyquist node, where ``+-pi/dx`` alias, the image applies the mean of ``p(pi/dx)`` and
+    ``p(-pi/dx)``, the value that keeps a real function real under an even real ``p`` and
+    imaginary under an odd one (Johnson, *Notes on FFT-based differentiation*, MIT, 2011);
+    every other dual node applies ``p`` itself."""
+    p, (a, b), p_sup = split
+    r_re, r_im, f_sup = spectra
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+        s_re = _product(((1.0, a, r_re), (-1.0, b, r_im)))
+        s_im = _product(((1.0, b, r_re), (1.0, a, r_im)))
+        if s_re is None and s_im is None:
+            return None, None
+        band, peak = _band_and_peak(*_abs_pair(s_re, s_im))
+        # The transform of the input carries rounding residue of order eps at the
+        # window edge even when the true spectrum has long underflowed, and the
+        # symbol amplifies it by |P(edge)|.  Band content below that floor is
+        # indistinguishable from rounding, so only genuine spectrum above it
+        # counts against the decay requirement.
+        noise_floor = 32.0 * np.finfo(float).eps * p_sup * f_sup
+        if band > max(_BANDWIDTH_LEVEL * peak, noise_floor):
+            raise BandwidthExceededError(
+                f"spectrum of {poly_label(p)} applied to this function reaches {band / peak:.2e} "
+                "of its peak in the outer 10% of the dual window; increase the grid size")
+        return tuple(None if s is None else _inverse(s, grid) for s in (s_re, s_im))
+
+
+def _inverse(s: np.ndarray, grid: GridSpec) -> np.ndarray:
+    # the N reals, in FFT order, whose spectrum is s at j dy, 0 <= j <= N/2; non-finite raises
+    g = np.fft.irfft(s, n=grid.size)
+    g /= grid.dx
+    _refuse_non_finite(g)
+    return g
+
+
+def _abs_image(image, size: int) -> np.ndarray:
+    # |re + i im| of an image of _image, consuming its arrays
+    re, im = image
+    if re is None and im is None:
+        return np.zeros(size)
+    if re is None or im is None:
+        part = im if re is None else re
+        return np.abs(part, out=part)
+    return np.hypot(re, im, out=re)
+
+
 def apply_diffop(coeffs, f: SampledFunction) -> SampledFunction:
     """Apply ``P(-i d/dx)`` by multiplying the transform with ``P(y)``.
 
-    The product spectrum must have decayed in the outer 10% of the dual
-    window — otherwise the grid cannot represent the derivative and
-    :class:`BandwidthExceededError` is raised (enlarge ``size`` to widen
-    the dual window).
+    The parts of ``f`` and of ``P`` are transformed and applied as in ``diffop-verify``'s
+    corpus (:func:`_image`), and the image's parts are shifted back to the centred grid.  The
+    product spectrum must have decayed in the outer 10% of the dual window — otherwise the
+    grid cannot represent the derivative and :class:`BandwidthExceededError` is raised
+    (enlarge ``size`` to widen the dual window).
     """
-    p = _as_poly(coeffs)
-    return _apply_poly(p, _poly_values(p, f.grid), forward_ft(f))
-
-
-def _poly_values(p: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """``p`` on the dual nodes, as doubles for real ``p``: the complex values' real part, bit
-    for bit, and their imaginary part is +0, as in numpy's cast of a double to complex."""
-    return npoly.polyval(grid.dual_nodes(), p if p.imag.any() else p.real)
-
-
-def _apply_poly(p: np.ndarray, pvals: np.ndarray, F: SampledFunction) -> SampledFunction:
-    """:func:`apply_diffop` for trimmed ``p``, its dual-node values ``pvals`` and ``F`` of ``f``."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by apply_symbol as non-finite
-        band, peak = _outer_band(pvals * F.values)
-    # The transform of the input carries rounding residue of order eps at the
-    # window edge even when the true spectrum has long underflowed, and the
-    # symbol amplifies it by |P(edge)|.  Band content below that floor is
-    # indistinguishable from rounding, so only genuine spectrum above it
-    # counts against the decay requirement.
-    noise_floor = (32.0 * np.finfo(float).eps * float(np.abs(pvals).max())
-                   * float(np.abs(F.values).max()))
-    if band > max(_BANDWIDTH_LEVEL * peak, noise_floor):
-        raise BandwidthExceededError(
-            f"spectrum of {poly_label(p)} applied to this function reaches {band / peak:.2e} "
-            "of its peak in the outer 10% of the dual window; increase the grid size")
-    return apply_symbol(pvals, F)
+    grid = f.grid
+    image = _image(_split(_as_poly(coeffs), grid), _spectra(f), grid)
+    h = grid.size // 2
+    values = np.zeros(grid.size, dtype=np.complex128)
+    for part, out in zip(image, (values.real, values.imag)):
+        if part is not None:
+            out[:h], out[h:] = part[h:], part[:h]
+    return SampledFunction._owning(grid, values, SPACE)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +622,10 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
     neighborhoods' extent (the :mod:`subord.measures` notes give the grid pair and the
     extrapolation); no factor is flagged unconverged, and acceptance criterion 07 compares
     the constant with a single pass on a finer grid.  The corpus is checked on ``d.grid``
-    itself, with each polynomial sampled once, as doubles if real, and of each test function
-    only the spectrum held while operators apply.
+    itself by :func:`_image`: each polynomial is split once into its Hermitian parts
+    (:func:`_split`), each test function transformed once, one real-input FFT per nonzero part
+    (:func:`_spectra`), and each image inverted with one real-input FFT per nonzero part of its
+    own, so a real function under an even or an odd real polynomial costs one.
     """
     grid = d.grid
     q_, p1_, p2_ = _validate_exponents(
@@ -507,13 +637,14 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
                                     extent, oversample)
                         for h, p in ((d.cofactor1, p1_), (d.cofactor2, p2_)))
     exponents = f"q={_fmt_p(q_)};p1={_fmt_p(p1_)};p2={_fmt_p(p2_)}"
-    target, op1, op2 = ((p, _poly_values(p, grid)) for p in (d.target, d.op1, d.op2))
+    operators = [(_split(p, grid), e) for p, e in ((d.target, q_), (d.op1, p1_), (d.op2, p2_))]
 
-    def rows(f, F):
-        del f  # only the spectrum is read
-        lhs = lp_norm(_apply_poly(*target, F), q_)
-        rhs = lp_norm(_apply_poly(*op1, F), p1_) + lp_norm(_apply_poly(*op2, F), p2_)
-        yield None, exponents, lhs, rhs
+    def rows(f):
+        spectra = _spectra(f)
+        del f  # only the half spectra are read
+        lhs, *rhs = (_lp(_abs_image(_image(split, spectra, grid), grid.size), grid.dx, e)
+                     for split, e in operators)
+        yield None, exponents, lhs, rhs[0] + rhs[1]
 
     if suite is None:
         suite = diffop_suite(max(poly_degree(p) for p in (d.target, d.op1, d.op2)))

@@ -12,7 +12,9 @@ node ``k`` at ``(k - N/2) dy``, the rectangle-rule approximation of the
 forward integral is an FFT conjugated by index shifts, and the discrete pair
 is exactly invertible.  For even ``N`` both shifts swap the halves of the array,
 so a transform copies its input once, halves swapped, and works in place on it.
-Only :mod:`subord.measures` samples straight into that swapped (FFT) order.
+:mod:`subord.measures` samples straight into that swapped (FFT) order, and
+:mod:`subord.diffops` transforms the parts of its test functions in it with real-input
+FFTs; neither calls this pair.
 
 All quadrature in this package is the rectangle rule on these grids; sums are
 evaluated with numpy's deterministic reducer, so repeated runs in one

@@ -99,7 +99,8 @@ def gw_verify(alpha: float, beta: float, grid: GridSpec,
     means = [(eps, _mean_symbol(beta, eps, grid), _mean_symbol(alpha, eps, grid))
              for eps in eps_values]
 
-    def rows(f, F):
+    def rows(f):
+        F = forward_ft(f)
         for eps, mean_beta, mean_alpha in means:
             # each error once per scale; every exponent reads the same samples
             error_beta = f - apply_symbol(mean_beta, F)

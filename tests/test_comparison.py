@@ -166,7 +166,7 @@ def test_comparison_of_mean_symbols():
 
 def test_verify_refuses_a_run_whose_every_case_is_skipped():
     # a right-hand side of 0 carries no information, so no case is kept
-    def rows(f, F):
+    def rows(f):
         yield None, "p=1", 1.0, 0.0
 
     with pytest.raises(AllCasesSkippedError, match="no comparison case"):

@@ -14,10 +14,11 @@ from numpy.polynomial import polynomial as npoly
 
 from subord import diffops, measures
 from subord.diffops import (
-    _apply_poly,
     _as_poly,
+    _image,
     _local_grid,
-    _poly_values,
+    _spectra,
+    _split,
     apply_diffop,
     construct_decomposition,
     decomposition_hypotheses,
@@ -35,9 +36,11 @@ from subord.errors import (
 )
 from subord.fourier_core import (
     FREQUENCY,
+    SPACE,
     GridSpec,
     SampledFunction,
     forward_ft,
+    inverse_ft,
 )
 from subord.measures import factor_norm, wiener_norm
 from subord.testkit import bspline, bump, gaussian, materialize, modulated_gaussian
@@ -447,17 +450,20 @@ def test_apply_diffop_bandwidth_gate():
 
 
 def _outer_band_node(size: int, k: int) -> int:
-    """The ``k``-th of the ``2 floor(size / 20) + 1`` nodes of the outer 10% band."""
+    """The ``k``-th of the ``2 floor(size / 20) + 1`` nodes of the outer 10% band: ``k = 0`` is
+    the Nyquist node ``-N/2 dy``, then the band's other nodes at ``y < 0`` and those at ``y > 0``."""
     band = size // 20
     return k if k <= band else size - (k - band)
 
 
-def _gate(p, pvals, F):
-    """``_apply_poly``'s output bytes, or the message of the bandwidth gate that refused it."""
+def _gate(p, f):
+    """The image's bytes, part by part (``None`` for 0), or the message of the bandwidth gate
+    that refused it."""
     try:
-        return _apply_poly(p, pvals, F).values.tobytes()
+        image = _image(_split(_as_poly(p), f.grid), _spectra(f), f.grid)
     except BandwidthExceededError as refused:
         return str(refused)
+    return [None if part is None else part.tobytes() for part in image]
 
 
 _SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
@@ -468,8 +474,9 @@ _SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
        half_length=st.floats(0.5, 100.0), quiet_band=st.booleans(), data=st.data())
 def test_real_polynomial_values_apply_bit_for_bit_as_complex(coeffs, n, half_length,
                                                              quiet_band, data):
-    # a real polynomial is sampled as doubles; numpy casts each to complex with a +0
-    # imaginary part, which the complex values have too, so every product is the same
+    # a real polynomial splits into float64 pieces with no imaginary coefficients, and its
+    # complex cast, with a signed zero imaginary part on each coefficient, gives the same
+    # split, the same image bytes and the same gate message
     grid = GridSpec(half_length, 2 ** n)
     parts = np.array(data.draw(st.lists(_SIGNED, min_size=2 * grid.size,
                                         max_size=2 * grid.size)))
@@ -477,14 +484,18 @@ def test_real_polynomial_values_apply_bit_for_bit_as_complex(coeffs, n, half_len
         for k in range(2 * (grid.size // 20) + 1):
             node = _outer_band_node(grid.size, k)
             parts[2 * node:2 * node + 2] = np.copysign(0.0, parts[2 * node:2 * node + 2])
-    F = SampledFunction(grid, parts.view(np.complex128), FREQUENCY)
+    f = inverse_ft(SampledFunction(grid, parts.view(np.complex128), FREQUENCY))
+    signs = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=len(coeffs),
+                               max_size=len(coeffs)))
+    cast = np.array(coeffs) + 1j * np.array(signs)
     p = _as_poly(coeffs)
-    real, cplx = _poly_values(p, grid), npoly.polyval(grid.dual_nodes(), p)
-    assert real.dtype == np.float64
-    assert real.astype(np.complex128).tobytes() == cplx.tobytes()
-    assert _gate(p, real, F) == _gate(p, cplx, F)
+    (re_a, im_a), (re_b, im_b) = _split(p, grid)[1]
+    assert im_a is None and re_b is None  # the odd imaginary and even imaginary coefficients
+    for piece in (re_a, im_b):
+        assert piece is None or piece.dtype == np.float64
+    assert _gate(coeffs, f) == _gate(cast, f)
     if quiet_band:
-        assert isinstance(_gate(p, real, F), bytes)
+        assert isinstance(_gate(coeffs, f), list)
 
 
 @settings(max_examples=150, deadline=None)
@@ -493,24 +504,88 @@ def test_real_polynomial_values_apply_bit_for_bit_as_complex(coeffs, n, half_len
        log_level=st.floats(-10.0, 0.0), data=st.data())
 def test_a_spike_anywhere_in_the_outer_band_of_a_product_spectrum_is_refused(
         half_length, n, coeffs, log_level, data):
+    # the spike sits at a band node of either sign of y, the Nyquist node -N/2 dy included, in
+    # the spectrum of a complex function, so both of its parts carry it
     grid = GridSpec(half_length, 2 ** n)
-    p = _as_poly(coeffs)
-    pvals = _poly_values(p, grid)
+    pvals = npoly.polyval(grid.dual_nodes(), coeffs)
     values = np.exp(-(grid.dual_nodes() / (0.1 * grid.dual_half_length)) ** 2) + 0j
-    clean = SampledFunction(grid, values, FREQUENCY)
-    assert isinstance(_gate(p, pvals, clean), bytes)
+    clean = inverse_ft(SampledFunction(grid, values, FREQUENCY))
+    assert isinstance(_gate(coeffs, clean), list)
     peak = float(np.abs(pvals * values).max())
     node = _outer_band_node(grid.size, data.draw(st.integers(0, 2 * (grid.size // 20))))
     spike = 10.0 ** log_level * peak  # of the product, at most its peak
     values[node] = spike / pvals[node]
     noise_floor = 32.0 * np.finfo(float).eps * float(np.abs(pvals).max() * np.abs(values).max())
     assume(spike > 2.0 * noise_floor)
-    F = SampledFunction(grid, values, FREQUENCY)
+    f = inverse_ft(SampledFunction(grid, values, FREQUENCY))
     if spike > 2.0 * diffops._BANDWIDTH_LEVEL * peak:
         with pytest.raises(BandwidthExceededError):
-            _apply_poly(p, pvals, F)
+            _image(_split(_as_poly(coeffs), grid), _spectra(f), grid)
     elif spike < 0.5 * diffops._BANDWIDTH_LEVEL * peak:
-        _apply_poly(p, pvals, F)
+        _image(_split(_as_poly(coeffs), grid), _spectra(f), grid)
+
+
+_PARITIES = {"real": (1, 1, 0), "complex": (1, 1, 1), "even": (1, 0, 1), "odd": (0, 1, 1),
+             "mixed": (1, 1, 1)}  # (even terms, odd terms, imaginary parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(4, 8), half_length=st.floats(0.5, 100.0), complex_f=st.booleans(),
+       kind=st.sampled_from(sorted(_PARITIES)), degree=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1), nyquist=st.floats(0.5, 2.0))
+def test_an_image_is_the_inverse_of_the_polynomial_times_the_spectrum(
+        n, half_length, complex_f, kind, degree, seed, nyquist):
+    """The image of ``f`` under ``P`` is ``inverse_ft`` of ``P forward_ft(f)`` within 1e-13 of
+    its maximum, for every parity of ``P``, on spectra that reach the Nyquist node.  At that
+    node, where ``+-pi/dx`` alias, the image applies the mean of ``P(pi/dx)`` and
+    ``P(-pi/dx)``, which is ``P`` itself for an even ``P``."""
+    grid = GridSpec(half_length, 2 ** n)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(grid.size)
+    if complex_f:
+        values = values + 1j * rng.standard_normal(grid.size)
+    values = values + nyquist * (-1.0) ** np.arange(grid.size)  # a Nyquist mode of its own
+    even_terms, odd_terms, imaginary = _PARITIES[kind]
+    c = rng.uniform(-4.0, 4.0, degree + 1) + 1j * imaginary * rng.uniform(-4.0, 4.0, degree + 1)
+    c[0::2] *= even_terms
+    c[1::2] *= odd_terms
+    if kind == "mixed":
+        assume(degree >= 1)
+    f = SampledFunction(grid, values, SPACE)
+    assert f.values.imag.any() == complex_f
+    y = grid.dual_nodes()
+    symbol = npoly.polyval(y, c)
+    symbol[0] = (npoly.polyval(-y[0], c) + symbol[0]) / 2.0  # y[0] is the Nyquist node
+    if kind == "even":
+        assert symbol[0] == npoly.polyval(y[0], c)
+    reference = inverse_ft(SampledFunction(grid, symbol * forward_ft(f).values, FREQUENCY))
+    with pytest.MonkeyPatch.context() as patch:  # the spectrum fills the band: no gate
+        patch.setattr(diffops, "_BANDWIDTH_LEVEL", math.inf)
+        image = apply_diffop(c, f)
+    scale = float(np.abs(reference.values).max())
+    assert np.abs(image.values - reference.values).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("fn, coeffs, rffts, irffts", [
+    (gaussian(1.0), [0, 0, 1], 1, 1),           # even: a real image
+    (gaussian(1.0), [0, 1], 1, 1),              # odd: an imaginary image
+    (gaussian(1.0), [1, 1], 1, 2),              # mixed parity: both parts
+    (gaussian(1.0), [0, 1j], 1, 1),             # i y: a real image
+    (modulated_gaussian(1.0, 3.0), [0, 0, 1], 2, 2),
+    (modulated_gaussian(1.0, 3.0), [1, 1], 2, 2),
+])
+def test_an_image_costs_one_real_input_transform_per_nonzero_part(monkeypatch, fn, coeffs,
+                                                                   rffts, irffts):
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    monkeypatch.setattr(np.fft, "fft", None)  # no complex transform runs
+    monkeypatch.setattr(np.fft, "ifft", None)
+    apply_diffop(coeffs, materialize(fn, GRID))
+    assert counts == {"rfft": rffts, "irfft": irffts}
 
 
 # ---------------------------------------------------------------------------
@@ -704,17 +779,23 @@ def test_extrapolated_factors_lie_near_their_limits(polys, q, limit1, limit2):
 
 
 def test_subordination_transforms_each_function_once(monkeypatch):
-    """The three operators share one forward transform per suite member."""
+    """The three operators share one set of half spectra per suite member, and no complex
+    transform runs."""
     calls = []
 
     def counted(f):
         calls.append(f)
-        return forward_ft(f)
+        return spectra(f)
 
+    def refused(f):
+        raise AssertionError("the corpus ran a complex transform")
+
+    spectra = diffops._spectra
+    monkeypatch.setattr(diffops, "_spectra", counted)
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("subord"):
             if getattr(module, "forward_ft", None) is forward_ft:
-                monkeypatch.setattr(module, "forward_ft", counted)
+                monkeypatch.setattr(module, "forward_ft", refused)
     small = [gaussian(1.0), bump(2.0), modulated_gaussian(1.0, 3.0)]
     sub = diffop_subordination(construct_decomposition([0, 1], [0, 0, 1], [1], GRID),
                                q=2.0, suite=small)

@@ -60,7 +60,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: a nonzero constant term (deg Q = deg P1), the one factor that declares one; a
 #: declared constant term whose subtraction overflows (exit 1); and the phase counts of an
 #: even symbol's fold that no other line runs: a norm at oversample 4 (3 of 4 phases) and
-#: at 16 (9 of 16), and a ratio of two even symbols at oversample 4
+#: at 16 (9 of 16), and a ratio of two even symbols at oversample 4; and the branches of
+#: diffop-verify's real-input corpus that no other line runs: an operator of mixed parity at
+#: q = 2, a target with a complex coefficient (i y), and a grid whose dual window the image of
+#: y does not fit, refused by the bandwidth gate just above its level (exit 2)
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -127,6 +130,10 @@ EXTRAS = (
     ("wiener-norm", "--multiplier", "gw_ratio:alpha=1,beta=2", "--oversample", "16"),
     ("compare", "--m1", "one_minus_gw_symbol:alpha=2", "--m2", "one_minus_gw_symbol:alpha=1",
      "--oversample", "4"),
+    ("diffop-verify", "--Q", "[1,1]", "--P1", "[-1,0,1]", "--P2", "[1,1]", "--q", "2",
+     "--grid-N", "262144"),
+    ("diffop-verify", "--Q", "[0,[0,1]]", "--P1", "[0,0,1]", "--P2", "[1]", "--grid-N", "262144"),
+    ("diffop-verify", "--grid-N", "256", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]"),
 )
 
 
