@@ -313,8 +313,7 @@ def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant:
             what: str, **extra) -> Report:
     """The loop shared by every verifier: sample each function once and check its
     rows; ``rows`` gets the samples alone, holds the only reference to them and
-    transforms them itself, with :func:`subord.fourier_core.forward_ft` or, in
-    :func:`subord.diffops.diffop_subordination`, with a real-input FFT per part.
+    transforms them as it needs.
 
     A row whose right side is below ``1e-12 * (1 + lhs)`` carries no
     information and is skipped; the others pass when ``lhs / rhs <=

@@ -526,7 +526,7 @@ def test_a_spike_anywhere_in_the_outer_band_of_a_product_spectrum_is_refused(
 
 
 _PARITIES = {"real": (1, 1, 0), "complex": (1, 1, 1), "even": (1, 0, 1), "odd": (0, 1, 1),
-             "mixed": (1, 1, 1)}  # (even terms, odd terms, imaginary parts)
+             "mixed": (1, 1, 0)}  # (even terms, odd terms, imaginary parts); mixed: degree >= 1
 
 
 @settings(max_examples=200, deadline=None)
