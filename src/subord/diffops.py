@@ -27,7 +27,9 @@ An operator applies through real-input FFTs (Sorensen, Jones, Heideman and Burru
 nonzero, has a Hermitian spectrum, and so has each part of ``P = A + iB`` with
 ``A(-y) = conj A(y)`` and ``B(-y) = conj B(y)``; the image's parts are then the inverses of
 the Hermitian spectra ``A R_re - B R_im`` and ``B R_re + A R_im``, each held and inverted on the
-``N/2 + 1`` nodes ``y >= 0`` in FFT order, none of them where it is 0 (:func:`_image`).
+``N/2 + 1`` nodes ``y >= 0`` in FFT order, none of them where it is 0 (:func:`_image`).  An
+image's ``L^2`` norm needs no inverse: Parseval's identity reads it off that spectrum
+(:func:`_image_norm`).
 """
 
 from __future__ import annotations
@@ -489,37 +491,68 @@ def _product(terms) -> Optional[np.ndarray]:
     return real
 
 
+def _product_spectrum(split, spectra):
+    """The half spectra ``S_re = A R_re - B R_im`` and ``S_im = B R_re + A R_im`` (None for 0) of
+    ``P(-i d/dx) f``, for ``split = _split(p, grid)`` of trimmed ``p`` and ``spectra =
+    _spectra(f)``, and the magnitudes of the product spectrum, ``|S_re + i S_im|`` at ``+j dy``
+    and ``|conj S_re + i conj S_im|`` at ``-j dy`` (:func:`_abs_pair`); None when both are 0.  The
+    product spectrum must have decayed in the outer 10% of the dual window; else
+    :class:`BandwidthExceededError` is raised."""
+    p, (a, b), p_sup = split
+    r_re, r_im, f_sup = spectra
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite by the callers
+        s_re = _product(((1.0, a, r_re), (-1.0, b, r_im)))
+        s_im = _product(((1.0, b, r_re), (1.0, a, r_im)))
+        if s_re is None and s_im is None:
+            return None
+        pos, neg = _abs_pair(s_re, s_im)
+        band, peak = _band_and_peak(pos, neg)
+    # The transform of the input carries rounding residue of order eps at the
+    # window edge even when the true spectrum has long underflowed, and the
+    # symbol amplifies it by |P(edge)|.  Band content below that floor is
+    # indistinguishable from rounding, so only genuine spectrum above it
+    # counts against the decay requirement.
+    noise_floor = 32.0 * np.finfo(float).eps * p_sup * f_sup
+    if band > max(_BANDWIDTH_LEVEL * peak, noise_floor):
+        raise BandwidthExceededError(
+            f"spectrum of {poly_label(p)} applied to this function reaches {band / peak:.2e} "
+            "of its peak in the outer 10% of the dual window; increase the grid size")
+    return s_re, s_im, pos, neg
+
+
 def _image(split, spectra, grid: GridSpec):
-    """``P(-i d/dx) f``, for ``split = _split(p, grid)`` of trimmed ``p`` and ``spectra =
-    _spectra(f)``, as its real part and its imaginary part, each the inverse real-input FFT of a
-    half spectrum, in FFT order, None for 0: ``irfft(A R_re - B R_im) + i irfft(B R_re + A R_im)``
-    divided by ``dx``.  The product spectrum, ``S_re + i S_im`` at ``+j dy`` and
-    ``conj S_re + i conj S_im`` at ``-j dy``, must have decayed in the outer 10% of the dual
-    window; else :class:`BandwidthExceededError` is raised.  A non-finite image raises.
+    """``P(-i d/dx) f`` (see :func:`_product_spectrum`) as its real part and its imaginary part,
+    ``irfft(S_re) / dx`` and ``irfft(S_im) / dx``, each in FFT order, None for 0.  A non-finite
+    image raises.
 
     At the Nyquist node, where ``+-pi/dx`` alias, the image applies the mean of ``p(pi/dx)`` and
     ``p(-pi/dx)``, the value that keeps a real function real under an even real ``p`` and
     imaginary under an odd one (Johnson, *Notes on FFT-based differentiation*, MIT, 2011);
     every other dual node applies ``p`` itself."""
-    p, (a, b), p_sup = split
-    r_re, r_im, f_sup = spectra
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
-        s_re = _product(((1.0, a, r_re), (-1.0, b, r_im)))
-        s_im = _product(((1.0, b, r_re), (1.0, a, r_im)))
-        if s_re is None and s_im is None:
-            return None, None
-        band, peak = _band_and_peak(*_abs_pair(s_re, s_im))
-        # The transform of the input carries rounding residue of order eps at the
-        # window edge even when the true spectrum has long underflowed, and the
-        # symbol amplifies it by |P(edge)|.  Band content below that floor is
-        # indistinguishable from rounding, so only genuine spectrum above it
-        # counts against the decay requirement.
-        noise_floor = 32.0 * np.finfo(float).eps * p_sup * f_sup
-        if band > max(_BANDWIDTH_LEVEL * peak, noise_floor):
-            raise BandwidthExceededError(
-                f"spectrum of {poly_label(p)} applied to this function reaches {band / peak:.2e} "
-                "of its peak in the outer 10% of the dual window; increase the grid size")
-        return tuple(None if s is None else _inverse(s, grid) for s in (s_re, s_im))
+    found = _product_spectrum(split, spectra)
+    if found is None:
+        return None, None
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _inverse as non-finite
+        return tuple(None if s is None else _inverse(s, grid) for s in found[:2])
+
+
+def _image_norm(split, spectra, grid: GridSpec, p: float) -> float:
+    """``||P(-i d/dx) f||_p`` on the rectangle rule.  For ``p = 2`` it is Parseval's identity for
+    the discrete pair, ``sum |g_j|^2 dx = sum |G_k|^2 dy / (2 pi)`` over the ``N`` nodes, read
+    off the product spectrum's magnitudes with no inverse transform; at the Nyquist node ``G``
+    is what :func:`_image` applies there, ``Re S_re + i Re S_im``.  Else it is the norm of
+    :func:`_image`.  A non-finite spectrum or image raises."""
+    if p != 2.0:
+        return _lp(_abs_image(_image(split, spectra, grid), grid.size), grid.dx, p)
+    found = _product_spectrum(split, spectra)
+    if found is None:
+        return 0.0
+    s_re, s_im, pos, neg = found
+    h = grid.size // 2
+    nyquist = abs(complex(*(0.0 if s is None else s[h].real for s in (s_re, s_im))))
+    magnitudes = np.concatenate((pos[:h], neg[1:h], [nyquist]))
+    _refuse_non_finite(magnitudes)
+    return _lp(magnitudes, grid.dy / (2.0 * math.pi), 2.0)
 
 
 def _inverse(s: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -625,7 +658,8 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
     itself by :func:`_image`: each polynomial is split once into its Hermitian parts
     (:func:`_split`), each test function transformed once, one real-input FFT per nonzero part
     (:func:`_spectra`), and each image inverted with one real-input FFT per nonzero part of its
-    own, so a real function under an even or an odd real polynomial costs one.
+    own, so a real function under an even or an odd real polynomial costs one, except at the
+    exponent 2, whose norm is read off the image's spectrum with no inverse (:func:`_image_norm`).
     """
     grid = d.grid
     q_, p1_, p2_ = _validate_exponents(
@@ -642,8 +676,7 @@ def diffop_subordination(d: SymbolDecomposition, q: float,
     def rows(f):
         spectra = _spectra(f)
         del f  # only the half spectra are read
-        lhs, *rhs = (_lp(_abs_image(_image(split, spectra, grid), grid.size), grid.dx, e)
-                     for split, e in operators)
+        lhs, *rhs = (_image_norm(split, spectra, grid, e) for split, e in operators)
         yield None, exponents, lhs, rhs[0] + rhs[1]
 
     if suite is None:

@@ -16,6 +16,7 @@ from subord import diffops, measures
 from subord.diffops import (
     _as_poly,
     _image,
+    _image_norm,
     _local_grid,
     _spectra,
     _split,
@@ -41,6 +42,7 @@ from subord.fourier_core import (
     SampledFunction,
     forward_ft,
     inverse_ft,
+    lp_norm,
 )
 from subord.measures import factor_norm, wiener_norm
 from subord.testkit import bspline, bump, gaussian, materialize, modulated_gaussian
@@ -538,7 +540,8 @@ def test_an_image_is_the_inverse_of_the_polynomial_times_the_spectrum(
     """The image of ``f`` under ``P`` is ``inverse_ft`` of ``P forward_ft(f)`` within 1e-13 of
     its maximum, for every parity of ``P``, on spectra that reach the Nyquist node.  At that
     node, where ``+-pi/dx`` alias, the image applies the mean of ``P(pi/dx)`` and
-    ``P(-pi/dx)``, which is ``P`` itself for an even ``P``."""
+    ``P(-pi/dx)``, which is ``P`` itself for an even ``P``.  Its L^2 norm read off the spectrum
+    by Parseval's identity is that of the reference within 1e-13."""
     grid = GridSpec(half_length, 2 ** n)
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(grid.size)
@@ -562,8 +565,10 @@ def test_an_image_is_the_inverse_of_the_polynomial_times_the_spectrum(
     with pytest.MonkeyPatch.context() as patch:  # the spectrum fills the band: no gate
         patch.setattr(diffops, "_BANDWIDTH_LEVEL", math.inf)
         image = apply_diffop(c, f)
+        norm = _image_norm(_split(_as_poly(c), grid), _spectra(f), grid, 2.0)
     scale = float(np.abs(reference.values).max())
     assert np.abs(image.values - reference.values).max() <= 1e-13 * scale
+    assert norm == pytest.approx(lp_norm(reference, 2.0), rel=1e-13, abs=1e-300)
 
 
 @pytest.mark.parametrize("fn, coeffs, rffts, irffts", [
@@ -779,8 +784,8 @@ def test_extrapolated_factors_lie_near_their_limits(polys, q, limit1, limit2):
 
 
 def test_subordination_transforms_each_function_once(monkeypatch):
-    """The three operators share one set of half spectra per suite member, and no complex
-    transform runs."""
+    """The three operators share one set of half spectra per suite member, no complex
+    transform runs, and at q = 2 no image is inverted: its norm is read off its spectrum."""
     calls = []
 
     def counted(f):
@@ -792,6 +797,7 @@ def test_subordination_transforms_each_function_once(monkeypatch):
 
     spectra = diffops._spectra
     monkeypatch.setattr(diffops, "_spectra", counted)
+    monkeypatch.setattr(np.fft, "irfft", refused)
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("subord"):
             if getattr(module, "forward_ft", None) is forward_ft:
