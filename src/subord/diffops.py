@@ -532,8 +532,10 @@ def _image(split, spectra, grid: GridSpec):
     found = _product_spectrum(split, spectra)
     if found is None:
         return None, None
+    s_re, s_im = found[0], found[1]
+    del found  # the magnitudes are freed before the inverses are allocated
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _inverse as non-finite
-        return tuple(None if s is None else _inverse(s, grid) for s in found[:2])
+        return tuple(None if s is None else _inverse(s, grid) for s in (s_re, s_im))
 
 
 def _image_norm(split, spectra, grid: GridSpec, p: float) -> float:
