@@ -6,7 +6,10 @@ comparison machinery proves error bounds of the form
 
     || f - M_{b,eps} f ||_p  <=  K(a,b) || f - M_{a,eps} f ||_p,   b > a,
 
-with one constant for every eps and p.
+with one constant for every eps and p.  The error f - M_{a,eps} f is the operator
+with symbol 1 - e^{-(eps|y|)^a}, so this is the comparison principle of demo 03
+applied to the error symbols; K(a,b) is the measure norm of their ratio, which
+does not depend on eps.
 
 Run:  python3 demos/04_summability_means.py
 """
@@ -15,12 +18,16 @@ import numpy as np
 
 from subord import (
     GridSpec,
+    apply_symbol,
+    forward_ft,
     gaussian,
-    gw_constant,
-    gw_error,
     gw_mean,
+    gw_ratio,
     gw_verify,
+    lp_norm,
     materialize,
+    one_minus_gw_symbol,
+    wiener_norm,
 )
 
 grid = GridSpec(40.0, 16384)
@@ -33,10 +40,13 @@ for eps in (1.0, 0.5, 0.1):
     print(f"  eps={eps:<4} peak of M f: {np.abs(m.values).max():.6f}  "
           f"(exact 1/sqrt(1+4 eps^2) = {1.0/np.sqrt(1+4*eps*eps):.6f})")
 
-# Approximation errors decrease along eps -> 0 for every order.
+# Approximation errors decrease along eps -> 0 for every order.  Each is read
+# through its error symbol 1 - e^{-(eps|y|)^a}, as gw_verify reads it.
 print("\n||f - M f||_2 along eps:")
+F, y = forward_ft(f), grid.dual_nodes()
 for alpha in (1.0, 2.0):
-    errs = [gw_error(f, alpha, eps, 2.0) for eps in (1.0, 0.5, 0.1, 0.05)]
+    errs = [lp_norm(apply_symbol(one_minus_gw_symbol(alpha)(eps * y), F), 2.0)
+            for eps in (1.0, 0.5, 0.1, 0.05)]
     print(f"  a={alpha:g}: " + "  >  ".join(f"{e:.5f}" for e in errs))
 
 # The subordination run: estimates the constant once, then checks every
@@ -50,4 +60,4 @@ print(f"\ngw_verify(1,2): constant {report.constant:.6f}, "
 # tends to 0 at y = 0 and to 1 at infinity, so no constant can be below 2.
 print("\nconstants beside the floor 2:")
 for a, b in ((0.5, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 4.0)):
-    print(f"  K({a:g},{b:g}) = {gw_constant(a, b, grid).total:.10f}  (floor 2)")
+    print(f"  K({a:g},{b:g}) = {wiener_norm(gw_ratio(a, b), grid).total:.10f}  (floor 2)")

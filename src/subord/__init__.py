@@ -12,10 +12,12 @@ constants, three layers of domination between them:
     measure-norm (Wiener-algebra) estimation of a symbol.
 ``comparison``
     multiplier registry and the ratio-based domination of one convolution
-    operator by another.
+    operator by another; one driver checks it, also for the summability means.
 ``summability``
-    smoothing means ``exp(-|eps y|^alpha)`` and error subordination between
-    different orders.
+    the smoothing means ``exp(-|eps y|^alpha)`` (``gw_mean``) and their error
+    subordination (``gw_verify``): the comparison principle applied to the error
+    symbols ``1 - exp(-|eps y|^alpha)``.  Only these two are left, because the
+    benchmark's tracer wraps both.
 ``diffops``
     polynomial differential operators, two-cofactor decompositions, and
     mixed-exponent norm domination.

@@ -9,7 +9,10 @@ with norm at most ``K`` — the operator comparison is inherited from the
 scalar factorization ``m1 = psi * m2``.  This module builds the ratio symbol
 (its limit at removable zeros of the denominator), estimates ``K`` through
 :func:`subord.measures.wiener_norm`, and verifies the resulting inequality on
-a corpus of test functions.
+a corpus of test functions.  The paper's part I, the subordination of
+summability means, is this principle applied to the error symbols
+``1 - exp(-|eps y|^alpha)`` at several scales: :func:`verify_comparison` and
+:func:`subord.summability.gw_verify` share one row routine, :func:`_verify_symbols`.
 """
 
 from __future__ import annotations
@@ -263,9 +266,9 @@ def ratio_multiplier(numerator: Multiplier, denominator: Multiplier,
 class Case:
     """One verified row: ``lhs <= constant * (1 + TOLERANCE) * rhs``.
 
-    ``eps`` is the scale of a summability case (``None`` elsewhere) and
-    ``exponents`` the norm exponents as printed, e.g. ``p=2`` or
-    ``q=2;p1=2;p2=1``.
+    ``eps`` is the scale at which both error symbols of a summability case are
+    dilated (``None`` elsewhere) and ``exponents`` the norm exponents as printed,
+    e.g. ``p=2`` or ``q=2;p1=2;p2=1``.
     """
 
     label: str
@@ -282,8 +285,8 @@ class Report:
     """Result of every verification routine.
 
     The fields after ``passed`` are filled only by the routines that produce
-    them: ``estimate`` by :func:`verify_comparison` and
-    :func:`subord.summability.gw_verify`; the factors and
+    them: ``estimate`` by the comparison principle's two drivers, :func:`verify_comparison`
+    and :func:`subord.summability.gw_verify`; the factors and
     the resolved exponents ``q``, ``p1``, ``p2`` by
     :func:`subord.diffops.diffop_subordination`.
     """
@@ -301,7 +304,7 @@ class Report:
 
 
 #: a verifier's rows for one sampled function ``f``, which it transforms as it needs:
-#: ``(eps or None, exponents, lhs, rhs)``
+#: ``(eps or None, exponents, lhs, rhs)``; ``eps`` is set by ``gw_verify``'s scales only
 Rows = Callable[[SampledFunction], Iterable[tuple[Optional[float], str, float, float]]]
 
 
@@ -338,6 +341,26 @@ def _verify(suite: Sequence[TestFunction], grid: GridSpec, rows: Rows, constant:
                   passed=all(case.passed for case in cases), **extra)
 
 
+def _verify_symbols(pairs: Sequence[tuple[Optional[float], np.ndarray, np.ndarray]],
+                    grid: GridSpec, p_values: Sequence[float], estimate: WienerEstimate,
+                    what: str) -> Report:
+    """Check ``||T_{s1} f||_p <= K ||T_{s2} f||_p`` on :func:`subord.testkit.means_suite`
+    for each pair ``(eps or None, s1, s2)`` of symbols sampled on the dual nodes, with
+    ``K = estimate.total``: one forward transform of each function serves every pair and
+    exponent, and each case keeps its pair's ``eps``."""
+
+    def rows(f):
+        F = forward_ft(f)
+        del f  # only the spectrum is read
+        for eps, symbol1, symbol2 in pairs:
+            out1 = apply_symbol(symbol1, F)
+            out2 = apply_symbol(symbol2, F)
+            for p in p_values:
+                yield eps, f"p={_fmt_p(float(p))}", lp_norm(out1, p), lp_norm(out2, p)
+
+    return _verify(means_suite(), grid, rows, estimate.total, what, estimate=estimate)
+
+
 def verify_comparison(multiplier1: Multiplier, multiplier2: Multiplier, grid: GridSpec,
                       p_values: Sequence[float] = (1.0, 2.0, math.inf),
                       oversample: int = 8) -> Report:
@@ -355,15 +378,5 @@ def verify_comparison(multiplier1: Multiplier, multiplier2: Multiplier, grid: Gr
     ratio = ratio_multiplier(multiplier1, multiplier2, grid)
     estimate = wiener_norm(ratio, grid, oversample=oversample)
     y = grid.dual_nodes()
-    symbol1, symbol2 = multiplier1(y), multiplier2(y)
-
-    def rows(f):
-        F = forward_ft(f)
-        del f  # only the spectrum is read
-        out1 = apply_symbol(symbol1, F)
-        out2 = apply_symbol(symbol2, F)
-        for p in p_values:
-            yield None, f"p={_fmt_p(float(p))}", lp_norm(out1, p), lp_norm(out2, p)
-
-    return _verify(means_suite(), grid, rows, estimate.total, "comparison",
-                   estimate=estimate)
+    return _verify_symbols([(None, multiplier1(y), multiplier2(y))], grid, p_values,
+                           estimate, "comparison")

@@ -11,7 +11,6 @@ __all__ = [
     "HypothesisError",
     "NumericalError",
     "InvalidParameterError",
-    "GridMismatchError",
     "GridTooSmallError",
     "InconsistentLimitError",
     "NestedZerosViolatedError",
@@ -44,10 +43,6 @@ class NumericalError(SubordinationError):
 
 class InvalidParameterError(HypothesisError):
     """A parameter is outside its documented domain."""
-
-
-class GridMismatchError(NumericalError):
-    """Two sampled functions live on different grids (or different sides)."""
 
 
 class GridTooSmallError(NumericalError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidParameterError
+from .errors import InvalidParameterError
 
 __all__ = [
     "SPACE",
@@ -142,13 +142,6 @@ class SampledFunction:
         f.__dict__.update(grid=grid, values=values, side=side)
         f.__post_init__(owned=True)
         return f
-
-    def __sub__(self, other: "SampledFunction") -> "SampledFunction":
-        if self.grid != other.grid:
-            raise GridMismatchError("operands live on different grids")
-        if self.side != other.side:
-            raise GridMismatchError("operands live on different sides")
-        return SampledFunction(self.grid, self.values - other.values, self.side)
 
 
 def _centered_fft(f: SampledFunction, fft, scale, side: str) -> SampledFunction:

@@ -36,7 +36,7 @@ from subord.fourier_core import (
     lp_norm,
 )
 from subord.measures import wiener_norm
-from subord.summability import gw_error, gw_verify
+from subord.summability import gw_verify
 from subord.testkit import (
     bspline,
     bump,
@@ -115,11 +115,13 @@ def test_criterion_04_mean_comparison_all_pairs():
 
 
 def test_criterion_05_error_decreases_with_scale():
-    f = materialize(gaussian(1.0), DESK)
-    ok = True
+    # the driver's rows for the unit gaussian: rhs is ||f - U[1, eps] f||_2, lhs the same at 2
+    report = gw_verify(1.0, 2.0, DESK, eps_values=(1.0, 0.5, 0.1, 0.05), p_values=(2.0,))
+    cases = [case for case in report.cases if case.label == gaussian(1.0).label]
+    ok = len(cases) == 4
     details = []
-    for alpha in (1.0, 2.0):
-        errs = [gw_error(f, alpha, eps, 2.0) for eps in (1.0, 0.5, 0.1, 0.05)]
+    for alpha, side in ((1.0, "rhs"), (2.0, "lhs")):
+        errs = [getattr(case, side) for case in cases]
         ok = ok and all(a > b for a, b in zip(errs, errs[1:]))
         details.append(f"alpha={alpha:g}: " + " > ".join(f"{e:.4f}" for e in errs))
     _report(5, ok, "; ".join(details))

@@ -268,6 +268,25 @@ def test_a_large_exponent_overflows_without_a_warning(argv, tmp_path, capsys):
     assert json.loads(out.read_text())["passed"] is False
 
 
+@pytest.mark.parametrize("eps,code,error", [
+    ("0.01", 2, {"type": "KernelUnresolvableError",
+                 "message": "scale 0.01 is below 4 nodes of spacing 0.00488; "
+                            "the kernel cannot be resolved on this grid"}),
+    ("-1", 1, {"type": "InvalidParameterError",
+               "message": "scale must be finite and positive, got -1.0"}),
+    ("1e308", 0, None),
+])
+def test_gw_compare_checks_each_scale_and_dilates_without_a_warning(eps, code, error, tmp_path,
+                                                                    capsys):
+    # a scale below 4 nodes of dx, or not positive, is refused in the report; at 1e308 the
+    # dilated nodes overflow to inf where both error symbols are 1, with no RuntimeWarning
+    out = tmp_path / "report.json"
+    assert run(["gw-compare", "--alpha", "1", "--beta", "2", "--eps", eps,
+                "--out", str(out)]) == code
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text()).get("error") == error
+
+
 def test_an_overflowing_inversion_is_refused_in_a_report(tmp_path, capsys):
     # psi - 1e308 overflows in the estimator's inverse FFT: a report of the non-finite
     # inverse, not a RuntimeWarning, which this suite turns into an error

@@ -34,7 +34,6 @@ from subord.errors import (
 )
 from subord.fourier_core import GridSpec, forward_ft, inverse_ft, lp_norm
 from subord.measures import wiener_norm
-from subord.summability import gw_constant
 from subord.testkit import gaussian, materialize, means_suite
 
 GRID = GridSpec(40.0, 16384)
@@ -109,7 +108,7 @@ def test_ratio_multiplier_is_the_closed_form_ratio_on_any_grid(alpha, gap):
 @pytest.mark.parametrize("alpha,beta", ((0.5, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 4.0)))
 def test_ratio_norm_matches_the_closed_form_constant(alpha, beta):
     ratio = ratio_multiplier(one_minus_gw_symbol(beta), one_minus_gw_symbol(alpha), GRID)
-    oracle = gw_constant(alpha, beta, GRID).total
+    oracle = wiener_norm(gw_ratio(alpha, beta), GRID).total
     assert abs(wiener_norm(ratio, GRID).total - oracle) <= 1e-3 * oracle
 
 
@@ -158,7 +157,7 @@ def test_comparison_of_mean_symbols():
     assert report.constant == report.estimate.total
     # the exact norm is 2; the closed-form ratio's estimate is the reference
     assert report.constant >= 2.0
-    assert abs(report.constant - gw_constant(1.0, 2.0, GRID).total) <= 1e-6
+    assert abs(report.constant - wiener_norm(gw_ratio(1.0, 2.0), GRID).total) <= 1e-6
     assert report.passed
     assert report.worst_ratio == pytest.approx(1.0689040626101167, rel=1e-6)
     assert len(report.cases) == 18  # 6 functions x p in {1, 2, inf}

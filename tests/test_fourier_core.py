@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subord.errors import GridMismatchError, InvalidParameterError
+from subord.errors import InvalidParameterError
 from subord.fourier_core import (
     FREQUENCY,
     SPACE,
@@ -191,16 +191,6 @@ def test_convolution_matches_transform_product():
     prod = forward_ft(f).values * forward_ft(h).values
     direct = inverse_ft(SampledFunction(g, prod, FREQUENCY))
     assert np.abs(conv.values - direct.values).max() <= 1e-12
-
-
-def test_grid_mismatch_rejected():
-    f = SampledFunction(GridSpec(20.0, 4096), np.zeros(4096), SPACE)
-    h = SampledFunction(GridSpec(20.0, 8192), np.zeros(8192), SPACE)
-    with pytest.raises(GridMismatchError):
-        f - h
-    F = SampledFunction(f.grid, np.zeros(4096), FREQUENCY)
-    with pytest.raises(GridMismatchError, match="different sides"):
-        f - F
 
 
 @pytest.mark.parametrize("side", ["spatial", "", None])

@@ -1,21 +1,27 @@
-"""Generalized Gauss-Weierstrass means: kernels, comparison constants, verification."""
+"""Generalized Gauss-Weierstrass means: kernels, error symbols, comparison constants and
+verification, which is the comparison of the error symbols ``1 - exp(-|eps y|^alpha)``."""
 
 import math
 
 import numpy as np
 import pytest
 
+from subord.comparison import gw_ratio, one_minus_gw_symbol, verify_comparison
 from subord.errors import InvalidParameterError, KernelUnresolvableError
-from subord.fourier_core import SPACE, GridSpec, SampledFunction
-from subord.summability import (
-    gw_constant,
-    gw_error,
-    gw_mean,
-    gw_verify,
-)
-from subord.testkit import gaussian, materialize
+from subord.fourier_core import SPACE, GridSpec, SampledFunction, apply_symbol, forward_ft, lp_norm
+from subord.measures import wiener_norm
+from subord.summability import gw_mean, gw_verify
+from subord.testkit import gaussian, materialize, means_suite
 
 GRID = GridSpec(40.0, 16384)
+DESK_PAIRS = ((0.5, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 4.0))
+
+
+def mean_error(f, alpha, eps, p):
+    """``|| f - U[alpha, eps] f ||_p`` as the verification reads it: the norm of the operator
+    with the error symbol ``1 - exp(-|eps y|^alpha)``."""
+    y = f.grid.dual_nodes()
+    return lp_norm(apply_symbol(one_minus_gw_symbol(alpha)(eps * y), forward_ft(f)), p)
 
 
 def mean_kernel(alpha, eps):
@@ -100,17 +106,28 @@ def test_gauss_mean_of_gaussian_closed_form():
         assert np.abs(got.values - exact).max() <= 1e-12
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_error_symbol_is_the_distance_to_the_mean(p):
+    # 1 - exp(-|eps y|^alpha) applied to F is f - U[alpha, eps] f; the subtraction cancels
+    # where the mean is close to f, the error symbol does not
+    f = materialize(gaussian(1.0), GRID)
+    for alpha in (1.0, 2.0):
+        for eps in (1.0, 0.5, 0.1, 0.05):
+            diff = SampledFunction(GRID, f.values - gw_mean(f, alpha, eps).values, SPACE)
+            assert mean_error(f, alpha, eps, p) == pytest.approx(lp_norm(diff, p), rel=1e-9)
+
+
 def test_error_decreases_along_eps():
     f = materialize(gaussian(1.0), GRID)
     for alpha in (1.0, 2.0):
-        errs = [gw_error(f, alpha, eps, 2.0) for eps in (1.0, 0.5, 0.1, 0.05)]
+        errs = [mean_error(f, alpha, eps, 2.0) for eps in (1.0, 0.5, 0.1, 0.05)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
 def test_error_frozen_values():
     f = materialize(gaussian(1.0), GRID)
-    assert gw_error(f, 1.0, 0.1, 2.0) == pytest.approx(0.10360491144579123, rel=1e-9)
-    assert gw_error(f, 2.0, 0.1, 2.0) == pytest.approx(0.018919134641167703, rel=1e-9)
+    assert mean_error(f, 1.0, 0.1, 2.0) == pytest.approx(0.10360491144579123, rel=1e-9)
+    assert mean_error(f, 2.0, 0.1, 2.0) == pytest.approx(0.018919134641167703, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +136,9 @@ def test_error_frozen_values():
 
 def test_constant_requires_ordered_exponents():
     with pytest.raises(InvalidParameterError):
-        gw_constant(2.0, 1.0, GRID)
+        gw_verify(2.0, 1.0, GRID)
     with pytest.raises(InvalidParameterError):
-        gw_constant(1.0, 1.0, GRID)
+        gw_verify(1.0, 1.0, GRID)
 
 
 @pytest.mark.parametrize("alpha,beta,expected", [
@@ -131,7 +148,7 @@ def test_constant_requires_ordered_exponents():
     (2.0, 4.0, 2.141414227251839),
 ])
 def test_constant_frozen_desk_values(alpha, beta, expected):
-    est = gw_constant(alpha, beta, GRID)
+    est = wiener_norm(gw_ratio(alpha, beta), GRID)
     assert est.converged
     assert est.total == pytest.approx(expected, rel=1e-9)
 
@@ -148,7 +165,7 @@ def test_constant_frozen_desk_values(alpha, beta, expected):
 def test_constant_is_at_least_the_floor(alpha, beta):
     """Every ratio symbol tends to 0 at y = 0 and to 1 at infinity, so its measure
     norm is at least |c| + |psi(0) - c| = 1 + 1 = 2, whatever the pair."""
-    assert gw_constant(alpha, beta, GRID).total >= 2.0
+    assert wiener_norm(gw_ratio(alpha, beta), GRID).total >= 2.0
 
 
 def test_verify_full_default_run():
@@ -161,3 +178,24 @@ def test_verify_full_default_run():
     for case in report.cases:
         assert case.lhs <= report.constant * case.rhs * (1.0 + 1e-2)
 
+
+
+@pytest.mark.parametrize("alpha,beta", DESK_PAIRS)
+def test_verify_is_the_comparison_of_the_error_symbols(alpha, beta):
+    """At eps = 1 the cases are those of ``compare`` of the two error symbols, bit for bit; at
+    eps = 0.5 each side is the norm of its error symbol at 0.5 y applied to one transform."""
+    upper, lower = one_minus_gw_symbol(beta), one_minus_gw_symbol(alpha)
+    unscaled = gw_verify(alpha, beta, GRID, eps_values=(1.0,))
+    plain = verify_comparison(upper, lower, GRID)
+    assert ([(c.label, c.exponents, c.lhs, c.rhs) for c in unscaled.cases]
+            == [(c.label, c.exponents, c.lhs, c.rhs) for c in plain.cases])
+
+    y = GRID.dual_nodes()
+    expected = []
+    for fn in means_suite():
+        F = forward_ft(materialize(fn, GRID))
+        outs = [apply_symbol(m(0.5 * y), F) for m in (upper, lower)]
+        expected += [(fn.label, 0.5, *(lp_norm(out, p) for out in outs))
+                     for p in (1.0, 2.0, math.inf)]
+    scaled = gw_verify(alpha, beta, GRID, eps_values=(0.5,))
+    assert [(c.label, c.eps, c.lhs, c.rhs) for c in scaled.cases] == expected

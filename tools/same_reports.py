@@ -63,7 +63,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: at 16 (9 of 16), and a ratio of two even symbols at oversample 4; and the branches of
 #: diffop-verify's real-input corpus that no other line runs: an operator of mixed parity at
 #: q = 2, a target with a complex coefficient (i y), and a grid whose dual window the image of
-#: y does not fit, refused by the bandwidth gate just above its level (exit 2)
+#: y does not fit, refused by the bandwidth gate just above its level (exit 2); and
+#: gw-compare's scale checks: a scale below 4 nodes of dx (exit 2), a negative scale (exit 1)
+#: and a scale of 1e308, whose dilated dual nodes overflow where the error symbols are 1, and
+#: the (2, 4) pair at eps = 0.05, whose errors f - U f lost most digits to cancellation
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -134,6 +137,10 @@ EXTRAS = (
      "--grid-N", "262144"),
     ("diffop-verify", "--Q", "[0,[0,1]]", "--P1", "[0,0,1]", "--P2", "[1]", "--grid-N", "262144"),
     ("diffop-verify", "--grid-N", "256", "--Q", "[0,1]", "--P1", "[0,0,1]", "--P2", "[1]"),
+    ("gw-compare", "--alpha", "1", "--beta", "2", "--eps", "0.01"),
+    ("gw-compare", "--alpha", "1", "--beta", "2", "--eps", "-1"),
+    ("gw-compare", "--alpha", "1", "--beta", "2", "--eps", "1e308"),
+    ("gw-compare", "--alpha", "2", "--beta", "4", "--eps", "0.05"),
 )
 
 
