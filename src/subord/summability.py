@@ -42,14 +42,15 @@ _MIN_NODES_PER_WIDTH = 4
 
 
 def _dilated(m: Multiplier, eps: float, grid: GridSpec) -> np.ndarray:
-    """``m(eps y)`` on the dual nodes, once the scale is validated."""
+    """``m(eps y)`` on the dual nodes, once the scale is validated; kept real, as the means and
+    their error symbols are, so it holds half the bytes of the complex samples."""
     eps = _finite(eps, "scale")
     if eps < _MIN_NODES_PER_WIDTH * grid.dx:
         raise KernelUnresolvableError(
             f"scale {eps} is below {_MIN_NODES_PER_WIDTH} nodes of spacing {grid.dx:.3g}; "
             "the kernel cannot be resolved on this grid")
     with np.errstate(over="ignore"):  # eps y = +-inf only where the symbol has its limit
-        return m(eps * grid.dual_nodes())
+        return m(eps * grid.dual_nodes()).real.copy()
 
 
 def gw_mean(f: SampledFunction, alpha: float, eps: float) -> SampledFunction:

@@ -179,7 +179,6 @@ def test_verify_full_default_run():
         assert case.lhs <= report.constant * case.rhs * (1.0 + 1e-2)
 
 
-
 @pytest.mark.parametrize("alpha,beta", DESK_PAIRS)
 def test_verify_is_the_comparison_of_the_error_symbols(alpha, beta):
     """At eps = 1 the cases are those of ``compare`` of the two error symbols, bit for bit; at
