@@ -26,19 +26,23 @@ too: doubling keeps ``dx``, so a second read would average ``psi`` over the same
 
 The doubled window's dual grid has the ``2 M`` nodes ``k dy / 2``, ``M = oversample * N``:
 the refined grid's nodes and the midpoints between them.  It is sampled and inverted in
-``P = 2 M / K`` phases of ``K = min(2 N, M)`` nodes, phase ``q`` holding the nodes
+``P = 2 M / K = 2 oversample`` phases of ``K = N`` nodes, phase ``q`` holding the nodes
 ``(P r + q) dy / 2`` (decimation in time, Cooley and Tukey 1965, pruned to the nodes the
 window reads, Markel 1971).  A phase samples the symbol's real part, and its imaginary part
 only if some block has one, straight into FFT order, less the constant term's parts, and
-inverts each part with one real-input FFT, read at ``0 <= j < N`` only: each part's window is
-Hermitian.  With ``A_q`` the ``K``-point inverse of phase ``q`` and the twiddle
-``w = e^{i pi j / M}``, the ``2 M``-point inverse is ``(E + w O) / P`` and the refined grid's
-``M``-point one ``2 E / P``, ``E`` and ``O`` the sums of ``w^(q - q mod 2) A_q`` over the even
-and the odd phases, each accumulated by Horner's rule in ``w^2``.  So the even phases give
-the single window, ``|j| < N / 2``, and all phases the doubled one, ``|j| < N``; no array of
-``M`` or ``2 M`` points is allocated.  The single window's ``total`` is bit for bit that of the
-even phases alone, a pass on the caller's grid, and ``refined_total`` that of a direct
-doubled pass with the same constant term, up to rounding.
+inverts each part with one real-input FFT, read at ``0 <= j < N``, one period, the nodes
+above ``N / 2`` from the half spectrum's mirror image: each part's window is Hermitian.  With
+``A_q`` the ``K``-point inverse of phase ``q`` and the twiddle ``w = e^{i pi j / M}``, the
+``2 M``-point inverse is ``(E + w O) / P`` and the refined grid's ``M``-point one ``2 E / P``,
+``E`` and ``O`` the sums of ``w^(q - q mod 2) A_q`` over the even and the odd phases, each
+accumulated by Horner's rule in ``w^2``.  So the even phases give the single window,
+``|j| < N / 2``, and all phases the doubled one, ``|j| < N``; no array of ``M`` or ``2 M``
+points is allocated.  The twiddles ``w^k``, ``k = 1, 2``, come from a two-level table,
+``e^{i pi k (B a + b) / M} = e^{i pi k B a / M} e^{i pi k b / M}`` with ``b < B`` and the
+block ``B`` fixed by ``M`` alone: a node's twiddle does not depend on how many nodes are
+requested, so the single window's ``total`` is bit for bit that of the even phases alone, a
+pass on the caller's grid, and ``refined_total`` that of a direct doubled pass with the same
+constant term, up to rounding.
 
 A symbol that declares itself ``even``, ``psi(-y) == psi(y)`` bit for bit (see
 :class:`subord.comparison.Multiplier`), has in phase ``P - q`` phase ``q``'s samples reversed,
@@ -46,8 +50,9 @@ so each part's ``A_(P - q)`` is ``e^{-2 pi i j / K} conj(A_q)`` and a mirrored p
 ``w^q A_q + conj(w^q A_q) = 2 Re(w^q A_q)`` (the real-even fold of Cooley, Lewis and Welch
 1970).  Its pass samples and inverts the phases ``q <= P / 2`` only, each weighted 2 but ``0``
 and ``P / 2``, which mirror themselves, and takes the real part of each part's ``E`` and
-``E + w O``: 5 of 8 phases at oversample 8, 3 of 4 at 4, 9 of 16 at 16, all at 1 and 2.  Any
-other callable, the cofactors of :mod:`subord.diffops` among them, has every phase inverted.
+``E + w O``: 9 of 16 phases at oversample 8, 5 of 8 at 4, 3 of 4 at 2, 17 of 32 at 16 and both
+at 1.  Any other callable, the cofactors of :mod:`subord.diffops` among them, has every phase
+inverted.
 
 :func:`factor_norm` bounds a convolution operator ``L^p -> L^q`` by its symbol, for the
 factors of ``diffop-verify``.  One pass, the even phases on a grid with the caller's
@@ -197,7 +202,7 @@ def _add_inverse(acc: np.ndarray, values: np.ndarray) -> None:
         raise InvalidParameterError("values contain non-finite entries")
     np.conjugate(r, out=r)
     acc[:h + 1] += r[:acc.size]
-    acc[h + 1:] += np.conjugate(r[h - 1:values.size - acc.size:-1])  # only at oversample 1
+    acc[h + 1:] += np.conjugate(r[h - 1:values.size - acc.size:-1])  # the doubled window
 
 
 @_QUIET
@@ -239,6 +244,28 @@ def _accumulate(psi: Callable[[np.ndarray], np.ndarray], c: complex, size: int, 
     return re_acc, im_acc
 
 
+#: the quarter turns ``i^q``: a product with one is exact
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+def _twiddles(m: int, count: int, k: int) -> np.ndarray:
+    """``e^{i pi k j / m}`` at ``0 <= j < count``, for a power of two ``m >= 2``, as the products
+    ``e^{i pi k B a / m} e^{i pi k b / m}`` over ``j = B a + b``, ``0 <= b < B``, with the block
+    ``B`` fixed by ``m`` alone, so that a node's value does not depend on ``count``.  The
+    coarse factor is a quarter turn times ``e^{i pi r / m}``, ``r < m / 2``, and the fine one
+    is added to ``1`` as ``e^{i theta} - 1 = -2 sin^2(theta / 2) + i sin(theta)``: each node
+    is within a few units in the last place of the exact value."""
+    block = 1 << (m.bit_length() // 2)
+    angle = np.arange(block) * (np.pi * k / m)
+    half = np.sin(0.5 * angle)
+    fine = -2.0 * half * half + 1j * np.sin(angle)
+    turns, rest = np.divmod(np.arange(-(-count // block)) * (k * block), m // 2)
+    coarse = (np.exp(rest * (1j * np.pi / m)) * _QUARTER_TURNS[turns % 4])[:, None]
+    table = coarse * fine
+    table += coarse
+    return table.ravel()[:count]
+
+
 @_QUIET
 def _twiddled_sum(e: Optional[np.ndarray], o: Optional[np.ndarray],
                   w: np.ndarray) -> Optional[np.ndarray]:
@@ -276,8 +303,7 @@ def _windows(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, oversample
     notes)."""
     fine = grid.refined(oversample)
     n, m = grid.size, fine.size
-    size = min(2 * n, m)  # nodes per phase
-    phases = 2 * m // size
+    phases = 2 * m // n  # of n nodes each
     step = 0.5 * fine.dy
     c = getattr(psi, "const_at_infinity", None)
     if c is None:
@@ -285,19 +311,19 @@ def _windows(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, oversample
             c = _limit_at_infinity(psi, fine)
         except (GridTooSmallError, InconsistentLimitError):
             for q in range(phases):  # a fault of the symbol's values elsewhere comes first
-                _samples(psi, size, phases, q, step)
+                _samples(psi, n, phases, q, step)
             raise
     fold = getattr(psi, "even", False)
-    index = np.arange(n if doubled else n // 2)
-    squared = np.exp(index * (2j * np.pi / m))  # w^2, for the twiddle w = e^{i pi j / M}
-    even = _accumulate(psi, c, size, phases, 0, step, squared, fold)
+    count = n if doubled else n // 2
+    squared = _twiddles(m, count, 2)  # w^2, for the twiddle w = e^{i pi j / M}
+    even = _accumulate(psi, c, n, phases, 0, step, squared, fold)
     if fold:  # each part's window is real; copied, the complex sums are freed
         even = [None if e is None else e.real.copy() for e in even]
     yield c, _abs_window(*even, n // 2, fine.dx * (phases // 2))
     if doubled:
-        odd = _accumulate(psi, c, size, phases, 1, step, squared, fold)
+        odd = _accumulate(psi, c, n, phases, 1, step, squared, fold)
         del squared
-        w = np.exp(index * (1j * np.pi / m))
+        w = _twiddles(m, count, 1)
         parts = [_twiddled_sum(e, o, w) for e, o in zip(even, odd)]
         del even, odd, w
         if fold:

@@ -685,7 +685,7 @@ def _factor(d, symbol, grid, q, p):
 ])
 def test_mixed_exponent_factor_inverts_once(q, p, monkeypatch):
     """Every factor inverts the real cofactor's samples once on each grid of its pair, (L, n/2)
-    and (L, n) refined by oversample, here n = N: the doubled grid's even phases, two of 2 n
+    and (L, n) refined by oversample, here n = N: the doubled grid's even phases, four of n
     nodes each on (L, n).  For p < q the window part of a pass, the estimator's window read,
     gives the partner norm; for p == q a pass is wiener_norm's total, bit for bit, without the
     odd phases.  The factor is max(F_n, 2 F_n - F_{n/2})."""
@@ -713,7 +713,7 @@ def test_mixed_exponent_factor_inverts_once(q, p, monkeypatch):
     for symbol, (coarse, finer) in zip(cases, references):
         calls.clear()
         factor = _factor(d, symbol, GRID, q, p)
-        assert calls == [2 * grid.size for grid in grids for _ in range(2)]
+        assert calls == [grid.size for grid in grids for _ in range(4)]
         assert factor == max(finer, 2.0 * finer - coarse)
 
 
@@ -748,8 +748,8 @@ def test_a_factor_grid_grows_until_every_neighborhood_fits(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(measures, "_add_inverse", counted)
             factor = _factor(d, symbol, grid, 2.0, 2.0)
-        # the two even phases of each pass's doubled grid, 2 n nodes each
-        assert sizes == [2 * 2 ** 15] * 2 + [2 * 2 ** 16] * 2
+        # the four even phases of each pass's doubled grid, n nodes each
+        assert sizes == [2 ** 15] * 4 + [2 ** 16] * 4
         assert factor == pytest.approx(reference, rel=1e-3)
 
 
