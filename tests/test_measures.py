@@ -519,11 +519,11 @@ _UNEVEN = [
 @pytest.mark.parametrize("psi, c", _UNEVEN)
 def test_the_doubled_window_is_the_periodic_inverse(psi, c, oversample):
     """The window |j| < N of the inverse of K = oversample * N samples, as the doubled window
-    accumulates a phase's (K = N at oversample 1, the doubled grid's two phases), is the
-    K-periodic inverse DFT of the samples less c, scaled by 1 / dx, up to rounding, as the
-    parts' real-input inverses joined, and its modulus is _abs_window's bit for bit.  At
-    oversample 1 it wraps past K / 2, where a window sliced off the half spectrum would not
-    broadcast."""
+    accumulates a phase's (K = N at oversample 1, the size of every phase the estimator
+    inverts; at 2 a window shorter than the period), is the K-periodic inverse DFT of the
+    samples less c, scaled by 1 / dx, up to rounding, as the parts' real-input inverses
+    joined, and its modulus is _abs_window's bit for bit.  At oversample 1 it wraps past
+    K / 2, where a window sliced off the half spectrum would not broadcast."""
     grid = GridSpec(40.0, 2 ** 10)
     fine, n = grid.refined(oversample), grid.size
     values = np.fft.ifftshift(np.asarray(psi(fine.dual_nodes()), dtype=np.complex128)) - c
