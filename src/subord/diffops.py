@@ -53,7 +53,8 @@ from .errors import (
     NeighborhoodDegenerateError,
     VerificationFailureError,
 )
-from .fourier_core import _OUTER_BAND, SPACE, GridSpec, SampledFunction, _lp
+from .fourier_core import (_BLOCK, _QUIET, SPACE, GridSpec, SampledFunction, _lp, _outer_band,
+                           _refuse_non_finite)
 from .measures import factor_norm
 from .testkit import TestFunction, diffop_suite
 
@@ -74,8 +75,6 @@ __all__ = [
 _IDENTITY_TOL = 1e-10
 #: spectrum fraction allowed in the outer band of the dual window when applying an operator
 _BANDWIDTH_LEVEL = 1e-8
-#: dual nodes per block of the identity check: its temporaries stay a block's, not the grid's
-_CHECK_BLOCK = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +372,19 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     cofactor1 = Multiplier(label=label1, _fn=h1_fn, const_at_infinity=at_infinity)
     cofactor2 = Multiplier(label=label2, _fn=h2_fn, const_at_infinity=0.0)
 
-    # diagnostics: the dual nodes k dy, -N/2 <= k < N/2, block by block, plus refined local
-    # grids around each pole; maxima, so the same as over the whole grid at once
+    # one pass over the dual nodes k dy, -N/2 <= k < N/2, block by block, with sup |Q|, then
+    # refined local grids around each pole; maxima, so the same as over the whole grid at once
     h = grid.size // 2
-    blocks = [(k, min(k + _CHECK_BLOCK, h)) for k in range(-h, h, _CHECK_BLOCK)]
-    sup_q = max(float(np.abs(npoly.polyval(np.arange(a, b) * grid.dy, q)).max())
-                for a, b in blocks)
-    residual = sup_h2 = 0.0
-    for pts in itertools.chain((np.arange(a, b) * grid.dy for a, b in blocks),
-                               (_local_grid(c, d, grid.dy / 16.0) for c, d, _, _ in segments)):
+    sup_q = residual = sup_h2 = 0.0
+    for dual, pts in itertools.chain(
+            ((True, np.arange(k, min(k + _BLOCK, h)) * grid.dy) for k in range(-h, h, _BLOCK)),
+            ((False, _local_grid(c, d, grid.dy / 16.0)) for c, d, _, _ in segments)):
+        target = npoly.polyval(pts, q)
+        if dual:
+            sup_q = max(sup_q, float(np.abs(target).max()))
         v1, v2 = h1_fn(pts), h2_fn(pts)
         rebuilt = v1 * npoly.polyval(pts, p1) + v2 * npoly.polyval(pts, p2)
-        defect = np.abs(npoly.polyval(pts, q) - rebuilt)
-        residual = max(residual, float(defect.max()))
+        residual = max(residual, float(np.abs(target - rebuilt).max()))
         sup_h2 = max(sup_h2, float(np.abs(v2).max()))
     if residual > _IDENTITY_TOL * (1.0 + sup_q):
         raise VerificationFailureError(
@@ -431,17 +430,7 @@ def _abs_pair(re: Optional[np.ndarray], im: Optional[np.ndarray]):
     return np.abs(re + 1j * im), np.abs(np.conjugate(re) + 1j * np.conjugate(im))
 
 
-def _band_and_peak(pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:
-    """:func:`subord.fourier_core._outer_band`'s ``(band, peak)`` for the magnitudes ``pos`` at
-    ``+j dy`` and ``neg`` at ``-j dy``, ``0 <= j <= N/2``: the dual grid's nodes are ``pos[:N/2]``
-    and ``neg[1:]``, the Nyquist node ``-N/2 dy`` once, and the band those with
-    ``|j| >= N/2 - floor(N / 20)``."""
-    h = pos.size - 1
-    k = int(_OUTER_BAND / 2 * (2 * h))
-    band = max(pos[h - k:h].max(initial=0.0), neg[h - k:].max())
-    return float(band), float(max(pos[:h].max(), neg[1:].max()))
-
-
+@_QUIET  # a non-finite spectrum is refused
 def _spectra(f: SampledFunction):
     """``(R_re, R_im, sup)`` of ``f``: the real-input FFT of each part of ``f``, ``Re f`` and
     ``Im f`` (``R_im`` None where ``Im f`` is 0), in FFT order, times ``dx``, so the spectrum is
@@ -453,17 +442,11 @@ def _spectra(f: SampledFunction):
     spectra = []
     for part in (v.real, v.imag if v.imag.any() else None):
         if part is not None:
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
-                part = np.fft.rfft(np.concatenate((part[h:], part[:h])))
-                part *= f.grid.dx
+            part = np.fft.rfft(np.concatenate((part[h:], part[:h])))
+            part *= f.grid.dx
             _refuse_non_finite(part)
         spectra.append(part)
-    return (*spectra, _band_and_peak(*_abs_pair(*spectra))[1])
-
-
-def _refuse_non_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise InvalidParameterError("values contain non-finite entries")
+    return (*spectra, _outer_band(*_abs_pair(*spectra))[1])
 
 
 def _product(terms) -> Optional[np.ndarray]:
@@ -491,6 +474,7 @@ def _product(terms) -> Optional[np.ndarray]:
     return real
 
 
+@_QUIET  # a non-finite spectrum is refused by the callers
 def _product_spectrum(split, spectra):
     """The half spectra ``S_re = A R_re - B R_im`` and ``S_im = B R_re + A R_im`` (None for 0) of
     ``P(-i d/dx) f``, for ``split = _split(p, grid)`` of trimmed ``p`` and ``spectra =
@@ -500,13 +484,12 @@ def _product_spectrum(split, spectra):
     :class:`BandwidthExceededError` is raised."""
     p, (a, b), p_sup = split
     r_re, r_im, f_sup = spectra
-    with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite by the callers
-        s_re = _product(((1.0, a, r_re), (-1.0, b, r_im)))
-        s_im = _product(((1.0, b, r_re), (1.0, a, r_im)))
-        if s_re is None and s_im is None:
-            return None
-        pos, neg = _abs_pair(s_re, s_im)
-        band, peak = _band_and_peak(pos, neg)
+    s_re = _product(((1.0, a, r_re), (-1.0, b, r_im)))
+    s_im = _product(((1.0, b, r_re), (1.0, a, r_im)))
+    if s_re is None and s_im is None:
+        return None
+    pos, neg = _abs_pair(s_re, s_im)
+    band, peak = _outer_band(pos, neg)
     # The transform of the input carries rounding residue of order eps at the
     # window edge even when the true spectrum has long underflowed, and the
     # symbol amplifies it by |P(edge)|.  Band content below that floor is
@@ -520,6 +503,7 @@ def _product_spectrum(split, spectra):
     return s_re, s_im, pos, neg
 
 
+@_QUIET  # a non-finite image is refused by _inverse
 def _image(split, spectra, grid: GridSpec):
     """``P(-i d/dx) f`` (see :func:`_product_spectrum`) as its real part and its imaginary part,
     ``irfft(S_re) / dx`` and ``irfft(S_im) / dx``, each in FFT order, None for 0.  A non-finite
@@ -534,8 +518,7 @@ def _image(split, spectra, grid: GridSpec):
         return None, None
     s_re, s_im = found[0], found[1]
     del found  # the magnitudes are freed before the inverses are allocated
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _inverse as non-finite
-        return tuple(None if s is None else _inverse(s, grid) for s in (s_re, s_im))
+    return tuple(None if s is None else _inverse(s, grid) for s in (s_re, s_im))
 
 
 def _image_norm(split, spectra, grid: GridSpec, p: float) -> float:

@@ -19,6 +19,11 @@ FFTs; neither calls this pair.
 All quadrature in this package is the rectangle rule on these grids; sums are
 evaluated with numpy's deterministic reducer, so repeated runs in one
 environment are bit-reproducible.
+
+The window conventions live here: outer bands counted in nodes (:func:`_outer_band`), one
+refusal of non-finite values (:func:`_refuse_non_finite`), one policy, ``_QUIET``, for the
+arithmetic it checks (a decorator only: one ``np.errstate`` cannot be entered twice), and
+``_BLOCK``, the dual nodes a symbol or a polynomial is evaluated on at a time.
 """
 
 from __future__ import annotations
@@ -47,6 +52,12 @@ FREQUENCY = "frequency"
 
 #: fraction of the window counted as the "outer" band in decay checks
 _OUTER_BAND = 0.10
+#: dual nodes per symbol call in measures and per block of diffops' identity check: complex
+#: temporaries of 256 KB stay in cache.  2^13 and 2^14 timed alike on diffop-verify's first
+#: cofactor, 2^14 faster on its second; 2^15 lifts the estimator's traced peak
+_BLOCK = 2 ** 14
+#: overflows and invalid operations, refused by _refuse_non_finite, are not warned of
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -130,8 +141,7 @@ class SampledFunction:
         if vals.shape != (self.grid.size,):
             raise InvalidParameterError(
                 f"values must have shape ({self.grid.size},), got {vals.shape}")
-        if not np.isfinite(vals).all():
-            raise InvalidParameterError("values contain non-finite entries")
+        _refuse_non_finite(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -144,14 +154,14 @@ class SampledFunction:
         return f
 
 
+@_QUIET  # a non-finite result is refused by _owning
 def _centered_fft(f: SampledFunction, fft, scale, side: str) -> SampledFunction:
     # scale(fftshift(fft(ifftshift(v))), dx) bit for bit: one array, swapped back in place
     v, n = f.values, f.grid.size // 2
     out = np.concatenate((v[n:], v[:n]))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _owning as non-finite
-        fft(out, out=out)
-        out[:n], out[n:] = out[n:], out[:n].copy()  # the copy is the one half-length temporary
-        return SampledFunction._owning(f.grid, scale(out, f.grid.dx, out=out), side)
+    fft(out, out=out)
+    out[:n], out[n:] = out[n:], out[:n].copy()  # the copy is the one half-length temporary
+    return SampledFunction._owning(f.grid, scale(out, f.grid.dx, out=out), side)
 
 
 def forward_ft(f: SampledFunction) -> SampledFunction:
@@ -176,6 +186,7 @@ def inverse_ft(F: SampledFunction) -> SampledFunction:
     return _centered_fft(F, np.fft.ifft, np.divide, SPACE)
 
 
+@_QUIET  # a non-finite product is refused by _owning
 def apply_symbol(symbol: np.ndarray, F: SampledFunction) -> SampledFunction:
     """The multiplier operator ``T_m f``, the inverse transform of ``m(y) F(y)``.
 
@@ -185,8 +196,7 @@ def apply_symbol(symbol: np.ndarray, F: SampledFunction) -> SampledFunction:
     """
     if F.side != FREQUENCY:
         raise InvalidParameterError("apply_symbol expects a frequency-side function")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _owning as non-finite
-        return inverse_ft(SampledFunction._owning(F.grid, symbol * F.values, FREQUENCY))
+    return inverse_ft(SampledFunction._owning(F.grid, symbol * F.values, FREQUENCY))
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:
@@ -221,16 +231,17 @@ def _finite(value: float, what: str, positive: bool = True) -> float:
     return value
 
 
-def _outer_band(values: np.ndarray) -> tuple[float, float]:
-    """``(band, peak)``: the largest magnitude in the outer 10% of the window and overall.
+def _refuse_non_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("values contain non-finite entries")
 
-    The band is the first ``k + 1`` and the last ``k`` nodes, ``k =
-    floor(N / 20)``: exactly the nodes with ``|x| >= 0.9 L`` (``|y| >= 0.9
-    pi / dx`` on the dual side), since the window holds ``-L`` but not
-    ``L``.  Every decay gate of the package reads this pair at its own level.
-    """
-    absv = np.abs(values)
-    k = int(_OUTER_BAND / 2 * absv.size)
-    band = max(absv[:k + 1].max(), absv[absv.size - k:].max(initial=0.0))
-    return float(band), float(absv.max())
 
+def _outer_band(pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:
+    """``(band, peak)``: the largest magnitude in the outer 10% of a window of ``2 h`` nodes and
+    overall, from the magnitudes ``pos`` at ``+j`` and ``neg`` at ``-j``, ``0 <= j <= h``
+    (``pos[h]``, if given, is not read).  The band is the ``int(0.1 h)`` outermost nodes of
+    each side and ``-h``: exactly those with ``|x| >= 0.9 L`` (``|y| >= 0.9 pi / dx``)."""
+    h = neg.size - 1
+    k = int(_OUTER_BAND * h)
+    band = max(pos[h - k:h].max(initial=0.0), neg[h - k:].max())
+    return float(band), float(max(pos[:h].max(), neg[1:].max()))

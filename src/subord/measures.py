@@ -23,6 +23,8 @@ The constant term is the one the symbol declares, its ``const_at_infinity`` (see
 it is read once, before any inversion, off the symbol's values on the outer 5% of each side
 of the refined grid's dual window, and :func:`wiener_norm` uses it for the doubled window
 too: doubling keeps ``dx``, so a second read would average ``psi`` over the same band.
+Both bands are counted in nodes: the ``int(0.05 h)`` outermost a side of ``2 h`` dual nodes,
+and for the ``C / x^2`` tail fit the ``int(0.1 n)`` outermost a side of a window ``|j| < n``.
 
 The doubled window's dual grid has the ``2 M`` nodes ``k dy / 2``, ``M = oversample * N``:
 the refined grid's nodes and the midpoints between them.  It is sampled and inverted in
@@ -86,20 +88,16 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import GridTooSmallError, InconsistentLimitError, InvalidParameterError
-from .fourier_core import GridSpec, _lp
+from .fourier_core import _BLOCK, _QUIET, GridSpec, _lp, _refuse_non_finite
 
 __all__ = ["WienerEstimate", "factor_norm", "wiener_norm"]
 
 #: fraction of the dual window, per side, averaged to read off the constant term
 _LIMIT_BAND = 0.05
-#: fraction of the spatial window treated as the tail-fit band
+#: fraction of the spatial window, per side, read by the tail fit
 _TAIL_BAND = 0.10
 #: mismatch allowed between the two one-sided constant-term reads
 _LIMIT_CONSISTENCY = 1e-3
-#: dual nodes per call of a symbol in :func:`_samples`: a block's complex temporaries
-#: (256 KB each) stay in cache.  2^13 and 2^14 timed alike on the first cofactor of
-#: ``diffop-verify`` and 2^14 faster on the second; 2^15 lifts the estimator's traced peak
-_BLOCK = 2 ** 14
 #: node count of the finer grid of a factor's pair, as a rule (see the module notes)
 _FACTOR_SIZE = 2 ** 15
 
@@ -135,12 +133,10 @@ def _evaluate(psi: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.ndar
 
 
 def _limit_at_infinity(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> complex:
-    # the constant term: the means of psi over grid's dual nodes at y >= level and at
-    # y <= -level, sampled block by block, which must agree
+    # the constant term: the means of psi over grid's dual nodes k dy and -k dy, k >= h -
+    # int(_LIMIT_BAND h), the outer 5% of each side, sampled block by block, which must agree
     h, dy = grid.size // 2, grid.dy
-    level = grid.dual_half_length - _LIMIT_BAND * grid.dual_half_length
-    k = math.ceil(level / dy)  # at most one off the least k with k dy >= level,
-    k += (k * dy < level) - ((k - 1) * dy >= level)  # as both sides round
+    k = h - int(_LIMIT_BAND * h)
     if k >= h:
         raise GridTooSmallError(
             f"the outer {_LIMIT_BAND:.0%} of one side of the dual window holds no node; "
@@ -183,23 +179,16 @@ def _samples(psi: Callable[[np.ndarray], np.ndarray], size: int, phases: int, ph
     return re, im
 
 
-#: the estimator's arithmetic on samples and windows: an overflow is refused where the array
-#: is checked for non-finite entries, not warned of
-_QUIET = np.errstate(over="ignore", invalid="ignore")
-
-
 @_QUIET
 def _add_inverse(acc: np.ndarray, values: np.ndarray) -> None:
     """Add to ``acc`` the inverse DFT of the ``K`` real ``values`` in FFT order at the nodes
     ``0 <= j < acc.size <= K``, from their real-input transform ``R = rfft(values) / K``: the
     inverse is ``conj(R_j)`` at ``j <= K/2`` and ``R_{K-j}`` above.  Non-finite input or output
     raises."""
-    if not np.isfinite(values).all():
-        raise InvalidParameterError("values contain non-finite entries")
+    _refuse_non_finite(values)
     h = values.size // 2
     r = np.fft.rfft(values, norm="forward")
-    if not np.isfinite(r).all():
-        raise InvalidParameterError("values contain non-finite entries")
+    _refuse_non_finite(r)
     np.conjugate(r, out=r)
     acc[:h + 1] += r[:acc.size]
     acc[h + 1:] += np.conjugate(r[h - 1:values.size - acc.size:-1])  # the doubled window
@@ -288,8 +277,7 @@ def _abs_window(re: np.ndarray, im: Optional[np.ndarray], n: int, scale: float) 
         halves.append((np.conjugate(re[n - 1:0:-1]), np.conjugate(im[n - 1:0:-1]), absg[:n - 1]))
     for a, b, out in halves:
         g = (a if b is None else a + 1j * b) / scale
-        if not np.isfinite(g).all():
-            raise InvalidParameterError("values contain non-finite entries")
+        _refuse_non_finite(g)
         np.abs(g, out=out)
     if im is None:
         absg[:n - 1] = absg[:n - 1:-1]
@@ -338,15 +326,14 @@ def _check_squares(half_length: float) -> None:
 
 
 def _wiener_components(c: complex, absg: np.ndarray, dx: float):
-    # the window mass, the tail fit and the total, from |g| at the window's nodes |j| < n
+    # the window mass, the tail fit on n - k <= |j| < n and the total, from |g| at |j| < n
     n = (absg.size + 1) // 2
-    x, L = np.arange(1 - n, n) * dx, n * dx  # L exactly: dx = 2 L / N, n = N / 2
-    left = x <= -(1.0 - _TAIL_BAND) * L
-    right = x >= (1.0 - _TAIL_BAND) * L
+    k, L = int(_TAIL_BAND * n), n * dx  # L exactly: dx = 2 L / N, n = N / 2
+    x2 = (np.arange(n - k, n) * dx) ** 2
     with np.errstate(over="ignore"):  # an overflow makes the total inf, refused below
         density_l1 = dx * float(np.sum(absg))
-        c_left = float(np.max(absg[left] * x[left] ** 2)) if left.any() else 0.0
-        c_right = float(np.max(absg[right] * x[right] ** 2)) if right.any() else 0.0
+        c_left = float(np.max(absg[:k][::-1] * x2, initial=0.0))
+        c_right = float(np.max(absg[absg.size - k:] * x2, initial=0.0))
     tail = (c_left + c_right) / L
     total = abs(c) + density_l1 + tail
     if not math.isfinite(total):

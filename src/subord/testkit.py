@@ -172,7 +172,8 @@ def materialize(fn: TestFunction, grid: GridSpec) -> SampledFunction:
     tail mass around the circular boundary of every downstream transform.
     """
     values = np.asarray(fn.profile(grid.nodes()), dtype=np.complex128)
-    band, peak = _outer_band(values)
+    absv, h = np.abs(values), grid.size // 2
+    band, peak = _outer_band(absv[h:], absv[h::-1])
     if band > _BOUNDARY_LEVEL * peak:
         raise GridTooSmallError(
             f"{fn.label} reaches {band / peak:.2e} of its peak in the outer 10% of "

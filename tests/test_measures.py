@@ -450,6 +450,57 @@ def test_the_constant_term_is_read_bit_for_bit_or_scaled_past_an_overflow(value,
         assert c == pytest.approx(value, rel=2e-4)
 
 
+def _least_node_at_or_above(level, dy):
+    # the least k with k dy >= level as the doubles round k dy, which rises with k
+    k = math.ceil(level / dy)
+    while k * dy < level:
+        k += 1
+    while (k - 1) * dy >= level:
+        k -= 1
+    return k
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_length=st.floats(-300.0, 300.0), exponent=st.integers(4, 25))
+def test_the_constant_term_band_counted_in_nodes_is_the_float_rule(log_length, exponent):
+    """The dual nodes the constant-term read evaluates are exactly those with
+    ``|k dy| >= Y - 0.05 Y``, ``Y = pi / dx``, compared in floats, on each side."""
+    grid = GridSpec(10.0 ** log_length, 2 ** exponent)
+    seen = []
+
+    def recording(y):
+        seen.append(y.copy())
+        return np.zeros(y.shape)
+
+    h, dy, top = grid.size // 2, grid.dy, grid.dual_half_length
+    k = _least_node_at_or_above(top - measures._LIMIT_BAND * top, dy)
+    if k >= h:
+        with pytest.raises(GridTooSmallError):
+            _limit_at_infinity(recording, grid)
+        return
+    assert _limit_at_infinity(recording, grid) == 0
+    expected = np.concatenate((np.arange(k, h), np.arange(-h, 1 - k))) * dy
+    assert np.concatenate(seen).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent=st.integers(0, 16), log_dx=st.floats(-30.0, 30.0), decay=st.floats(0.0, 4.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_tail_band_counted_in_nodes_is_the_float_rule(exponent, log_dx, decay, seed):
+    """On a window ``|j| < n``, ``n`` a power of two as every window of the estimator, the
+    tail fit is ``(max_{x <= -0.9 L} |g| x^2 + max_{x >= 0.9 L} |g| x^2) / L``, ``L = n dx``,
+    its band found by comparing the nodes ``x = j dx`` in floats.  With ``decay > 2`` the
+    largest ``|g| x^2`` sits at the band's inner edge, so a node too many or too few shows."""
+    n, dx = 2 ** exponent, 10.0 ** log_dx
+    j = np.arange(1 - n, n)
+    absg = np.random.default_rng(seed).uniform(0.5, 1.0, j.size) * (1.0 + np.abs(j)) ** -decay
+    x, L = j * dx, n * dx
+    left, right = x <= -(1.0 - measures._TAIL_BAND) * L, x >= (1.0 - measures._TAIL_BAND) * L
+    reference = (float(np.max(absg[left] * x[left] ** 2, initial=0.0))
+                 + float(np.max(absg[right] * x[right] ** 2, initial=0.0))) / L
+    assert _wiener_components(0.0, absg, dx)[1] == reference
+
+
 def _single_total(psi, grid, oversample, pinned):
     # one pass that samples its own grid, as diffop-verify's p == q factors run it
     c, absg = next(_windows(_declaring(psi, pinned), grid, oversample, doubled=False))

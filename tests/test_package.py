@@ -1,6 +1,8 @@
 """The package's namespace: each library module's public names, declared once."""
 
+import ast
 import types
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +23,22 @@ def test_the_package_exports_no_other_public_name_than_its_modules():
     others = {name for name in dir(subord) if not name.startswith("_")
               and not isinstance(getattr(subord, name), types.ModuleType)}
     assert others == declared
+
+
+def test_the_window_conventions_live_in_fourier_core_alone():
+    # one refusal of non-finite values, one quiet-arithmetic policy and one outer band
+    package = Path(subord.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "fourier_core":
+            continue
+        source = path.read_text()
+        tree = ast.parse(source)
+        assert "values contain non-finite entries" not in source, path.name
+        assigned = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name)
+                    and node.id == "_QUIET" and isinstance(node.ctx, ast.Store)]
+        assert assigned == [], path.name
+        band = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "_OUTER_BAND"
+                or isinstance(node, ast.Attribute) and node.attr == "_OUTER_BAND"
+                or isinstance(node, ast.alias) and node.name == "_OUTER_BAND"]
+        assert band == [], path.name

@@ -66,7 +66,12 @@ ROOT = Path(__file__).resolve().parent.parent
 #: y does not fit, refused by the bandwidth gate just above its level (exit 2); and
 #: gw-compare's scale checks: a scale below 4 nodes of dx (exit 2), a negative scale (exit 1)
 #: and a scale of 1e308, whose dilated dual nodes overflow where the error symbols are 1, and
-#: the (2, 4) pair at eps = 0.05, whose errors f - U f lost most digits to cancellation
+#: the (2, 4) pair at eps = 0.05, whose errors f - U f lost most digits to cancellation; and
+#: the band edges no other line reaches: a 32-point grid at oversample 1, whose constant-term
+#: band holds no node (exit 2), a 64-point one, whose band holds one node on the + side and
+#: two on the - side, which disagree (exit 2), and the same with a pinned constant term, whose
+#: tail fit reads 3 nodes a side; and gw-compare on a window of half-length 6, refused by the
+#: decay gate of materialize (exit 2)
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -141,6 +146,11 @@ EXTRAS = (
     ("gw-compare", "--alpha", "1", "--beta", "2", "--eps", "-1"),
     ("gw-compare", "--alpha", "1", "--beta", "2", "--eps", "1e308"),
     ("gw-compare", "--alpha", "2", "--beta", "4", "--eps", "0.05"),
+    ("wiener-norm", "--multiplier", "exp_abs_ft", "--grid-N", "32", "--oversample", "1"),
+    ("wiener-norm", "--multiplier", "exp_abs_ft", "--grid-N", "64", "--oversample", "1"),
+    ("wiener-norm", "--multiplier", "exp_abs_ft", "--grid-N", "64", "--oversample", "1",
+     "--const-at-infinity", "0"),
+    ("gw-compare", "--alpha", "1", "--beta", "2", "--grid-L", "6"),
 )
 
 
