@@ -379,11 +379,11 @@ def construct_decomposition(target, op1, op2, grid: GridSpec) -> SymbolDecomposi
     for dual, pts in itertools.chain(
             ((True, np.arange(k, min(k + _BLOCK, h)) * grid.dy) for k in range(-h, h, _BLOCK)),
             ((False, _local_grid(c, d, grid.dy / 16.0)) for c, d, _, _ in segments)):
+        v1, v2 = h1_fn(pts), h2_fn(pts)
+        rebuilt = v1 * npoly.polyval(pts, p1) + v2 * npoly.polyval(pts, p2)
         target = npoly.polyval(pts, q)
         if dual:
             sup_q = max(sup_q, float(np.abs(target).max()))
-        v1, v2 = h1_fn(pts), h2_fn(pts)
-        rebuilt = v1 * npoly.polyval(pts, p1) + v2 * npoly.polyval(pts, p2)
         residual = max(residual, float(np.abs(target - rebuilt).max()))
         sup_h2 = max(sup_h2, float(np.abs(v2).max()))
     if residual > _IDENTITY_TOL * (1.0 + sup_q):
