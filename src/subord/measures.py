@@ -23,8 +23,8 @@ The constant term is the one the symbol declares, its ``const_at_infinity`` (see
 it is read once, before any inversion, off the symbol's values on the outer 5% of each side
 of the refined grid's dual window, and :func:`wiener_norm` uses it for the doubled window
 too: doubling keeps ``dx``, so a second read would average ``psi`` over the same band.
-Both bands are counted in nodes: the ``int(0.05 h)`` outermost a side of ``2 h`` dual nodes,
-and for the ``C / x^2`` tail fit the ``int(0.1 n)`` outermost a side of a window ``|j| < n``.
+Both bands are counted in nodes, on each side: the ``int(0.05 h)`` outermost of ``h`` dual
+nodes, and for the ``C / x^2`` tail fit the ``int(0.1 n)`` outermost of a window ``|j| < n``.
 
 The doubled window's dual grid has the ``2 M`` nodes ``k dy / 2``, ``M = oversample * N``:
 the refined grid's nodes and the midpoints between them.  It is sampled and inverted in
