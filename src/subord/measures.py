@@ -39,12 +39,15 @@ above ``N / 2`` from the half spectrum's mirror image: each part's window is Her
 ``E`` and ``O`` the sums of ``w^(q - q mod 2) A_q`` over the even and the odd phases, each
 accumulated by Horner's rule in ``w^2``.  So the even phases give the single window,
 ``|j| < N / 2``, and all phases the doubled one, ``|j| < N``; no array of ``M`` or ``2 M``
-points is allocated.  The twiddles ``w^k``, ``k = 1, 2``, come from a two-level table,
-``e^{i pi k (B a + b) / M} = e^{i pi k B a / M} e^{i pi k b / M}`` with ``b < B`` and the
-block ``B`` fixed by ``M`` alone: a node's twiddle does not depend on how many nodes are
-requested, so the single window's ``total`` is bit for bit that of the even phases alone, a
-pass on the caller's grid, and ``refined_total`` that of a direct doubled pass with the same
-constant term, up to rounding.
+points is allocated, and no ``N``-point twiddle table either.  The twiddles ``w^k``,
+``k = 1, 2``, come from a two-level table, ``e^{i pi k (B a + b) / M} = e^{i pi k B a / M}
+e^{i pi k b / M}`` with ``b < B`` and the block ``B`` fixed by ``M`` alone, kept as its two
+levels of about ``sqrt(M)`` entries and expanded one block of ``_BLOCK`` nodes at a time where
+it multiplies, in Horner's step and in ``E + w O``.  A node's twiddle does not depend on how
+many nodes are requested, so the single window's ``total`` is bit for bit that of the even
+phases alone, a pass on the caller's grid, and ``refined_total`` that of a direct doubled pass
+with the same constant term, up to rounding.  The nodes above ``N / 2`` add the half
+spectrum's conjugated mirror image in place, real and imaginary parts apart, with no copy.
 
 A symbol that declares itself ``even``, ``psi(-y) == psi(y)`` bit for bit (see
 :class:`subord.comparison.Multiplier`), has in phase ``P - q`` phase ``q``'s samples reversed,
@@ -191,33 +194,36 @@ def _add_inverse(acc: np.ndarray, values: np.ndarray) -> None:
     _refuse_non_finite(r)
     np.conjugate(r, out=r)
     acc[:h + 1] += r[:acc.size]
-    acc[h + 1:] += np.conjugate(r[h - 1:values.size - acc.size:-1])  # the doubled window
+    # the doubled window adds the mirror image's conjugate, part by part, with no copy
+    tail, mirror = acc[h + 1:], r[h - 1:values.size - acc.size:-1]
+    tail.real += mirror.real
+    tail.imag -= mirror.imag
 
 
 @_QUIET
 def _horner_step(acc: Optional[np.ndarray], values: Optional[np.ndarray], term: float,
-                 twiddle: np.ndarray, weight: float) -> Optional[np.ndarray]:
-    # acc twiddle plus weight times the inverse of values less term, at 0 <= j < twiddle.size;
-    # None for 0
+                 twiddle: _Twiddles, count: int, weight: float) -> Optional[np.ndarray]:
+    # acc twiddle plus weight times the inverse of values less term, at 0 <= j < count; None
+    # for 0
     if acc is not None:
-        acc *= twiddle
+        _twiddle(acc, twiddle)
     if values is None:
         return acc
     np.subtract(values, term, out=values)
     if weight != 1.0:
         values *= weight  # exact, or inf, which _add_inverse refuses
     if acc is None:
-        acc = np.zeros(twiddle.size, dtype=np.complex128)
+        acc = np.zeros(count, dtype=np.complex128)
     _add_inverse(acc, values)
     return acc
 
 
 def _accumulate(psi: Callable[[np.ndarray], np.ndarray], c: complex, size: int, phases: int,
-                parity: int, step: float, twiddle: np.ndarray, fold: bool):
+                parity: int, step: float, twiddle: _Twiddles, count: int, fold: bool):
     # the real part's and the imaginary part's (None for 0) sum over the phases q of the parity
     # of twiddle^((q - parity) / 2) times the inverse of phase q's samples less c, at
-    # 0 <= j < twiddle.size, by Horner's rule from the highest q down; with fold, for an even
-    # psi, over q <= phases / 2 only, weighted 2 but for 0 and phases / 2 (see the module notes)
+    # 0 <= j < count, by Horner's rule from the highest q down; with fold, for an even psi,
+    # over q <= phases / 2 only, weighted 2 but for 0 and phases / 2 (see the module notes)
     re_acc = im_acc = None
     for q in range(phases - 2 + parity, -1, -2):
         if fold and q > phases // 2:  # phase phases - q reversed
@@ -226,9 +232,9 @@ def _accumulate(psi: Callable[[np.ndarray], np.ndarray], c: complex, size: int, 
         re, im = _samples(psi, size, phases, q, step)
         if im is None and c.imag != 0:
             im = np.zeros(size)
-        re_acc = _horner_step(re_acc, re, c.real, twiddle, weight)
+        re_acc = _horner_step(re_acc, re, c.real, twiddle, count, weight)
         del re  # freed before the imaginary part's transform
-        im_acc = _horner_step(im_acc, im, c.imag, twiddle, weight)
+        im_acc = _horner_step(im_acc, im, c.imag, twiddle, count, weight)
         del im  # and before the next phase is sampled
     return re_acc, im_acc
 
@@ -237,30 +243,57 @@ def _accumulate(psi: Callable[[np.ndarray], np.ndarray], c: complex, size: int, 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
-def _twiddles(m: int, count: int, k: int) -> np.ndarray:
-    """``e^{i pi k j / m}`` at ``0 <= j < count``, for a power of two ``m >= 2``, as the products
-    ``e^{i pi k B a / m} e^{i pi k b / m}`` over ``j = B a + b``, ``0 <= b < B``, with the block
-    ``B`` fixed by ``m`` alone, so that a node's value does not depend on ``count``.  The
-    coarse factor is a quarter turn times ``e^{i pi r / m}``, ``r < m / 2``, and the fine one
-    is added to ``1`` as ``e^{i theta} - 1 = -2 sin^2(theta / 2) + i sin(theta)``: each node
-    is within a few units in the last place of the exact value."""
+#: a two-level twiddle table, ``(fine, coarse)``: see :func:`_twiddles`
+_Twiddles = tuple[np.ndarray, np.ndarray]
+
+
+def _twiddles(m: int, count: int, k: int) -> _Twiddles:
+    """The table of ``e^{i pi k j / m}`` at ``0 <= j < count``, for a power of two ``m >= 2``,
+    as its two levels, over ``j = B a + b``, ``0 <= b < B``, with the block ``B`` fixed by ``m``
+    alone: ``fine``, the ``B`` values ``e^{i pi k b / m}``, and ``coarse``, the values
+    ``e^{i pi k B a / m}`` of the rows ``a`` that ``j`` reaches.  :func:`_expand` forms their
+    products.  The coarse factor is a quarter turn times ``e^{i pi r / m}``, ``r < m / 2``, and
+    the fine one is added to ``1`` as ``e^{i theta} - 1 = -2 sin^2(theta / 2) + i sin(theta)``:
+    each node is within a few units in the last place of the exact value."""
     block = 1 << (m.bit_length() // 2)
     angle = np.arange(block) * (np.pi * k / m)
     half = np.sin(0.5 * angle)
     fine = -2.0 * half * half + 1j * np.sin(angle)
     turns, rest = np.divmod(np.arange(-(-count // block)) * (k * block), m // 2)
-    coarse = (np.exp(rest * (1j * np.pi / m)) * _QUARTER_TURNS[turns % 4])[:, None]
-    table = coarse * fine
-    table += coarse
-    return table.ravel()[:count]
+    coarse = np.exp(rest * (1j * np.pi / m)) * _QUARTER_TURNS[turns % 4]
+    return fine, coarse
+
+
+def _expand(twiddle: _Twiddles, start: int, stop: int) -> np.ndarray:
+    """The tabled twiddles at ``start <= j < stop``, for ``start`` a multiple of ``_BLOCK`` and
+    at most ``_BLOCK`` nodes: whole rows of the table or, where a row is longer than a block, part
+    of one.  Each is ``coarse * fine + coarse``, so that a node's value does not depend on
+    ``count`` or on the nodes expanded with it.  A row is formed with its coarse factor as a
+    scalar, which takes none of the buffers that numpy allocates to broadcast a column."""
+    fine, coarse = twiddle
+    first, size = start % fine.size, stop - start
+    width = min(fine.size - first, size)
+    chunk = np.empty(-(-size // width) * width, dtype=np.complex128)
+    for out, c in zip(chunk.reshape(-1, width), coarse[start // fine.size:]):
+        np.multiply(c, fine[first:first + width], out=out)
+        out += c
+    return chunk[:size]
+
+
+def _twiddle(acc: np.ndarray, twiddle: _Twiddles) -> None:
+    # acc times the tabled twiddles at 0 <= j < acc.size, in place, expanded block by block;
+    # its callers are quiet
+    for start in range(0, acc.size, _BLOCK):
+        stop = min(start + _BLOCK, acc.size)
+        acc[start:stop] *= _expand(twiddle, start, stop)
 
 
 @_QUIET
 def _twiddled_sum(e: Optional[np.ndarray], o: Optional[np.ndarray],
-                  w: np.ndarray) -> Optional[np.ndarray]:
+                  w: _Twiddles) -> Optional[np.ndarray]:
     # e + w o, in o's array, with None for 0
     if o is not None:
-        o *= w
+        _twiddle(o, w)
         if e is not None:
             o += e
     return e if o is None else o
@@ -276,7 +309,10 @@ def _abs_window(re: np.ndarray, im: Optional[np.ndarray], n: int, scale: float) 
     if im is not None:
         halves.append((np.conjugate(re[n - 1:0:-1]), np.conjugate(im[n - 1:0:-1]), absg[:n - 1]))
     for a, b, out in halves:
-        g = (a if b is None else a + 1j * b) / scale
+        if b is None and a.dtype.kind == "f":  # scaled straight into out
+            g = np.divide(a, scale, out=out)
+        else:
+            g = (a if b is None else a + 1j * b) / scale
         _refuse_non_finite(g)
         np.abs(g, out=out)
     if im is None:
@@ -304,12 +340,12 @@ def _windows(psi: Callable[[np.ndarray], np.ndarray], grid: GridSpec, oversample
     fold = getattr(psi, "even", False)
     count = n if doubled else n // 2
     squared = _twiddles(m, count, 2)  # w^2, for the twiddle w = e^{i pi j / M}
-    even = _accumulate(psi, c, n, phases, 0, step, squared, fold)
+    even = _accumulate(psi, c, n, phases, 0, step, squared, count, fold)
     if fold:  # each part's window is real; copied, the complex sums are freed
         even = [None if e is None else e.real.copy() for e in even]
     yield c, _abs_window(*even, n // 2, fine.dx * (phases // 2))
     if doubled:
-        odd = _accumulate(psi, c, n, phases, 1, step, squared, fold)
+        odd = _accumulate(psi, c, n, phases, 1, step, squared, count, fold)
         del squared
         w = _twiddles(m, count, 1)
         parts = [_twiddled_sum(e, o, w) for e, o in zip(even, odd)]

@@ -3,6 +3,7 @@
 import ast
 import cmath
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -31,12 +32,15 @@ from subord.comparison import (
 )
 from subord.diffops import construct_decomposition
 from subord.errors import GridTooSmallError, InconsistentLimitError, InvalidParameterError
-from subord.fourier_core import FREQUENCY, GridSpec, SampledFunction, inverse_ft
+from subord.fourier_core import _BLOCK, FREQUENCY, GridSpec, SampledFunction, inverse_ft
 from subord.measures import (
     _abs_window,
     _add_inverse,
+    _expand,
     _limit_at_infinity,
     _samples,
+    _twiddle,
+    _twiddled_sum,
     _twiddles,
     _wiener_components,
     _windows,
@@ -155,7 +159,8 @@ def test_wiener_norm_peak_memory():
     # copy each 2.5, one sampling in FFT order, inverted in place, 1.75.  Sampled into even
     # and odd halves with no copy, the peak was still 1.75, set while sampling: at this size a
     # block's temporaries are a quarter of the doubled grid.  With one half held at a time,
-    # 1.38; in phases of 2N nodes, 0.44, and of N nodes 0.31
+    # 1.38; in phases of 2N nodes, 0.44, and of N nodes 0.29 (bound 0.4); with the twiddles
+    # expanded one block at a time, where N-point tables were held, 0.23
     grid = GridSpec(40.0, 2 ** 12)
     fine_array = 16 * grid.refined(2).refined(8).size
     wiener_norm(gw_symbol(1.0), grid)  # warm
@@ -165,7 +170,24 @@ def test_wiener_norm_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.4 * fine_array
+    assert peak <= 0.26 * fine_array
+
+
+def test_wiener_norm_peak_memory_at_the_oracle_shape():
+    # in complex arrays of the caller's N = 2^16 nodes, an even registry symbol at oversample
+    # 8 on the benchmark's window: with N-point tables of w^2 and w and a copied mirror image
+    # per half spectrum, 4.00; with the twiddles expanded one block at a time and the mirror
+    # added in place, 2.91
+    grid = GridSpec(160.0, 2 ** 16)
+    one_array = 16 * grid.size
+    wiener_norm(gw_ratio(1.0, 2.0), grid)  # warm
+    tracemalloc.start()
+    try:
+        wiener_norm(gw_ratio(1.0, 2.0), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * one_array
 
 
 def test_wiener_norm_peak_memory_of_a_cofactor():
@@ -174,6 +196,7 @@ def test_wiener_norm_peak_memory_of_a_cofactor():
     # sampled in blocks twice with a shift copy per pass 2.5, sampled once 1.9, sampled into
     # two halves, joined in place, 1.89, again set by the block temporaries of sampling, and
     # sampled and inverted one half at a time 1.66; in phases of 2N nodes 1.45, of N nodes 0.88
+    # (bound 1.0), and with no N-point twiddle table or mirror copy 0.76
     d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 14))
     fine_array = 16 * d.grid.refined(2).refined(4).size
 
@@ -187,15 +210,16 @@ def test_wiener_norm_peak_memory_of_a_cofactor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.0 * fine_array
+    assert peak <= 0.85 * fine_array
 
 
 def test_operator_factor_peak_memory_of_a_cofactor():
     # in complex arrays of the finer pass's fine grid: a p == q factor of diffop-verify is
     # a single-window pass on each grid of a pair, one at a time, where wiener_norm's
     # doubled-window pass peaked at 5 of them; the shift copy of the samples took it to
-    # 3.16, an inversion in place takes 2.78, the even phases of 2 n nodes 2.35 and those of n
-    # nodes 1.27.  The pole's neighborhood reaches |y| = 1
+    # 3.16, an inversion in place takes 2.78, the even phases of 2 n nodes 2.35, those of n
+    # nodes 1.27 (bound 1.4) and, with the twiddles expanded one block at a time, 1.15.  The
+    # pole's neighborhood reaches |y| = 1
     d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 14))
     fine_array = 16 * d.grid.refined(4).size
 
@@ -209,13 +233,14 @@ def test_operator_factor_peak_memory_of_a_cofactor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * fine_array
+    assert peak <= 1.2 * fine_array
 
 
 def test_operator_factor_peak_memory_on_a_fine_grid():
     # in complex arrays of the finer factor grid, (40, 2^15) refined 4 times: the caller's
     # 2^18 nodes set no array, and the coarse pass is freed before the finer one samples.  The
-    # even phases of 2 n nodes peaked at 1.46, those of n nodes at 1.27
+    # even phases of 2 n nodes peaked at 1.46, those of n nodes at 1.27 (bound 1.4) and, with
+    # the twiddles expanded one block at a time, at 1.15
     d = construct_decomposition([0, 1], [0, 0, 1], [1], GridSpec(40.0, 2 ** 18))
     fine_array = 16 * 4 * 2 ** 15
 
@@ -229,7 +254,7 @@ def test_operator_factor_peak_memory_on_a_fine_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * fine_array
+    assert peak <= 1.2 * fine_array
 
 
 @pytest.mark.parametrize("declared", [None, 1.0])
@@ -286,8 +311,8 @@ def test_wiener_norm_process_peak_of_a_cofactor():
     # above the high-water mark of the decomposition's own checks.  Built on (40, 2^14), two
     # real-input transforms of 2^20 points per part grow it by 1.21, the doubled grid's
     # phases of 2^19 points, accumulated on the window's nodes j >= 0, by 0.90, and in phases
-    # of 2^18 points by 0.59
-    assert _probe_output(_RSS_PROBE) <= 0.8
+    # of 2^18 points by 0.59 (bound 0.8), and with no N-point twiddle table by 0.47
+    assert _probe_output(_RSS_PROBE) <= 0.53
 
 
 #: prints the growth of the peak RSS over one norm on (160, 2^18) at oversample 8, in arrays
@@ -307,9 +332,9 @@ print(growth * (1 if sys.platform == "darwin" else 1024) / (8 * 2 ** 21))
 
 
 @pytest.mark.parametrize("symbol, bound", [
-    pytest.param("gw_ratio(1.0, 2.0)", 1.5, id="real"),
+    pytest.param("gw_ratio(1.0, 2.0)", 1.1, id="real"),
     pytest.param("Multiplier(label='complex', _fn=lambda y: gw_ratio(1.0, 2.0)(y)"
-                 " + 1j * y * np.exp(-y * y))", 2.4, id="complex"),
+                 " + 1j * y * np.exp(-y * y))", 1.95, id="complex"),
 ])
 def test_real_input_transforms_lower_the_process_peak(symbol, bound):
     # a complex transform per pass grew ru_maxrss by 6.66 arrays for the real symbol and by
@@ -317,7 +342,8 @@ def test_real_input_transforms_lower_the_process_peak(symbol, bound):
     # held the real part, its half spectrum, numpy's work memory of about two arrays and, in
     # the second pass, the first pass's window: 4.56, and 5.62 for the complex symbol.  In
     # eight phases of 2^19 points, accumulated on the window's nodes j >= 0: 1.95 and 2.76,
-    # later 1.81 and 2.76; in sixteen phases of 2^18 points 1.19 and 2.02
+    # later 1.81 and 2.76; in sixteen phases of 2^18 points 1.19 and 2.02 (bounds 1.5 and 2.4);
+    # with the twiddles expanded one block at a time and the mirror added in place, 0.94 and 1.85
     assert _probe_output(_PARTS_PROBE % symbol) <= bound
 
 
@@ -650,24 +676,87 @@ def test_a_pass_makes_one_real_input_transform_per_part(monkeypatch):
                          + [("rfft", grid.size)] * (even_phases * parts))
 
 
+def _expanded(table, count: int) -> np.ndarray:
+    """The tabled twiddles at ``0 <= j < count``, expanded one block at a time as a pass does."""
+    return np.concatenate([np.empty(0, dtype=np.complex128)]
+                          + [_expand(table, a, min(a + _BLOCK, count)) for a in range(0, count, _BLOCK)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(exponent=st.integers(4, 22), k=st.sampled_from([1, 2]), data=st.data())
 def test_tabled_twiddles_are_the_exponential_and_do_not_depend_on_the_count(exponent, k, data):
-    """Each of the ``count`` tabled twiddles ``e^{i pi k j / m}`` is within 4e-16 of np.exp at
-    the same node, and a node's twiddle is the same bits whatever count is requested.  The
-    reference's argument is reduced by quarter turns, ``k j = q m / 2 + r`` and
-    ``e^{i pi k j / m} = i^q e^{i pi r / m}``: rounding the unreduced argument, up to 2 pi,
-    alone moves np.exp by up to 5.6e-16 at k = 2."""
+    """Each of the ``count`` twiddles ``e^{i pi k j / m}`` expanded block by block from the table
+    is within 4e-16 of np.exp at the same node, and a node's twiddle is the same bits whatever
+    count is requested.  The reference's argument is reduced by quarter turns,
+    ``k j = q m / 2 + r`` and ``e^{i pi k j / m} = i^q e^{i pi r / m}``: rounding the unreduced
+    argument, up to 2 pi, alone moves np.exp by up to 5.6e-16 at k = 2."""
     m = 2 ** exponent
     count, other = (data.draw(st.one_of(st.just(m), st.integers(0, m))) for _ in range(2))
-    table = _twiddles(m, count, k)
+    table = _expanded(_twiddles(m, count, k), count)
     turns, rest = np.divmod(k * np.arange(count), m // 2)
     reference = np.exp(1j * np.pi * rest / m) * np.array([1, 1j, -1, -1j])[turns % 4]
     assert table.shape == (count,)
     assert np.all(np.abs(table - reference) <= 4e-16)
     del reference
     common = min(count, other)
-    assert table[:common].tobytes() == _twiddles(m, other, k)[:common].tobytes()
+    assert table[:common].tobytes() == _expanded(_twiddles(m, other, k), other)[:common].tobytes()
+
+
+def _whole_table(m: int, count: int, k: int) -> np.ndarray:
+    # the N-point table as it was formed at once: the coarse column times the fine row, plus the
+    # column, over all rows
+    fine, coarse = _twiddles(m, count, k)
+    column = coarse[:, None]
+    table = column * fine
+    table += column
+    return table.ravel()[:count]
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent=st.integers(7, 20), k=st.sampled_from([1, 2]), data=st.data())
+def test_block_wise_twiddle_products_are_the_whole_table_products(exponent, k, data):
+    """``acc *= w^k`` and ``e + w o`` with the twiddles expanded one block of ``_BLOCK`` nodes at
+    a time are the products with the whole table, bit for bit, for the counts a pass requests,
+    ``N`` or ``N / 2``, a power of two >= 8: below one table row, below one block, and over
+    several blocks.  (numpy multiplies a lone node in place by its scalar loop, which rounds
+    otherwise than its vector loop, so a count one node past a block is not among them.)"""
+    m = 2 ** exponent
+    row = m.bit_length() // 2  # of the table's row length, a power of two
+    block = _BLOCK.bit_length() - 1
+    count = 2 ** data.draw(st.sampled_from(
+        [c for c in (*range(3, row), *range(3, block), block + 1, block + 2) if c <= exponent]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    acc, e = (rng.standard_normal(count) + 1j * rng.standard_normal(count) for _ in range(2))
+    acc[::7] = complex(-0.0, 0.0)  # signed zeros too
+    whole = _whole_table(m, count, k)
+    expected_product, expected_sum = acc * whole, acc * whole + e
+    table = _twiddles(m, count, k)
+    product = acc.copy()
+    _twiddle(product, table)
+    assert product.tobytes() == expected_product.tobytes()
+    assert _twiddled_sum(e, acc.copy(), table).tobytes() == expected_sum.tobytes()
+
+
+@pytest.mark.parametrize("size", [2, 4, 8, 64])
+def test_the_in_place_hermitian_add_is_the_conjugated_mirrors_bit_for_bit(size):
+    """:func:`_add_inverse` adds the half spectrum's conjugated mirror image part by part, in
+    place; that is ``acc += np.conjugate(mirror)`` bit for bit, signed zeros included: for
+    inputs of zeros of either sign, whose spectra hold zeros of both signs, and drawn ones,
+    onto accumulators holding every pair of signed zeros and ones, at every count."""
+    rng = np.random.default_rng(size)
+    h = size // 2
+    signed = [0.0, -0.0, 1.0, -1.0]
+    inputs = [np.full(size, 0.0), np.full(size, -0.0), rng.choice(signed, size),
+              rng.standard_normal(size)]
+    for values, fill, count in itertools.product(inputs, itertools.product(signed, repeat=2),
+                                                 range(1, size + 1)):
+        acc = np.full(count, complex(*fill))
+        r = np.conjugate(np.fft.rfft(values, norm="forward"))
+        expected = acc.copy()
+        expected[:h + 1] += r[:count]
+        expected[h + 1:] += np.conjugate(r[h - 1:size - count:-1])
+        _add_inverse(acc, values.copy())
+        assert acc.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,9 @@ ROOT = Path(__file__).resolve().parent.parent
 #: band holds no node (exit 2), a 64-point one, whose band holds one node on the + side and
 #: two on the - side, which disagree (exit 2), and the same with a pinned constant term, whose
 #: tail fit reads 3 nodes a side; and gw-compare on a window of half-length 6, refused by the
-#: decay gate of materialize (exit 2)
+#: decay gate of materialize (exit 2); and the twiddle table's row edges no other line reaches:
+#: a 16-point grid at oversample 64, whose 16 twiddles lie below one table row of 32 (exit 2),
+#: and a 32-point grid at oversample 16, whose 32 fill one row exactly
 EXTRAS = (
     ("selftest",),
     ("wiener-norm", "--multiplier", "gw_symbol:alpha=400"),
@@ -151,6 +153,9 @@ EXTRAS = (
     ("wiener-norm", "--multiplier", "exp_abs_ft", "--grid-N", "64", "--oversample", "1",
      "--const-at-infinity", "0"),
     ("gw-compare", "--alpha", "1", "--beta", "2", "--grid-L", "6"),
+    ("wiener-norm", "--multiplier", "gw_ratio:alpha=1,beta=2", "--grid-N", "16",
+     "--oversample", "64"),
+    ("wiener-norm", "--multiplier", "gw_symbol:alpha=1", "--grid-N", "32", "--oversample", "16"),
 )
 
 
